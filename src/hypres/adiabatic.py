@@ -11,9 +11,11 @@ assembled with quadratic Lagrange elements on a tensor grid; for Coulomb
 systems the element boundaries are clustered around the two light-heavy
 coalescence points, whose angular size shrinks like 1/rho.
 
-Nonadiabatic coupling tables use centered finite differences of the channel
-functions on the rho grid (one-sided at the ends), after the eigenvector
-signs are fixed by continuity:
+`solve_terms` gives the terms alone.  `solve_with_couplings` streams over
+rho: it fixes each point's eigenvector signs by continuity with the previous
+point (bisecting where the overlap drops) and forms the nonadiabatic
+coupling tables by centered finite differences of the channel functions on
+the rho grid (one-sided at the ends):
 
     H_jj'(rho) = < d_rho phi_j | d_rho phi_j' >,
     Q_jj'(rho) = - < phi_j | d_rho phi_j' >.
@@ -164,24 +166,20 @@ def build_grids(
                 (frac_t, theta_c, width_t, cluster.core_frac * decay_t)
             )
 
-    base_chi = max(0.04, 1.0 - sum(t[0] for t in chi_terms))
-    base_theta = max(0.04, 1.0 - sum(t[0] for t in theta_terms))
+    def density(terms):
+        base = max(0.04, 1.0 - sum(t[0] for t in terms))
 
-    def chi_density(x):
-        w = np.full_like(x, base_chi / math.pi)
-        for frac, c, width, core in chi_terms:
-            w = w + frac * graded(x, c, width, core)
-        return w
+        def w_of(x):
+            w = np.full_like(x, base / math.pi)
+            for frac, c, width, core in terms:
+                w = w + frac * graded(x, c, width, core)
+            return w
 
-    def theta_density(x):
-        w = np.full_like(x, base_theta / math.pi)
-        for frac, c, width, core in theta_terms:
-            w = w + frac * graded(x, c, width, core)
-        return w
+        return w_of
 
     return TensorGrid(
-        Grid1D.from_density(0.0, math.pi, grid.n_chi, chi_density),
-        Grid1D.from_density(0.0, math.pi, grid.n_theta, theta_density),
+        Grid1D.from_density(0.0, math.pi, grid.n_chi, density(chi_terms)),
+        Grid1D.from_density(0.0, math.pi, grid.n_theta, density(theta_terms)),
         n_quad=grid.n_quad,
     )
 
@@ -290,22 +288,17 @@ def solve_adiabatic_point(
 
 @dataclass(frozen=True)
 class AdiabaticSolution:
-    """Terms and nonadiabatic couplings on a rho grid (basis optional)."""
+    """Terms on a rho grid, with the coupling tables of the streamed solve."""
 
     rho_grid: np.ndarray
     terms: np.ndarray  # (n_rho, N)
     h_table: np.ndarray | None = None  # (n_rho, N, N)
     q_table: np.ndarray | None = None  # (n_rho, N, N)
-    basis: list | None = field(default=None, repr=False)  # [(TensorGrid, vecs)]
     meta: dict = field(default_factory=dict)
 
     @property
     def n_terms(self) -> int:
         return self.terms.shape[1]
-
-    def thresholds(self) -> np.ndarray:
-        """Asymptotic term values, read off at the largest rho point."""
-        return self.terms[-1].copy()
 
 
 def _fd_weights(rho_grid: np.ndarray, k: int):
@@ -338,37 +331,10 @@ def _measure_kernel(tensor: TensorGrid) -> np.ndarray:
     )
 
 
-def fix_signs(solution_points: list) -> list:
-    """Enforce sign continuity in rho: maximal overlap with the previous point.
-
-    The first point gets a positive mean value.  Each entry of the list is
-    (TensorGrid, vecs); vecs rows are flipped in place.
-    """
-    tensor0, vecs0 = solution_points[0]
-    kern0 = _measure_kernel(tensor0)
-    vals0 = _quad_values(tensor0, vecs0)
-    means = np.einsum("xy,jxy->j", kern0, vals0)
-    for j, m in enumerate(means):
-        if m < 0.0:
-            vecs0[j] *= -1.0
-    prev_tensor, prev_vecs = tensor0, vecs0
-    for tensor, vecs in solution_points[1:]:
-        kern = _measure_kernel(tensor)
-        px, _, py, _ = tensor.quad_points()
-        here = _quad_values(tensor, vecs)
-        prev = prev_tensor.evaluate(prev_vecs, px, py)
-        ov = np.einsum("xy,jxy,jxy->j", kern, prev, here)
-        for j, o in enumerate(ov):
-            if o < 0.0:
-                vecs[j] *= -1.0
-        prev_tensor, prev_vecs = tensor, vecs
-    return solution_points
-
-
 def _solve_one(args):
     masses, rho, grid, cluster, n_terms, mode = args
     if mode == "coulomb":
-        tensor = build_grids(masses, rho, grid, cluster)
+        tensor = build_grids(masses, rho, grid, cluster or ClusterSpec())
         potential = coulomb_potential(masses, rho)
     else:  # bare hyperangular operator (potential-free test mode)
         tensor = build_grids(None, rho, grid, None)
@@ -379,34 +345,20 @@ def _solve_one(args):
     return tensor, vals, vecs
 
 
-def solve_terms(
-    masses: ThreeBodyMasses | None,
-    grid: HyperangularGrid,
-    rho_grid,
-    n_terms: int,
-    cluster: ClusterSpec | None = None,
-    mode: str = "coulomb",
-    keep_basis: bool = True,
-    n_workers: int = 1,
-) -> AdiabaticSolution:
-    """Adiabatic terms (and basis) at every rho point, sign-continuous.
+def _solve_batch(jobs, pool):
+    if pool is None:
+        return [_solve_one(j) for j in jobs]
+    return list(pool.map(_solve_one, jobs, chunksize=1))
 
-    Independent rho points may be dispatched to worker processes; the sign
-    fixing runs afterwards as a sequential pass.
-    """
+
+def _checked_rho_grid(rho_grid) -> np.ndarray:
     rho_grid = np.asarray(rho_grid, dtype=float)
     if np.any(np.diff(rho_grid) <= 0) or np.any(rho_grid <= 0):
         raise ValidationError("rho grid must be positive and strictly increasing")
-    if mode == "coulomb" and cluster is None:
-        cluster = ClusterSpec()
-    jobs = [(masses, rho, grid, cluster, n_terms, mode) for rho in rho_grid]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_solve_one, jobs, chunksize=1))
-    else:
-        results = [_solve_one(j) for j in jobs]
-    terms = np.array([vals for _, vals, _ in results])
-    points = fix_signs([[tensor, vecs] for tensor, _, vecs in results])
+    return rho_grid
+
+
+def _solution_meta(masses, grid: HyperangularGrid, n_terms: int, mode: str):
     meta = {
         "mode": mode,
         "n_chi": grid.n_chi,
@@ -416,64 +368,36 @@ def solve_terms(
     if masses is not None:
         meta.update(m1=masses.m1, m2=masses.m2, z1=masses.z1, z2=masses.z2,
                     z_light=masses.z_light)
+    return meta
+
+
+def solve_terms(
+    masses: ThreeBodyMasses | None,
+    grid: HyperangularGrid,
+    rho_grid,
+    n_terms: int,
+    cluster: ClusterSpec | None = None,
+    mode: str = "coulomb",
+    n_workers: int = 1,
+) -> AdiabaticSolution:
+    """Adiabatic terms at every rho point.
+
+    Independent rho points may be dispatched to worker processes.  Only the
+    eigenvalues are kept: the sign fixing the couplings need leaves them
+    unchanged, so the basis is left to `solve_with_couplings`.
+    """
+    rho_grid = _checked_rho_grid(rho_grid)
+    jobs = [(masses, rho, grid, cluster, n_terms, mode) for rho in rho_grid]
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            results = _solve_batch(jobs, pool)
+    else:
+        results = _solve_batch(jobs, None)
     return AdiabaticSolution(
         rho_grid=rho_grid,
-        terms=terms,
-        basis=points if keep_basis else None,
-        meta=meta,
+        terms=np.array([vals for _, vals, _ in results]),
+        meta=_solution_meta(masses, grid, n_terms, mode),
     )
-
-
-def coupling_tables(solution: AdiabaticSolution, overlap_floor: float = 0.5):
-    """H and Q tables by rho differencing of the sign-continuous basis.
-
-    H is the Gram matrix of the differenced derivatives (symmetric PSD by
-    construction); Q is antisymmetrized after assembly, with the raw defect
-    checked against the orthonormality budget.  Raises TrackingError when
-    adjacent basis overlaps fall below overlap_floor.
-    """
-    if solution.basis is None:
-        raise ValidationError("solution carries no basis; rerun with keep_basis")
-    rho = solution.rho_grid
-    if rho.size < 3:
-        raise ValidationError("need at least 3 rho points for differencing")
-    n = solution.n_terms
-    n_rho = rho.size
-    h_table = np.empty((n_rho, n, n))
-    q_table = np.empty((n_rho, n, n))
-
-    # check tracking quality first: diagonal overlaps of adjacent points
-    for k in range(n_rho - 1):
-        tensor, vecs = solution.basis[k]
-        tn, vn = solution.basis[k + 1]
-        kern = _measure_kernel(tensor)
-        px, _, py, _ = tensor.quad_points()
-        here = _quad_values(tensor, vecs)
-        nxt = tn.evaluate(vn, px, py)
-        diag = np.einsum("xy,jxy,jxy->j", kern, here, nxt)
-        if np.any(np.abs(diag) < overlap_floor):
-            j = int(np.argmin(np.abs(diag)))
-            raise TrackingError(
-                f"basis continuity lost between rho={rho[k]:.6g} and "
-                f"rho={rho[k+1]:.6g} (term {j + 1}, overlap {diag[j]:.3f}); "
-                "refine the rho grid near this point"
-            )
-
-    for k in range(n_rho):
-        idx, wts = _fd_weights(rho, k)
-        tensor, vecs = solution.basis[k]
-        kern = _measure_kernel(tensor)
-        px, _, py, _ = tensor.quad_points()
-        here = _quad_values(tensor, vecs)
-        dphi = np.zeros_like(here)
-        for i, w in zip(idx, wts):
-            ti, vi = solution.basis[i]
-            vals = here if i == k else ti.evaluate(vi, px, py)
-            dphi += w * vals
-        h_table[k] = np.einsum("xy,jxy,Jxy->jJ", kern, dphi, dphi)
-        q_raw = -np.einsum("xy,jxy,Jxy->jJ", kern, here, dphi)
-        q_table[k] = 0.5 * (q_raw - q_raw.T)
-    return h_table, q_table
 
 
 def solve_with_couplings(
@@ -488,17 +412,16 @@ def solve_with_couplings(
 ) -> AdiabaticSolution:
     """Terms plus coupling tables, streamed over rho.
 
-    Solves rho points in chunks (optionally in parallel), keeps only a
-    rolling window of three sign-fixed bases, and differences them into the
-    H/Q tables; memory stays bounded for long rho grids.
+    Solves rho points in chunks (optionally in parallel), fixes each basis's
+    signs against the previous accepted point, bisects an interval whose
+    smallest overlap falls below overlap_floor, and differences a rolling
+    window of three sign-fixed bases into the H/Q tables; memory stays
+    bounded for long rho grids.  H is the Gram matrix of the differenced
+    derivatives (symmetric PSD by construction); Q is antisymmetrized.
     """
-    rho_grid = np.asarray(rho_grid, dtype=float)
-    if np.any(np.diff(rho_grid) <= 0) or np.any(rho_grid <= 0):
-        raise ValidationError("rho grid must be positive and strictly increasing")
+    rho_grid = _checked_rho_grid(rho_grid)
     if rho_grid.size < 3:
         raise ValidationError("need at least 3 rho points for differencing")
-    if mode == "coulomb" and cluster is None:
-        cluster = ClusterSpec()
 
     pending = list(rho_grid)[::-1]  # stack, smallest rho on top
     cache: dict[float, tuple] = {}  # speculative chunk results, keyed by rho
@@ -511,38 +434,18 @@ def solve_with_couplings(
             if rho not in todo:
                 todo.insert(0, rho)
             batch = [(masses, r, grid, cluster, n_terms, mode) for r in todo]
-            if pool is not None:
-                results = list(pool.map(_solve_one, batch, chunksize=1))
-            else:
-                results = [_solve_one(j) for j in batch]
-            for r, (tensor, vals, vecs) in zip(todo, results):
-                cache[r] = (tensor, vals, vecs)
-        tensor, vals, vecs = cache.pop(rho)
-        return tensor, vals, [tensor, vecs]
+            cache.update(zip(todo, _solve_batch(batch, pool)))
+        return cache.pop(rho)  # (tensor, vals, vecs)
 
     accepted_rho: list[float] = []
     accepted_terms: list[np.ndarray] = []
-    bases: dict[int, list] = {}  # rolling window of sign-fixed bases
+    bases: dict[int, tuple] = {}  # rolling window of sign-fixed bases
     h_rows: list[np.ndarray] = []
     q_rows: list[np.ndarray] = []
     max_bisect = 7
 
-    def min_overlap(prev, here):
-        tensor, vecs = here
-        kern = _measure_kernel(tensor)
-        px, _, py, _ = tensor.quad_points()
-        vals = _quad_values(tensor, vecs)
-        pt, pv = prev
-        prev_vals = pt.evaluate(pv, px, py)
-        ov = np.einsum("xy,jxy,jxy->j", kern, prev_vals, vals)
-        return float(np.abs(ov).min())
-
     def emit_couplings(k):
-        idx, wts = _fd_weights(np.asarray(accepted_rho), k)
-        h = np.empty((n_terms, n_terms))
-        q = np.empty((n_terms, n_terms))
-        _couplings_at(bases, k, idx, wts, h[None], q[None], overlap_floor,
-                      np.asarray(accepted_rho), row_offset=k)
+        h, q = _couplings_at(bases, k, np.asarray(accepted_rho), overlap_floor)
         h_rows.append(h)
         q_rows.append(q)
 
@@ -550,28 +453,25 @@ def solve_with_couplings(
     try:
         while pending:
             rho = pending.pop()
-            tensor, vals, basis = solve_at(rho)
-            prev = bases.get(len(accepted_rho) - 1)
-            _fix_signs_against(prev, basis)
-            if prev is not None:
-                ov = min_overlap(prev, basis)
-                if ov < overlap_floor:
-                    if depth >= max_bisect:
-                        raise TrackingError(
-                            f"basis continuity lost near rho={rho:.6g} "
-                            f"(overlap {ov:.3f} after {depth} bisections)"
-                        )
-                    # bisect: revisit this rho after an inserted midpoint
-                    pending.append(rho)
-                    pending.append(0.5 * (accepted_rho[-1] + rho))
-                    cache[rho] = (basis[0], vals, basis[1])
-                    depth += 1
-                    continue
+            tensor, vals, vecs = solve_at(rho)
+            ov = _fix_signs_against(bases.get(len(accepted_rho) - 1), tensor, vecs)
+            if ov < overlap_floor:
+                if depth >= max_bisect:
+                    raise TrackingError(
+                        f"basis continuity lost near rho={rho:.6g} "
+                        f"(overlap {ov:.3f} after {depth} bisections)"
+                    )
+                # bisect: revisit this rho after an inserted midpoint
+                pending.append(rho)
+                pending.append(0.5 * (accepted_rho[-1] + rho))
+                cache[rho] = (tensor, vals, vecs)
+                depth += 1
+                continue
             depth = 0
             k = len(accepted_rho)
             accepted_rho.append(rho)
             accepted_terms.append(vals)
-            bases[k] = basis
+            bases[k] = (tensor, vecs)
             if k == 1:
                 emit_couplings(0)
             if k >= 2:
@@ -582,48 +482,37 @@ def solve_with_couplings(
         if pool is not None:
             pool.shutdown()
 
-    meta = {
-        "mode": mode,
-        "n_chi": grid.n_chi,
-        "n_theta": grid.n_theta,
-        "n_terms": n_terms,
-    }
-    if masses is not None:
-        meta.update(m1=masses.m1, m2=masses.m2, z1=masses.z1, z2=masses.z2,
-                    z_light=masses.z_light)
     return AdiabaticSolution(
         rho_grid=np.asarray(accepted_rho),
         terms=np.asarray(accepted_terms),
         h_table=np.asarray(h_rows),
         q_table=np.asarray(q_rows),
-        basis=None,
-        meta=meta,
+        meta=_solution_meta(masses, grid, n_terms, mode),
     )
 
 
-def _fix_signs_against(prev, here):
-    """Flip rows of here's vectors toward maximal overlap with prev."""
-    tensor, vecs = here
+def _fix_signs_against(prev, tensor, vecs) -> float:
+    """Flip rows of vecs toward positive overlap with the prev basis (toward
+    a positive mean value when prev is None); returns the smallest |overlap|
+    (inf without prev)."""
     kern = _measure_kernel(tensor)
     px, _, py, _ = tensor.quad_points()
     vals = _quad_values(tensor, vecs)
     if prev is None:
-        means = np.einsum("xy,jxy->j", kern, vals)
-        for j, m in enumerate(means):
-            if m < 0.0:
-                vecs[j] *= -1.0
-        return
-    pt, pv = prev
-    prev_vals = pt.evaluate(pv, px, py)
-    ov = np.einsum("xy,jxy,jxy->j", kern, prev_vals, vals)
-    for j, o in enumerate(ov):
+        signs = np.einsum("xy,jxy->j", kern, vals)
+    else:
+        pt, pv = prev
+        signs = np.einsum("xy,jxy,jxy->j", kern, pt.evaluate(pv, px, py), vals)
+    for j, o in enumerate(signs):
         if o < 0.0:
             vecs[j] *= -1.0
+    return math.inf if prev is None else float(np.abs(signs).min())
 
 
-def _couplings_at(window, k, idx, wts, h_table, q_table, overlap_floor, rho,
-                  row_offset=0):
-    tensor, vecs = window[k]
+def _couplings_at(bases, k, rho, overlap_floor):
+    """(H, Q) at accepted point k, by differencing over its stencil."""
+    idx, wts = _fd_weights(rho, k)
+    tensor, vecs = bases[k]
     kern = _measure_kernel(tensor)
     px, _, py, _ = tensor.quad_points()
     here = _quad_values(tensor, vecs)
@@ -632,7 +521,7 @@ def _couplings_at(window, k, idx, wts, h_table, q_table, overlap_floor, rho,
         if i == k:
             vals = here
         else:
-            ti, vi = window[i]
+            ti, vi = bases[i]
             vals = ti.evaluate(vi, px, py)
             diag = np.einsum("xy,jxy,jxy->j", kern, here, vals)
             if np.any(np.abs(diag) < overlap_floor):
@@ -643,18 +532,17 @@ def _couplings_at(window, k, idx, wts, h_table, q_table, overlap_floor, rho,
                     "refine the rho grid near this point"
                 )
         dphi += w * vals
-    h_table[k - row_offset] = np.einsum("xy,jxy,Jxy->jJ", kern, dphi, dphi)
+    h = np.einsum("xy,jxy,Jxy->jJ", kern, dphi, dphi)
     q_raw = -np.einsum("xy,jxy,Jxy->jJ", kern, here, dphi)
-    q_table[k - row_offset] = 0.5 * (q_raw - q_raw.T)
+    return h, 0.5 * (q_raw - q_raw.T)
 
 
-def orthonormality_defect(solution: AdiabaticSolution, k: int) -> float:
-    """Max |<phi_i|phi_j> - delta_ij| at rho point k, by quadrature."""
-    tensor, vecs = solution.basis[k]
+def orthonormality_defect(tensor: TensorGrid, vecs: np.ndarray) -> float:
+    """Max |<phi_i|phi_j> - delta_ij| of one point's basis, by quadrature."""
     kern = _measure_kernel(tensor)
     vals = _quad_values(tensor, vecs)
     gram = np.einsum("xy,jxy,Jxy->jJ", kern, vals, vals)
-    return float(np.abs(gram - np.eye(solution.n_terms)).max())
+    return float(np.abs(gram - np.eye(vecs.shape[0])).max())
 
 
 def geometric_rho_grid(rho_min: float, rho_max: float, n: int) -> np.ndarray:

@@ -12,22 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import pipeline
 from .errors import ConfigError, HypresError
-from .pipeline import (
-    RunConfig,
-    run_pipeline,
-    stage_couplings,
-    stage_fit,
-    stage_sample,
-    stage_scan,
-    stage_terms,
-    stage_xsec,
-)
+from .pipeline import STAGE_TABLE, STAGES, RunConfig
 from .tableio import read_keyvalues
 
-
-_STAGE_ORDER = ("terms", "couplings", "scan", "sample", "fit", "xsec")
-
+_PARAMS = ("resonance", "model")  # every stage parameter, as CLI options
 
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="INI run configuration")
@@ -43,25 +33,19 @@ def build_parser() -> argparse.ArgumentParser:
         "stabilization scan, generalized pole-form fit.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("terms", "adiabatic terms table"),
-        ("couplings", "terms plus nonadiabatic coupling tables"),
-        ("scan", "stabilization scan and resonance windows"),
-        ("sample", "K(E) samples inside one window"),
-        ("fit", "pole-form fit and resonance report"),
-        ("xsec", "profile files: K entries, inverse parts, cross sections"),
-        ("pipeline", "run every stage in order"),
-    ):
+    commands = [(stage.name, stage.help, stage.params) for stage in STAGE_TABLE]
+    commands.append(("pipeline", "run every stage in order", _PARAMS))
+    for name, help_text, params in commands:
         sub = subs.add_parser(name, help=help_text)
         _add_common(sub)
-        if name in ("sample", "fit", "xsec", "pipeline"):
+        if "resonance" in params:
             sub.add_argument("--resonance", type=int, default=0,
                              help="window index from the scan stage (0 = lowest)")
-        if name in ("fit", "pipeline"):
+        if "model" in params:
             sub.add_argument("--model", choices=["general", "diagonal", "both"],
                              help="override [fit] model")
         if name == "pipeline":
-            sub.add_argument("--stage", choices=list(_STAGE_ORDER),
+            sub.add_argument("--stage", choices=list(STAGES),
                              help="stop after this stage (dependencies included)")
     return parser
 
@@ -92,34 +76,24 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"[config] error: {exc}", file=sys.stderr)
         return 2
+    params = {key: getattr(args, key) for key in _PARAMS if hasattr(args, key)}
     try:
-        if args.command == "terms":
-            out = stage_terms(config, force=args.force)
-        elif args.command == "couplings":
-            out = stage_couplings(config, force=args.force)
-        elif args.command == "scan":
-            out = stage_scan(config, force=args.force)
-        elif args.command == "sample":
-            out = stage_sample(config, resonance=args.resonance, force=args.force)
-        elif args.command == "fit":
-            out = stage_fit(config, resonance=args.resonance,
-                            model=args.model, force=args.force)
-            _print_summary(out)
-        elif args.command == "xsec":
-            out = stage_xsec(config, resonance=args.resonance, force=args.force)
+        if args.command == "pipeline":
+            out = pipeline.run_pipeline(config, force=args.force,
+                                        upto=args.stage, **params)
         else:
-            out = run_pipeline(config, resonance=args.resonance,
-                               model=args.model, force=args.force,
-                               upto=args.stage)
-            if args.stage in (None, "fit", "xsec"):
-                _print_summary(config.out_dir() / f"fit_{args.resonance}.txt")
+            out = pipeline.run_stage(args.command, config, force=args.force,
+                                     **params)
+        if args.command == "fit" or (
+                args.command == "pipeline" and args.stage in (None, "fit", "xsec")):
+            _print_summary(config.out_dir() / f"fit_{args.resonance}.txt")
         print(f"[{args.command}] wrote {out}")
         return 0
     except ConfigError as exc:
         print(f"[config] error: {exc}", file=sys.stderr)
         return 2
     except HypresError as exc:
-        print(f"[stage:{args.command}] error: {exc}", file=sys.stderr)
+        print(f"[stage:{exc.stage or args.command}] error: {exc}", file=sys.stderr)
         return 1
 
 

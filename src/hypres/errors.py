@@ -2,7 +2,13 @@
 
 
 class HypresError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    `stage` names the pipeline stage that raised it; the stage runner sets
+    it, and it stays None outside the pipeline.
+    """
+
+    stage: str | None = None
 
 
 class MatrixInversionError(HypresError):
@@ -85,7 +91,7 @@ class InconsistentFitError(HypresError):
 
 
 class StageError(HypresError):
-    """Pipeline stage failed; message is prefixed with the stage name."""
+    """Pipeline stage cannot produce its output (its `stage` names which)."""
 
 
 class CacheError(HypresError):

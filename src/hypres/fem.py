@@ -223,7 +223,3 @@ class TensorGrid:
             (local.ravel(), (rows, cols)), shape=(self.n_dof, self.n_dof)
         )
         return mat.tocsr()
-
-    def inner(self, kernel: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> float:
-        """Quadrature inner product of two fields given on the quad tensor."""
-        return float(np.sum(kernel * fa * fb))

@@ -216,7 +216,6 @@ def _residual_and_jacobian(theta, e, k, w, model):
     n = e.size
     npar = 6 if general else 5
     jac = np.zeros((3 * n, npar))
-    zeros = np.zeros(n)
     one = np.ones(n)
     ib1, ib2 = (4, 5) if general else (3, 4)
     # row block 11
@@ -233,7 +232,6 @@ def _residual_and_jacobian(theta, e, k, w, model):
     jac[2 * n : 3 * n, 0] = sw * (-(beta2**2) * inv2)
     jac[2 * n : 3 * n, 2] = sw * one
     jac[2 * n : 3 * n, ib2] = sw * (-2.0 * beta2 * inv)
-    _ = zeros
     return r, jac
 
 

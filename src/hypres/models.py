@@ -18,14 +18,6 @@ import numpy as np
 from .radial import RadialProblem
 
 
-def smooth_well(rho, depth, left, right, edge):
-    """Square-well profile with tanh edges (analytic everywhere)."""
-    rho = np.asarray(rho, dtype=float)
-    return -0.5 * depth * (
-        np.tanh((rho - left) / edge) - np.tanh((rho - right) / edge)
-    )
-
-
 @dataclass(frozen=True)
 class TwoChannelToy:
     """Two open channels, one pocket-behind-barrier resonance in channel 2."""

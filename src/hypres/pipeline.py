@@ -1,10 +1,12 @@
 """Batch pipeline: configuration, cached stages, and artifact files.
 
 Stages run in dependency order (terms -> couplings -> scan -> sample ->
-fit -> xsec); each writes one or more text artifacts whose headers record
-the digest of the configuration (and of the input files) that produced
-them.  A stage is skipped when its outputs exist with matching digests and
-refuses to consume stale inputs.
+fit -> xsec), as listed in `STAGE_TABLE`, which the CLI reads too.  Each
+stage writes one or more text artifacts whose headers record the digest of
+the configuration sections (and of the input file) that produced them.
+One runner serves every stage: it refuses missing or stale inputs with a
+CacheError naming the stage that produces them, keeps outputs whose headers
+match, and otherwise runs the stage.
 
 The configuration is one INI-style file with a section per stage; the
 defaults reproduce the full three-body run (131x61 basis grid, 6 retained
@@ -17,6 +19,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,18 +33,25 @@ from .adiabatic import (
     solve_with_couplings,
 )
 from .algebra import cross_sections
-from .breit_wigner import BWPoleParams, bw_k, resonance_from_pole
+from .breit_wigner import BWPoleParams, bw_k
 from .channels import ChannelSet, ThreeBodyMasses
-from .errors import CacheError, ConfigError, StageError
+from .errors import CacheError, ConfigError, HypresError, StageError
 from .fitting import FitProblem, compare_models, fit
 from .models import BoxMode, TwoChannelToy
 from .radial import RadialProblem, build_grid
 from .samples import read_samples, write_samples
-from .scan import ScanConfig, detect_resonances, sample_k, scan_branches
+from .scan import (
+    ResonanceWindow,
+    ScanConfig,
+    detect_resonances,
+    sample_k,
+    scan_branches,
+)
 from .tableio import (
     digest_file,
     digest_text,
     load_couplings,
+    load_terms,
     read_keyvalues,
     read_table,
     save_couplings,
@@ -49,8 +59,6 @@ from .tableio import (
     write_keyvalues,
     write_table,
 )
-
-STAGES = ("terms", "couplings", "scan", "sample", "fit", "xsec")
 
 DEFAULTS = {
     "system": {
@@ -174,19 +182,15 @@ class RunConfig:
             z_light=self.get("system", "z_light", int),
         )
 
+    def _floats(self, section: str) -> dict:
+        return {key: self.parser.getfloat(section, key)
+                for key in self.parser.options(section)}
+
     def toy(self) -> TwoChannelToy:
-        kwargs = {}
-        if self.parser.has_section("toy"):
-            for key in self.parser.options("toy"):
-                kwargs[key] = self.parser.getfloat("toy", key)
-        return TwoChannelToy(**kwargs)
+        return TwoChannelToy(**self._floats("toy"))
 
     def box(self) -> BoxMode:
-        kwargs = {}
-        if self.parser.has_section("box"):
-            for key in self.parser.options("box"):
-                kwargs[key] = self.parser.getfloat("box", key)
-        return BoxMode(**kwargs)
+        return BoxMode(**self._floats("box"))
 
 
 def _fresh_parser() -> configparser.ConfigParser:
@@ -197,6 +201,33 @@ def _fresh_parser() -> configparser.ConfigParser:
 
 # --------------------------------------------------------------------------
 # stage plumbing
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table.
+
+    sections are the config sections whose digest the header records
+    ("basis" stands for the system kind's own section: [basis], [toy] or
+    [box]); outputs are the files the stage writes, the last one being its
+    result; inputs are the files that must be fresh before it runs;
+    digested is the input whose file digest the header records; header
+    names the parameters the header records; params are the parameters the
+    stage takes besides the configuration.  File names may use {resonance}.
+    """
+
+    name: str
+    help: str
+    sections: tuple
+    outputs: tuple
+    run: Callable
+    inputs: tuple = ()
+    digested: str | None = None
+    header: tuple = ()
+    params: tuple = ()
+
+
+_KIND_SECTION = {"toy": "toy", "box": "box"}  # anything else reads [basis]
 
 
 def _check_cache(path: Path, expect: dict) -> bool:
@@ -213,31 +244,48 @@ def _check_cache(path: Path, expect: dict) -> bool:
     return all(meta.get(k) == v for k, v in expect.items())
 
 
-def _require_fresh(path: Path, expect: dict, producer: str):
-    if not path.exists():
-        raise CacheError(f"missing {path.name}; run the '{producer}' stage first")
-    ok = _check_cache(path, expect)
-    if not ok:
-        raise CacheError(
-            f"stale cache {path.name} (config changed); rerun '{producer}'"
-        )
+def _expect(stage: Stage, config: RunConfig, params: dict) -> dict:
+    """Header of a fresh output of stage under config and params; header
+    parameters absent from params are not checked."""
+    kind_section = _KIND_SECTION.get(config.kind, "basis")
+    sections = [kind_section if s == "basis" else s for s in stage.sections]
+    expect = {"config-digest": config.digest(sections)}
+    if stage.digested is not None:
+        path = config.out_dir() / stage.digested.format(**params)
+        expect["input-digest"] = digest_file(path) if path.exists() else "missing"
+    expect.update((key, str(params[key])) for key in stage.header if key in params)
+    return expect
 
 
-def _sections_for(stage: str, kind: str):
-    base = {"terms": ["system", "basis"], "couplings": ["system", "basis"]}
-    if kind == "toy":
-        base = {"terms": ["system", "toy"], "couplings": ["system", "toy"]}
-    if kind == "box":
-        base = {"terms": ["system", "box"], "couplings": ["system", "box"]}
-    table = {
-        "terms": base["terms"],
-        "couplings": base["couplings"],
-        "scan": base["couplings"] + ["radial", "scan"],
-        "sample": base["couplings"] + ["radial", "scan"],
-        "fit": ["fit"],
-        "xsec": ["xsec"],
-    }
-    return table[stage]
+def _run(name: str, config: RunConfig, force: bool, **params) -> Path:
+    """Run one stage through its cache; returns its last output file.
+
+    Missing or stale inputs raise CacheError naming the stage that produces
+    them; outputs whose headers match are kept unless force is set.  A
+    HypresError leaves with its `stage` set to this stage's name.
+    """
+    stage = _STAGE[name]
+    out_dir = config.out_dir()
+    try:
+        for pattern in stage.inputs:
+            producer = _PRODUCER[pattern]
+            path = out_dir / pattern.format(**params)
+            if not path.exists():
+                raise CacheError(
+                    f"missing {path.name}; run the '{producer}' stage first"
+                )
+            if not _check_cache(path, _expect(_STAGE[producer], config, params)):
+                raise CacheError(
+                    f"stale cache {path.name} (config changed); rerun '{producer}'"
+                )
+        expect = _expect(stage, config, params)
+        outputs = [out_dir / p.format(**params) for p in stage.outputs]
+        if force or not all(_check_cache(p, expect) for p in outputs):
+            stage.run(config, expect, *outputs, **params)
+        return outputs[-1]
+    except HypresError as exc:
+        exc.stage = name
+        raise
 
 
 def _rho_grid(config: RunConfig):
@@ -248,113 +296,73 @@ def _rho_grid(config: RunConfig):
     )
 
 
-def _analytic_tables(config: RunConfig):
+def _hyperangular_grid(config: RunConfig) -> HyperangularGrid:
+    return HyperangularGrid(
+        n_chi=config.get("basis", "n_chi", int),
+        n_theta=config.get("basis", "n_theta", int),
+    )
+
+
+def _write_analytic(config: RunConfig, expect: dict, out: Path, couplings: bool):
+    """Terms (and with couplings, H and Q) tables of the analytic kinds."""
     kind = config.kind
     if kind == "toy":
-        toy = config.toy()
-        return toy.tables()
-    if kind == "box":
+        rho, eps, h, q = config.toy().tables()
+    elif kind == "box":
         box = config.box()
         rho = np.linspace(box.rho_start, box.rho_match, 400)
         eps = np.full((rho.size, 1), box.offset)
-        zeros = np.zeros((rho.size, 1, 1))
-        return rho, eps, zeros, zeros
-    raise ConfigError(f"no analytic tables for kind={kind!r}")
-
-
-def stage_terms(config: RunConfig, force: bool = False) -> Path:
-    """Adiabatic terms table (Fig.-1-style data)."""
-    out = config.out_dir() / "terms.dat"
-    expect = {"config-digest": config.digest(_sections_for("terms", config.kind))}
-    if not force and _check_cache(out, expect):
-        return out
-    if config.kind == "three-body":
-        grid = HyperangularGrid(
-            n_chi=config.get("basis", "n_chi", int),
-            n_theta=config.get("basis", "n_theta", int),
-        )
-        rho_grid = _rho_grid(config)
-        sol = solve_terms(
-            config.masses(), grid, rho_grid,
-            config.get("basis", "n_terms", int),
-            keep_basis=False,
-            n_workers=config.get("basis", "n_workers", int),
-        )
-        save_terms(out, sol, {"config-digest": expect["config-digest"]})
+        h = q = np.zeros((rho.size, 1, 1))
     else:
-        rho, eps, _, _ = _analytic_tables(config)
-        rows = np.hstack([rho[:, None], eps])
-        write_table(
-            out, rows,
-            {"n_terms": eps.shape[1], "kind": config.kind,
-             "config-digest": expect["config-digest"]},
-            "rho eps_1..eps_N",
-        )
-    return out
+        raise ConfigError(f"no analytic tables for kind={kind!r}")
+    n = eps.shape[1]
+    parts, columns = [rho[:, None], eps], "rho eps_1..eps_N"
+    if couplings:
+        parts += [h.reshape(rho.size, n * n), q.reshape(rho.size, n * n)]
+        columns += " H_11..H_NN(row-major) Q_11..Q_NN(row-major)"
+    write_table(out, np.hstack(parts),
+                {"n_terms": n, "kind": kind, **expect}, columns)
 
 
-def stage_couplings(config: RunConfig, force: bool = False) -> Path:
-    """Terms plus H/Q coupling tables (the radial-stage input contract)."""
-    out = config.out_dir() / "couplings.dat"
-    expect = {"config-digest": config.digest(_sections_for("couplings", config.kind))}
-    if not force and _check_cache(out, expect):
-        return out
-    if config.kind == "three-body":
-        grid = HyperangularGrid(
-            n_chi=config.get("basis", "n_chi", int),
-            n_theta=config.get("basis", "n_theta", int),
-        )
-        rho_grid = _rho_grid(config)
-        n_terms = config.get("basis", "n_terms", int)
-        n_workers = config.get("basis", "n_workers", int)
-        n_refine = config.get("basis", "n_refine", int)
-        if n_refine > 0:
-            coarse = solve_terms(
-                config.masses(), grid, rho_grid, n_terms,
-                keep_basis=False, n_workers=n_workers,
-            )
-            rho_grid = refine_rho_grid(rho_grid, coarse.terms, n_refine)
-        sol = solve_with_couplings(
-            config.masses(), grid, rho_grid, n_terms, n_workers=n_workers
-        )
-        save_couplings(out, sol, {"config-digest": expect["config-digest"]})
-    else:
-        rho, eps, h, q = _analytic_tables(config)
-        n = eps.shape[1]
-        rows = np.hstack(
-            [rho[:, None], eps, h.reshape(rho.size, n * n),
-             q.reshape(rho.size, n * n)]
-        )
-        write_table(
-            out, rows,
-            {"n_terms": n, "kind": config.kind,
-             "config-digest": expect["config-digest"]},
-            "rho eps_1..eps_N H_11..H_NN(row-major) Q_11..Q_NN(row-major)",
-        )
-    return out
+def _terms(config: RunConfig, expect: dict, out: Path):
+    if config.kind != "three-body":
+        return _write_analytic(config, expect, out, couplings=False)
+    sol = solve_terms(
+        config.masses(), _hyperangular_grid(config), _rho_grid(config),
+        config.get("basis", "n_terms", int),
+        n_workers=config.get("basis", "n_workers", int),
+    )
+    save_terms(out, sol, expect)
 
 
-def _radial_problem(config: RunConfig):
-    path = config.out_dir() / "couplings.dat"
-    expect = {"config-digest": config.digest(_sections_for("couplings", config.kind))}
-    _require_fresh(path, expect, "couplings")
-    rho, eps, h, q, _ = load_couplings(path)
+def _couplings(config: RunConfig, expect: dict, out: Path):
+    if config.kind != "three-body":
+        return _write_analytic(config, expect, out, couplings=True)
+    # the terms stage already solved the coarse grid the refinement needs
+    rho_grid, terms, _ = load_terms(out.with_name("terms.dat"))
+    sol = solve_with_couplings(
+        config.masses(), _hyperangular_grid(config),
+        refine_rho_grid(rho_grid, terms, config.get("basis", "n_refine", int)),
+        config.get("basis", "n_terms", int),
+        n_workers=config.get("basis", "n_workers", int),
+    )
+    save_couplings(out, sol, expect)
+
+
+def _radial_problem(config: RunConfig) -> RadialProblem:
+    rho, eps, h, q, _ = load_couplings(config.out_dir() / "couplings.dat")
     kind = config.kind
     if kind == "three-body":
         rho_start = config.get("radial", "rho_start", float)
         rho_match = config.get("radial", "rho_match", float)
         include = config.get("radial", "include_rho_term", bool)
-    elif kind == "toy":
-        toy = config.toy()
-        rho_start, rho_match, include = toy.rho_start, toy.rho_match, False
     else:
-        box = config.box()
-        rho_start, rho_match, include = box.rho_start, box.rho_match, False
-    problem = RadialProblem.from_tables(
+        model = config.toy() if kind == "toy" else config.box()
+        rho_start, rho_match, include = model.rho_start, model.rho_match, False
+    return RadialProblem.from_tables(
         rho, eps, h, q,
         rho_start=rho_start, rho_match=rho_match, include_rho_term=include,
     )
-    return problem, digest_file(path)
 
 
 def _scan_config(config: RunConfig, problem) -> ScanConfig:
@@ -377,17 +385,8 @@ def _scan_config(config: RunConfig, problem) -> ScanConfig:
     )
 
 
-def stage_scan(config: RunConfig, force: bool = False) -> Path:
-    """Box-size scan: branch table plus detected resonance windows."""
-    out_b = config.out_dir() / "branches.dat"
-    out_w = config.out_dir() / "windows.dat"
-    problem, in_digest = _radial_problem(config)
-    expect = {
-        "config-digest": config.digest(_sections_for("scan", config.kind)),
-        "input-digest": in_digest,
-    }
-    if not force and _check_cache(out_b, expect) and _check_cache(out_w, expect):
-        return out_w
+def _scan(config: RunConfig, expect: dict, out_b: Path, out_w: Path):
+    problem = _radial_problem(config)
     cfg = _scan_config(config, problem)
     h_max = config.get("radial", "h_max", float)
     grid = build_grid(
@@ -402,19 +401,17 @@ def stage_scan(config: RunConfig, force: bool = False) -> Path:
         "alpha Lambda_1..Lambda_n",
     )
     windows = detect_resonances(spectrum, cfg, thresholds=problem.thresholds)
-    wrows = []
-    for i, w in enumerate(windows):
-        for e, (alpha, branch) in zip(w.energies, w.provenance):
-            wrows.append(
-                [i, w.e_center, w.gamma_est, w.slope, w.alpha_at, e, alpha, branch]
-            )
+    wrows = [
+        [i, w.e_center, w.gamma_est, w.slope, w.alpha_at, e, alpha, branch]
+        for i, w in enumerate(windows)
+        for e, (alpha, branch) in zip(w.energies, w.provenance)
+    ]
     write_table(
         out_w,
         np.asarray(wrows) if wrows else np.empty((0, 8)),
         dict(expect, n_windows=len(windows)),
         "window e_center gamma_est slope alpha_at E alpha branch",
     )
-    return out_w
 
 
 def load_windows(path):
@@ -436,24 +433,8 @@ def load_windows(path):
     return windows, meta
 
 
-def stage_sample(config: RunConfig, resonance: int = 0, force: bool = False) -> Path:
-    """K(E) samples at the stabilization energies of one detected window."""
-    out = config.out_dir() / f"ksamples_{resonance}.dat"
-    problem, in_digest = _radial_problem(config)
-    expect = {
-        "config-digest": config.digest(_sections_for("sample", config.kind)),
-        "input-digest": in_digest,
-        "resonance": str(resonance),
-    }
-    if not force and _check_cache(out, expect):
-        return out
-    win_path = config.out_dir() / "windows.dat"
-    scan_expect = {
-        "config-digest": config.digest(_sections_for("scan", config.kind)),
-        "input-digest": in_digest,
-    }
-    _require_fresh(win_path, scan_expect, "scan")
-    windows, _ = load_windows(win_path)
+def _sample(config: RunConfig, expect: dict, out: Path, resonance: int):
+    windows, _ = load_windows(out.with_name("windows.dat"))
     if not windows:
         raise StageError("no resonance windows detected by the scan stage")
     if not 0 <= resonance < len(windows):
@@ -461,14 +442,13 @@ def stage_sample(config: RunConfig, resonance: int = 0, force: bool = False) -> 
             f"resonance index {resonance} out of range (found {len(windows)})"
         )
     win = windows[resonance]
-    from .scan import ResonanceWindow
-
     window = ResonanceWindow(
         e_center=win["e_center"], gap=0.0, slope=win["slope"],
         alpha_at=win["alpha_at"], branch=0,
         energies=np.asarray(win["energies"]),
         provenance=tuple(win["provenance"]), gamma_est=win["gamma_est"],
     )
+    problem = _radial_problem(config)
     h_max = config.get("radial", "h_max", float)
     grid = build_grid(problem, rho_end=problem.rho_match, h_max=h_max)
     samples = sample_k(problem, window, grid=grid)
@@ -476,9 +456,6 @@ def stage_sample(config: RunConfig, resonance: int = 0, force: bool = False) -> 
     header.append(f"e_center: {win['e_center']:.17e}")
     header.append(f"gamma_est: {win['gamma_est']:.6e}")
     write_samples(out, samples, header_lines=header)
-    return out
-
-
 def _fit_weights(samples, mode: str):
     if mode == "uniform":
         return None
@@ -523,29 +500,14 @@ def _report_pairs(result, prefix=""):
     return pairs
 
 
-def stage_fit(config: RunConfig, resonance: int = 0, model: str | None = None,
-              force: bool = False) -> Path:
-    """Pole-form fit of the sampled K(E); writes the resonance report."""
-    out = config.out_dir() / f"fit_{resonance}.txt"
-    sample_path = config.out_dir() / f"ksamples_{resonance}.dat"
-    problem, in_digest = _radial_problem(config)
-    sample_expect = {
-        "config-digest": config.digest(_sections_for("sample", config.kind)),
-        "input-digest": in_digest,
-        "resonance": str(resonance),
-    }
-    _require_fresh(sample_path, sample_expect, "sample")
-    model = model or config.get("fit", "model")
-    expect = {
-        "config-digest": config.digest(_sections_for("fit", config.kind)),
-        "input-digest": digest_file(sample_path),
-        "model": model,
-    }
-    if not force and _check_cache(out, expect):
-        return out
-    samples = read_samples(sample_path)
+
+def _fit(config: RunConfig, expect: dict, out: Path, resonance: int, model: str):
+    samples = read_samples(out.with_name(f"ksamples_{resonance}.dat"))
     weights = _fit_weights(samples, config.get("fit", "weighting"))
-    upper = float(np.max(problem.thresholds[problem.thresholds < np.inf]))
+    # the upper threshold is the top term at the last rho point, as in
+    # RadialProblem.from_tables
+    _, eps, _, _, _ = load_couplings(out.with_name("couplings.dat"))
+    upper = float(np.max(eps[-1]))
 
     if model == "both":
         comparison = compare_models(samples, weights=weights)
@@ -565,28 +527,12 @@ def stage_fit(config: RunConfig, resonance: int = 0, model: str | None = None,
     pairs["Gamma2_over_Gamma"] = best.report.branching[1]
     write_keyvalues(out, pairs, header=expect)
     # Table-shaped summary row on stdout is the CLI's job; keep data pure.
-    return out
 
 
-def stage_xsec(config: RunConfig, resonance: int = 0, force: bool = False):
-    """Profile files: sampled K entries, inverse resonant parts, and the
-    model cross sections on a uniform grid across the window."""
-    out_k = config.out_dir() / f"profiles_k_{resonance}.dat"
-    out_i = config.out_dir() / f"profiles_invk_{resonance}.dat"
-    out_x = config.out_dir() / f"profiles_xsec_{resonance}.dat"
-    fit_path = config.out_dir() / f"fit_{resonance}.txt"
-    sample_path = config.out_dir() / f"ksamples_{resonance}.dat"
-    if not fit_path.exists():
-        raise CacheError(f"missing {fit_path.name}; run the 'fit' stage first")
-    pairs, fit_meta = read_keyvalues(fit_path)
-    expect = {
-        "config-digest": config.digest(_sections_for("xsec", config.kind)),
-        "input-digest": digest_file(fit_path),
-    }
-    if (not force and _check_cache(out_k, expect)
-            and _check_cache(out_i, expect) and _check_cache(out_x, expect)):
-        return out_x
-    samples = read_samples(sample_path)
+def _xsec(config: RunConfig, expect: dict, out_k: Path, out_i: Path,
+          out_x: Path, resonance: int):
+    pairs, _ = read_keyvalues(out_k.with_name(f"fit_{resonance}.txt"))
+    samples = read_samples(out_k.with_name(f"ksamples_{resonance}.dat"))
     params = BWPoleParams.from_amplitudes(
         E1=pairs["E1"], a1=pairs["a1"], a2=pairs["a2"], a=pairs["a"],
         beta1=math.sqrt(pairs["b1"]),
@@ -625,7 +571,6 @@ def stage_xsec(config: RunConfig, resonance: int = 0, force: bool = False):
         sigma = cross_sections(bw_k(params, float(e)), channels)
         rows_x.append([e, sigma[0, 0], sigma[0, 1], sigma[1, 1]])
     write_table(out_x, rows_x, dict(expect), "E sigma11 sigma12 sigma22")
-    return out_x
 
 
 def _channel_set(config: RunConfig) -> ChannelSet:
@@ -641,6 +586,83 @@ def _channel_set(config: RunConfig) -> ChannelSet:
     raise ConfigError(f"no channel set for kind={kind!r}")
 
 
+_PHYSICS = ("system", "basis", "radial", "scan")
+
+# The stage list, in dependency order; the CLI builds its subcommands from it.
+STAGE_TABLE = (
+    Stage("terms", "adiabatic terms table", _PHYSICS[:2], ("terms.dat",),
+          _terms),
+    Stage("couplings", "terms plus nonadiabatic coupling tables", _PHYSICS[:2],
+          ("couplings.dat",), _couplings, inputs=("terms.dat",)),
+    Stage("scan", "stabilization scan and resonance windows", _PHYSICS,
+          ("branches.dat", "windows.dat"), _scan,
+          inputs=("couplings.dat",), digested="couplings.dat"),
+    Stage("sample", "K(E) samples inside one window", _PHYSICS,
+          ("ksamples_{resonance}.dat",), _sample,
+          inputs=("couplings.dat", "windows.dat"), digested="couplings.dat",
+          header=("resonance",), params=("resonance",)),
+    Stage("fit", "pole-form fit and resonance report", ("fit",),
+          ("fit_{resonance}.txt",), _fit,
+          inputs=("couplings.dat", "ksamples_{resonance}.dat"),
+          digested="ksamples_{resonance}.dat",
+          header=("model",), params=("resonance", "model")),
+    Stage("xsec", "profile files: K entries, inverse parts, cross sections",
+          ("xsec",),
+          ("profiles_k_{resonance}.dat", "profiles_invk_{resonance}.dat",
+           "profiles_xsec_{resonance}.dat"), _xsec,
+          inputs=("fit_{resonance}.txt",), digested="fit_{resonance}.txt",
+          params=("resonance",)),
+)
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
+_STAGE = {stage.name: stage for stage in STAGE_TABLE}
+_PRODUCER = {name: stage.name for stage in STAGE_TABLE for name in stage.outputs}
+
+
+# One public function per stage.  The pipeline and the CLI look them up by
+# name at call time, so a wrapper set on the module attribute (a profiler's,
+# say) sees every call.
+
+
+def stage_terms(config: RunConfig, force: bool = False) -> Path:
+    """Adiabatic terms table (Fig.-1-style data)."""
+    return _run("terms", config, force)
+
+
+def stage_couplings(config: RunConfig, force: bool = False) -> Path:
+    """Terms plus H/Q coupling tables (the radial-stage input contract)."""
+    return _run("couplings", config, force)
+
+
+def stage_scan(config: RunConfig, force: bool = False) -> Path:
+    """Box-size scan: branch table plus detected resonance windows."""
+    return _run("scan", config, force)
+
+
+def stage_sample(config: RunConfig, resonance: int = 0, force: bool = False) -> Path:
+    """K(E) samples at the stabilization energies of one detected window."""
+    return _run("sample", config, force, resonance=resonance)
+
+
+def stage_fit(config: RunConfig, resonance: int = 0, model: str | None = None,
+              force: bool = False) -> Path:
+    """Pole-form fit of the sampled K(E); writes the resonance report."""
+    return _run("fit", config, force, resonance=resonance,
+                model=model or config.get("fit", "model"))
+
+
+def stage_xsec(config: RunConfig, resonance: int = 0, force: bool = False) -> Path:
+    """Profile files: sampled K entries, inverse resonant parts, and the
+    model cross sections on a uniform grid across the window."""
+    return _run("xsec", config, force, resonance=resonance)
+
+
+def run_stage(name: str, config: RunConfig, force: bool = False, **params) -> Path:
+    """The stage called name, with the params it takes from the given ones."""
+    stage = _STAGE[name]
+    kwargs = {key: params[key] for key in stage.params if key in params}
+    return globals()[f"stage_{name}"](config, force=force, **kwargs)
+
+
 def run_pipeline(config: RunConfig, resonance: int = 0, model: str | None = None,
                  force: bool = False, upto: str | None = None):
     """Stages in dependency order, optionally stopping after `upto`.
@@ -650,16 +672,7 @@ def run_pipeline(config: RunConfig, resonance: int = 0, model: str | None = None
     if upto is not None and upto not in STAGES:
         raise ConfigError(f"unknown stage {upto!r}")
     last = STAGES.index(upto) if upto else len(STAGES) - 1
-    path = stage_terms(config, force=force)
-    steps = [
-        lambda: stage_couplings(config, force=force),
-        lambda: stage_scan(config, force=force),
-        lambda: stage_sample(config, resonance=resonance, force=force),
-        lambda: stage_fit(config, resonance=resonance, model=model, force=force),
-        lambda: stage_xsec(config, resonance=resonance, force=force),
-    ]
-    for i, step in enumerate(steps, start=1):
-        if i > last:
-            break
-        path = step()
+    for name in STAGES[: last + 1]:
+        path = run_stage(name, config, force=force, resonance=resonance,
+                         model=model)
     return path

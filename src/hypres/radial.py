@@ -541,25 +541,3 @@ def extract_k(
         defects[i] = defect
     return out, defects
 
-
-def truncation_scan(rho_table, eps_table, h_table, q_table, energy, n_list,
-                    h_max=0.05, **problem_kwargs):
-    """Open-block K for a sequence of retained-channel counts N.
-
-    Returns (dict N -> 2x2 K block, successive max differences); the
-    differences should decrease as the truncated basis converges.
-    """
-    mats = {}
-    for n in sorted(n_list):
-        prob = RadialProblem.from_tables(
-            rho_table, eps_table, h_table, q_table, n_channels=n,
-            **problem_kwargs,
-        )
-        grid = build_grid(prob, h_max=h_max)
-        k, _ = extract_k(prob, [energy], grid=grid)
-        mats[n] = k[0].entries[:2, :2]
-    ns = sorted(mats)
-    deltas = [
-        float(np.abs(mats[b] - mats[a]).max()) for a, b in zip(ns, ns[1:])
-    ]
-    return mats, deltas

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .algebra import KMatrix
 from .errors import ValidationError
 
 
@@ -26,12 +23,6 @@ class KSample:
     defect: float = 0.0
     alpha: float = float("nan")
     branch: int = -1
-
-    def matrix(self) -> KMatrix:
-        return KMatrix(
-            energy=self.energy,
-            entries=np.array([[self.k11, self.k12], [self.k12, self.k22]]),
-        )
 
 
 def write_samples(path, samples, header_lines=()) -> None:

@@ -313,19 +313,15 @@ def sample_k(
         )
     energies = energies[two_open]
     prov = [p for p, ok in zip(prov, two_open) if ok]
-    out = []
-    for pick in [np.arange(energies.size)]:
-        mats, defects = extract_k(problem, energies[pick], grid=grid,
-                                  defect_limit=defect_limit)
-        for i, (km, defect) in enumerate(zip(mats, defects)):
-            alpha, branch = prov[pick[i]]
-            e = km.entries
-            out.append(
-                KSample(
-                    energy=km.energy, k11=float(e[0, 0]), k12=float(e[0, 1]),
-                    k22=float(e[1, 1]), defect=float(defect),
-                    alpha=alpha, branch=branch,
-                )
-            )
+    mats, defects = extract_k(problem, energies, grid=grid,
+                              defect_limit=defect_limit)
+    out = [
+        KSample(
+            energy=km.energy, k11=float(km.entries[0, 0]),
+            k12=float(km.entries[0, 1]), k22=float(km.entries[1, 1]),
+            defect=float(defect), alpha=alpha, branch=branch,
+        )
+        for km, defect, (alpha, branch) in zip(mats, defects, prov)
+    ]
     out.sort(key=lambda s: s.energy)
     return out

@@ -8,7 +8,6 @@ import pytest
 from hypres.adiabatic import (
     ClusterSpec,
     HyperangularGrid,
-    coupling_tables,
     coalescence_points,
     coulomb_potential,
     orthonormality_defect,
@@ -28,9 +27,9 @@ GRID_COARSE = HyperangularGrid(n_chi=61, n_theta=31)
 
 @pytest.fixture(scope="module")
 def small_solution():
-    """dt-mu terms + basis on a short rho grid around the term well."""
+    """dt-mu terms + coupling tables on a short rho grid around the term well."""
     rho = np.linspace(30.0, 36.0, 7)
-    return solve_terms(DTMU, GRID_COARSE, rho, 4, keep_basis=True)
+    return solve_with_couplings(DTMU, GRID_COARSE, rho, 4)
 
 
 class TestThresholds:
@@ -71,11 +70,15 @@ class TestThresholds:
 
 class TestBasisInvariants:
     def test_orthonormality(self, small_solution):
-        for k in range(small_solution.rho_grid.size):
-            assert orthonormality_defect(small_solution, k) < 1e-5
+        for rho in small_solution.rho_grid:
+            tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
+            _, vecs = solve_adiabatic_point(
+                tensor, rho, 4, potential=coulomb_potential(DTMU, rho), masses=DTMU
+            )
+            assert orthonormality_defect(tensor, vecs) < 1e-5
 
     def test_coupling_tables_properties(self, small_solution):
-        h, q = coupling_tables(small_solution)
+        h, q = small_solution.h_table, small_solution.q_table
         assert np.abs(q + q.transpose(0, 2, 1)).max() < 1e-5
         assert np.abs(h - h.transpose(0, 2, 1)).max() < 1e-12
         # Gram diagonal nonnegative, Q diagonal vanishes
@@ -132,7 +135,7 @@ class TestWellAndCrossing:
         # the third term must dip below its asymptote (the well hosting the
         # metastable states)
         rho_grid = np.array([20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 110.0])
-        sol = solve_terms(DTMU, GRID_COARSE, rho_grid, 4, keep_basis=False)
+        sol = solve_terms(DTMU, GRID_COARSE, rho_grid, 4)
         eps3 = sol.terms[:, 2]
         asymptote = DTMU.atom_energy(1, 2)
         assert eps3.min() < asymptote - 0.02
@@ -151,10 +154,8 @@ class TestWellAndCrossing:
 
 class TestFileContract:
     def test_roundtrip(self, small_solution, tmp_path):
-        h, q = coupling_tables(small_solution)
-        from dataclasses import replace
-
-        sol = replace(small_solution, h_table=h, q_table=q, basis=None)
+        sol = small_solution
+        h, q = sol.h_table, sol.q_table
         path = tmp_path / "couplings.dat"
         save_couplings(path, sol, {"config-digest": "test"})
         rho, eps, h2, q2, meta = load_couplings(path)
@@ -185,9 +186,8 @@ class TestParallelWorkers:
     def test_two_workers_match_sequential(self):
         rho_grid = np.linspace(20.0, 24.0, 5)
         grid = HyperangularGrid(n_chi=21, n_theta=21)
-        seq = solve_terms(DTMU, grid, rho_grid, 2, keep_basis=False)
-        par = solve_terms(DTMU, grid, rho_grid, 2, keep_basis=False,
-                          n_workers=2)
+        seq = solve_terms(DTMU, grid, rho_grid, 2)
+        par = solve_terms(DTMU, grid, rho_grid, 2, n_workers=2)
         assert np.abs(seq.terms - par.terms).max() < 1e-12
 
 
@@ -196,11 +196,9 @@ class TestValidationPaths:
         with pytest.raises(ValidationError):
             solve_terms(DTMU, GRID_COARSE, [2.0, 1.0], 2)
 
-    def test_couplings_require_basis(self, small_solution):
-        from dataclasses import replace
-
+    def test_couplings_need_three_points(self):
         with pytest.raises(ValidationError):
-            coupling_tables(replace(small_solution, basis=None))
+            solve_with_couplings(DTMU, GRID_COARSE, [30.0, 31.0], 4)
 
     def test_coalescence_points_ordering(self):
         (chi1, th1), (chi2, th2) = coalescence_points(DTMU)

@@ -1,5 +1,7 @@
 """Stage orchestration: caching, digests, artifacts, CLI behavior."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,29 @@ class TestStages:
         with pytest.raises(CacheError) as err:
             stage_scan(config)
         assert "couplings" in str(err.value)
+        with pytest.raises(CacheError) as err:
+            stage_couplings(config)
+        assert "terms" in str(err.value)
+
+    def test_fit_change_keeps_earlier_stages(self, toy_run, tmp_path):
+        # a changed [fit] section reruns only fit (and xsec after it): the
+        # earlier artifacts keep their bytes and are not even rewritten
+        out = tmp_path / "out"
+        shutil.copytree(toy_run["out"], out)
+        ini = tmp_path / "refit.ini"
+        ini.write_text(TOY_INI.format(out=out)
+                       .replace("weighting = relative", "weighting = uniform"))
+        kept = ["terms.dat", "couplings.dat", "branches.dat", "windows.dat",
+                "ksamples_0.dat"]
+        before = {name: ((out / name).read_bytes(),
+                         (out / name).stat().st_mtime_ns)
+                  for name in kept + ["fit_0.txt"]}
+        run_pipeline(RunConfig.from_file(ini))
+        for name in kept:
+            assert (out / name).read_bytes() == before[name][0], name
+            assert (out / name).stat().st_mtime_ns == before[name][1], name
+        assert (out / "fit_0.txt").read_bytes() != before["fit_0.txt"][0]
+        assert (out / "fit_0.txt").stat().st_mtime_ns != before["fit_0.txt"][1]
 
     def test_bad_resonance_index(self, toy_run):
         with pytest.raises(StageError):
@@ -201,3 +226,9 @@ class TestCli:
         ) == 0
         out = capsys.readouterr().out
         assert "windows" in out or "wrote" in out
+
+    def test_pipeline_error_names_failing_stage(self, toy_run, capsys):
+        assert main(
+            ["pipeline", "--config", str(toy_run["ini"]), "--resonance", "99"]
+        ) == 1
+        assert "[stage:sample]" in capsys.readouterr().err
