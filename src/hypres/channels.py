@@ -25,7 +25,6 @@ class ChannelSet:
 
     thresholds: tuple[float, ...]
     reduced_masses: tuple[float, ...]
-    angular_momentum: int = 0
 
     def __post_init__(self):
         thr = np.asarray(self.thresholds, dtype=float)

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .adiabatic import (
+    AdiabaticSolution,
     HyperangularGrid,
     geometric_rho_grid,
     refine_rho_grid,
@@ -52,6 +53,7 @@ from .tableio import (
     digest_text,
     load_couplings,
     load_terms,
+    read_header,
     read_keyvalues,
     read_table,
     save_couplings,
@@ -231,16 +233,15 @@ _KIND_SECTION = {"toy": "toy", "box": "box"}  # anything else reads [basis]
 
 
 def _check_cache(path: Path, expect: dict) -> bool:
-    """True when path exists and its header matches every expected value."""
-    if not path.exists():
-        return False
+    """True when path exists and its header matches every expected value.
+
+    Only the header is read: artifacts are replaced whole once written, so
+    a file with a matching header is complete.
+    """
     try:
-        _, meta = read_table(path)
-    except Exception:
-        try:
-            _, meta = read_keyvalues(path)
-        except Exception:
-            return False
+        meta = read_header(path)
+    except (CacheError, UnicodeDecodeError):
+        return False
     return all(meta.get(k) == v for k, v in expect.items())
 
 
@@ -303,8 +304,8 @@ def _hyperangular_grid(config: RunConfig) -> HyperangularGrid:
     )
 
 
-def _write_analytic(config: RunConfig, expect: dict, out: Path, couplings: bool):
-    """Terms (and with couplings, H and Q) tables of the analytic kinds."""
+def _analytic_solution(config: RunConfig) -> AdiabaticSolution:
+    """Terms and H/Q tables of the analytic kinds, in the FEM solve's form."""
     kind = config.kind
     if kind == "toy":
         rho, eps, h, q = config.toy().tables()
@@ -315,18 +316,13 @@ def _write_analytic(config: RunConfig, expect: dict, out: Path, couplings: bool)
         h = q = np.zeros((rho.size, 1, 1))
     else:
         raise ConfigError(f"no analytic tables for kind={kind!r}")
-    n = eps.shape[1]
-    parts, columns = [rho[:, None], eps], "rho eps_1..eps_N"
-    if couplings:
-        parts += [h.reshape(rho.size, n * n), q.reshape(rho.size, n * n)]
-        columns += " H_11..H_NN(row-major) Q_11..Q_NN(row-major)"
-    write_table(out, np.hstack(parts),
-                {"n_terms": n, "kind": kind, **expect}, columns)
+    return AdiabaticSolution(rho_grid=rho, terms=eps, h_table=h, q_table=q,
+                             meta={"kind": kind})
 
 
 def _terms(config: RunConfig, expect: dict, out: Path):
     if config.kind != "three-body":
-        return _write_analytic(config, expect, out, couplings=False)
+        return save_terms(out, _analytic_solution(config), expect)
     sol = solve_terms(
         config.masses(), _hyperangular_grid(config), _rho_grid(config),
         config.get("basis", "n_terms", int),
@@ -337,7 +333,7 @@ def _terms(config: RunConfig, expect: dict, out: Path):
 
 def _couplings(config: RunConfig, expect: dict, out: Path):
     if config.kind != "three-body":
-        return _write_analytic(config, expect, out, couplings=True)
+        return save_couplings(out, _analytic_solution(config), expect)
     # the terms stage already solved the coarse grid the refinement needs
     rho_grid, terms, _ = load_terms(out.with_name("terms.dat"))
     sol = solve_with_couplings(
@@ -443,8 +439,7 @@ def _sample(config: RunConfig, expect: dict, out: Path, resonance: int):
         )
     win = windows[resonance]
     window = ResonanceWindow(
-        e_center=win["e_center"], gap=0.0, slope=win["slope"],
-        alpha_at=win["alpha_at"], branch=0,
+        e_center=win["e_center"], slope=win["slope"], alpha_at=win["alpha_at"],
         energies=np.asarray(win["energies"]),
         provenance=tuple(win["provenance"]), gamma_est=win["gamma_est"],
     )

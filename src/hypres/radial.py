@@ -21,8 +21,7 @@ channel of threshold E_j carries the discrete wavenumber theta_j / h,
 cos(theta_j) = -d_j / (2 g_j) with g_j, d_j the bond and diagonal entries
 of the pencil at E, so
 
-    f_j ~ delta_ij sin(theta_j rho/h - pi J/2)
-          + (F_i/F_j)^(1/2) K_ij cos(theta_j rho/h - pi J/2),
+    f_j ~ delta_ij sin(theta_j rho/h) + (F_i/F_j)^(1/2) K_ij cos(theta_j rho/h),
 
 with the discrete flux F_j = -g_j sin(theta_j) (the conserved Wronskian of
 the pencil, -> q_j as h -> 0) and discrete decaying exponentials in closed
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,7 +79,6 @@ class RadialProblem:
     rho_start: float = 0.05
     rho_match: float = 500.0
     include_rho_term: bool = True
-    angular_momentum: int = 0
 
     def __post_init__(self):
         thr = np.asarray(self.thresholds, dtype=float)
@@ -100,7 +99,6 @@ class RadialProblem:
         rho_start=None,
         rho_match=None,
         include_rho_term=True,
-        angular_momentum=0,
         n_channels=None,
     ) -> "RadialProblem":
         """Build from per-rho tables (the coupling-file contract).
@@ -132,7 +130,6 @@ class RadialProblem:
             rho_start=float(rho_start if rho_start is not None else rho_table[0]),
             rho_match=float(rho_match if rho_match is not None else rho_table[-1]),
             include_rho_term=include_rho_term,
-            angular_momentum=angular_momentum,
         )
 
     def coupling_range_ok(self, tol: float = 1e-6) -> bool:
@@ -171,7 +168,8 @@ class RadialGrid:
 
     points includes both ends; bond k connects points k and k+1.  Numerov
     bonds/diagonals carry the 4th-order M-weights; the few rows adjacent to
-    step changes fall back to the plain second-order form.
+    step changes fall back to the plain second-order form.  The pencil and
+    the W floor are computed on first use and kept with the grid.
     """
 
     points: np.ndarray
@@ -187,6 +185,52 @@ class RadialGrid:
     def index_of(self, rho: float) -> int:
         i = int(np.argmin(np.abs(self.points - rho)))
         return i
+
+    @cached_property
+    def pencil_parts(self):
+        """E-independent bond/diagonal blocks (g0, g1, d0, d1) of the pencil.
+
+        Bond k (between rows k and k+1):
+            numerov: g0 = -I/h + h (W_k + W_{k+1}) / 24,   g1 = h/12
+            join:    g0 = -I/h,                            g1 = 0
+        Diagonal row k (h-weighted):
+            numerov: d0 = (1/hl + 1/hr) I + hbar (10/12) W_k,  d1 = hbar 10/12
+            join:    d0 = (1/hl + 1/hr) I + hbar W_k,          d1 = hbar
+        so each row approximates hbar (-u'' + W u - E u) = 0.  A row is plain
+        (join) when either of its bonds is; the end rows repeat their one bond.
+        """
+        w = self.w_samples
+        eye = np.eye(w.shape[1])
+        h = self.bond_h
+        join = self.join_bond
+        hb = h[:, None, None]
+        g0 = -eye / hb + hb * (w[:-1] + w[1:]) / 24.0
+        g0[join] = -eye / hb[join]
+        g1 = np.where(join, 0.0, h / 12.0)
+        hl = np.concatenate([h[:1], h])
+        hr = np.concatenate([h, h[-1:]])
+        plain = np.concatenate([[False], join]) | np.concatenate([join, [False]])
+        d1 = 0.5 * (hl + hr) * np.where(plain, 1.0, 10.0 / 12.0)
+        d0 = (1.0 / hl + 1.0 / hr)[:, None, None] * eye + d1[:, None, None] * w
+        return g0, g1, d0, d1
+
+    @cached_property
+    def pencil(self):
+        """Sparse symmetric (A0, A1) over all interior points 1..n_points-2."""
+        g0, g1, d0, d1 = self.pencil_parts
+        eye = np.eye(g0.shape[1])
+        rows, bonds = slice(1, self.n_points - 1), slice(1, self.n_points - 2)
+        return (
+            _block_tridiagonal(d0[rows], g0[bonds]),
+            _block_tridiagonal(d1[rows, None, None] * eye,
+                               g1[bonds, None, None] * eye),
+        )
+
+    @cached_property
+    def w_floor(self) -> np.ndarray:
+        """w_floor[k]: lowest eigenvalue of W over the points 1..k."""
+        lowest = np.linalg.eigvalsh(self.w_samples[1:]).min(axis=1)
+        return np.minimum.accumulate(np.concatenate([[np.inf], lowest]))
 
 
 def _gauge_path(problem: RadialProblem, points: np.ndarray) -> np.ndarray:
@@ -273,77 +317,30 @@ def build_grid(
     )
 
 
-def _pencil_parts(grid: RadialGrid):
-    """E-independent bond/diagonal blocks of the symmetric three-point pencil.
-
-    Bond k (between interior rows k and k+1):
-        numerov: g0 = -I/h + h (W_k + W_{k+1}) / 24,   g1 = h/12
-        join:    g0 = -I/h,                            g1 = 0
-    Diagonal row k (h-weighted):
-        numerov: d0 = (1/hl + 1/hr) I + hbar (10/12) W_k,  d1 = hbar 10/12
-        join:    d0 = (1/hl + 1/hr) I + hbar W_k,          d1 = hbar
-    so each row approximates hbar (-u'' + W u - E u) = 0.
-    """
-    w = grid.w_samples
-    n = w.shape[1]
-    eye = np.eye(n)
-    nb = grid.bond_h.size
-    g0 = np.empty((nb, n, n))
-    g1 = np.empty(nb)
-    for k in range(nb):
-        h = grid.bond_h[k]
-        if grid.join_bond[k]:
-            g0[k] = -eye / h
-            g1[k] = 0.0
-        else:
-            g0[k] = -eye / h + h * (w[k] + w[k + 1]) / 24.0
-            g1[k] = h / 12.0
-    npts = grid.n_points
-    d0 = np.empty((npts, n, n))
-    d1 = np.empty(npts)
-    for k in range(npts):
-        hl = grid.bond_h[k - 1] if k > 0 else grid.bond_h[0]
-        hr = grid.bond_h[k] if k < nb else grid.bond_h[-1]
-        hbar = 0.5 * (hl + hr)
-        plain = (k > 0 and grid.join_bond[k - 1]) or (k < nb and grid.join_bond[k])
-        coef = 1.0 if plain else 10.0 / 12.0
-        d0[k] = (1.0 / hl + 1.0 / hr) * eye + hbar * coef * w[k]
-        d1[k] = hbar * coef
-    return g0, g1, d0, d1
+def _block_tridiagonal(diag: np.ndarray, upper: np.ndarray):
+    """CSC matrix with blocks diag[i] on the diagonal, upper[i] right of it
+    and upper[i].T below it; stored zeros are dropped."""
+    m, n, _ = diag.shape
+    blk = n * np.arange(m)[:, None, None]
+    r, c = np.indices((n, n))
+    rows = np.concatenate([blk + r, blk[:-1] + r, blk[1:] + r], axis=None)
+    cols = np.concatenate([blk + c, blk[1:] + c, blk[:-1] + c], axis=None)
+    vals = np.concatenate([diag, upper, upper.transpose(0, 2, 1)], axis=None)
+    a = sp.coo_matrix((vals, (rows, cols)), shape=(m * n, m * n)).tocsc()
+    a.eliminate_zeros()
+    return a
 
 
 def assemble_pencil(grid: RadialGrid, last_index: int):
     """Sparse symmetric (A0, A1) over interior points 1..last_index-1.
 
     Dirichlet ends at points[0] and points[last_index]; eigenvalues of
-    A0 x = E A1 x are the box spectrum on that interval.
+    A0 x = E A1 x are the box spectrum on that interval.  The box pencil is
+    the leading block of the grid's own pencil.
     """
-    g0, g1, d0, d1 = _pencil_parts(grid)
-    n = grid.w_samples.shape[1]
-    idx = np.arange(1, last_index)
-    m = idx.size
-    eye = np.eye(n)
-
-    def blocks(diag_blocks, offdiag_blocks):
-        a = sp.lil_matrix((m * n, m * n))
-        for i in range(m):
-            a[i * n : (i + 1) * n, i * n : (i + 1) * n] = diag_blocks[i]
-            if i + 1 < m:
-                a[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = offdiag_blocks[i]
-                a[(i + 1) * n : (i + 2) * n, i * n : (i + 1) * n] = offdiag_blocks[i].T
-        return a.tocsc()
-
-    a0 = blocks([d0[k] for k in idx], [g0[k] for k in idx[:-1]])
-    a1 = blocks([d1[k] * eye for k in idx], [g1[k] * eye for k in idx[:-1]])
-    return a0, a1
-
-
-def _sigma_floor(grid: RadialGrid, last_index: int) -> float:
-    lam = min(
-        float(np.linalg.eigvalsh(grid.w_samples[k]).min())
-        for k in range(1, last_index)
-    )
-    return lam - 0.5 * (abs(lam) + 1.0)
+    s = (last_index - 1) * grid.w_samples.shape[1]
+    a0, a1 = grid.pencil
+    return a0[:s, :s], a1[:s, :s]
 
 
 def stabilization_eigenvalues(
@@ -369,7 +366,8 @@ def stabilization_eigenvalues(
         raise ValidationError(f"alpha={alpha!r} leaves too few grid points")
     a0, a1 = assemble_pencil(grid, last)
     if sigma is None:
-        sigma = _sigma_floor(grid, last)
+        lam = float(grid.w_floor[last - 1])
+        sigma = lam - 0.5 * (abs(lam) + 1.0)
     k = min(n_levels, a0.shape[0] - 1)
     try:
         vals, vecs = spla.eigsh(
@@ -423,7 +421,7 @@ def _free_waves(problem, grid, energies):
 def _references(problem, grid, energies, theta, h, k_index):
     """Diagonal free-wave reference values at grid point k_index.
 
-    Open channels: sin/cos(theta rho/h - pi J / 2); closed channels: the
+    Open channels: sin/cos(theta rho/h); closed channels: the
     decaying exp(-theta (rho - rho_m)/h), normalized at the match point,
     in the A slot and zero in the B slot.  Values are rotated into the
     gauge frame.
@@ -434,7 +432,7 @@ def _references(problem, grid, energies, theta, h, k_index):
     ne = energies.size
     a = np.zeros((ne, n, n))
     b = np.zeros((ne, n, n))
-    phase = theta * (rho / h) - 0.5 * math.pi * problem.angular_momentum
+    phase = theta * (rho / h)
     open_ = energies[:, None] > problem.thresholds[None, :]
     diag = np.arange(n)
     a[:, diag, diag] = np.where(
@@ -455,10 +453,8 @@ def propagate_ratio(problem: RadialProblem, grid: RadialGrid, energies) -> np.nd
     repulsive barrier enforces the regular solution).
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    g0, g1, d0, d1 = _pencil_parts(grid)
-    n = grid.w_samples.shape[1]
-    ne = energies.size
-    eye = np.eye(n)
+    g0, g1, d0, d1 = grid.pencil_parts
+    eye = np.eye(grid.w_samples.shape[1])
     e_col = energies[:, None, None]
 
     def bond(k):

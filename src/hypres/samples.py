@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .tableio import replacing
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class KSample:
 
 def write_samples(path, samples, header_lines=()) -> None:
     """Write samples as delimited text: E K11 K12 K22 defect alpha branch."""
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write("# columns: E K11 K12 K22 defect alpha branch\n")

@@ -21,6 +21,9 @@ from .radial import RadialGrid, RadialProblem, build_grid, extract_k
 from .radial import stabilization_eigenvalues
 from .samples import KSample
 
+# extra tracked levels guarding the top of the reported window
+N_BUFFER = 4
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -31,13 +34,11 @@ class ScanConfig:
     alpha_step: float
     n_levels: int = 12
     sigma: float | None = None  # eigensolver target; None = lowest levels
-    branch_index: int | None = None
     max_samples: int = 400
-    energy_window_halfwidth: float = 1.0  # multiples of the local branch gap
+    energy_window_halfwidth: float = 1.0  # multiples of gamma_est
     plateau_slope_fraction: float = 0.05
     e_min: float | None = None  # detection bounds; bound states (below the
     e_max: float | None = None  # lowest threshold) are not resonances
-    n_buffer: int = 4  # extra tracked levels guarding the window top
 
     def __post_init__(self):
         if not self.alpha_min < self.alpha_max:
@@ -83,10 +84,8 @@ class ResonanceWindow:
     """
 
     e_center: float
-    gap: float
     slope: float
     alpha_at: float
-    branch: int
     energies: np.ndarray
     provenance: tuple = ()  # (alpha, branch) per energy
     gamma_est: float = float("nan")
@@ -109,7 +108,7 @@ def scan_branches(
         grid = build_grid(problem, rho_end=config.alpha_max)
     alphas = config.alphas()
     k = config.n_levels
-    k_solve = k + config.n_buffer
+    k_solve = k + N_BUFFER
     levels = np.full((alphas.size, k), np.nan)
     swaps = np.zeros(alphas.size, dtype=int)
     prev_vecs = None
@@ -140,16 +139,11 @@ def _plateau_candidates(spectrum: StabilizationSpectrum, config: ScanConfig):
     if alphas.size < 10 or spectrum.n_branches < 2:
         raise ValidationError("need >= 10 alpha points and >= 2 branches")
     cands = []
-    branches = (
-        range(spectrum.n_branches)
-        if config.branch_index is None
-        else [config.branch_index]
-    )
     lo = -np.inf if config.e_min is None else config.e_min
     hi = np.inf if config.e_max is None else config.e_max
     all_slopes = np.abs(np.gradient(spectrum.levels, alphas, axis=0))
     spectrum_scale = float(np.nanmedian(all_slopes))
-    for b in branches:
+    for b in range(spectrum.n_branches):
         lam = spectrum.levels[:, b]
         if np.any(np.isnan(lam)):
             continue
@@ -180,22 +174,13 @@ def _plateau_candidates(spectrum: StabilizationSpectrum, config: ScanConfig):
             )
             if not (dives_in and dives_out):
                 continue
-            others = np.delete(spectrum.levels[best], b)
-            others = others[~np.isnan(others)]
-            gap = (
-                float(np.min(np.abs(others - lam[best])))
-                if others.size
-                else float(np.abs(lam).max())
-            )
             span = float(lam[run].max() - lam[run].min())
             cands.append(
                 dict(
                     e_center=float(lam[best]),
                     slope=float(abs(slope[best])),
-                    gap=gap,
                     span=span,
                     alpha_at=float(alphas[best]),
-                    branch=int(b),
                 )
             )
     return cands
@@ -256,10 +241,8 @@ def detect_resonances(
         windows.append(
             ResonanceWindow(
                 e_center=c["e_center"],
-                gap=c["gap"],
                 slope=c["slope"],
                 alpha_at=c["alpha_at"],
-                branch=c["branch"],
                 energies=energies,
                 provenance=tuple(prov),
                 gamma_est=gamma_est,

@@ -3,12 +3,15 @@
 Every stage artifact is plain text: '#'-prefixed header lines carry
 key: value metadata (including the config digest that produced the file),
 then whitespace-delimited numeric rows.  Formatting is deterministic, so
-identical inputs reproduce identical bytes.
+identical inputs reproduce identical bytes, and every file is replaced
+whole, so a header that reads back belongs to a complete file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +27,22 @@ def digest_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """Text handle whose content replaces path only once fully written; on
+    failure path keeps its previous content and no partial file is left."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_table(path, rows: np.ndarray, meta: dict, columns: str) -> None:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         for key, value in meta.items():
             fh.write(f"# {key}: {value}\n")
         fh.write(f"# columns: {columns}\n")
@@ -34,32 +50,52 @@ def write_table(path, rows: np.ndarray, meta: dict, columns: str) -> None:
             fh.write(" ".join(f"{v:.17e}" for v in row) + "\n")
 
 
+def _open(path, what: str):
+    if not Path(path).exists():
+        raise CacheError(f"missing {what} {path}")
+    return open(path)
+
+
+def _header(fh):
+    """Key/values of the leading '#' lines of an open file, and the stripped
+    line after them ('' at the end of the file)."""
+    meta = {}
+    for raw in fh:
+        line = raw.strip()
+        if not line.startswith("#"):
+            return meta, line
+        body = line[1:].strip()
+        if ":" in body:
+            key, value = body.split(":", 1)
+            meta[key.strip()] = value.strip()
+    return meta, ""
+
+
+def read_header(path) -> dict:
+    """Key/values of the leading '#' lines of path; the body is not read."""
+    with _open(path, "file") as fh:
+        return _header(fh)[0]
+
+
+def _read(path, what: str):
+    """(header key/values, non-blank stripped body lines) of path."""
+    with _open(path, what) as fh:
+        meta, first = _header(fh)
+        lines = [first] + [raw.strip() for raw in fh]
+    return meta, [line for line in lines if line]
+
+
 def read_table(path):
     """Returns (rows array, meta dict); raises CacheError when missing."""
-    p = Path(path)
-    if not p.exists():
-        raise CacheError(f"missing table {path}")
-    meta = {}
-    rows = []
-    with open(p) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, value = body.split(":", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            rows.append([float(x) for x in line.split()])
+    meta, lines = _read(path, "table")
+    rows = [[float(x) for x in line.split()] for line in lines]
     if rows and len({len(r) for r in rows}) != 1:
         raise ValidationError(f"ragged rows in {path}")
     return np.asarray(rows, dtype=float), meta
 
 
 def write_keyvalues(path, pairs: dict, header: dict | None = None) -> None:
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         for key, value in (header or {}).items():
             fh.write(f"# {key}: {value}\n")
         for key, value in pairs.items():
@@ -70,28 +106,15 @@ def write_keyvalues(path, pairs: dict, header: dict | None = None) -> None:
 
 
 def read_keyvalues(path):
-    p = Path(path)
-    if not p.exists():
-        raise CacheError(f"missing report {path}")
-    meta = {}
+    meta, lines = _read(path, "report")
     pairs = {}
-    with open(p) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, value = body.split(":", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            key, value = line.split("=", 1)
-            value = value.strip()
-            try:
-                pairs[key.strip()] = float(value)
-            except ValueError:
-                pairs[key.strip()] = value
+    for line in lines:
+        key, value = line.split("=", 1)
+        value = value.strip()
+        try:
+            pairs[key.strip()] = float(value)
+        except ValueError:
+            pairs[key.strip()] = value
     return pairs, meta
 
 

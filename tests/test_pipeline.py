@@ -15,7 +15,12 @@ from hypres.pipeline import (
     stage_scan,
     stage_terms,
 )
-from hypres.tableio import read_keyvalues, read_table
+from hypres.tableio import (
+    read_header,
+    read_keyvalues,
+    read_table,
+    write_keyvalues,
+)
 
 TOY_INI = """
 [system]
@@ -81,6 +86,29 @@ class TestStages:
     def test_headers_carry_digest(self, toy_run):
         _, meta = read_table(toy_run["out"] / "couplings.dat")
         assert "config-digest" in meta
+
+    def test_header_read_skips_body(self, tmp_path):
+        path = tmp_path / "table.dat"
+        path.write_text("# config-digest: abc\n# columns: x\nnot a number\n")
+        assert read_header(path) == {"config-digest": "abc", "columns": "x"}
+        with pytest.raises(ValueError):
+            read_table(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        # the cache trusts a header alone, so a write that fails midway must
+        # leave the previous file whole and no partial file behind
+        class Unprintable:
+            def __format__(self, spec):
+                raise RuntimeError("unprintable")
+
+        path = tmp_path / "fit_0.txt"
+        write_keyvalues(path, {"a": 1.0}, header={"config-digest": "old"})
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            write_keyvalues(path, {"a": 2.0, "b": Unprintable()},
+                            header={"config-digest": "new"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["fit_0.txt"]
 
     def test_stale_cache_refused(self, toy_run, tmp_path):
         # a changed scan section must invalidate the window cache for the

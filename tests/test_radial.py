@@ -1,5 +1,7 @@
 """Radial propagation, matching, and box eigenvalues."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import jv
@@ -13,6 +15,7 @@ from hypres.errors import (
 from hypres.models import BoxMode, coupled_wells
 from hypres.radial import (
     RadialProblem,
+    assemble_pencil,
     build_grid,
     extract_k,
     stabilization_eigenvalues,
@@ -83,6 +86,82 @@ class TestBoxSpectrum:
             if prev is not None:
                 assert np.all(vals <= prev + 1e-12)
             prev = vals
+
+
+def loop_pencil_parts(grid):
+    """Per-point reference for RadialGrid.pencil_parts (same arithmetic)."""
+    w = grid.w_samples
+    eye = np.eye(w.shape[1])
+    nb = grid.bond_h.size
+    g0, g1 = np.empty((nb,) + eye.shape), np.empty(nb)
+    for k, h in enumerate(grid.bond_h):
+        if grid.join_bond[k]:
+            g0[k], g1[k] = -eye / h, 0.0
+        else:
+            g0[k], g1[k] = -eye / h + h * (w[k] + w[k + 1]) / 24.0, h / 12.0
+    d0, d1 = np.empty(w.shape), np.empty(nb + 1)
+    for k in range(nb + 1):
+        hl = grid.bond_h[max(k - 1, 0)]
+        hr = grid.bond_h[min(k, nb - 1)]
+        plain = (k > 0 and grid.join_bond[k - 1]) or (k < nb and grid.join_bond[k])
+        d1[k] = 0.5 * (hl + hr) * (1.0 if plain else 10.0 / 12.0)
+        d0[k] = (1.0 / hl + 1.0 / hr) * eye + d1[k] * w[k]
+    return g0, g1, d0, d1
+
+
+def dense_pencil(grid, last):
+    """Dense block-tridiagonal (A0, A1) over points 1..last-1 from the parts."""
+    g0, g1, d0, d1 = grid.pencil_parts
+    n = g0.shape[1]
+    m = last - 1
+    a0, a1 = np.zeros((m * n, m * n)), np.zeros((m * n, m * n))
+    for i, k in enumerate(range(1, last)):
+        row = slice(i * n, (i + 1) * n)
+        a0[row, row], a1[row, row] = d0[k], d1[k] * np.eye(n)
+        if i + 1 < m:
+            nxt = slice((i + 1) * n, (i + 2) * n)
+            a0[row, nxt], a0[nxt, row] = g0[k], g0[k].T
+            a1[row, nxt] = a1[nxt, row] = g1[k] * np.eye(n)
+    return a0, a1
+
+
+class TestPencil:
+    @pytest.fixture(scope="class")
+    def joined_grid(self):
+        # the hyperradial barrier forces step halvings, so join bonds appear
+        prob = replace(coupled_wells(2), include_rho_term=True, rho_start=0.05)
+        grid = build_grid(prob, rho_end=6.0, h_max=0.05)
+        assert grid.join_bond.any()
+        return grid
+
+    def test_parts_match_loop_reference(self, joined_grid):
+        for part, ref in zip(joined_grid.pencil_parts,
+                             loop_pencil_parts(joined_grid)):
+            assert np.array_equal(part, ref)
+
+    def test_box_pencils_are_leading_blocks(self, joined_grid):
+        for last in (5, joined_grid.n_points // 2, joined_grid.n_points - 1):
+            ref0, ref1 = dense_pencil(joined_grid, last)
+            a0, a1 = assemble_pencil(joined_grid, last)
+            assert np.array_equal(a0.toarray(), ref0), last
+            assert np.array_equal(a1.toarray(), ref1), last
+
+    def test_reused_grid_matches_fresh_grids(self, toy_problem):
+        # the grid keeps its pencil between calls; box levels must not
+        # depend on which alpha or which solver touched it first
+        def fresh(alpha):
+            grid = build_grid(toy_problem, h_max=0.05)
+            return stabilization_eigenvalues(toy_problem, alpha, 5, grid=grid)
+
+        grid = build_grid(toy_problem, h_max=0.05)
+        alphas = [20.0, 14.0, 9.0]
+        for alpha in alphas:
+            vals = stabilization_eigenvalues(toy_problem, alpha, 5, grid=grid)
+            assert np.array_equal(vals, fresh(alpha)), alpha
+        extract_k(toy_problem, [2.5], grid=grid)
+        for alpha in alphas[::-1]:
+            vals = stabilization_eigenvalues(toy_problem, alpha, 5, grid=grid)
+            assert np.array_equal(vals, fresh(alpha)), alpha
 
 
 class TestTwoChannel:

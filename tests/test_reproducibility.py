@@ -3,8 +3,15 @@
 The toy INI and the coarse three-body INI run up to the fit twice in this
 process (the second time forced, so every stage recomputes) and once more
 in a fresh interpreter; every artifact must come out with the same bytes.
+
+Run as a script, it writes both runs under the given directory and prints
+the sha256 prefix of each artifact, the list a byte-identity comparison
+between two versions of the code needs:
+
+    PYTHONPATH=src python tests/test_reproducibility.py OUT_DIR
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -70,3 +77,10 @@ def test_artifacts_byte_identical(tmp_path):
     for name in first:
         assert second[name] == first[name], f"{name} differs between runs"
         assert third[name] == first[name], f"{name} differs across processes"
+
+
+if __name__ == "__main__":
+    out = Path(sys.argv[1])
+    run_stages(out)
+    for name, data in artifact_bytes(out).items():
+        print(name, hashlib.sha256(data).hexdigest()[:16])

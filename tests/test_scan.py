@@ -153,7 +153,7 @@ class TestSampling:
 
     def test_single_energy_window(self, toy_problem, toy_grid):
         win = ResonanceWindow(
-            e_center=2.5, gap=0.1, slope=1e-4, alpha_at=12.0, branch=3,
+            e_center=2.5, slope=1e-4, alpha_at=12.0,
             energies=np.array([2.5]), provenance=((12.0, 3),),
             gamma_est=1e-3,
         )
@@ -162,7 +162,7 @@ class TestSampling:
 
     def test_empty_window_rejected(self, toy_problem):
         win = ResonanceWindow(
-            e_center=2.5, gap=0.1, slope=1e-4, alpha_at=12.0, branch=3,
+            e_center=2.5, slope=1e-4, alpha_at=12.0,
             energies=np.array([]), provenance=(), gamma_est=1e-3,
         )
         with pytest.raises(ValidationError):
