@@ -139,14 +139,12 @@ def build_grids(
     chi_scale = 2.0 * math.sqrt(2.0 * masses.mu) / rho
     rr = rho / math.sqrt(2.0 * masses.mass_heavy_pair)
 
-    def graded(x, center, width, core):
-        # normalized 1/(core + |d|) well under a Gaussian envelope
-        d = np.abs(x - center)
-        raw = np.exp(-0.5 * (d / width) ** 2) / (core + d)
-        # closed-form-ish normalization on a fine local grid
+    def graded(frac, center, width, core):
+        # term of a normalized 1/(core + |d|) well under a Gaussian envelope;
+        # closed-form-ish normalization on a fine local grid, taken once
         t = np.linspace(-4.0 * width, 4.0 * width, 801)
         norm = np.trapezoid(np.exp(-0.5 * (t / width) ** 2) / (core + np.abs(t)), t)
-        return raw / norm
+        return frac, center, width, core, norm
 
     chi_terms = []
     theta_terms = []
@@ -159,11 +157,11 @@ def build_grids(
         ):
             decay_chi = chi_scale * n_sq / m_red
             width = min(chi_scale * extent / m_red, cluster.width_cap)
-            chi_terms.append((frac, chi_c, width, cluster.core_frac * decay_chi))
+            chi_terms.append(graded(frac, chi_c, width, cluster.core_frac * decay_chi))
             decay_t = (n_sq / m_red) / max(cfrac * rr * math.cos(0.5 * chi_c), 1e-12)
             width_t = min(decay_t * extent / n_sq, cluster.width_cap)
             theta_terms.append(
-                (frac_t, theta_c, width_t, cluster.core_frac * decay_t)
+                graded(frac_t, theta_c, width_t, cluster.core_frac * decay_t)
             )
 
     def density(terms):
@@ -171,8 +169,9 @@ def build_grids(
 
         def w_of(x):
             w = np.full_like(x, base / math.pi)
-            for frac, c, width, core in terms:
-                w = w + frac * graded(x, c, width, core)
+            for frac, c, width, core, norm in terms:
+                d = np.abs(x - c)
+                w = w + frac * (np.exp(-0.5 * (d / width) ** 2) / (core + d) / norm)
             return w
 
         return w_of

@@ -60,7 +60,9 @@ def _print_summary(path):
         f"{-e0:.6e}  {pairs['E0_below_upper_threshold']:.6e}    "
         f"{gamma:.6e}  {pairs['Gamma2_over_Gamma']:.4f}"
     )
-    if "branching_shift" in pairs:
+    if "diagonal_status" in pairs:
+        print("# model comparison: diagonal model: no admissible fit")
+    elif "branching_shift" in pairs:
         print(
             f"# model comparison: residual ratio {pairs['residual_ratio']:.3e}, "
             f"branching shift {pairs['branching_shift']:.4f}"

@@ -103,7 +103,7 @@ class ModelComparison:
     """General vs diagonal-background fits of the same samples."""
 
     general: FitResult
-    diagonal: FitResult
+    diagonal: FitResult | None  # None (ratio, shift NaN): no admissible start
     residual_ratio: float  # diagonal / general, >= 1 for nested models
     branching_shift: float  # |Gamma2/Gamma difference| between the two fits
 
@@ -447,13 +447,18 @@ def compare_models(samples, weights=None) -> ModelComparison:
 
     The general fit starts from both the data-driven guess and the diagonal
     solution, keeping the better optimum, so its residual can never exceed
-    the diagonal one (nested models).
+    the diagonal one (nested models).  When the diagonal model has no
+    admissible start, the general model is fitted from the guess alone and
+    the comparison carries diagonal=None.
     """
     guess = initial_guess(samples)
-    diag = fit(FitProblem(samples=tuple(samples), weights=weights,
-                          model=MODEL_DIAGONAL), guess=guess)
+    try:
+        diag = fit(FitProblem(samples=tuple(samples), weights=weights,
+                              model=MODEL_DIAGONAL), guess=guess)
+    except FitFailureError:
+        diag = None
     best = None
-    for start in (guess, diag.params):
+    for start in (guess,) if diag is None else (guess, diag.params):
         try:
             cand = fit(FitProblem(samples=tuple(samples), weights=weights,
                                   model=MODEL_GENERAL), guess=start)
@@ -463,8 +468,8 @@ def compare_models(samples, weights=None) -> ModelComparison:
             best = cand
     if best is None:
         raise FitFailureError("general-model fit failed from all starting points")
+    if diag is None:
+        return ModelComparison(best, None, math.nan, math.nan)
     shift = abs(best.report.branching[1] - diag.report.branching[1])
     ratio = diag.residual / best.residual if best.residual > 0 else math.inf
-    return ModelComparison(
-        general=best, diagonal=diag, residual_ratio=ratio, branching_shift=shift
-    )
+    return ModelComparison(best, diag, ratio, shift)

@@ -507,15 +507,15 @@ def _fit(config: RunConfig, expect: dict, out: Path, resonance: int, model: str)
     if model == "both":
         comparison = compare_models(samples, weights=weights)
         pairs = _report_pairs(comparison.general)
-        pairs.update(_report_pairs(comparison.diagonal, prefix="diagonal_"))
-        pairs["residual_ratio"] = comparison.residual_ratio
-        pairs["branching_shift"] = comparison.branching_shift
+        if comparison.diagonal is None:
+            pairs["diagonal_status"] = "no admissible start"
+        else:
+            pairs.update(_report_pairs(comparison.diagonal, prefix="diagonal_"))
+            pairs["residual_ratio"] = comparison.residual_ratio
+            pairs["branching_shift"] = comparison.branching_shift
         best = comparison.general
     else:
-        problem_fit = FitProblem(
-            samples=tuple(samples), weights=weights, model=model
-        )
-        best = fit(problem_fit)
+        best = fit(FitProblem(samples=tuple(samples), weights=weights, model=model))
         pairs = _report_pairs(best)
     pairs["E0_below_upper_threshold"] = upper - best.report.E0
     pairs["minus_E0"] = -best.report.E0

@@ -65,7 +65,8 @@ START_VECTOR_SEED = 0
 class RadialProblem:
     """Channel potentials/couplings and boundary data for the radial system.
 
-    eps, h_mat, q_mat are callables rho -> arrays ((N,), (N,N), (N,N));
+    eps, h_mat, q_mat are callables of rho returning (N,), (N,N), (N,N)
+    arrays, and (M, N), (M, N, N), (M, N, N) for an array of M points;
     thresholds are the asymptotic channel energies used in the matching.
     include_rho_term toggles the universal 15/(4 rho^2) barrier (off in
     flat test modes).
@@ -142,18 +143,22 @@ class RadialProblem:
             total += float(np.abs(self.q_mat(self.rho_match)).max())
         return total <= tol
 
-    def w_bare(self, rho: float) -> np.ndarray:
-        """diag(eps) + H + Q^2 (+ barrier term), before the gauge rotation."""
+    def w_bare(self, rho) -> np.ndarray:
+        """diag(eps) + H + Q^2 (+ barrier term), before the gauge rotation;
+        (N, N) at a scalar rho, (M, N, N) at a 1-d array of M points."""
+        rho = np.asarray(rho, dtype=float)
         n = self.n_channels
-        w = np.diag(np.asarray(self.eps(rho), dtype=float))
+        eps = np.asarray(self.eps(rho), dtype=float)
+        w = np.zeros(eps.shape + (n,))
+        w[..., np.arange(n), np.arange(n)] = eps
         if self.h_mat is not None:
             w = w + np.asarray(self.h_mat(rho), dtype=float)
         if self.q_mat is not None:
             q = np.asarray(self.q_mat(rho), dtype=float)
             w = w + q @ q
         if self.include_rho_term:
-            w = w + (15.0 / (4.0 * rho * rho)) * np.eye(n)
-        return 0.5 * (w + w.T)
+            w = w + (15.0 / (4.0 * rho * rho))[..., None, None] * np.eye(n)
+        return 0.5 * (w + np.swapaxes(w, -1, -2))
 
     def has_gauge(self) -> bool:
         if self.q_mat is None:
@@ -183,8 +188,7 @@ class RadialGrid:
         return self.points.size
 
     def index_of(self, rho: float) -> int:
-        i = int(np.argmin(np.abs(self.points - rho)))
-        return i
+        return int(np.argmin(np.abs(self.points - rho)))
 
     @cached_property
     def pencil_parts(self):
@@ -235,16 +239,13 @@ class RadialGrid:
 
 def _gauge_path(problem: RadialProblem, points: np.ndarray) -> np.ndarray:
     """Orthogonal gauge S(rho) with S' = Q S, midpoint-exponential steps."""
-    n = problem.n_channels
-    out = np.empty((points.size, n, n))
-    s = np.eye(n)
-    out[0] = s
-    for k in range(points.size - 1):
-        h = points[k + 1] - points[k]
-        q = np.asarray(problem.q_mat(points[k] + 0.5 * h), dtype=float)
-        q = 0.5 * (q - q.T)
-        s = expm(h * q) @ s
-        out[k + 1] = s
+    h = np.diff(points)
+    q = np.asarray(problem.q_mat(points[:-1] + 0.5 * h), dtype=float)
+    steps = expm(h[:, None, None] * (0.5 * (q - np.swapaxes(q, 1, 2))))
+    out = np.empty((points.size,) + steps.shape[1:])
+    s = out[0] = np.eye(problem.n_channels)
+    for k, step in enumerate(steps, start=1):
+        s = out[k] = step @ s
     return out
 
 
@@ -271,14 +272,12 @@ def build_grid(
         return min(h_max, 2.0 * math.pi / (points_per_wave * kap))
 
     pieces = []
-    joins = []
     rho = problem.rho_start
     h = h_max
     while h_required(rho) < h:
         h *= 0.5
     while rho < rho_end - 1e-12:
         # extend with step h until the local requirement allows doubling
-        limit = rho_end
         probe = rho
         while probe < rho_end and h_required(min(probe * 1.3 + h, rho_end)) < 2.0 * h:
             probe = probe * 1.3 + h
@@ -291,29 +290,24 @@ def build_grid(
             h_seg = h
         seg = rho + h_seg * np.arange(1, n_steps + 1)
         pieces.append(seg)
-        if len(pieces) > 1:
-            joins.append(sum(len(p) for p in pieces[:-1]) - 1 + 1)
         rho = seg[-1]
         h = min(2.0 * h, h_max)
     points = np.concatenate([[problem.rho_start]] + pieces)
     bond_h = np.diff(points)
+    # both bonds beside a step change are joins (math.isclose's symmetric test)
+    left, right = bond_h[:-1], bond_h[1:]
+    step = np.abs(right - left) > 1e-9 * np.maximum(np.abs(left), np.abs(right))
     join_bond = np.zeros(bond_h.size, dtype=bool)
-    # mark bonds whose neighbors have unequal spacing on either side
-    for k in range(1, bond_h.size):
-        if not math.isclose(bond_h[k], bond_h[k - 1], rel_tol=1e-9):
-            join_bond[max(0, k - 1) : min(bond_h.size, k + 1)] = True
+    join_bond[:-1] |= step
+    join_bond[1:] |= step
 
     gauge = _gauge_path(problem, points) if problem.has_gauge() else None
-    n = problem.n_channels
-    w = np.empty((points.size, n, n))
-    for k, rho_k in enumerate(points):
-        wb = problem.w_bare(rho_k)
-        if gauge is not None:
-            wb = gauge[k].T @ wb @ gauge[k]
-        w[k] = 0.5 * (wb + wb.T)
+    w = problem.w_bare(points)
+    if gauge is not None:
+        w = np.swapaxes(gauge, 1, 2) @ w @ gauge
     return RadialGrid(
         points=points, bond_h=bond_h, join_bond=join_bond,
-        w_samples=w, gauge=gauge,
+        w_samples=0.5 * (w + np.swapaxes(w, 1, 2)), gauge=gauge,
     )
 
 
@@ -429,9 +423,8 @@ def _references(problem, grid, energies, theta, h, k_index):
     rho = grid.points[k_index]
     rho_m = grid.points[-1]
     n = problem.n_channels
-    ne = energies.size
-    a = np.zeros((ne, n, n))
-    b = np.zeros((ne, n, n))
+    a = np.zeros((energies.size, n, n))
+    b = np.zeros_like(a)
     phase = theta * (rho / h)
     open_ = energies[:, None] > problem.thresholds[None, :]
     diag = np.arange(n)

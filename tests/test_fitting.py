@@ -1,5 +1,6 @@
 """Least-squares recovery of pole parameters from sampled K(E)."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,29 @@ class TestModelComparison:
         samples = synthesize(TRUTH, sample_grid())
         cmp_ = compare_models(samples)
         assert cmp_.general.residual <= cmp_.diagonal.residual * (1 + 1e-12)
+
+    @pytest.mark.parametrize("weighting", ["relative", "uniform"])
+    def test_diagonal_without_admissible_start(self, weighting):
+        # on these samples only the general model has an admissible start:
+        # the comparison keeps the general fit from the guess alone
+        samples = read_samples(DATA / "threebody_coarse_ksamples_discrete.dat")
+        weights = _fit_weights(samples, weighting)
+        with pytest.raises(FitFailureError):
+            fit(FitProblem(samples=tuple(samples), weights=weights,
+                           model="diagonal"))
+        cmp_ = compare_models(samples, weights=weights)
+        assert cmp_.diagonal is None
+        assert math.isnan(cmp_.residual_ratio)
+        assert math.isnan(cmp_.branching_shift)
+        alone = fit(FitProblem(samples=tuple(samples), weights=weights,
+                               model="general"), guess=initial_guess(samples))
+        assert cmp_.general.params == alone.params
+
+    def test_older_coarse_samples_fit_both_models(self):
+        samples = read_samples(DATA / "threebody_coarse_ksamples.dat")
+        cmp_ = compare_models(samples, weights=_fit_weights(samples, "relative"))
+        assert cmp_.diagonal is not None
+        assert cmp_.residual_ratio >= 1.0
 
 
 class TestValidation:

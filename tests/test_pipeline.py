@@ -1,14 +1,16 @@
 """Stage orchestration: caching, digests, artifacts, CLI behavior."""
 
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypres.cli import main
+from hypres.cli import _print_summary, main
 from hypres.errors import CacheError, StageError
 from hypres.pipeline import (
     RunConfig,
+    _fit,
     run_pipeline,
     stage_couplings,
     stage_sample,
@@ -21,6 +23,8 @@ from hypres.tableio import (
     read_table,
     write_keyvalues,
 )
+
+DATA = Path(__file__).parent / "data"
 
 TOY_INI = """
 [system]
@@ -184,6 +188,24 @@ class TestStages:
         assert pairs["residual_ratio"] >= 1.0
         # restore the cached single-model report for other tests
         stage_fit(toy_run["config"], force=True)
+
+    def test_model_both_without_diagonal_fit(self, toy_run, tmp_path, capsys):
+        # samples on which the diagonal model has no admissible start: the
+        # report keeps the general fit and says so in place of the ratio
+        shutil.copy(toy_run["out"] / "couplings.dat", tmp_path)
+        shutil.copy(DATA / "threebody_coarse_ksamples_discrete.dat",
+                    tmp_path / "ksamples_0.dat")
+        report = tmp_path / "fit_0.txt"
+        _fit(toy_run["config"], {}, report, 0, "both")
+        pairs, _ = read_keyvalues(report)
+        assert pairs["diagonal_status"] == "no admissible start"
+        assert [k for k in pairs if k.startswith("diagonal_")] == ["diagonal_status"]
+        assert "residual_ratio" not in pairs and "branching_shift" not in pairs
+        assert "E1" in pairs and "Gamma" in pairs
+        _print_summary(report)
+        out = capsys.readouterr().out
+        assert "diagonal model: no admissible fit" in out
+        assert "residual ratio" not in out
 
 
 class TestBoxKind:

@@ -1,9 +1,11 @@
 """Radial propagation, matching, and box eigenvalues."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import jv
 
 from hypres.errors import (
@@ -12,7 +14,7 @@ from hypres.errors import (
     NoOpenChannelError,
     ValidationError,
 )
-from hypres.models import BoxMode, coupled_wells
+from hypres.models import BoxMode, TwoChannelToy, coupled_wells
 from hypres.radial import (
     RadialProblem,
     assemble_pencil,
@@ -86,6 +88,90 @@ class TestBoxSpectrum:
             if prev is not None:
                 assert np.all(vals <= prev + 1e-12)
             prev = vals
+
+
+def loop_w_samples(problem, points):
+    """Per-point reference for build_grid's W samples and gauge: scalar
+    w_bare calls and one 2-D midpoint-exponential gauge step per bond."""
+    n = problem.n_channels
+    gauge = None
+    if problem.has_gauge():
+        gauge = np.empty((points.size, n, n))
+        s = np.eye(n)
+        gauge[0] = s
+        for k in range(points.size - 1):
+            h = points[k + 1] - points[k]
+            q = np.asarray(problem.q_mat(points[k] + 0.5 * h), dtype=float)
+            q = 0.5 * (q - q.T)
+            s = expm(h * q) @ s
+            gauge[k + 1] = s
+    w = np.empty((points.size, n, n))
+    for k, rho in enumerate(points):
+        wb = problem.w_bare(rho)
+        if gauge is not None:
+            wb = gauge[k].T @ wb @ gauge[k]
+        w[k] = 0.5 * (wb + wb.T)
+    return w, gauge
+
+
+def loop_join_bond(bond_h):
+    """Per-bond reference for build_grid's join marks (math.isclose)."""
+    join = np.zeros(bond_h.size, dtype=bool)
+    for k in range(1, bond_h.size):
+        if not math.isclose(bond_h[k], bond_h[k - 1], rel_tol=1e-9):
+            join[k - 1 : k + 1] = True
+    return join
+
+
+def wells_table_problem(with_q):
+    """coupled_wells(4) sampled into tables, as the pipeline builds problems."""
+    wells = coupled_wells(4)
+    rho = np.linspace(wells.rho_start, wells.rho_match, 600)
+    q = None
+    if with_q:
+        # small antisymmetric first-derivative coupling, so the gauge runs
+        q = np.zeros((rho.size, 4, 4))
+        for i in range(3):
+            bump = 0.05 * np.exp(-(((rho - 3.0 - i) / 1.5) ** 2))
+            q[:, i, i + 1], q[:, i + 1, i] = bump, -bump
+    return RadialProblem.from_tables(
+        rho, wells.eps(rho), wells.h_mat(rho), q, include_rho_term=False
+    )
+
+
+class TestGridBuild:
+    @pytest.mark.parametrize("with_q", [False, True])
+    def test_table_samples_match_loop_bitwise(self, with_q):
+        prob = wells_table_problem(with_q)
+        assert prob.has_gauge() == with_q
+        grid = build_grid(prob, h_max=0.05)
+        w, gauge = loop_w_samples(prob, grid.points)
+        assert np.array_equal(grid.w_samples, w)
+        if with_q:
+            assert np.array_equal(grid.gauge, gauge)
+        else:
+            assert grid.gauge is None
+
+    @pytest.mark.parametrize("model", ["toy", "coupled_wells4"])
+    def test_analytic_samples_match_loop(self, model):
+        # numpy's array and scalar exp may differ far below any physical
+        # scale (entries ~1e-37 and smaller); nothing else may
+        prob = TwoChannelToy().problem() if model == "toy" else coupled_wells(4)
+        grid = build_grid(prob, h_max=0.05)
+        w, _ = loop_w_samples(prob, grid.points)
+        assert np.abs(grid.w_samples - w).max() <= 1e-30
+
+    def test_join_marks_match_isclose_loop(self):
+        # the barrier at rho_start = 1e-3 forces several step doublings
+        prob = replace(coupled_wells(4), include_rho_term=True)
+        grid = build_grid(prob, rho_end=6.0, h_max=0.05)
+        assert np.unique(grid.bond_h.round(12)).size >= 4
+        assert np.array_equal(grid.join_bond, loop_join_bond(grid.bond_h))
+
+    def test_w_bare_shapes(self):
+        prob = coupled_wells(4)
+        assert prob.w_bare(1.5).shape == (4, 4)
+        assert prob.w_bare(np.array([1.5, 2.0, 2.5])).shape == (3, 4, 4)
 
 
 def loop_pencil_parts(grid):

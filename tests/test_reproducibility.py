@@ -9,8 +9,15 @@ the sha256 prefix of each artifact, the list a byte-identity comparison
 between two versions of the code needs:
 
     PYTHONPATH=src python tests/test_reproducibility.py OUT_DIR
+
+With --against LISTING (that output, saved from an earlier run) it also
+names every artifact whose prefix differs or is missing from the listing
+and exits with status 1, so one command proves byte identity:
+
+    PYTHONPATH=src python tests/test_reproducibility.py OUT_DIR --against LISTING
 """
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -79,8 +86,46 @@ def test_artifacts_byte_identical(tmp_path):
         assert third[name] == first[name], f"{name} differs across processes"
 
 
+def differing(found: dict, listing: Path) -> list:
+    """Lines naming each artifact whose digest prefix is not the listed one;
+    the listing's other lines (not "label/name prefix") are ignored."""
+    expected = {}
+    for line in listing.read_text().splitlines():
+        parts = line.split()
+        if len(parts) == 2 and "/" in parts[0]:
+            expected[parts[0]] = parts[1]
+    return [f"{name}: {expected.get(name, 'not listed')} -> {digest}"
+            for name, digest in found.items() if expected.get(name) != digest]
+
+
+def test_against_listing_names_each_difference(tmp_path):
+    listing = tmp_path / "listing.txt"
+    listing.write_text("real 0m8s\ntoy/terms.dat 716d3f9578563278\n"
+                       "toy/fit_0.txt 0000000000000000\n")
+    found = {"toy/terms.dat": "716d3f9578563278",
+             "toy/fit_0.txt": "f216e36f88e71c46",
+             "three-body/fit_0.txt": "510a79d13c04d359"}
+    assert differing(found, listing) == [
+        "toy/fit_0.txt: 0000000000000000 -> f216e36f88e71c46",
+        "three-body/fit_0.txt: not listed -> 510a79d13c04d359",
+    ]
+
+
 if __name__ == "__main__":
-    out = Path(sys.argv[1])
-    run_stages(out)
-    for name, data in artifact_bytes(out).items():
-        print(name, hashlib.sha256(data).hexdigest()[:16])
+    parser = argparse.ArgumentParser(
+        description="Run both INIs up to the fit and print artifact digests.")
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--against", type=Path, metavar="LISTING",
+                        help="digest listing printed by an earlier run; exit 1 "
+                             "naming every artifact that differs from it")
+    args = parser.parse_args()
+    run_stages(args.out_dir)
+    found = {name: hashlib.sha256(data).hexdigest()[:16]
+             for name, data in artifact_bytes(args.out_dir).items()}
+    for name, digest in found.items():
+        print(name, digest)
+    if args.against is not None:
+        changed = differing(found, args.against)
+        for line in changed:
+            print(f"differs: {line}", file=sys.stderr)
+        sys.exit(1 if changed else 0)
