@@ -451,6 +451,8 @@ def _sample(config: RunConfig, expect: dict, out: Path, resonance: int):
     header.append(f"e_center: {win['e_center']:.17e}")
     header.append(f"gamma_est: {win['gamma_est']:.6e}")
     write_samples(out, samples, header_lines=header)
+
+
 def _fit_weights(samples, mode: str):
     if mode == "uniform":
         return None

@@ -14,9 +14,14 @@ first-derivative coupling into the propagation matrix
 Both solvers share one discretization: a symmetric Numerov-quality
 three-point pencil A0 u = E A1 u on a piecewise-uniform grid (steps halve
 toward small rho, with the low-order join rows confined to the classically
-forbidden region).  The scattering solve propagates the matrix ratio
-P_k = u_{k+1} u_k^{-1} of the same pencil rows (stable in closed channels)
-and matches to the pencil's own free waves on the uniform tail.  There a
+forbidden region).  The pencil is block-tridiagonal, so each grid keeps it
+once in LAPACK band storage (bandwidth 2N - 1), and both solvers run on
+that one band with LAPACK's banded LU; no sparse (SuperLU) factor is built.
+The scattering solve takes the matrix ratio P = u_M u_{M-1}^{-1} at the
+match point from a Dirichlet solve of the interior rows with u_0 = 0 and
+u_M = I, so P = u_{M-1}^{-1}; the rows are eliminated in fixed chunks that
+hand the ratio on, which keeps the workspace flat on long grids.  K is
+matched to the pencil's own free waves on the uniform tail.  There a
 channel of threshold E_j carries the discrete wavenumber theta_j / h,
 cos(theta_j) = -d_j / (2 g_j) with g_j, d_j the bond and diagonal entries
 of the pencil at E, so
@@ -28,9 +33,10 @@ the pencil, -> q_j as h -> 0) and discrete decaying exponentials in closed
 channels.  Matching to exact solutions of the same recursion makes K
 symmetric to roundoff once the couplings have died out, instead of only to
 the O(h^2) mismatch between continuum and discrete waves.  The auxiliary box
-problem diagonalizes the pencil with Dirichlet ends.  Sharing the stencil
-keeps the box spectrum and the K(E) pole structure consistent far below the
-discretization error of either alone.
+problem diagonalizes the pencil with Dirichlet ends: every box is a leading
+block of the band, factored once per box for ARPACK's shift-invert
+iteration.  Sharing the stencil keeps the box spectrum and the K(E) pole
+structure consistent far below the discretization error of either alone.
 """
 
 from __future__ import annotations
@@ -40,16 +46,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
-from scipy.linalg import expm
+from scipy.linalg import blas, expm, lapack
 
 from .algebra import KMatrix
 from .errors import (
     ClosedChannelError,
     EigensolverError,
     MatchingQualityError,
+    MatrixInversionError,
     NoOpenChannelError,
     ValidationError,
 )
@@ -59,6 +65,8 @@ ASYMMETRY_LIMIT = 1e-4
 # ARPACK start vector: a fixed generic draw (not ones, which can be orthogonal
 # to antisymmetric states) so that every box eigensolve is reproducible
 START_VECTOR_SEED = 0
+# pencil rows per banded solve in propagate_ratio: bounds its workspace
+CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -173,8 +181,9 @@ class RadialGrid:
 
     points includes both ends; bond k connects points k and k+1.  Numerov
     bonds/diagonals carry the 4th-order M-weights; the few rows adjacent to
-    step changes fall back to the plain second-order form.  The pencil and
-    the W floor are computed on first use and kept with the grid.
+    step changes fall back to the plain second-order form.  The pencil
+    parts, their band and the W floor are computed on first use and kept
+    with the grid.
     """
 
     points: np.ndarray
@@ -190,7 +199,6 @@ class RadialGrid:
     def index_of(self, rho: float) -> int:
         return int(np.argmin(np.abs(self.points - rho)))
 
-    @cached_property
     def pencil_parts(self):
         """E-independent bond/diagonal blocks (g0, g1, d0, d1) of the pencil.
 
@@ -202,6 +210,7 @@ class RadialGrid:
             join:    d0 = (1/hl + 1/hr) I + hbar W_k,          d1 = hbar
         so each row approximates hbar (-u'' + W u - E u) = 0.  A row is plain
         (join) when either of its bonds is; the end rows repeat their one bond.
+        Computed on each call: the grid keeps only their band.
         """
         w = self.w_samples
         eye = np.eye(w.shape[1])
@@ -219,15 +228,32 @@ class RadialGrid:
         return g0, g1, d0, d1
 
     @cached_property
-    def pencil(self):
-        """Sparse symmetric (A0, A1) over all interior points 1..n_points-2."""
-        g0, g1, d0, d1 = self.pencil_parts
-        eye = np.eye(g0.shape[1])
-        rows, bonds = slice(1, self.n_points - 1), slice(1, self.n_points - 2)
+    def band(self):
+        """The pencil over the points 1..n_points-1, banded.
+
+        Returns (a0, a1_diag, a1_off).  a0 is the upper triangle of the
+        symmetric A0 in LAPACK symmetric-band layout with bandwidth
+        kl = 2N - 1 (A0[i, j] at a0[kl + i - j, j] for i <= j),
+        Fortran-ordered so that every block of rows is a column slice.  A1
+        has only three nonzero diagonals: a1_diag on the main one and a1_off
+        at offsets +-N (d1 and g1 repeated per channel).  The rows of the
+        interior points 1..n_points-2 carry the box and K solves; the last
+        row only holds the bond to the far end, u_M's coupling in K.
+        """
+        g0, g1, d0, d1 = self.pencil_parts()
+        n = g0.shape[1]
+        kl = 2 * n - 1
+        m = self.n_points - 1
+        r, c = np.indices((n, n))
+        up = r <= c
+        # cols[b, c, row] is band row `row` of column b N + c
+        cols = np.zeros((m, n, kl + 1))
+        cols[:, c[up], (kl + r - c)[up]] = d0[1:, r[up], c[up]]
+        cols[1:, c, kl + r - c - n] = g0[1:]
         return (
-            _block_tridiagonal(d0[rows], g0[bonds]),
-            _block_tridiagonal(d1[rows, None, None] * eye,
-                               g1[bonds, None, None] * eye),
+            cols.reshape(m * n, kl + 1).T,
+            np.repeat(d1[1:], n),
+            np.repeat(g1[1:], n),
         )
 
     @cached_property
@@ -311,30 +337,33 @@ def build_grid(
     )
 
 
-def _block_tridiagonal(diag: np.ndarray, upper: np.ndarray):
-    """CSC matrix with blocks diag[i] on the diagonal, upper[i] right of it
-    and upper[i].T below it; stored zeros are dropped."""
-    m, n, _ = diag.shape
-    blk = n * np.arange(m)[:, None, None]
-    r, c = np.indices((n, n))
-    rows = np.concatenate([blk + r, blk[:-1] + r, blk[1:] + r], axis=None)
-    cols = np.concatenate([blk + c, blk[1:] + c, blk[:-1] + c], axis=None)
-    vals = np.concatenate([diag, upper, upper.transpose(0, 2, 1)], axis=None)
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(m * n, m * n)).tocsc()
-    a.eliminate_zeros()
-    return a
+def assemble_pencil(
+    grid: RadialGrid, last_index: int, shift: float, first_index: int = 1
+) -> np.ndarray:
+    """A0 - shift A1 over interior points first_index..last_index-1.
 
-
-def assemble_pencil(grid: RadialGrid, last_index: int):
-    """Sparse symmetric (A0, A1) over interior points 1..last_index-1.
-
-    Dirichlet ends at points[0] and points[last_index]; eigenvalues of
-    A0 x = E A1 x are the box spectrum on that interval.  The box pencil is
-    the leading block of the grid's own pencil.
+    Dirichlet ends at points[first_index - 1] and points[last_index]; the
+    rows are a diagonal block of the grid's band, its lower triangle
+    mirrored from the stored upper one.  Returned as a fresh Fortran-ordered
+    (3 kl + 1, n) workspace in the layout of LAPACK's banded LU
+    (dgbtrf/dgbsv, kl extra rows for the fill-in), with the band entries
+    that couple to rows outside the range set to zero.
     """
-    s = (last_index - 1) * grid.w_samples.shape[1]
-    a0, a1 = grid.pencil
-    return a0[:s, :s], a1[:s, :s]
+    a0, a1_diag, a1_off = grid.band
+    n_ch = grid.w_samples.shape[1]
+    kl = 2 * n_ch - 1
+    lo, hi = (first_index - 1) * n_ch, (last_index - 1) * n_ch
+    n = hi - lo
+    ab = np.zeros((3 * kl + 1, n), order="F")
+    main = 2 * kl
+    ab[kl:main + 1] = a0[:, lo:hi]
+    for d in range(1, kl + 1):
+        ab[main - d, :d] = 0.0
+        ab[main + d, :max(n - d, 0)] = a0[kl - d, lo + d:hi]
+    ab[main] -= shift * a1_diag[lo:hi]
+    ab[main - n_ch, n_ch:] -= shift * a1_off[lo:hi - n_ch]
+    ab[main + n_ch, :-n_ch] -= shift * a1_off[lo:hi - n_ch]
+    return ab
 
 
 def stabilization_eigenvalues(
@@ -358,16 +387,44 @@ def stabilization_eigenvalues(
     last = grid.index_of(alpha)
     if last < 3:
         raise ValidationError(f"alpha={alpha!r} leaves too few grid points")
-    a0, a1 = assemble_pencil(grid, last)
     if sigma is None:
         lam = float(grid.w_floor[last - 1])
         sigma = lam - 0.5 * (abs(lam) + 1.0)
-    k = min(n_levels, a0.shape[0] - 1)
+    n_ch = grid.w_samples.shape[1]
+    kl = 2 * n_ch - 1
+    lu, piv, info = lapack.dgbtrf(
+        assemble_pencil(grid, last, sigma), kl, kl, overwrite_ab=1
+    )
+    if info != 0:
+        raise EigensolverError(
+            f"box pencil singular at sigma={sigma!r}, alpha={alpha!r}", rho=alpha
+        )
+    n = lu.shape[1]
+    a0, a1_diag, a1_off = grid.band
+    diag, off = a1_diag[:n], a1_off[: n - n_ch]
+
+    def a0_matvec(x):  # ARPACK's shift-invert mode never calls it
+        return blas.dsbmv(kl, 1.0, a0[:, :n], x.ravel())
+
+    def a1_matvec(x):
+        x = x.ravel()
+        y = diag * x
+        y[n_ch:] += off * x[:-n_ch]
+        y[:-n_ch] += off * x[n_ch:]
+        return y
+
+    def op_inv_matvec(x):
+        return lapack.dgbtrs(lu, kl, kl, x, piv)[0]
+
+    k = min(n_levels, n - 1)
     try:
         vals, vecs = spla.eigsh(
-            a0, k=k, M=a1, sigma=sigma, which="LM",
-            ncv=min(max(4 * k + 1, 25), a0.shape[0]), maxiter=600,
-            v0=np.random.default_rng(START_VECTOR_SEED).standard_normal(a0.shape[0]),
+            spla.LinearOperator((n, n), a0_matvec, dtype=float),
+            k=k, M=spla.LinearOperator((n, n), a1_matvec, dtype=float),
+            sigma=sigma, which="LM",
+            OPinv=spla.LinearOperator((n, n), op_inv_matvec, dtype=float),
+            ncv=min(max(4 * k + 1, 25), n), maxiter=600,
+            v0=np.random.default_rng(START_VECTOR_SEED).standard_normal(n),
         )
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(
@@ -440,28 +497,50 @@ def _references(problem, grid, energies, theta, h, k_index):
 
 
 def propagate_ratio(problem: RadialProblem, grid: RadialGrid, energies) -> np.ndarray:
-    """Ratio P = u_M u_{M-1}^{-1} of the pencil recursion, batched over E.
+    """Ratio P = u_M u_{M-1}^{-1} of the pencil rows, one matrix per E.
 
-    Starts from the Dirichlet condition u_0 = 0 at rho_start (the strongly
-    repulsive barrier enforces the regular solution).
+    u solves the interior rows 1..M-1 with the Dirichlet ends u_0 = 0 (the
+    strongly repulsive barrier enforces the regular solution) and u_M = I,
+    so P = u_{M-1}^{-1}.  The rows are solved CHUNK_ROWS at a time with
+    dgbsv, each chunk [a, b) with u_b = I; the next chunk's first row folds
+    in its lower neighbour through d_b += bond_{b-1} u_{b-1} u_b^{-1}, the
+    step of the ratio recursion, so the workspace stays small on any grid.
+    That carried matrix is symmetric for the regular solution (its discrete
+    Wronskian vanishes), so it is handed on symmetrized, which drops the
+    antisymmetric roundoff of its chunk instead of passing it on.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    g0, g1, d0, d1 = grid.pencil_parts
-    eye = np.eye(grid.w_samples.shape[1])
-    e_col = energies[:, None, None]
-
-    def bond(k):
-        return g0[k][None] - (g1[k] * e_col) * eye[None]
-
-    def diag(k):
-        return d0[k][None] - (d1[k] * e_col) * eye[None]
-
-    # row 1 with u_0 = 0:  bond_1 u_2 + diag_1 u_1 = 0
-    p = -np.linalg.solve(bond(1), diag(1))
-    for k in range(2, grid.n_points - 1):
-        rhs = diag(k) + np.matmul(bond(k - 1), np.linalg.inv(p))
-        p = -np.linalg.solve(bond(k), rhs)
-    return p
+    a0, _, a1_off = grid.band
+    n_ch = grid.w_samples.shape[1]
+    kl = 2 * n_ch - 1
+    r, c = np.indices((n_ch, n_ch))
+    first_block = (2 * kl + r - c, c)
+    last = grid.n_points - 1
+    edges = list(range(1, last, CHUNK_ROWS)) + [last]
+    out = np.empty((energies.size, n_ch, n_ch))
+    for i, e in enumerate(energies):
+        ratio_in = None
+        for a, b in zip(edges[:-1], edges[1:]):
+            ab = assemble_pencil(grid, b, e, first_index=a)
+            if ratio_in is not None:
+                ab[first_block] += ratio_in
+            # bond of rows b-1 and b: the block right of row b-1's diagonal
+            col = (b - 1) * n_ch
+            bond = a0[kl - n_ch + r - c, col + c] - e * np.diag(a1_off[col - n_ch:col])
+            rhs = np.zeros(((b - a) * n_ch, n_ch), order="F")
+            rhs[-n_ch:] = -bond
+            _, _, x, info = lapack.dgbsv(
+                kl, kl, ab, rhs, overwrite_ab=1, overwrite_b=1
+            )
+            if info != 0:
+                raise MatrixInversionError(
+                    f"pencil rows {a}..{b - 1} singular at E={e!r}", energy=float(e)
+                )
+            u = x[-n_ch:]
+            ratio_in = bond @ u
+            ratio_in = 0.5 * (ratio_in + ratio_in.T)
+        out[i] = np.linalg.inv(u)
+    return out
 
 
 def extract_k(

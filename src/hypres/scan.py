@@ -251,18 +251,6 @@ def detect_resonances(
     return windows
 
 
-def detect_resonance(
-    spectrum: StabilizationSpectrum,
-    config: ScanConfig,
-    thresholds=None,
-) -> ResonanceWindow | None:
-    """The flattest plateau, or None when no plateau exists."""
-    windows = detect_resonances(spectrum, config, thresholds=thresholds)
-    if not windows:
-        return None
-    return min(windows, key=lambda w: w.slope)
-
-
 def sample_k(
     problem: RadialProblem,
     window: ResonanceWindow,

@@ -5,7 +5,7 @@ import pytest
 from hypres.fitting import FitProblem, fit
 from hypres.models import TwoChannelToy
 from hypres.radial import build_grid
-from hypres.scan import ScanConfig, detect_resonance, sample_k, scan_branches
+from hypres.scan import ScanConfig, detect_resonances, sample_k, scan_branches
 
 # Oracle values for the default TwoChannelToy, frozen from the complex-pole
 # search in tests/oracles.py (secant on det(Y - i diag q), RK4 integration,
@@ -50,11 +50,11 @@ def toy_spectrum(toy_problem, toy_scan_config, toy_grid):
 
 @pytest.fixture(scope="session")
 def toy_window(toy_spectrum, toy_scan_config, toy_problem):
-    win = detect_resonance(
+    wins = detect_resonances(
         toy_spectrum, toy_scan_config, thresholds=toy_problem.thresholds
     )
-    assert win is not None
-    return win
+    assert wins
+    return min(wins, key=lambda w: w.slope)
 
 
 @pytest.fixture(scope="session")

@@ -5,21 +5,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 from scipy.special import jv
 
+from hypres import radial
 from hypres.errors import (
     ClosedChannelError,
+    EigensolverError,
     MatchingQualityError,
+    MatrixInversionError,
     NoOpenChannelError,
     ValidationError,
 )
 from hypres.models import BoxMode, TwoChannelToy, coupled_wells
 from hypres.radial import (
+    CHUNK_ROWS,
     RadialProblem,
     assemble_pencil,
     build_grid,
     extract_k,
+    propagate_ratio,
     stabilization_eigenvalues,
 )
 from oracles import k_matrix_direct
@@ -89,6 +94,21 @@ class TestBoxSpectrum:
                 assert np.all(vals <= prev + 1e-12)
             prev = vals
 
+    def test_numerov_fourth_order(self):
+        # levels 3-5 of the exact box spectrum; levels 1-2 reach roundoff at
+        # the finest step
+        box = BoxMode(offset=0.7, rho_start=1.0, rho_match=40.0)
+        prob = box.problem()
+        alpha = 11.0
+        errors = []
+        for h_max in (0.04, 0.02, 0.01):
+            grid = build_grid(prob, rho_end=alpha, h_max=h_max)
+            vals = stabilization_eigenvalues(prob, alpha, 5, grid=grid)
+            errors.append(np.abs(vals - box.exact_levels(alpha, 5))[2:])
+        errors = np.array(errors)
+        order = np.log2(errors[:-1] / errors[1:])
+        assert np.all((order > 3.5) & (order < 4.5)), order
+
 
 def loop_w_samples(problem, points):
     """Per-point reference for build_grid's W samples and gauge: scalar
@@ -123,15 +143,15 @@ def loop_join_bond(bond_h):
     return join
 
 
-def wells_table_problem(with_q):
-    """coupled_wells(4) sampled into tables, as the pipeline builds problems."""
-    wells = coupled_wells(4)
+def wells_table_problem(with_q, n=4):
+    """coupled_wells(n) sampled into tables, as the pipeline builds problems."""
+    wells = coupled_wells(n)
     rho = np.linspace(wells.rho_start, wells.rho_match, 600)
     q = None
     if with_q:
         # small antisymmetric first-derivative coupling, so the gauge runs
-        q = np.zeros((rho.size, 4, 4))
-        for i in range(3):
+        q = np.zeros((rho.size, n, n))
+        for i in range(n - 1):
             bump = 0.05 * np.exp(-(((rho - 3.0 - i) / 1.5) ** 2))
             q[:, i, i + 1], q[:, i + 1, i] = bump, -bump
     return RadialProblem.from_tables(
@@ -175,7 +195,7 @@ class TestGridBuild:
 
 
 def loop_pencil_parts(grid):
-    """Per-point reference for RadialGrid.pencil_parts (same arithmetic)."""
+    """Per-point reference for RadialGrid.pencil_parts() (same arithmetic)."""
     w = grid.w_samples
     eye = np.eye(w.shape[1])
     nb = grid.bond_h.size
@@ -195,9 +215,20 @@ def loop_pencil_parts(grid):
     return g0, g1, d0, d1
 
 
+def dense_to_band(a, kl, skip):
+    """General-band storage of a square matrix with kl = ku below `skip`
+    zero workspace rows: a[i, j] at [skip + kl + i - j, j], zero elsewhere."""
+    n = a.shape[0]
+    i, j = np.indices(a.shape)
+    inside = np.abs(i - j) <= kl
+    out = np.zeros((skip + 2 * kl + 1, n))
+    out[(skip + kl + i - j)[inside], j[inside]] = a[inside]
+    return out
+
+
 def dense_pencil(grid, last):
     """Dense block-tridiagonal (A0, A1) over points 1..last-1 from the parts."""
-    g0, g1, d0, d1 = grid.pencil_parts
+    g0, g1, d0, d1 = grid.pencil_parts()
     n = g0.shape[1]
     m = last - 1
     a0, a1 = np.zeros((m * n, m * n)), np.zeros((m * n, m * n))
@@ -221,16 +252,37 @@ class TestPencil:
         return grid
 
     def test_parts_match_loop_reference(self, joined_grid):
-        for part, ref in zip(joined_grid.pencil_parts,
+        for part, ref in zip(joined_grid.pencil_parts(),
                              loop_pencil_parts(joined_grid)):
             assert np.array_equal(part, ref)
 
+    def test_band_is_the_dense_pencil(self, joined_grid):
+        # rows of the points 1..n_points-1: the interior and the far end
+        a0, a1_diag, a1_off = joined_grid.band
+        ref0, ref1 = dense_pencil(joined_grid, joined_grid.n_points)
+        n = joined_grid.w_samples.shape[1]
+        assert np.array_equal(ref0, ref0.T)
+        # the upper triangle and the diagonal: the first kl + 1 band rows
+        assert np.array_equal(a0, dense_to_band(ref0, 2 * n - 1, 0)[: 2 * n])
+        a1 = np.diag(a1_diag) + np.diag(a1_off, n) + np.diag(a1_off, -n)
+        assert np.array_equal(a1, ref1)
+
     def test_box_pencils_are_leading_blocks(self, joined_grid):
+        n = joined_grid.w_samples.shape[1]
+        kl = 2 * n - 1
+        shift = 0.7
         for last in (5, joined_grid.n_points // 2, joined_grid.n_points - 1):
             ref0, ref1 = dense_pencil(joined_grid, last)
-            a0, a1 = assemble_pencil(joined_grid, last)
-            assert np.array_equal(a0.toarray(), ref0), last
-            assert np.array_equal(a1.toarray(), ref1), last
+            ab = assemble_pencil(joined_grid, last, shift)
+            assert ab.flags.f_contiguous
+            assert np.array_equal(ab, dense_to_band(ref0 - shift * ref1, kl, kl)), last
+        # an inner block (the rows of one K chunk) drops both outer couplings
+        first, last = 4, joined_grid.n_points // 2
+        ref0, ref1 = dense_pencil(joined_grid, last)
+        inner = slice((first - 1) * n, None)
+        ab = assemble_pencil(joined_grid, last, shift, first_index=first)
+        want = dense_to_band((ref0 - shift * ref1)[inner, inner], kl, kl)
+        assert np.array_equal(ab, want)
 
     def test_reused_grid_matches_fresh_grids(self, toy_problem):
         # the grid keeps its pencil between calls; box levels must not
@@ -248,6 +300,89 @@ class TestPencil:
         for alpha in alphas[::-1]:
             vals = stabilization_eigenvalues(toy_problem, alpha, 5, grid=grid)
             assert np.array_equal(vals, fresh(alpha)), alpha
+
+
+def loop_propagate_ratio(grid, energies):
+    """Per-point reference for propagate_ratio: the ratio recursion
+    P_k = -bond_k^{-1} (diag_k + bond_{k-1} P_{k-1}^{-1}) from u_0 = 0."""
+    g0, g1, d0, d1 = grid.pencil_parts()
+    eye = np.eye(g0.shape[1])
+    out = []
+    for e in energies:
+        def bond(k):
+            return g0[k] - g1[k] * e * eye
+
+        p = -np.linalg.solve(bond(1), d0[1] - d1[1] * e * eye)
+        for k in range(2, grid.n_points - 1):
+            rhs = d0[k] - d1[k] * e * eye + bond(k - 1) @ np.linalg.inv(p)
+            p = -np.linalg.solve(bond(k), rhs)
+        out.append(p)
+    return np.array(out)
+
+
+def banded_cases():
+    toy = replace(TwoChannelToy().problem(), include_rho_term=True)
+    wells = replace(coupled_wells(2), include_rho_term=True, rho_start=0.05)
+    return {
+        "toy_joins": (toy, 4.0),
+        "wells2_barrier": (wells, 5.0),
+        "wells2_gauge": (wells_table_problem(True, n=2), 5.0),
+    }
+
+
+class TestBandedKernel:
+    @pytest.mark.parametrize("case", ["toy_joins", "wells2_barrier", "wells2_gauge"])
+    @pytest.mark.parametrize("target", [None, "middle"])
+    def test_box_eigenvalues_match_dense(self, case, target):
+        prob, alpha = banded_cases()[case]
+        grid = build_grid(prob, rho_end=alpha, h_max=0.05)
+        assert grid.join_bond.any() or grid.gauge is not None
+        last = grid.index_of(alpha)
+        a0, a1 = dense_pencil(grid, last)
+        assert a0.shape[0] <= 800
+        ref = eigh(a0, a1, eigvals_only=True)
+        n_levels = 6
+        sigma = None
+        if target is None:
+            want = ref[:n_levels]
+        else:
+            sigma = 0.5 * (ref[20] + ref[21]) + 1e-3
+            want = np.sort(ref[np.argsort(np.abs(ref - sigma))[:n_levels]])
+        vals = stabilization_eigenvalues(prob, alpha, n_levels, grid=grid,
+                                         sigma=sigma)
+        assert np.abs(vals - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("model", ["toy", "coupled_wells4"])
+    def test_propagate_ratio_matches_recursion(self, model):
+        prob = TwoChannelToy().problem() if model == "toy" else coupled_wells(4)
+        grid = build_grid(prob, h_max=0.05)
+        rows = grid.n_points - 2
+        assert rows > CHUNK_ROWS and rows % CHUNK_ROWS
+        top = float(prob.thresholds.max())
+        energies = np.array([top + 0.05, top + 0.6, top + 1.3])
+        p = propagate_ratio(prob, grid, energies)
+        ref = loop_propagate_ratio(grid, energies)
+        for got, want in zip(p, ref):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+    def test_singular_factors_raise(self, monkeypatch, toy_problem):
+        # LAPACK reports a zero pivot through info > 0
+        grid = build_grid(toy_problem, h_max=0.05)
+
+        def zero_pivot(ab, *args, **kwargs):
+            return ab, np.zeros(ab.shape[1], dtype=np.int32), 1
+
+        monkeypatch.setattr(radial.lapack, "dgbtrf", zero_pivot)
+        with pytest.raises(EigensolverError):
+            stabilization_eigenvalues(toy_problem, 10.0, 4, grid=grid)
+        monkeypatch.setattr(
+            radial.lapack, "dgbsv",
+            lambda kl, ku, ab, b, **kwargs: (ab, None, b, 1),
+        )
+        with pytest.raises(MatrixInversionError) as err:
+            extract_k(toy_problem, [2.5], grid=grid)
+        assert err.value.energy == 2.5
 
 
 class TestTwoChannel:

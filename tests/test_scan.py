@@ -10,7 +10,6 @@ from hypres.scan import (
     ResonanceWindow,
     ScanConfig,
     StabilizationSpectrum,
-    detect_resonance,
     detect_resonances,
     sample_k,
     scan_branches,
@@ -70,8 +69,9 @@ class TestDetection:
         cfg = ScanConfig(alpha_min=alphas[0], alpha_max=alphas[-1],
                          alpha_step=alphas[1] - alphas[0],
                          n_levels=levels.shape[1])
-        win = detect_resonance(spectrum, cfg)
-        assert win is not None
+        wins = detect_resonances(spectrum, cfg)
+        assert wins
+        win = min(wins, key=lambda w: w.slope)
         assert abs(win.e_center - 1.5) < 1e-6
 
     def test_monotone_spectrum_empty(self):
@@ -102,8 +102,9 @@ class TestDetection:
 
         fine_cfg = replace(toy_scan_config, alpha_step=0.125)
         spectrum = scan_branches(toy_problem, fine_cfg, grid=toy_grid)
-        win = detect_resonance(spectrum, fine_cfg,
-                               thresholds=toy_problem.thresholds)
+        wins = detect_resonances(spectrum, fine_cfg,
+                                 thresholds=toy_problem.thresholds)
+        win = min(wins, key=lambda w: w.slope)
         assert abs(win.e_center - toy_window.e_center) < 0.1 * TOY_GAMMA
 
     def test_needs_enough_data(self):
