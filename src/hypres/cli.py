@@ -19,6 +19,7 @@ from .tableio import read_keyvalues
 
 _PARAMS = ("resonance", "model")  # every stage parameter, as CLI options
 
+
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="INI run configuration")
     sub.add_argument("--out", help="override [output] directory")

@@ -8,6 +8,11 @@ One runner serves every stage: it refuses missing or stale inputs with a
 CacheError naming the stage that produces them, keeps outputs whose headers
 match, and otherwise runs the stage.
 
+Module level imports only what the configuration, the stage table and the
+runner use (numpy, errors, tableio, channels).  Each stage, and each helper
+that builds a layer object, imports its layer when it runs, so a process
+whose stage is cached loads no FEM, scan or fit code.
+
 The configuration is one INI-style file with a section per stage; the
 defaults reproduce the full three-body run (131x61 basis grid, 6 retained
 channels, rho in [0.05, 500]) so a config that only names the system is
@@ -25,29 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adiabatic import (
-    AdiabaticSolution,
-    HyperangularGrid,
-    geometric_rho_grid,
-    refine_rho_grid,
-    solve_terms,
-    solve_with_couplings,
-)
-from .algebra import cross_sections
-from .breit_wigner import BWPoleParams, bw_k
 from .channels import ChannelSet, ThreeBodyMasses
 from .errors import CacheError, ConfigError, HypresError, StageError
-from .fitting import FitProblem, compare_models, fit
-from .models import BoxMode, TwoChannelToy
-from .radial import RadialProblem, build_grid
-from .samples import read_samples, write_samples
-from .scan import (
-    ResonanceWindow,
-    ScanConfig,
-    detect_resonances,
-    sample_k,
-    scan_branches,
-)
 from .tableio import (
     digest_file,
     digest_text,
@@ -188,10 +172,12 @@ class RunConfig:
         return {key: self.parser.getfloat(section, key)
                 for key in self.parser.options(section)}
 
-    def toy(self) -> TwoChannelToy:
+    def toy(self):
+        from .models import TwoChannelToy
         return TwoChannelToy(**self._floats("toy"))
 
-    def box(self) -> BoxMode:
+    def box(self):
+        from .models import BoxMode
         return BoxMode(**self._floats("box"))
 
 
@@ -289,23 +275,17 @@ def _run(name: str, config: RunConfig, force: bool, **params) -> Path:
         raise
 
 
-def _rho_grid(config: RunConfig):
-    return geometric_rho_grid(
-        config.get("basis", "rho_min", float),
-        config.get("basis", "rho_max", float),
-        config.get("basis", "n_rho", int),
-    )
-
-
-def _hyperangular_grid(config: RunConfig) -> HyperangularGrid:
+def _hyperangular_grid(config: RunConfig):
+    from .adiabatic import HyperangularGrid
     return HyperangularGrid(
         n_chi=config.get("basis", "n_chi", int),
         n_theta=config.get("basis", "n_theta", int),
     )
 
 
-def _analytic_solution(config: RunConfig) -> AdiabaticSolution:
+def _analytic_solution(config: RunConfig):
     """Terms and H/Q tables of the analytic kinds, in the FEM solve's form."""
+    from .adiabatic import AdiabaticSolution
     kind = config.kind
     if kind == "toy":
         rho, eps, h, q = config.toy().tables()
@@ -323,8 +303,14 @@ def _analytic_solution(config: RunConfig) -> AdiabaticSolution:
 def _terms(config: RunConfig, expect: dict, out: Path):
     if config.kind != "three-body":
         return save_terms(out, _analytic_solution(config), expect)
+    from .adiabatic import geometric_rho_grid, solve_terms
+    rho_grid = geometric_rho_grid(
+        config.get("basis", "rho_min", float),
+        config.get("basis", "rho_max", float),
+        config.get("basis", "n_rho", int),
+    )
     sol = solve_terms(
-        config.masses(), _hyperangular_grid(config), _rho_grid(config),
+        config.masses(), _hyperangular_grid(config), rho_grid,
         config.get("basis", "n_terms", int),
         n_workers=config.get("basis", "n_workers", int),
     )
@@ -334,6 +320,7 @@ def _terms(config: RunConfig, expect: dict, out: Path):
 def _couplings(config: RunConfig, expect: dict, out: Path):
     if config.kind != "three-body":
         return save_couplings(out, _analytic_solution(config), expect)
+    from .adiabatic import refine_rho_grid, solve_with_couplings
     # the terms stage already solved the coarse grid the refinement needs
     rho_grid, terms, _ = load_terms(out.with_name("terms.dat"))
     sol = solve_with_couplings(
@@ -345,7 +332,8 @@ def _couplings(config: RunConfig, expect: dict, out: Path):
     save_couplings(out, sol, expect)
 
 
-def _radial_problem(config: RunConfig) -> RadialProblem:
+def _radial_problem(config: RunConfig):
+    from .radial import RadialProblem
     rho, eps, h, q, _ = load_couplings(config.out_dir() / "couplings.dat")
     kind = config.kind
     if kind == "three-body":
@@ -361,7 +349,8 @@ def _radial_problem(config: RunConfig) -> RadialProblem:
     )
 
 
-def _scan_config(config: RunConfig, problem) -> ScanConfig:
+def _scan_config(config: RunConfig, problem):
+    from .scan import ScanConfig
     e_min = config.get_optional("scan", "e_min")
     if e_min is None:
         # default to the two-open-channel regime of the 2x2 sample contract
@@ -382,6 +371,8 @@ def _scan_config(config: RunConfig, problem) -> ScanConfig:
 
 
 def _scan(config: RunConfig, expect: dict, out_b: Path, out_w: Path):
+    from .radial import build_grid
+    from .scan import detect_resonances, scan_branches
     problem = _radial_problem(config)
     cfg = _scan_config(config, problem)
     h_max = config.get("radial", "h_max", float)
@@ -430,6 +421,9 @@ def load_windows(path):
 
 
 def _sample(config: RunConfig, expect: dict, out: Path, resonance: int):
+    from .radial import build_grid
+    from .samples import write_samples
+    from .scan import ResonanceWindow, sample_k
     windows, _ = load_windows(out.with_name("windows.dat"))
     if not windows:
         raise StageError("no resonance windows detected by the scan stage")
@@ -497,8 +491,9 @@ def _report_pairs(result, prefix=""):
     return pairs
 
 
-
 def _fit(config: RunConfig, expect: dict, out: Path, resonance: int, model: str):
+    from .fitting import FitProblem, compare_models, fit
+    from .samples import read_samples
     samples = read_samples(out.with_name(f"ksamples_{resonance}.dat"))
     weights = _fit_weights(samples, config.get("fit", "weighting"))
     # the upper threshold is the top term at the last rho point, as in
@@ -528,6 +523,9 @@ def _fit(config: RunConfig, expect: dict, out: Path, resonance: int, model: str)
 
 def _xsec(config: RunConfig, expect: dict, out_k: Path, out_i: Path,
           out_x: Path, resonance: int):
+    from .algebra import cross_sections
+    from .breit_wigner import BWPoleParams, bw_k
+    from .samples import read_samples
     pairs, _ = read_keyvalues(out_k.with_name(f"fit_{resonance}.txt"))
     samples = read_samples(out_k.with_name(f"ksamples_{resonance}.dat"))
     params = BWPoleParams.from_amplitudes(

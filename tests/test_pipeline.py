@@ -1,11 +1,15 @@
 """Stage orchestration: caching, digests, artifacts, CLI behavior."""
 
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypres
 from hypres.cli import _print_summary, main
 from hypres.errors import CacheError, StageError
 from hypres.pipeline import (
@@ -282,3 +286,61 @@ class TestCli:
             ["pipeline", "--config", str(toy_run["ini"]), "--resonance", "99"]
         ) == 1
         assert "[stage:sample]" in capsys.readouterr().err
+
+    def test_out_overrides_output_directory(self, toy_run, tmp_path, capsys):
+        # [output] is not digested: artifacts copied to another directory are
+        # cache hits there, and the fit they lack is written there alone
+        out = tmp_path / "moved"
+        out.mkdir()
+        kept = ["terms.dat", "couplings.dat", "branches.dat", "windows.dat",
+                "ksamples_0.dat"]
+        for name in kept:
+            shutil.copy2(toy_run["out"] / name, out)
+
+        def snapshot(d):
+            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                    for p in d.iterdir()}
+
+        original, copied = snapshot(toy_run["out"]), snapshot(out)
+        assert main(["fit", "--config", str(toy_run["ini"]), "--out", str(out),
+                     "--model", "general"]) == 0
+        assert f"wrote {out / 'fit_0.txt'}" in capsys.readouterr().out
+        moved = snapshot(out)
+        assert moved.pop("fit_0.txt")[0] == original["fit_0.txt"][0]
+        assert moved == copied
+        assert snapshot(toy_run["out"]) == original
+
+
+# The solver layers; a process that parses, dispatches or finds its stage
+# cached loads none of them.
+SOLVER_LAYERS = ("hypres.adiabatic", "hypres.fem", "hypres.radial", "hypres.scan")
+
+
+def _loaded_after(code: str, names) -> list:
+    """Those of names that a fresh interpreter has imported after code."""
+    probe = (f"{code}\nimport sys\n"
+             f"print(*[n for n in {tuple(names)!r} if n in sys.modules])")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hypres.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()[-1].split()
+
+
+class TestImportSurface:
+    def test_import_loads_no_layer(self):
+        names = SOLVER_LAYERS + (
+            "hypres.models", "hypres.samples", "hypres.fitting",
+            "scipy.sparse.linalg", "scipy.interpolate", "scipy.optimize",
+        )
+        assert _loaded_after("import hypres.pipeline, hypres.cli", names) == []
+
+    def test_cached_fit_loads_no_solver_layer(self, toy_run, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(toy_run["out"], out)
+        stamp = (out / "fit_0.txt").stat().st_mtime_ns
+        argv = ["fit", "--config", str(toy_run["ini"]), "--out", str(out)]
+        code = f"from hypres.cli import main\nassert main({argv!r}) == 0"
+        assert _loaded_after(code, SOLVER_LAYERS) == []
+        assert (out / "fit_0.txt").stat().st_mtime_ns == stamp
