@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+# called as radial.<name>, so a function replaced on radial is the one run
+from . import radial
 from .errors import ValidationError
-from .radial import RadialGrid, RadialProblem, build_grid, extract_k
-from .radial import stabilization_eigenvalues
+from .radial import RadialGrid, RadialProblem
 from .samples import KSample
 
 # extra tracked levels guarding the top of the reported window
@@ -105,7 +106,7 @@ def scan_branches(
     via linear assignment, never assigning two branches to one continuation.
     """
     if grid is None:
-        grid = build_grid(problem, rho_end=config.alpha_max)
+        grid = radial.build_grid(problem, rho_end=config.alpha_max)
     alphas = config.alphas()
     k = config.n_levels
     k_solve = k + N_BUFFER
@@ -113,7 +114,7 @@ def scan_branches(
     swaps = np.zeros(alphas.size, dtype=int)
     prev_vecs = None
     for ia, alpha in enumerate(alphas):
-        vals, vecs = stabilization_eigenvalues(
+        vals, vecs = radial.stabilization_eigenvalues(
             problem, alpha, k_solve, grid=grid, sigma=config.sigma,
             return_vectors=True,
         )
@@ -284,8 +285,8 @@ def sample_k(
         )
     energies = energies[two_open]
     prov = [p for p, ok in zip(prov, two_open) if ok]
-    mats, defects = extract_k(problem, energies, grid=grid,
-                              defect_limit=defect_limit)
+    mats, defects = radial.extract_k(problem, energies, grid=grid,
+                                     defect_limit=defect_limit)
     out = [
         KSample(
             energy=km.energy, k11=float(km.entries[0, 0]),

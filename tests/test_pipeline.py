@@ -316,16 +316,20 @@ class TestCli:
 SOLVER_LAYERS = ("hypres.adiabatic", "hypres.fem", "hypres.radial", "hypres.scan")
 
 
-def _loaded_after(code: str, names) -> list:
-    """Those of names that a fresh interpreter has imported after code."""
-    probe = (f"{code}\nimport sys\n"
-             f"print(*[n for n in {tuple(names)!r} if n in sys.modules])")
+def _printed_by(code: str) -> list:
+    """The words of the last line a fresh interpreter prints running code."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(hypres.__file__).resolve().parents[1]))
-    res = subprocess.run([sys.executable, "-c", probe], env=env,
+    res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     return res.stdout.splitlines()[-1].split()
+
+
+def _loaded_after(code: str, names) -> list:
+    """Those of names that a fresh interpreter has imported after code."""
+    return _printed_by(f"{code}\nimport sys\n"
+                       f"print(*[n for n in {tuple(names)!r} if n in sys.modules])")
 
 
 class TestImportSurface:
@@ -344,3 +348,23 @@ class TestImportSurface:
         code = f"from hypres.cli import main\nassert main({argv!r}) == 0"
         assert _loaded_after(code, SOLVER_LAYERS) == []
         assert (out / "fit_0.txt").stat().st_mtime_ns == stamp
+
+    def test_tracer_leaves_no_wrapper_in_a_layer_it_loads(self):
+        # perfbench/run.py imports these two before tracing; hypres.scan is
+        # then first imported by instrument() itself, after radial's solvers
+        # were wrapped, and must not keep those wrappers after the block
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        code = (
+            f"import sys\nsys.path.insert(0, {str(bench)!r})\n"
+            "import hypres.pipeline, hypres.models\n"
+            "import tracer\n"
+            "with tracer.instrument(tracer.Tracer()):\n"
+            "    pass\n"
+            "left = [f'{name}.{key}' for name, mod in list(sys.modules.items())\n"
+            "        if name.startswith('hypres')\n"
+            "        for key, value in vars(mod).items()\n"
+            "        if getattr(getattr(value, '__code__', None), 'co_filename',\n"
+            "                   None) == tracer.__file__]\n"
+            "print('hypres.scan' in sys.modules, *left)"
+        )
+        assert _printed_by(code) == ["True"]
