@@ -36,6 +36,9 @@ from .errors import AssemblyError, EigensolverError, TrackingError, ValidationEr
 from .fem import Grid1D, TensorGrid, mass_matrix, stiffness_matrix
 
 ORTHO_TOL = 1e-5
+# smallest |overlap| of a term with its previous-point continuation before
+# the rho interval is bisected (and, between differenced points, an error)
+OVERLAP_FLOOR = 0.5
 # ARPACK start vector: a fixed generic draw (not ones, which can be orthogonal
 # to antisymmetric states) so that every eigensolve is reproducible
 START_VECTOR_SEED = 0
@@ -47,7 +50,6 @@ class HyperangularGrid:
 
     n_chi: int = 131
     n_theta: int = 61
-    n_quad: int = 4
 
     def __post_init__(self):
         for name, n in (("n_chi", self.n_chi), ("n_theta", self.n_theta)):
@@ -131,7 +133,6 @@ def build_grids(
         return TensorGrid(
             Grid1D.uniform(0.0, math.pi, grid.n_chi),
             Grid1D.uniform(0.0, math.pi, grid.n_theta),
-            n_quad=grid.n_quad,
         )
     (chi1, _), (chi2, _) = coalescence_points(masses)
     m_red1 = masses.m1 / (masses.m1 + 1.0)
@@ -179,7 +180,6 @@ def build_grids(
     return TensorGrid(
         Grid1D.from_density(0.0, math.pi, grid.n_chi, density(chi_terms)),
         Grid1D.from_density(0.0, math.pi, grid.n_theta, density(theta_terms)),
-        n_quad=grid.n_quad,
     )
 
 
@@ -206,22 +206,6 @@ def assemble_adiabatic_operator(tensor: TensorGrid, rho: float, potential=None):
     b = sp.kron(m2_chi, m_th)
     a = (0.5 * (a + a.T)).tocsc()
     return a, b.tocsc()
-
-
-def adiabatic_pair(masses: ThreeBodyMasses, rho: float, grid: HyperangularGrid,
-                   cluster: ClusterSpec | None = None):
-    """Convenience: (stiffness-like, mass-like) pair for a Coulomb system.
-
-    Builds the rho-adapted tensor grid, evaluates the three-pair Coulomb
-    potential, and assembles the weak form; returns (A, B, tensor).
-    """
-    if cluster is None:
-        cluster = ClusterSpec()
-    tensor = build_grids(masses, rho, grid, cluster)
-    a, b = assemble_adiabatic_operator(
-        tensor, rho, coulomb_potential(masses, rho)
-    )
-    return a, b, tensor
 
 
 def _sigma_estimate(a, b, tensor: TensorGrid, masses, rho) -> float:
@@ -331,15 +315,11 @@ def _measure_kernel(tensor: TensorGrid) -> np.ndarray:
 
 
 def _solve_one(args):
-    masses, rho, grid, cluster, n_terms, mode = args
-    if mode == "coulomb":
-        tensor = build_grids(masses, rho, grid, cluster or ClusterSpec())
-        potential = coulomb_potential(masses, rho)
-    else:  # bare hyperangular operator (potential-free test mode)
-        tensor = build_grids(None, rho, grid, None)
-        potential = None
+    masses, rho, grid, n_terms = args
+    tensor = build_grids(masses, rho, grid, ClusterSpec())
     vals, vecs = solve_adiabatic_point(
-        tensor, rho, n_terms, potential=potential, masses=masses
+        tensor, rho, n_terms, potential=coulomb_potential(masses, rho),
+        masses=masses,
     )
     return tensor, vals, vecs
 
@@ -357,36 +337,29 @@ def _checked_rho_grid(rho_grid) -> np.ndarray:
     return rho_grid
 
 
-def _solution_meta(masses, grid: HyperangularGrid, n_terms: int, mode: str):
-    meta = {
-        "mode": mode,
-        "n_chi": grid.n_chi,
-        "n_theta": grid.n_theta,
-        "n_terms": n_terms,
-    }
-    if masses is not None:
-        meta.update(m1=masses.m1, m2=masses.m2, z1=masses.z1, z2=masses.z2,
-                    z_light=masses.z_light)
-    return meta
+def _solution_meta(masses, grid: HyperangularGrid, n_terms: int):
+    return dict(mode="coulomb", n_chi=grid.n_chi, n_theta=grid.n_theta,
+                n_terms=n_terms, m1=masses.m1, m2=masses.m2, z1=masses.z1,
+                z2=masses.z2, z_light=masses.z_light)
 
 
 def solve_terms(
-    masses: ThreeBodyMasses | None,
+    masses: ThreeBodyMasses,
     grid: HyperangularGrid,
     rho_grid,
     n_terms: int,
-    cluster: ClusterSpec | None = None,
-    mode: str = "coulomb",
     n_workers: int = 1,
 ) -> AdiabaticSolution:
-    """Adiabatic terms at every rho point.
+    """Adiabatic terms of the Coulomb system at every rho point.
 
-    Independent rho points may be dispatched to worker processes.  Only the
-    eigenvalues are kept: the sign fixing the couplings need leaves them
-    unchanged, so the basis is left to `solve_with_couplings`.
+    Each point is solved on the clustered grid of `build_grids` with the
+    default ClusterSpec and the three-pair Coulomb potential.  Independent
+    rho points may be dispatched to worker processes.  Only the eigenvalues
+    are kept: the sign fixing the couplings need leaves them unchanged, so
+    the basis is left to `solve_with_couplings`.
     """
     rho_grid = _checked_rho_grid(rho_grid)
-    jobs = [(masses, rho, grid, cluster, n_terms, mode) for rho in rho_grid]
+    jobs = [(masses, rho, grid, n_terms) for rho in rho_grid]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = _solve_batch(jobs, pool)
@@ -395,28 +368,26 @@ def solve_terms(
     return AdiabaticSolution(
         rho_grid=rho_grid,
         terms=np.array([vals for _, vals, _ in results]),
-        meta=_solution_meta(masses, grid, n_terms, mode),
+        meta=_solution_meta(masses, grid, n_terms),
     )
 
 
 def solve_with_couplings(
-    masses,
-    grid,
+    masses: ThreeBodyMasses,
+    grid: HyperangularGrid,
     rho_grid,
-    n_terms,
-    cluster=None,
-    mode="coulomb",
-    n_workers=1,
-    overlap_floor: float = 0.5,
+    n_terms: int,
+    n_workers: int = 1,
 ) -> AdiabaticSolution:
-    """Terms plus coupling tables, streamed over rho.
+    """Terms plus coupling tables of the Coulomb system, streamed over rho.
 
-    Solves rho points in chunks (optionally in parallel), fixes each basis's
-    signs against the previous accepted point, bisects an interval whose
-    smallest overlap falls below overlap_floor, and differences a rolling
-    window of three sign-fixed bases into the H/Q tables; memory stays
-    bounded for long rho grids.  H is the Gram matrix of the differenced
-    derivatives (symmetric PSD by construction); Q is antisymmetrized.
+    Solves rho points as `solve_terms` does, in chunks (optionally in
+    parallel), fixes each basis's signs against the previous accepted
+    point, bisects an interval whose smallest overlap falls below
+    OVERLAP_FLOOR, and differences a rolling window of three sign-fixed
+    bases into the H/Q tables; memory stays bounded for long rho grids.
+    H is the Gram matrix of the differenced derivatives (symmetric PSD by
+    construction); Q is antisymmetrized.
     """
     rho_grid = _checked_rho_grid(rho_grid)
     if rho_grid.size < 3:
@@ -432,7 +403,7 @@ def solve_with_couplings(
             todo = [r for r in pending[::-1] if r not in cache][:chunk]
             if rho not in todo:
                 todo.insert(0, rho)
-            batch = [(masses, r, grid, cluster, n_terms, mode) for r in todo]
+            batch = [(masses, r, grid, n_terms) for r in todo]
             cache.update(zip(todo, _solve_batch(batch, pool)))
         return cache.pop(rho)  # (tensor, vals, vecs)
 
@@ -444,7 +415,7 @@ def solve_with_couplings(
     max_bisect = 7
 
     def emit_couplings(k):
-        h, q = _couplings_at(bases, k, np.asarray(accepted_rho), overlap_floor)
+        h, q = _couplings_at(bases, k, np.asarray(accepted_rho))
         h_rows.append(h)
         q_rows.append(q)
 
@@ -454,7 +425,7 @@ def solve_with_couplings(
             rho = pending.pop()
             tensor, vals, vecs = solve_at(rho)
             ov = _fix_signs_against(bases.get(len(accepted_rho) - 1), tensor, vecs)
-            if ov < overlap_floor:
+            if ov < OVERLAP_FLOOR:
                 if depth >= max_bisect:
                     raise TrackingError(
                         f"basis continuity lost near rho={rho:.6g} "
@@ -486,7 +457,7 @@ def solve_with_couplings(
         terms=np.asarray(accepted_terms),
         h_table=np.asarray(h_rows),
         q_table=np.asarray(q_rows),
-        meta=_solution_meta(masses, grid, n_terms, mode),
+        meta=_solution_meta(masses, grid, n_terms),
     )
 
 
@@ -508,7 +479,7 @@ def _fix_signs_against(prev, tensor, vecs) -> float:
     return math.inf if prev is None else float(np.abs(signs).min())
 
 
-def _couplings_at(bases, k, rho, overlap_floor):
+def _couplings_at(bases, k, rho):
     """(H, Q) at accepted point k, by differencing over its stencil."""
     idx, wts = _fd_weights(rho, k)
     tensor, vecs = bases[k]
@@ -523,7 +494,7 @@ def _couplings_at(bases, k, rho, overlap_floor):
             ti, vi = bases[i]
             vals = ti.evaluate(vi, px, py)
             diag = np.einsum("xy,jxy,jxy->j", kern, here, vals)
-            if np.any(np.abs(diag) < overlap_floor):
+            if np.any(np.abs(diag) < OVERLAP_FLOOR):
                 j = int(np.argmin(np.abs(diag)))
                 raise TrackingError(
                     f"basis continuity lost between rho={rho[k]:.6g} and "
@@ -542,10 +513,6 @@ def orthonormality_defect(tensor: TensorGrid, vecs: np.ndarray) -> float:
     vals = _quad_values(tensor, vecs)
     gram = np.einsum("xy,jxy,Jxy->jJ", kern, vals, vals)
     return float(np.abs(gram - np.eye(vecs.shape[0])).max())
-
-
-def geometric_rho_grid(rho_min: float, rho_max: float, n: int) -> np.ndarray:
-    return np.geomspace(rho_min, rho_max, n)
 
 
 def refine_rho_grid(rho_grid: np.ndarray, terms: np.ndarray, n_extra: int):

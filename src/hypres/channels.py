@@ -106,7 +106,7 @@ class ThreeBodyMasses:
         z = self.z1 if heavy == 1 else self.z2
         return hydrogenic_energy(m, n=n, z=abs(z * self.z_light))
 
-    def channel_set(self, energies_and_masses: bool = True) -> ChannelSet:
+    def channel_set(self) -> ChannelSet:
         """Two-channel ChannelSet for the (atom1 + heavy2, atom2 + heavy1) pair.
 
         Channel ordering follows ascending threshold; for m1 > m2 the deeper

@@ -95,7 +95,7 @@ class FitResult:
     weight_mode: str
     iterations: int
     converged: bool
-    start: str  # which start won: "varpro" or "guess"
+    start: str  # which start won: "varpro", "guess", "guess 2", ...
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ def _linear_solve_at_pole(e1, e, k, w, model):
     return coefs, cost
 
 
-def _varpro_refine(e1_guess, e, k, w, model):
+def _varpro_refine(e, k, w, model):
     """Pole-position refinement by variable projection.
 
     The cost as a function of E1 alone (all linear parameters eliminated
@@ -363,42 +363,32 @@ def _varpro_refine(e1_guess, e, k, w, model):
     return np.array([e1, a1, a2, beta[0], beta[1]])
 
 
-def core_weights(samples, guess: BWPoleParams) -> np.ndarray:
-    """Down-weight samples within 0.1*Gamma_est of the pole.
-
-    Near the pole the entries are huge and their relative error dominates;
-    w = x^2/(1 + x^2) with x = |E - E1| / (0.1 Gamma_est) suppresses them
-    smoothly while keeping everything else at weight ~1.
-    """
-    gamma_est = resonance_from_pole(guess).Gamma
-    e = np.array([s.energy for s in samples])
-    x = np.abs(e - guess.E1) / (0.1 * gamma_est)
-    return x * x / (1.0 + x * x)
-
-
-def fit(problem: FitProblem, guess: BWPoleParams | None = None) -> FitResult:
+def fit(problem: FitProblem, guesses=None) -> FitResult:
     """Fit the pole form to the samples; returns parameters and report.
 
-    Two starts are polished by the damped Gauss-Newton iteration: the
-    variable-projection refinement of the guess ("varpro") and the guess
-    itself ("guess").  A start is admissible when its iteration converges
-    and its pole lies inside the sampled energies with at least
+    Each start is polished by the damped Gauss-Newton iteration: first the
+    variable-projection optimum of the pole position over the sample window
+    ("varpro"), then each of the guesses (BWPoleParams) in the given order
+    ("guess", "guess 2", ...); guesses=None means the one data-driven
+    initial_guess of the samples.  A start is admissible when its iteration
+    converges and its pole lies inside the sampled energies with at least
     POLE_SIDE_SAMPLES samples strictly on each side; a pole pushed onto
     the window edge with a collapsing residue is the "no resonance"
     minimum that noisy samples can offer, and it is rejected even when
-    its cost is lower.  The lowest-cost admissible result is returned.
+    its cost is lower.  The lowest-cost admissible result is returned, the
+    earliest start on a tie.
 
     Raises FitFailureError (carrying the best-so-far parameters) only when
     no start is admissible, and InconsistentFitError when the returned
     parameters imply a negative width.
     """
     e, k, w = problem.arrays()
-    if guess is None:
-        guess = initial_guess(problem.samples)
-    starts = (
-        ("varpro", _varpro_refine(guess.E1, e, k, w, problem.model)),
-        ("guess", _theta_from_params(guess, problem.model)),
-    )
+    if guesses is None:
+        guesses = (initial_guess(problem.samples),)
+    starts = [("varpro", _varpro_refine(e, k, w, problem.model))]
+    for i, guess in enumerate(guesses):
+        starts.append(("guess" if i == 0 else f"guess {i + 1}",
+                       _theta_from_params(guess, problem.model)))
     runs = []  # (cost, start, theta, iterations, why it is inadmissible)
     for name, theta0 in starts:
         theta, cost, n_iter, converged = _lm_minimize(
@@ -445,29 +435,23 @@ def fit(problem: FitProblem, guess: BWPoleParams | None = None) -> FitResult:
 def compare_models(samples, weights=None) -> ModelComparison:
     """Fit general and diagonal-background models to identical samples.
 
-    The general fit starts from both the data-driven guess and the diagonal
-    solution, keeping the better optimum, so its residual can never exceed
-    the diagonal one (nested models).  When the diagonal model has no
-    admissible start, the general model is fitted from the guess alone and
-    the comparison carries diagonal=None.
+    The diagonal model is fitted from its varpro start and the data-driven
+    guess.  The general model is then fitted once, from its varpro start,
+    the guess and the diagonal solution, keeping the lowest-cost admissible
+    optimum, so its residual can never exceed the diagonal one (nested
+    models).  When the diagonal model has no admissible start, the general
+    fit goes without the diagonal start and the comparison carries
+    diagonal=None.  FitFailureError from the general fit propagates.
     """
     guess = initial_guess(samples)
     try:
         diag = fit(FitProblem(samples=tuple(samples), weights=weights,
-                              model=MODEL_DIAGONAL), guess=guess)
+                              model=MODEL_DIAGONAL), guesses=(guess,))
     except FitFailureError:
         diag = None
-    best = None
-    for start in (guess,) if diag is None else (guess, diag.params):
-        try:
-            cand = fit(FitProblem(samples=tuple(samples), weights=weights,
-                                  model=MODEL_GENERAL), guess=start)
-        except FitFailureError:
-            continue
-        if best is None or cand.residual < best.residual:
-            best = cand
-    if best is None:
-        raise FitFailureError("general-model fit failed from all starting points")
+    best = fit(FitProblem(samples=tuple(samples), weights=weights,
+                          model=MODEL_GENERAL),
+               guesses=(guess,) if diag is None else (guess, diag.params))
     if diag is None:
         return ModelComparison(best, None, math.nan, math.nan)
     shift = abs(best.report.branching[1] - diag.report.branching[1])

@@ -303,8 +303,8 @@ def _analytic_solution(config: RunConfig):
 def _terms(config: RunConfig, expect: dict, out: Path):
     if config.kind != "three-body":
         return save_terms(out, _analytic_solution(config), expect)
-    from .adiabatic import geometric_rho_grid, solve_terms
-    rho_grid = geometric_rho_grid(
+    from .adiabatic import solve_terms
+    rho_grid = np.geomspace(
         config.get("basis", "rho_min", float),
         config.get("basis", "rho_max", float),
         config.get("basis", "n_rho", int),

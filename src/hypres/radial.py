@@ -67,6 +67,8 @@ ASYMMETRY_LIMIT = 1e-4
 START_VECTOR_SEED = 0
 # pencil rows per banded solve in propagate_ratio: bounds its workspace
 CHUNK_ROWS = 256
+# build_grid's step target: points per local wavelength of the stiffest channel
+POINTS_PER_WAVE = 40.0
 
 
 @dataclass(frozen=True)
@@ -108,31 +110,25 @@ class RadialProblem:
         rho_start=None,
         rho_match=None,
         include_rho_term=True,
-        n_channels=None,
     ) -> "RadialProblem":
         """Build from per-rho tables (the coupling-file contract).
 
-        Tables are interpolated by cubic splines; thresholds default to the
-        term values at the last table point.  n_channels < table width
-        truncates the retained basis.
+        Tables are interpolated by cubic splines and every table channel is
+        kept; thresholds default to the term values at the last table point.
         """
         rho_table = np.asarray(rho_table, dtype=float)
         eps_table = np.asarray(eps_table, dtype=float)
-        n_full = eps_table.shape[1]
-        n = n_full if n_channels is None else int(n_channels)
-        if not 1 <= n <= n_full:
-            raise ValidationError(f"n_channels must be in [1, {n_full}]")
-        eps_sp = CubicSpline(rho_table, eps_table[:, :n], axis=0)
+        eps_sp = CubicSpline(rho_table, eps_table, axis=0)
         h_sp = q_sp = None
         if h_table is not None:
-            h_sp = CubicSpline(rho_table, np.asarray(h_table)[:, :n, :n], axis=0)
+            h_sp = CubicSpline(rho_table, np.asarray(h_table), axis=0)
         if q_table is not None:
-            q_sp = CubicSpline(rho_table, np.asarray(q_table)[:, :n, :n], axis=0)
+            q_sp = CubicSpline(rho_table, np.asarray(q_table), axis=0)
         if thresholds is None:
-            thresholds = eps_table[-1, :n]
+            thresholds = eps_table[-1]
         return cls(
-            n_channels=n,
-            thresholds=np.asarray(thresholds, dtype=float)[:n],
+            n_channels=eps_table.shape[1],
+            thresholds=np.asarray(thresholds, dtype=float),
             eps=eps_sp,
             h_mat=h_sp,
             q_mat=q_sp,
@@ -140,16 +136,6 @@ class RadialProblem:
             rho_match=float(rho_match if rho_match is not None else rho_table[-1]),
             include_rho_term=include_rho_term,
         )
-
-    def coupling_range_ok(self, tol: float = 1e-6) -> bool:
-        """True when off-diagonal couplings at rho_match are below tol."""
-        total = 0.0
-        if self.h_mat is not None:
-            h = np.asarray(self.h_mat(self.rho_match))
-            total += float(np.abs(h - np.diag(np.diag(h))).max())
-        if self.q_mat is not None:
-            total += float(np.abs(self.q_mat(self.rho_match)).max())
-        return total <= tol
 
     def w_bare(self, rho) -> np.ndarray:
         """diag(eps) + H + Q^2 (+ barrier term), before the gauge rotation;
@@ -279,23 +265,22 @@ def build_grid(
     problem: RadialProblem,
     rho_end: float | None = None,
     h_max: float = 0.05,
-    e_ref: float | None = None,
-    points_per_wave: float = 40.0,
 ) -> RadialGrid:
-    """Adapted-step master grid: h halves wherever the local wavenumber asks.
+    """Adapted-step master grid on [rho_start, rho_end], steps at most h_max.
 
-    The step targets points_per_wave points per local wavelength of the
-    stiffest channel; joins land in the strongly repulsive small-rho region.
+    h halves wherever the local wavenumber asks: the step targets
+    POINTS_PER_WAVE points per local wavelength of the stiffest channel,
+    measured from one unit above the highest threshold.  Joins land in the
+    strongly repulsive small-rho region.
     """
     rho_end = problem.rho_match if rho_end is None else float(rho_end)
-    if e_ref is None:
-        e_ref = float(np.max(problem.thresholds)) + 1.0
+    e_ref = float(np.max(problem.thresholds)) + 1.0
 
     def h_required(rho):
         w = problem.w_bare(rho)
         kap_sq = np.max(np.abs(np.linalg.eigvalsh(w) - e_ref))
         kap = math.sqrt(max(kap_sq, 1e-12))
-        return min(h_max, 2.0 * math.pi / (points_per_wave * kap))
+        return min(h_max, 2.0 * math.pi / (POINTS_PER_WAVE * kap))
 
     pieces = []
     rho = problem.rho_start

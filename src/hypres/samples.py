@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -40,23 +41,22 @@ def write_samples(path, samples, header_lines=()) -> None:
 
 
 def read_samples(path) -> list[KSample]:
+    """Rows of write_samples: 7 fields, E and K finite; else ValidationError."""
     samples = []
     with open(path) as fh:
-        for raw in fh:
+        for n, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}, line {n}"
             parts = line.split()
-            if len(parts) < 4:
-                raise ValidationError(f"malformed sample row: {line!r}")
-            e, k11, k12, k22 = (float(x) for x in parts[:4])
-            defect = float(parts[4]) if len(parts) > 4 else 0.0
-            alpha = float(parts[5]) if len(parts) > 5 else float("nan")
-            branch = int(parts[6]) if len(parts) > 6 else -1
-            samples.append(
-                KSample(
-                    energy=e, k11=k11, k12=k12, k22=k22,
-                    defect=defect, alpha=alpha, branch=branch,
-                )
-            )
+            if len(parts) != 7:
+                raise ValidationError(f"{where}: {len(parts)} fields, expected 7")
+            try:
+                values = [float(x) for x in parts[:6]] + [int(parts[6])]
+            except ValueError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
+            if not all(math.isfinite(x) for x in values[:4]):
+                raise ValidationError(f"{where}: non-finite E or K entry")
+            samples.append(KSample(*values))
     return samples

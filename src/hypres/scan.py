@@ -256,12 +256,12 @@ def sample_k(
     problem: RadialProblem,
     window: ResonanceWindow,
     grid: RadialGrid | None = None,
-    defect_limit: float = 1e-4,
 ) -> list[KSample]:
     """K(E) at every window energy; duplicate energies removed.
 
     Energies are batched through one propagation sweep; each sample records
-    its asymmetry defect and (alpha, branch) provenance.
+    its asymmetry defect and (alpha, branch) provenance.  A defect above
+    radial.ASYMMETRY_LIMIT raises MatchingQualityError.
     """
     if window.n_samples == 0:
         raise ValidationError("empty resonance window")
@@ -285,8 +285,7 @@ def sample_k(
         )
     energies = energies[two_open]
     prov = [p for p, ok in zip(prov, two_open) if ok]
-    mats, defects = radial.extract_k(problem, energies, grid=grid,
-                                     defect_limit=defect_limit)
+    mats, defects = radial.extract_k(problem, energies, grid=grid)
     out = [
         KSample(
             energy=km.energy, k11=float(km.entries[0, 0]),

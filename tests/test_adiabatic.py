@@ -8,6 +8,7 @@ import pytest
 from hypres.adiabatic import (
     ClusterSpec,
     HyperangularGrid,
+    assemble_adiabatic_operator,
     coalescence_points,
     coulomb_potential,
     orthonormality_defect,
@@ -168,11 +169,13 @@ class TestFileContract:
 
 class TestOperatorPair:
     def test_adiabatic_pair_matches_point_solve(self):
-        from hypres.adiabatic import adiabatic_pair
         import scipy.sparse.linalg as spla
 
         rho = 40.0
-        a, b, tensor = adiabatic_pair(DTMU, rho, GRID_COARSE)
+        tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
+        a, b = assemble_adiabatic_operator(
+            tensor, rho, coulomb_potential(DTMU, rho)
+        )
         direct, _ = solve_adiabatic_point(
             tensor, rho, 2,
             potential=coulomb_potential(DTMU, rho), masses=DTMU,

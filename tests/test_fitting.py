@@ -6,15 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypres import fitting
 from hypres.breit_wigner import BWPoleParams, bw_k, resonance_from_pole
 from hypres.errors import BracketError, FitFailureError, ValidationError
-from hypres.fitting import (
-    FitProblem,
-    compare_models,
-    core_weights,
-    fit,
-    initial_guess,
-)
+from hypres.fitting import FitProblem, compare_models, fit, initial_guess
 from hypres.pipeline import _fit_weights
 from hypres.samples import KSample, read_samples, write_samples
 
@@ -148,14 +143,6 @@ class TestRoundTrip:
             vals = bw_k(km, e).entries
             assert np.abs(vals).min() > 1e6  # every entry blows up together
 
-    def test_core_weights_shape(self):
-        samples = synthesize(TRUTH, sample_grid())
-        w = core_weights(samples, TRUTH)
-        assert w.shape == (len(samples),)
-        assert np.all((0 <= w) & (w <= 1))
-        inner = np.argmin([abs(s.energy - TRUTH.E1) for s in samples])
-        assert w[inner] == w.min()
-
 
 class TestAdmissiblePole:
     def test_coarse_three_body_samples(self):
@@ -209,6 +196,30 @@ class TestModelComparison:
         cmp_ = compare_models(samples)
         assert cmp_.general.residual <= cmp_.diagonal.residual * (1 + 1e-12)
 
+    def test_general_start_polished_once(self, monkeypatch):
+        # both models admissible: the general fit computes its varpro start
+        # once and polishes each distinct start (varpro, guess, diagonal
+        # solution) exactly once
+        samples = synthesize(TRUTH, sample_grid())
+        starts, refined = [], []
+        lm_minimize, varpro_refine = fitting._lm_minimize, fitting._varpro_refine
+
+        def recording_lm(theta0, e, k, w, model):
+            starts.append((model, tuple(theta0)))
+            return lm_minimize(theta0, e, k, w, model)
+
+        def recording_refine(*args):
+            refined.append(args[-1])  # the model is the last argument
+            return varpro_refine(*args)
+
+        monkeypatch.setattr(fitting, "_lm_minimize", recording_lm)
+        monkeypatch.setattr(fitting, "_varpro_refine", recording_refine)
+        cmp_ = compare_models(samples)
+        assert cmp_.diagonal is not None
+        general = [theta for model, theta in starts if model == "general"]
+        assert refined.count("general") == 1
+        assert len(general) == len(set(general)) == 3
+
     @pytest.mark.parametrize("weighting", ["relative", "uniform"])
     def test_diagonal_without_admissible_start(self, weighting):
         # on these samples only the general model has an admissible start:
@@ -223,7 +234,8 @@ class TestModelComparison:
         assert math.isnan(cmp_.residual_ratio)
         assert math.isnan(cmp_.branching_shift)
         alone = fit(FitProblem(samples=tuple(samples), weights=weights,
-                               model="general"), guess=initial_guess(samples))
+                               model="general"),
+                    guesses=(initial_guess(samples),))
         assert cmp_.general.params == alone.params
 
     def test_older_coarse_samples_fit_both_models(self):
@@ -267,3 +279,16 @@ class TestSampleIO:
         for a, b in zip(samples, back):
             assert a.energy == b.energy
             assert a.k11 == b.k11 and a.k12 == b.k12 and a.k22 == b.k22
+
+    @pytest.mark.parametrize("row", [
+        "1.0 0.1 0.2 0.3 0.0 nan",  # six fields
+        "1.0 0.1 0.2 0.3 0.0 nan -1 7.0",  # eight fields
+        "1.0 0.1 inf 0.3 0.0 nan -1",  # non-finite K entry
+    ], ids=["six-fields", "eight-fields", "non-finite-k"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        # a row of seven fields with alpha = nan is read; the bad row is not
+        path = tmp_path / "k.dat"
+        path.write_text("# columns: E K11 K12 K22 defect alpha branch\n"
+                        f"0.5 0.1 0.2 0.3 0.0 nan -1\n{row}\n")
+        with pytest.raises(ValidationError, match=r"k\.dat, line 3"):
+            read_samples(path)

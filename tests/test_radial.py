@@ -486,9 +486,3 @@ class TestTablesPath:
         k1 = extract_k(toy_problem, e, grid=g1)[0][0].entries
         k2 = extract_k(tab, e, grid=g2)[0][0].entries
         assert np.abs(k1 - k2).max() < 1e-6
-
-    def test_coupling_range_check(self, toy):
-        from dataclasses import replace
-
-        assert toy.problem().coupling_range_ok()
-        assert not replace(toy.problem(), rho_match=3.0).coupling_range_ok()

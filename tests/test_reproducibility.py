@@ -30,8 +30,6 @@ import hypres
 from hypres.pipeline import RunConfig, run_pipeline
 from test_three_body_pipeline import INI as THREE_BODY_INI
 
-pytestmark = pytest.mark.slow
-
 TOY_INI = Path(__file__).resolve().parents[1] / "configs" / "toy.ini"
 ARTIFACTS = (
     "terms.dat", "couplings.dat", "branches.dat", "windows.dat",
@@ -62,6 +60,7 @@ def artifact_bytes(base: Path) -> dict:
     }
 
 
+@pytest.mark.slow
 def test_artifacts_byte_identical(tmp_path):
     here = tmp_path / "in-process"
     run_stages(here)
