@@ -324,6 +324,10 @@ def _solve_one(args):
     return tensor, vals, vecs
 
 
+def _terms_one(args):
+    return _solve_one(args)[1]
+
+
 def _solve_batch(jobs, pool):
     if pool is None:
         return [_solve_one(j) for j in jobs]
@@ -354,20 +358,22 @@ def solve_terms(
 
     Each point is solved on the clustered grid of `build_grids` with the
     default ClusterSpec and the three-pair Coulomb potential.  Independent
-    rho points may be dispatched to worker processes.  Only the eigenvalues
-    are kept: the sign fixing the couplings need leaves them unchanged, so
-    the basis is left to `solve_with_couplings`.
+    rho points may be dispatched to worker processes.  Each point returns
+    only its eigenvalues (a worker sends back n_terms floats), so no grid
+    or basis outlives its point: the sign fixing the couplings need leaves
+    the eigenvalues unchanged, and the bases are left to
+    `solve_with_couplings`.
     """
     rho_grid = _checked_rho_grid(rho_grid)
     jobs = [(masses, rho, grid, n_terms) for rho in rho_grid]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = _solve_batch(jobs, pool)
+            terms = list(pool.map(_terms_one, jobs, chunksize=1))
     else:
-        results = _solve_batch(jobs, None)
+        terms = [_terms_one(j) for j in jobs]
     return AdiabaticSolution(
         rho_grid=rho_grid,
-        terms=np.array([vals for _, vals, _ in results]),
+        terms=np.array(terms),
         meta=_solution_meta(masses, grid, n_terms),
     )
 

@@ -1,6 +1,7 @@
 """Adiabatic terms, couplings and their invariants for Coulomb systems."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,12 +187,40 @@ class TestOperatorPair:
 
 
 class TestParallelWorkers:
+    # n_workers never changes bytes: workers must give the serial answer
+    # bit for bit
+    RHO_GRID = np.linspace(20.0, 24.0, 5)
+    GRID = HyperangularGrid(n_chi=21, n_theta=21)
+
     def test_two_workers_match_sequential(self):
-        rho_grid = np.linspace(20.0, 24.0, 5)
-        grid = HyperangularGrid(n_chi=21, n_theta=21)
-        seq = solve_terms(DTMU, grid, rho_grid, 2)
-        par = solve_terms(DTMU, grid, rho_grid, 2, n_workers=2)
-        assert np.abs(seq.terms - par.terms).max() < 1e-12
+        seq = solve_terms(DTMU, self.GRID, self.RHO_GRID, 2)
+        par = solve_terms(DTMU, self.GRID, self.RHO_GRID, 2, n_workers=2)
+        assert np.array_equal(seq.terms, par.terms)
+
+    def test_two_workers_match_sequential_couplings(self):
+        seq = solve_with_couplings(DTMU, self.GRID, self.RHO_GRID, 2)
+        par = solve_with_couplings(DTMU, self.GRID, self.RHO_GRID, 2,
+                                   n_workers=2)
+        for name in ("rho_grid", "terms", "h_table", "q_table"):
+            assert np.array_equal(getattr(seq, name), getattr(par, name)), name
+
+
+class TestMemory:
+    def test_solve_terms_peak_independent_of_points(self):
+        # a point's grid and basis are dropped once its eigenvalues are
+        # read, so the traced peak must not grow with the number of points
+        def peak(n_points):
+            tracemalloc.start()
+            try:
+                solve_terms(DTMU, GRID_COARSE,
+                            np.linspace(20.0, 30.0, n_points), 4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        solve_terms(DTMU, GRID_COARSE, np.linspace(20.0, 30.0, 4), 4)
+        growth = peak(16) - peak(4)
+        assert growth < 0.3e6, growth
 
 
 class TestValidationPaths:

@@ -27,6 +27,7 @@ from hypres.radial import (
     propagate_ratio,
     stabilization_eigenvalues,
 )
+from hypres.scan import N_BUFFER
 from oracles import k_matrix_direct
 
 
@@ -351,6 +352,23 @@ class TestBandedKernel:
         vals = stabilization_eigenvalues(prob, alpha, n_levels, grid=grid,
                                          sigma=sigma)
         assert np.abs(vals - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("alpha", [8.0, 16.0, 24.0])
+    def test_box_eigenpairs_at_scan_size(self, toy_problem, toy_scan_config,
+                                         alpha):
+        # the scan tracks branches by the overlap of these vectors: at its
+        # own k they must be A1-orthonormal eigenpairs of the pencil
+        k = toy_scan_config.n_levels + N_BUFFER
+        grid = build_grid(toy_problem, rho_end=24.0, h_max=0.04)
+        last = grid.index_of(alpha)
+        a0, a1 = dense_pencil(grid, last)
+        vals, vecs = stabilization_eigenvalues(toy_problem, alpha, k, grid=grid,
+                                               return_vectors=True)
+        assert vecs.shape == (a0.shape[0], k)
+        gram = vecs.T @ a1 @ vecs
+        assert np.abs(gram - np.eye(k)).max() <= 1e-10
+        residual = np.linalg.norm(a0 @ vecs - (a1 @ vecs) * vals, axis=0)
+        assert residual.max() <= 1e-9 * np.linalg.norm(a0, 2)
 
     @pytest.mark.parametrize("model", ["toy", "coupled_wells4"])
     def test_propagate_ratio_matches_recursion(self, model):
