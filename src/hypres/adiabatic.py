@@ -35,7 +35,6 @@ from .channels import ThreeBodyMasses
 from .errors import AssemblyError, EigensolverError, TrackingError, ValidationError
 from .fem import Grid1D, TensorGrid, mass_matrix, stiffness_matrix
 
-ORTHO_TOL = 1e-5
 # smallest |overlap| of a term with its previous-point continuation before
 # the rho interval is bisected (and, between differenced points, an error)
 OVERLAP_FLOOR = 0.5
@@ -191,14 +190,14 @@ def assemble_adiabatic_operator(tensor: TensorGrid, rho: float, potential=None):
     """
     if rho <= 0.0:
         raise AssemblyError(f"rho must be positive, got {rho!r}")
-    gx, gy, nq = tensor.gx, tensor.gy, tensor.n_quad
+    gx, gy = tensor.gx, tensor.gy
     sin2 = lambda x: np.sin(x) ** 2
     sin1 = np.sin
-    k_chi = stiffness_matrix(gx, sin2, nq)
-    m0_chi = mass_matrix(gx, None, nq)
-    m2_chi = mass_matrix(gx, sin2, nq)
-    k_th = stiffness_matrix(gy, sin1, nq)
-    m_th = mass_matrix(gy, sin1, nq)
+    k_chi = stiffness_matrix(gx, sin2)
+    m0_chi = mass_matrix(gx)
+    m2_chi = mass_matrix(gx, sin2)
+    k_th = stiffness_matrix(gy, sin1)
+    m_th = mass_matrix(gy, sin1)
 
     a = (4.0 / rho**2) * (sp.kron(k_chi, m_th) + sp.kron(m0_chi, k_th))
     if potential is not None:

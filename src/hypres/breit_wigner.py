@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 
-RANK_TOL_DEFAULT = 1e-8
+RANK_TOL = 1e-8
 WIDTH_TOL = 1e-10
 DEGENERACY_TOL = 1e-14
 ILL_CONDITIONED_PHASE = 1.5  # rad; |Delta_j| beyond this flags a huge background
@@ -55,7 +55,7 @@ class BWPoleParams:
     """Six-parameter pole form of the reaction matrix (plus signed b).
 
     b carries the physical sign of the off-diagonal residue; the rank-1
-    constraint |b1 b2 - b^2| <= tol_rank * max(b1 b2, b^2) is enforced at
+    constraint |b1 b2 - b^2| <= RANK_TOL * max(b1 b2, b^2) is enforced at
     construction.  Prefer `from_amplitudes`, which makes it exact.
     """
 
@@ -66,7 +66,6 @@ class BWPoleParams:
     b1: float
     b2: float
     b: float
-    tol_rank: float = 1e-8
 
     def __post_init__(self):
         if self.b1 < 0.0 or self.b2 < 0.0:
@@ -74,10 +73,10 @@ class BWPoleParams:
         prod = self.b1 * self.b2
         sq = self.b * self.b
         defect = abs(prod - sq)
-        if defect > self.tol_rank * max(prod, sq, 0.0) and defect > 0.0:
+        if defect > RANK_TOL * max(prod, sq, 0.0) and defect > 0.0:
             raise ValidationError(
                 f"residue not rank-1: |b1*b2 - b^2| = {defect:.3e} exceeds "
-                f"tolerance {self.tol_rank:.1e} * {max(prod, sq):.3e}"
+                f"tolerance {RANK_TOL:.1e} * {max(prod, sq):.3e}"
             )
 
     @classmethod
@@ -113,10 +112,6 @@ class ResonanceReport:
     mixing_angle: float
     beta_tilde: tuple[float, float]
     beta: tuple[complex, complex]
-    d: float
-    f: float
-    g: float
-    h: float
     degenerate_background: bool = False
     ill_conditioned_background: bool = False
 
@@ -226,10 +221,6 @@ def resonance_from_pole(params: BWPoleParams) -> ResonanceReport:
         mixing_angle=nu,
         beta_tilde=(bt1, bt2),
         beta=(complex(beta1), complex(beta2)),
-        d=d,
-        f=f,
-        g=g,
-        h=h,
         degenerate_background=degenerate,
         ill_conditioned_background=max(abs(d1), abs(d2)) > ILL_CONDITIONED_PHASE,
     )

@@ -3,9 +3,10 @@
 One-dimensional quadratic elements (3 nodes each, shared endpoints, so a
 grid with n elements has 2n+1 nodes) are combined by tensor product into a
 2D basis.  Weighted mass/stiffness matrices are assembled per element with
-Gauss-Legendre quadrature; separable operator terms use Kronecker products
-of 1D matrices and non-separable terms (the potential) are assembled from
-2D element blocks.
+Gauss-Legendre quadrature of N_QUAD = 4 points per element and dimension
+(exact to polynomial degree 7); separable operator terms use Kronecker
+products of 1D matrices and non-separable terms (the potential) are
+assembled from 2D element blocks.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ValidationError
+
+N_QUAD = 4
+# samples of the density on [a, b] whose trapezoid CDF places from_density's
+# element boundaries
+DENSITY_SAMPLES = 4096
 
 # Quadratic shape functions and derivatives on the reference element [-1, 1].
 
@@ -64,11 +70,11 @@ class Grid1D:
         return cls(np.linspace(a, b, n_nodes))
 
     @classmethod
-    def from_density(cls, a, b, n_nodes, density, resolution=4096) -> "Grid1D":
+    def from_density(cls, a, b, n_nodes, density) -> "Grid1D":
         """Place element boundaries by equal increments of the density CDF."""
         if n_nodes < 3 or n_nodes % 2 == 0:
             raise ValidationError(f"node count must be odd >= 3, got {n_nodes}")
-        x = np.linspace(a, b, resolution)
+        x = np.linspace(a, b, DENSITY_SAMPLES)
         w = np.asarray(density(x), dtype=float)
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValidationError("density must be positive and finite")
@@ -82,9 +88,9 @@ class Grid1D:
         nodes[1::2] = 0.5 * (bounds[:-1] + bounds[1:])
         return cls(nodes)
 
-    def quadrature(self, n_quad: int = 4):
-        """Gauss points/weights mapped to every element: arrays (n_el, n_quad)."""
-        xi, wq = np.polynomial.legendre.leggauss(n_quad)
+    def quadrature(self):
+        """Gauss points/weights mapped to every element: arrays (n_el, N_QUAD)."""
+        xi, wq = np.polynomial.legendre.leggauss(N_QUAD)
         left = self.boundaries[:-1][:, None]
         right = self.boundaries[1:][:, None]
         jac = 0.5 * (right - left)
@@ -111,14 +117,14 @@ class Grid1D:
         )
 
 
-def _element_tables(grid: Grid1D, n_quad: int):
+def _element_tables(grid: Grid1D):
     """Shape values/derivatives and mapped weights at all element Gauss points."""
-    xi, wq = np.polynomial.legendre.leggauss(n_quad)
-    pts, wts = grid.quadrature(n_quad)
-    shp = _shapes(xi)  # (n_quad, 3)
+    xi, wq = np.polynomial.legendre.leggauss(N_QUAD)
+    pts, wts = grid.quadrature()
+    shp = _shapes(xi)  # (N_QUAD, 3)
     jac = 0.5 * np.diff(grid.boundaries)  # (n_el,)
-    dshp = _dshapes(xi)[None, :, :] / jac[:, None, None]  # (n_el, n_quad, 3)
-    return pts, wts, np.broadcast_to(shp, (grid.n_elements, n_quad, 3)), dshp
+    dshp = _dshapes(xi)[None, :, :] / jac[:, None, None]  # (n_el, N_QUAD, 3)
+    return pts, wts, np.broadcast_to(shp, (grid.n_elements, N_QUAD, 3)), dshp
 
 
 def _assemble_1d(grid: Grid1D, kernel: np.ndarray, table: np.ndarray) -> sp.csr_matrix:
@@ -134,16 +140,16 @@ def _assemble_1d(grid: Grid1D, kernel: np.ndarray, table: np.ndarray) -> sp.csr_
     return mat.tocsr()
 
 
-def mass_matrix(grid: Grid1D, weight=None, n_quad: int = 4) -> sp.csr_matrix:
+def mass_matrix(grid: Grid1D, weight=None) -> sp.csr_matrix:
     """1D weighted mass matrix: integral of u_a u_b w(x) dx."""
-    pts, wts, shp, _ = _element_tables(grid, n_quad)
+    pts, wts, shp, _ = _element_tables(grid)
     kernel = wts if weight is None else wts * weight(pts)
     return _assemble_1d(grid, kernel, shp)
 
 
-def stiffness_matrix(grid: Grid1D, weight=None, n_quad: int = 4) -> sp.csr_matrix:
+def stiffness_matrix(grid: Grid1D, weight=None) -> sp.csr_matrix:
     """1D weighted stiffness matrix: integral of u_a' u_b' w(x) dx."""
-    pts, wts, _, dshp = _element_tables(grid, n_quad)
+    pts, wts, _, dshp = _element_tables(grid)
     kernel = wts if weight is None else wts * weight(pts)
     return _assemble_1d(grid, kernel, dshp)
 
@@ -154,7 +160,6 @@ class TensorGrid:
 
     gx: Grid1D
     gy: Grid1D
-    n_quad: int = 4
 
     @property
     def n_dof(self) -> int:
@@ -162,8 +167,8 @@ class TensorGrid:
 
     def quad_points(self):
         """Full tensor quadrature: x pts, y pts (flattened per dim)."""
-        px, wx = self.gx.quadrature(self.n_quad)
-        py, wy = self.gy.quadrature(self.n_quad)
+        px, wx = self.gx.quadrature()
+        py, wy = self.gy.quadrature()
         return px.ravel(), wx.ravel(), py.ravel(), wy.ravel()
 
     def evaluate(self, coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -199,12 +204,11 @@ class TensorGrid:
 
     def potential_matrix(self, fn, wx_fn=None, wy_fn=None) -> sp.csr_matrix:
         """Assemble integral of phi_i phi_j f(x,y) w(x) w(y) dx dy."""
-        nq = self.n_quad
         kern = self.weighted_kernel(fn=fn, wx_fn=wx_fn, wy_fn=wy_fn)
         nex, ney = self.gx.n_elements, self.gy.n_elements
-        kern = kern.reshape(nex, nq, ney, nq)
-        _, _, sx, _ = _element_tables(self.gx, nq)
-        _, _, sy, _ = _element_tables(self.gy, nq)
+        kern = kern.reshape(nex, N_QUAD, ney, N_QUAD)
+        _, _, sx, _ = _element_tables(self.gx)
+        _, _, sy, _ = _element_tables(self.gy)
         # local (ex, ey, a, A, b, B) blocks over both quadrature indices
         local = np.einsum("xqyr,xqa,xqA,yrb,yrB->xyaAbB", kern, sx, sx, sy, sy,
                           optimize=True)

@@ -90,11 +90,9 @@ class FitResult:
     params: BWPoleParams
     report: ResonanceReport
     residual: float  # rms misfit per matrix entry, weighted
-    rank_defect: float
     model: str
     weight_mode: str
     iterations: int
-    converged: bool
     start: str  # which start won: "varpro", "guess", "guess 2", ...
 
 
@@ -423,11 +421,9 @@ def fit(problem: FitProblem, guesses=None) -> FitResult:
         params=params,
         report=report,
         residual=residual,
-        rank_defect=params.rank_defect,
         model=problem.model,
         weight_mode=weight_mode,
         iterations=n_iter,
-        converged=True,
         start=start,
     )
 

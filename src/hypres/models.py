@@ -73,7 +73,6 @@ class TwoChannelToy:
 
     def problem(self) -> RadialProblem:
         return RadialProblem(
-            n_channels=2,
             thresholds=self.thresholds,
             eps=self.eps,
             h_mat=self.h_mat,
@@ -106,7 +105,6 @@ class BoxMode:
             return np.full(np.shape(rho) + (1,), c)
 
         return RadialProblem(
-            n_channels=1,
             thresholds=np.array([c]),
             eps=eps,
             rho_start=self.rho_start,
@@ -145,7 +143,6 @@ def coupled_wells(n_channels: int = 4):
         return h
 
     return RadialProblem(
-        n_channels=n_channels,
         thresholds=thresholds,
         eps=eps,
         h_mat=h_mat,

@@ -95,7 +95,6 @@ DEFAULTS = {
         "directory": "out",
     },
     "toy": {},
-    "box": {},
 }
 
 
@@ -129,13 +128,13 @@ class RunConfig:
             return raw.strip().lower() in ("1", "true", "yes", "on")
         return cast(raw)
 
-    def get_optional(self, section: str, key: str, cast=float):
+    def get_optional(self, section: str, key: str) -> float | None:
         try:
             raw = self.parser.get(section, key)
         except (configparser.NoSectionError, configparser.NoOptionError):
             return None
         raw = raw.strip()
-        return cast(raw) if raw else None
+        return float(raw) if raw else None
 
     def canonical(self, sections) -> str:
         """Normalized text of the given sections (for digests)."""
@@ -176,10 +175,6 @@ class RunConfig:
         from .models import TwoChannelToy
         return TwoChannelToy(**self._floats("toy"))
 
-    def box(self):
-        from .models import BoxMode
-        return BoxMode(**self._floats("box"))
-
 
 def _fresh_parser() -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
@@ -196,12 +191,13 @@ class Stage:
     """One row of the stage table.
 
     sections are the config sections whose digest the header records
-    ("basis" stands for the system kind's own section: [basis], [toy] or
-    [box]); outputs are the files the stage writes, the last one being its
-    result; inputs are the files that must be fresh before it runs;
-    digested is the input whose file digest the header records; header
-    names the parameters the header records; params are the parameters the
-    stage takes besides the configuration.  File names may use {resonance}.
+    ("basis" stands for the system kind's own section: [toy] for the toy
+    kind, [basis] for three-body); outputs are the files the stage writes,
+    the last one being its result; inputs are the files that must be fresh
+    before it runs; digested is the input whose file digest the header
+    records; header names the parameters the header records; params are the
+    parameters the stage takes besides the configuration.  File names may
+    use {resonance}.
     """
 
     name: str
@@ -213,9 +209,6 @@ class Stage:
     digested: str | None = None
     header: tuple = ()
     params: tuple = ()
-
-
-_KIND_SECTION = {"toy": "toy", "box": "box"}  # anything else reads [basis]
 
 
 def _check_cache(path: Path, expect: dict) -> bool:
@@ -234,7 +227,7 @@ def _check_cache(path: Path, expect: dict) -> bool:
 def _expect(stage: Stage, config: RunConfig, params: dict) -> dict:
     """Header of a fresh output of stage under config and params; header
     parameters absent from params are not checked."""
-    kind_section = _KIND_SECTION.get(config.kind, "basis")
+    kind_section = "toy" if config.kind == "toy" else "basis"
     sections = [kind_section if s == "basis" else s for s in stage.sections]
     expect = {"config-digest": config.digest(sections)}
     if stage.digested is not None:
@@ -284,18 +277,13 @@ def _hyperangular_grid(config: RunConfig):
 
 
 def _analytic_solution(config: RunConfig):
-    """Terms and H/Q tables of the analytic kinds, in the FEM solve's form."""
+    """Terms and H/Q tables of the toy kind, the one analytic kind, in the
+    FEM solve's form; any other kind but three-body is a ConfigError."""
     from .adiabatic import AdiabaticSolution
     kind = config.kind
-    if kind == "toy":
-        rho, eps, h, q = config.toy().tables()
-    elif kind == "box":
-        box = config.box()
-        rho = np.linspace(box.rho_start, box.rho_match, 400)
-        eps = np.full((rho.size, 1), box.offset)
-        h = q = np.zeros((rho.size, 1, 1))
-    else:
+    if kind != "toy":
         raise ConfigError(f"no analytic tables for kind={kind!r}")
+    rho, eps, h, q = config.toy().tables()
     return AdiabaticSolution(rho_grid=rho, terms=eps, h_table=h, q_table=q,
                              meta={"kind": kind})
 
@@ -332,21 +320,24 @@ def _couplings(config: RunConfig, expect: dict, out: Path):
     save_couplings(out, sol, expect)
 
 
-def _radial_problem(config: RunConfig):
-    from .radial import RadialProblem
+def _radial_setup(config: RunConfig):
+    """The radial problem of couplings.dat and its one master grid, which
+    ends at rho_match: the scan's boxes and the sample's K match share it."""
+    from .radial import RadialProblem, build_grid
     rho, eps, h, q, _ = load_couplings(config.out_dir() / "couplings.dat")
-    kind = config.kind
-    if kind == "three-body":
+    if config.kind == "toy":
+        toy = config.toy()
+        rho_start, rho_match, include = toy.rho_start, toy.rho_match, False
+    else:
         rho_start = config.get("radial", "rho_start", float)
         rho_match = config.get("radial", "rho_match", float)
         include = config.get("radial", "include_rho_term", bool)
-    else:
-        model = config.toy() if kind == "toy" else config.box()
-        rho_start, rho_match, include = model.rho_start, model.rho_match, False
-    return RadialProblem.from_tables(
+    problem = RadialProblem.from_tables(
         rho, eps, h, q,
         rho_start=rho_start, rho_match=rho_match, include_rho_term=include,
     )
+    h_max = config.get("radial", "h_max", float)
+    return problem, build_grid(problem, h_max=h_max)
 
 
 def _scan_config(config: RunConfig, problem):
@@ -371,14 +362,9 @@ def _scan_config(config: RunConfig, problem):
 
 
 def _scan(config: RunConfig, expect: dict, out_b: Path, out_w: Path):
-    from .radial import build_grid
     from .scan import detect_resonances, scan_branches
-    problem = _radial_problem(config)
+    problem, grid = _radial_setup(config)
     cfg = _scan_config(config, problem)
-    h_max = config.get("radial", "h_max", float)
-    grid = build_grid(
-        problem, rho_end=max(cfg.alpha_max, problem.rho_match), h_max=h_max
-    )
     spectrum = scan_branches(problem, cfg, grid=grid)
     rows = np.hstack([spectrum.alpha_grid[:, None], spectrum.levels])
     write_table(
@@ -402,28 +388,28 @@ def _scan(config: RunConfig, expect: dict, out_b: Path, out_w: Path):
 
 
 def load_windows(path):
+    """The scan's ResonanceWindows from windows.dat, and its header."""
+    from .scan import ResonanceWindow
     rows, meta = read_table(path)
     windows = []
-    n = int(meta.get("n_windows", 0))
-    for i in range(n):
+    for i in range(int(meta.get("n_windows", 0))):
         sel = rows[rows[:, 0] == i]
         windows.append(
-            dict(
+            ResonanceWindow(
                 e_center=float(sel[0, 1]),
                 gamma_est=float(sel[0, 2]),
                 slope=float(sel[0, 3]),
                 alpha_at=float(sel[0, 4]),
                 energies=sel[:, 5],
-                provenance=[(float(a), int(b)) for a, b in sel[:, 6:8]],
+                provenance=tuple((float(a), int(b)) for a, b in sel[:, 6:8]),
             )
         )
     return windows, meta
 
 
 def _sample(config: RunConfig, expect: dict, out: Path, resonance: int):
-    from .radial import build_grid
     from .samples import write_samples
-    from .scan import ResonanceWindow, sample_k
+    from .scan import sample_k
     windows, _ = load_windows(out.with_name("windows.dat"))
     if not windows:
         raise StageError("no resonance windows detected by the scan stage")
@@ -431,19 +417,12 @@ def _sample(config: RunConfig, expect: dict, out: Path, resonance: int):
         raise StageError(
             f"resonance index {resonance} out of range (found {len(windows)})"
         )
-    win = windows[resonance]
-    window = ResonanceWindow(
-        e_center=win["e_center"], slope=win["slope"], alpha_at=win["alpha_at"],
-        energies=np.asarray(win["energies"]),
-        provenance=tuple(win["provenance"]), gamma_est=win["gamma_est"],
-    )
-    problem = _radial_problem(config)
-    h_max = config.get("radial", "h_max", float)
-    grid = build_grid(problem, rho_end=problem.rho_match, h_max=h_max)
+    window = windows[resonance]
+    problem, grid = _radial_setup(config)
     samples = sample_k(problem, window, grid=grid)
     header = [f"{k}: {v}" for k, v in expect.items()]
-    header.append(f"e_center: {win['e_center']:.17e}")
-    header.append(f"gamma_est: {win['gamma_est']:.6e}")
+    header.append(f"e_center: {window.e_center:.17e}")
+    header.append(f"gamma_est: {window.gamma_est:.6e}")
     write_samples(out, samples, header_lines=header)
 
 
@@ -470,7 +449,7 @@ def _report_pairs(result, prefix=""):
         f"{prefix}b1": p.b1,
         f"{prefix}b2": p.b2,
         f"{prefix}b": p.b,
-        f"{prefix}rank_defect": result.rank_defect,
+        f"{prefix}rank_defect": p.rank_defect,
         f"{prefix}residual": result.residual,
         f"{prefix}iterations": result.iterations,
         f"{prefix}weight_mode": result.weight_mode,

@@ -81,12 +81,11 @@ class RadialProblem:
 
     eps, h_mat, q_mat are callables of rho returning (N,), (N,N), (N,N)
     arrays, and (M, N), (M, N, N), (M, N, N) for an array of M points;
-    thresholds are the asymptotic channel energies used in the matching.
-    include_rho_term toggles the universal 15/(4 rho^2) barrier (off in
-    flat test modes).
+    thresholds are the asymptotic channel energies used in the matching,
+    one per channel.  include_rho_term toggles the universal 15/(4 rho^2)
+    barrier (off in flat test modes).
     """
 
-    n_channels: int
     thresholds: np.ndarray
     eps: object
     h_mat: object = None
@@ -96,12 +95,15 @@ class RadialProblem:
     include_rho_term: bool = True
 
     def __post_init__(self):
-        thr = np.asarray(self.thresholds, dtype=float)
-        if thr.size > self.n_channels:
-            raise ValidationError("more thresholds than channels")
         if self.rho_start <= 0 or self.rho_match <= self.rho_start:
             raise ValidationError("need 0 < rho_start < rho_match")
-        object.__setattr__(self, "thresholds", thr)
+        object.__setattr__(
+            self, "thresholds", np.asarray(self.thresholds, dtype=float)
+        )
+
+    @property
+    def n_channels(self) -> int:
+        return self.thresholds.size
 
     @classmethod
     def from_tables(
@@ -118,21 +120,27 @@ class RadialProblem:
         """Build from per-rho tables (the coupling-file contract).
 
         Tables are interpolated by cubic splines and every table channel is
-        kept; thresholds default to the term values at the last table point.
+        kept; thresholds default to the term values at the last table point,
+        and otherwise need one value per table channel.
         """
         rho_table = np.asarray(rho_table, dtype=float)
         eps_table = np.asarray(eps_table, dtype=float)
+        thresholds = np.asarray(
+            eps_table[-1] if thresholds is None else thresholds, dtype=float
+        )
+        if thresholds.shape != eps_table.shape[1:]:
+            raise ValidationError(
+                f"{thresholds.size} thresholds for {eps_table.shape[1]} table "
+                "channels; need one per channel"
+            )
         eps_sp = CubicSpline(rho_table, eps_table, axis=0)
         h_sp = q_sp = None
         if h_table is not None:
             h_sp = CubicSpline(rho_table, np.asarray(h_table), axis=0)
         if q_table is not None:
             q_sp = CubicSpline(rho_table, np.asarray(q_table), axis=0)
-        if thresholds is None:
-            thresholds = eps_table[-1]
         return cls(
-            n_channels=eps_table.shape[1],
-            thresholds=np.asarray(thresholds, dtype=float),
+            thresholds=thresholds,
             eps=eps_sp,
             h_mat=h_sp,
             q_mat=q_sp,
@@ -359,7 +367,7 @@ def stabilization_eigenvalues(
     problem: RadialProblem,
     alpha: float,
     n_levels: int,
-    grid: RadialGrid | None = None,
+    grid: RadialGrid,
     sigma: float | None = None,
     return_vectors: bool = False,
 ):
@@ -367,12 +375,15 @@ def stabilization_eigenvalues(
 
     sigma=None targets the bottom of the spectrum (lowest n_levels);
     passing sigma returns the n_levels eigenvalues nearest to it.  alpha is
-    snapped to the master grid.
+    snapped to the master grid, and may lie at most half a bond past its
+    last point.
     """
     if alpha < problem.rho_start:
         raise ValidationError(f"alpha={alpha!r} below rho_start")
-    if grid is None:
-        grid = build_grid(problem, rho_end=alpha)
+    if alpha > grid.points[-1] + 0.5 * grid.bond_h[-1]:
+        raise ValidationError(
+            f"alpha={float(alpha)!r} past the grid's end at {grid.points[-1]:.17g}"
+        )
     last = grid.index_of(alpha)
     if last < 3:
         raise ValidationError(f"alpha={alpha!r} leaves too few grid points")
@@ -535,8 +546,7 @@ def propagate_ratio(problem: RadialProblem, grid: RadialGrid, energies) -> np.nd
 def extract_k(
     problem: RadialProblem,
     energies,
-    grid: RadialGrid | None = None,
-    defect_limit: float = ASYMMETRY_LIMIT,
+    grid: RadialGrid,
 ):
     """Reaction matrices K(E) for a batch of energies.
 
@@ -548,7 +558,8 @@ def extract_k(
 
     Returns (list of KMatrix, asymmetry defects).  Raises
     NoOpenChannelError / ClosedChannelError guards at construction and
-    MatchingQualityError when |K - K^T| exceeds defect_limit.
+    MatchingQualityError when |K - K^T| exceeds ASYMMETRY_LIMIT times
+    max(1, |K|).
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     thr = problem.thresholds
@@ -566,8 +577,6 @@ def extract_k(
     open_idx = np.nonzero(open_masks[0])[0]
     closed_idx = np.nonzero(~open_masks[0])[0]
 
-    if grid is None:
-        grid = build_grid(problem)
     p = propagate_ratio(problem, grid, energies)
     m = grid.n_points - 1
     theta, h, flux = _free_waves(problem, grid, energies)
@@ -589,7 +598,7 @@ def extract_k(
         km = k_full[i]
         defect = float(np.abs(km - km.T).max())
         scale = max(1.0, float(np.abs(km).max()))
-        if defect > defect_limit * scale:
+        if defect > ASYMMETRY_LIMIT * scale:
             raise MatchingQualityError(
                 f"asymmetric K at E={e!r}: defect {defect:.3e}",
                 energy=float(e), defect=defect,

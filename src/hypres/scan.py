@@ -97,16 +97,15 @@ class ResonanceWindow:
 
 
 def scan_branches(
-    problem: RadialProblem, config: ScanConfig, grid: RadialGrid | None = None
+    problem: RadialProblem, config: ScanConfig, grid: RadialGrid
 ) -> StabilizationSpectrum:
     """Eigenvalue branches over the alpha window, overlap-tracked.
 
-    All alphas share one master grid (so box spaces nest and branches are
-    monotone); consecutive eigenvector sets are matched by maximal overlap
-    via linear assignment, never assigning two branches to one continuation.
+    All alphas share one master grid, which must reach alpha_max (so box
+    spaces nest and branches are monotone); consecutive eigenvector sets are
+    matched by maximal overlap via linear assignment, never assigning two
+    branches to one continuation.
     """
-    if grid is None:
-        grid = radial.build_grid(problem, rho_end=config.alpha_max)
     alphas = config.alphas()
     k = config.n_levels
     k_solve = k + N_BUFFER
@@ -255,7 +254,7 @@ def detect_resonances(
 def sample_k(
     problem: RadialProblem,
     window: ResonanceWindow,
-    grid: RadialGrid | None = None,
+    grid: RadialGrid,
 ) -> list[KSample]:
     """K(E) at every window energy; duplicate energies removed.
 

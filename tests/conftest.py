@@ -38,9 +38,9 @@ def toy_scan_config(toy_problem):
 
 
 @pytest.fixture(scope="session")
-def toy_grid(toy_problem, toy_scan_config):
-    rho_end = max(toy_scan_config.alpha_max, toy_problem.rho_match)
-    return build_grid(toy_problem, rho_end=rho_end, h_max=0.008)
+def toy_grid(toy_problem):
+    # ends at rho_match, past the scan's alpha_max
+    return build_grid(toy_problem, h_max=0.008)
 
 
 @pytest.fixture(scope="session")

@@ -140,9 +140,9 @@ class TestResonanceFromPole:
         assert resonance_from_pole(p).ill_conditioned_background
 
     def test_unphysical_parameters_error(self):
-        # zero residue has no width; admitted via a loose rank tolerance
+        # zero residue: rank-1 exactly, but it has no width
         p = BWPoleParams(E1=0.0, a1=0.0, a2=0.0, a=0.0,
-                         b1=0.0, b2=0.0, b=0.0, tol_rank=1.0)
+                         b1=0.0, b2=0.0, b=0.0)
         with pytest.raises(InconsistentParametersError):
             resonance_from_pole(p)
 

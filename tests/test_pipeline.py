@@ -11,7 +11,7 @@ import pytest
 
 import hypres
 from hypres.cli import _print_summary, main
-from hypres.errors import CacheError, StageError
+from hypres.errors import CacheError, StageError, ValidationError
 from hypres.pipeline import (
     RunConfig,
     _fit,
@@ -212,32 +212,28 @@ class TestStages:
         assert "residual ratio" not in out
 
 
-class TestBoxKind:
+class TestNoWindow:
+    # the toy's one resonance sits at E = 3.02, above this e_max
     INI = """
 [system]
-kind = box
-
-[box]
-offset = 0.25
-rho_start = 1.0
-rho_match = 45.0
+kind = toy
 
 [scan]
 alpha_min = 10.0
-alpha_max = 40.0
+alpha_max = 24.0
 alpha_step = 0.5
 n_levels = 6
-e_min = 0.25
+e_max = 2.0
 
 [radial]
-h_max = 0.05
+h_max = 0.04
 
 [output]
 directory = {out}
 """
 
     def test_no_resonance_detected(self, tmp_path):
-        ini = tmp_path / "box.ini"
+        ini = tmp_path / "toy.ini"
         ini.write_text(self.INI.format(out=tmp_path / "out"))
         config = RunConfig.from_file(ini)
         stage_terms(config)
@@ -247,6 +243,36 @@ directory = {out}
         assert int(meta["n_windows"]) == 0
         with pytest.raises(StageError):
             stage_sample(config, resonance=0)
+
+
+class TestScanRange:
+    # the toy's grid ends at rho_match = 28: boxes beyond it have no pencil
+    INI = """
+[system]
+kind = toy
+
+[scan]
+alpha_min = 26.0
+alpha_max = 30.0
+alpha_step = 0.25
+n_levels = 6
+
+[radial]
+h_max = 0.04
+
+[output]
+directory = {out}
+"""
+
+    def test_alpha_max_past_rho_match_rejected(self, tmp_path):
+        ini = tmp_path / "toy.ini"
+        ini.write_text(self.INI.format(out=tmp_path / "out"))
+        config = RunConfig.from_file(ini)
+        stage_terms(config)
+        stage_couplings(config)
+        with pytest.raises(ValidationError) as err:
+            stage_scan(config)
+        assert err.value.stage == "scan"
 
 
 class TestConfigDigest:

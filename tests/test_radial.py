@@ -36,7 +36,6 @@ def flat_problem(value=0.0, rho_start=1e-7, rho_match=30.0, barrier=False):
         return np.full(np.shape(rho) + (1,), value)
 
     return RadialProblem(
-        n_channels=1,
         thresholds=np.array([value]),
         eps=eps,
         rho_start=rho_start,
@@ -109,6 +108,18 @@ class TestBoxSpectrum:
         errors = np.array(errors)
         order = np.log2(errors[:-1] / errors[1:])
         assert np.all((order > 3.5) & (order < 4.5)), order
+
+    def test_box_past_grid_end_rejected(self, toy_problem):
+        # the grid ends at rho_match = 28: a larger box is not snapped back
+        grid = build_grid(toy_problem, h_max=0.04)
+        end, bond = grid.points[-1], grid.bond_h[-1]
+        assert end == toy_problem.rho_match
+        with pytest.raises(ValidationError):
+            stabilization_eigenvalues(toy_problem, 35.0, 4, grid=grid)
+        at_end = stabilization_eigenvalues(toy_problem, end, 4, grid=grid)
+        near = stabilization_eigenvalues(toy_problem, end + 0.4 * bond, 4,
+                                         grid=grid)
+        assert np.array_equal(near, at_end)
 
 
 def loop_w_samples(problem, points):
@@ -460,33 +471,44 @@ class TestTwoChannel:
 
 
 class TestGuardsAndErrors:
-    def test_threshold_guard(self, toy_problem):
+    def test_threshold_guard(self, toy_problem, toy_grid):
         with pytest.raises(ClosedChannelError):
-            extract_k(toy_problem, [0.5])
+            extract_k(toy_problem, [0.5], grid=toy_grid)
 
-    def test_no_open_channel(self, toy_problem):
+    def test_no_open_channel(self, toy_problem, toy_grid):
         with pytest.raises(NoOpenChannelError):
-            extract_k(toy_problem, [-1.0])
+            extract_k(toy_problem, [-1.0], grid=toy_grid)
 
-    def test_mixed_batch_rejected(self, toy_problem):
+    def test_mixed_batch_rejected(self, toy_problem, toy_grid):
         with pytest.raises(ValidationError):
-            extract_k(toy_problem, [0.2, 1.0])
+            extract_k(toy_problem, [0.2, 1.0], grid=toy_grid)
 
-    def test_matching_quality_error(self, toy):
+    def test_matching_quality_error(self, toy, monkeypatch):
         # matching inside the coupling region leaves K visibly asymmetric
         from dataclasses import replace
 
         bad = replace(toy.problem(), rho_match=3.2)
         grid = build_grid(bad, h_max=0.01)
+        monkeypatch.setattr(radial, "ASYMMETRY_LIMIT", 1e-10)
         with pytest.raises(MatchingQualityError) as err:
-            extract_k(bad, [2.5], grid=grid, defect_limit=1e-10)
+            extract_k(bad, [2.5], grid=grid)
         assert err.value.defect > 0.0
 
     def test_problem_validation(self):
         with pytest.raises(ValidationError):
             RadialProblem(
-                n_channels=1, thresholds=np.array([0.0]),
+                thresholds=np.array([0.0]),
                 eps=lambda rho: np.zeros(1), rho_start=2.0, rho_match=1.0,
+            )
+
+    def test_tables_need_one_threshold_per_channel(self, toy):
+        # one threshold for the two toy channels cannot be matched
+        rho, eps, h, q = toy.tables()
+        with pytest.raises(ValidationError):
+            RadialProblem.from_tables(
+                rho, eps, h, q, thresholds=[0.0],
+                rho_start=toy.rho_start, rho_match=toy.rho_match,
+                include_rho_term=False,
             )
 
 

@@ -161,10 +161,10 @@ class TestSampling:
         out = sample_k(toy_problem, win, grid=toy_grid)
         assert len(out) == 1 and out[0].energy == 2.5
 
-    def test_empty_window_rejected(self, toy_problem):
+    def test_empty_window_rejected(self, toy_problem, toy_grid):
         win = ResonanceWindow(
             e_center=2.5, slope=1e-4, alpha_at=12.0,
             energies=np.array([]), provenance=(), gamma_est=1e-3,
         )
         with pytest.raises(ValidationError):
-            sample_k(toy_problem, win)
+            sample_k(toy_problem, win, grid=toy_grid)

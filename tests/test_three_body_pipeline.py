@@ -72,7 +72,7 @@ class TestCoarseThreeBody:
     def test_lowest_resonance_position(self, coarse_run):
         windows, _ = load_windows(coarse_run["out"] / "windows.dat")
         assert windows, "no stabilization window detected"
-        e0 = windows[0]["e_center"]
+        e0 = windows[0].e_center
         # converged position is -0.15917; the coarse basis should place the
         # plateau within a couple of 1e-3
         assert e0 == pytest.approx(-0.15917, abs=2e-3)
