@@ -6,35 +6,4 @@ the stabilization method, and fits it with a generalized Breit-Wigner pole
 form that accounts for background inelastic scattering.
 """
 
-from .algebra import KMatrix, SMatrix, cross_sections, k_to_s, s_to_k
-from .breit_wigner import (
-    BWPoleParams,
-    ResonanceReport,
-    bw_k,
-    bw_s,
-    bw_s_from_report,
-    partial_width_lower_bound,
-    resonance_from_pole,
-)
-from .channels import ChannelSet, ThreeBodyMasses, dtmu_masses, hydrogenic_energy
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BWPoleParams",
-    "ChannelSet",
-    "KMatrix",
-    "ResonanceReport",
-    "SMatrix",
-    "ThreeBodyMasses",
-    "bw_k",
-    "bw_s",
-    "bw_s_from_report",
-    "cross_sections",
-    "dtmu_masses",
-    "hydrogenic_energy",
-    "k_to_s",
-    "partial_width_lower_bound",
-    "resonance_from_pole",
-    "s_to_k",
-]

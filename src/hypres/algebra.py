@@ -14,16 +14,19 @@ and the two-channel s-wave partial cross sections
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ChannelSet
 from .errors import (
     ClosedChannelError,
     MatrixInversionError,
     UnsupportedShapeError,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    from .channels import ChannelSet
 
 SYMMETRY_TOL = 1e-10
 UNITARITY_TOL = 1e-10

@@ -9,9 +9,10 @@ CacheError naming the stage that produces them, keeps outputs whose headers
 match, and otherwise runs the stage.
 
 Module level imports only what the configuration, the stage table and the
-runner use (numpy, errors, tableio, channels).  Each stage, and each helper
-that builds a layer object, imports its layer when it runs, so a process
-whose stage is cached loads no FEM, scan or fit code.
+runner use (numpy, errors, tableio).  Each stage, and each helper that
+builds a layer object (the channel set and masses too), imports its layer
+when it runs, so a process whose stage is cached loads no FEM, scan or fit
+code, and importing this module loads no channel or pole-form algebra.
 
 The configuration is one INI-style file with a section per stage; the
 defaults reproduce the full three-body run (131x61 basis grid, 6 retained
@@ -27,10 +28,10 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ChannelSet, ThreeBodyMasses
 from .errors import CacheError, ConfigError, HypresError, StageError
 from .tableio import (
     digest_file,
@@ -45,6 +46,9 @@ from .tableio import (
     write_keyvalues,
     write_table,
 )
+
+if TYPE_CHECKING:
+    from .channels import ChannelSet, ThreeBodyMasses
 
 DEFAULTS = {
     "system": {
@@ -159,6 +163,7 @@ class RunConfig:
         return d
 
     def masses(self) -> ThreeBodyMasses:
+        from .channels import ThreeBodyMasses
         return ThreeBodyMasses(
             m1=self.get("system", "m1", float),
             m2=self.get("system", "m2", float),
@@ -548,6 +553,7 @@ def _xsec(config: RunConfig, expect: dict, out_k: Path, out_i: Path,
 
 
 def _channel_set(config: RunConfig) -> ChannelSet:
+    from .channels import ChannelSet
     kind = config.kind
     if kind == "three-body":
         return config.masses().channel_set()

@@ -197,6 +197,13 @@ class RadialGrid:
     def index_of(self, rho: float) -> int:
         return int(np.argmin(np.abs(self.points - rho)))
 
+    def check_reach(self, alpha: float) -> None:
+        """Refuse a box more than half a bond past the last point."""
+        if alpha > self.points[-1] + 0.5 * self.bond_h[-1]:
+            raise ValidationError(
+                f"alpha={float(alpha)!r} past the grid's end at {self.points[-1]:.17g}"
+            )
+
     def pencil_parts(self):
         """E-independent bond/diagonal blocks (g0, g1, d0, d1) of the pencil.
 
@@ -380,10 +387,7 @@ def stabilization_eigenvalues(
     """
     if alpha < problem.rho_start:
         raise ValidationError(f"alpha={alpha!r} below rho_start")
-    if alpha > grid.points[-1] + 0.5 * grid.bond_h[-1]:
-        raise ValidationError(
-            f"alpha={float(alpha)!r} past the grid's end at {grid.points[-1]:.17g}"
-        )
+    grid.check_reach(alpha)
     last = grid.index_of(alpha)
     if last < 3:
         raise ValidationError(f"alpha={alpha!r} leaves too few grid points")

@@ -48,7 +48,10 @@ class ScanConfig:
             raise ValidationError("alpha_step must be positive")
 
     def alphas(self) -> np.ndarray:
-        n = int(math.floor((self.alpha_max - self.alpha_min) / self.alpha_step))
+        # the relative slack keeps alpha_max when roundoff puts the step
+        # count just under an integer ((20.7 - 20.0) / 0.1 = 6.99...)
+        steps = (self.alpha_max - self.alpha_min) / self.alpha_step
+        n = int(math.floor(steps * (1.0 + 1e-9)))
         return self.alpha_min + self.alpha_step * np.arange(n + 1)
 
 
@@ -102,11 +105,13 @@ def scan_branches(
     """Eigenvalue branches over the alpha window, overlap-tracked.
 
     All alphas share one master grid, which must reach alpha_max (so box
-    spaces nest and branches are monotone); consecutive eigenvector sets are
+    spaces nest and branches are monotone; a window past its end raises
+    ValidationError before the first box); consecutive eigenvector sets are
     matched by maximal overlap via linear assignment, never assigning two
     branches to one continuation.
     """
     alphas = config.alphas()
+    grid.check_reach(alphas[-1])
     k = config.n_levels
     k_solve = k + N_BUFFER
     levels = np.full((alphas.size, k), np.nan)

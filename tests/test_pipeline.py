@@ -1,6 +1,7 @@
 """Stage orchestration: caching, digests, artifacts, CLI behavior."""
 
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import hypres
+from hypres import radial
 from hypres.cli import _print_summary, main
 from hypres.errors import CacheError, StageError, ValidationError
 from hypres.pipeline import (
@@ -247,32 +249,29 @@ directory = {out}
 
 class TestScanRange:
     # the toy's grid ends at rho_match = 28: boxes beyond it have no pencil
-    INI = """
-[system]
-kind = toy
-
-[scan]
-alpha_min = 26.0
-alpha_max = 30.0
-alpha_step = 0.25
-n_levels = 6
-
-[radial]
-h_max = 0.04
-
-[output]
-directory = {out}
-"""
-
-    def test_alpha_max_past_rho_match_rejected(self, tmp_path):
+    def test_alpha_max_past_rho_match_rejected(self, tmp_path, monkeypatch):
+        text = (Path(__file__).resolve().parents[1] / "configs" / "toy.ini").read_text()
         ini = tmp_path / "toy.ini"
-        ini.write_text(self.INI.format(out=tmp_path / "out"))
+        ini.write_text(text.replace("alpha_max = 24.0", "alpha_max = 30.0")
+                       .replace("directory = out-toy", f"directory = {tmp_path / 'out'}"))
         config = RunConfig.from_file(ini)
+        assert config.get("scan", "alpha_max", float) == 30.0
+        assert config.out_dir() == tmp_path / "out"
         stage_terms(config)
         stage_couplings(config)
+        solve = radial.stabilization_eigenvalues
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        # refused before the first box, not after solving those below the end
+        monkeypatch.setattr(radial, "stabilization_eigenvalues", counted)
         with pytest.raises(ValidationError) as err:
             stage_scan(config)
         assert err.value.stage == "scan"
+        assert calls == []
 
 
 class TestConfigDigest:
@@ -359,6 +358,20 @@ def _loaded_after(code: str, names) -> list:
 
 
 class TestImportSurface:
+    def test_package_import_loads_no_module(self):
+        names = tuple(f"hypres.{m.name}" for m in pkgutil.iter_modules(hypres.__path__))
+        assert "hypres.pipeline" in names
+        assert _loaded_after("import hypres", names) == []
+
+    def test_pipeline_loads_no_algebra_or_channels(self):
+        names = ("hypres.algebra", "hypres.breit_wigner", "hypres.channels",
+                 "hypres.radial")
+        assert _loaded_after("import hypres.pipeline", names) == []
+
+    def test_models_load_no_pole_form_or_channels(self):
+        names = ("hypres.breit_wigner", "hypres.channels")
+        assert _loaded_after("import hypres.models", names) == []
+
     def test_import_loads_no_layer(self):
         names = SOLVER_LAYERS + (
             "hypres.models", "hypres.samples", "hypres.fitting",

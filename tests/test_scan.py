@@ -40,6 +40,22 @@ def synthetic_crossing(e_res=1.5, slope=-0.08, coupling=2e-5, alpha0=20.0,
     return alphas, levels
 
 
+class TestScanConfig:
+    def test_alpha_max_kept_under_roundoff(self):
+        # (20.7 - 20.0) / 0.1 = 6.99...: the step count must still be 7
+        alphas = ScanConfig(alpha_min=20.0, alpha_max=20.7, alpha_step=0.1).alphas()
+        assert alphas.size == 8
+        assert alphas[-1] == pytest.approx(20.7, rel=1e-12)
+
+    @pytest.mark.parametrize("lo, hi, step, count", [
+        (8.0, 24.0, 0.25, 65), (50.0, 90.0, 1.0, 41), (50.0, 400.0, 1.0, 351),
+    ])
+    def test_repository_grids_keep_their_counts(self, lo, hi, step, count):
+        alphas = ScanConfig(alpha_min=lo, alpha_max=hi, alpha_step=step).alphas()
+        assert alphas.size == count
+        assert alphas[-1] == hi
+
+
 class TestScanBranches:
     def test_monotone_and_tracked(self, toy_spectrum):
         assert toy_spectrum.monotone_defect() <= 1e-10
