@@ -11,11 +11,13 @@ assembled with quadratic Lagrange elements on a tensor grid; for Coulomb
 systems the element boundaries are clustered around the two light-heavy
 coalescence points, whose angular size shrinks like 1/rho.
 
-`solve_terms` gives the terms alone.  `solve_with_couplings` streams over
-rho: it fixes each point's eigenvector signs by continuity with the previous
+Both solvers sweep the rho grid in order, one point at a time in this
+process.  `solve_terms` gives the terms alone.  `solve_with_couplings` fixes
+each point's eigenvector signs by continuity with the previous accepted
 point (bisecting where the overlap drops) and forms the nonadiabatic
 coupling tables by centered finite differences of the channel functions on
-the rho grid (one-sided at the ends):
+the rho grid (one-sided at the ends), all evaluated on the quadrature of the
+point being differenced:
 
     H_jj'(rho) = < d_rho phi_j | d_rho phi_j' >,
     Q_jj'(rho) = - < phi_j | d_rho phi_j' >.
@@ -24,7 +26,6 @@ the rho grid (one-sided at the ends):
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,19 +303,18 @@ def _fd_weights(rho_grid: np.ndarray, k: int):
     return (n - 2, n - 1), (-1.0 / h, 1.0 / h)
 
 
-def _quad_values(tensor: TensorGrid, vecs: np.ndarray):
-    px, _, py, _ = tensor.quad_points()
-    return tensor.evaluate(vecs, px, py)  # (N, nqx, nqy)
+def _on_quadrature(tensor: TensorGrid, vecs: np.ndarray):
+    """Measure kernel, quadrature points and the basis values of one point.
+
+    Returns (kern, px, py, values): kern is sin^2(chi) sin(theta) times the
+    tensor weights, values has shape (N, nqx, nqy).
+    """
+    px, wx, py, wy = tensor.quad_points()
+    kern = np.outer(wx * np.sin(px) ** 2, wy * np.sin(py))
+    return kern, px, py, tensor.evaluate(vecs, px, py)
 
 
-def _measure_kernel(tensor: TensorGrid) -> np.ndarray:
-    return tensor.weighted_kernel(
-        wx_fn=lambda x: np.sin(x) ** 2, wy_fn=np.sin
-    )
-
-
-def _solve_one(args):
-    masses, rho, grid, n_terms = args
+def _solve_one(masses, rho, grid, n_terms):
     tensor = build_grids(masses, rho, grid, ClusterSpec())
     vals, vecs = solve_adiabatic_point(
         tensor, rho, n_terms, potential=coulomb_potential(masses, rho),
@@ -323,14 +323,21 @@ def _solve_one(args):
     return tensor, vals, vecs
 
 
-def _terms_one(args):
-    return _solve_one(args)[1]
+@dataclass
+class _Point:
+    """One solved rho point of the couplings sweep, with what its sign fix
+    and its differencing share: the measure kernel, its own basis on its
+    quadrature (here) and the previous accepted basis on it (prev_here)."""
 
-
-def _solve_batch(jobs, pool):
-    if pool is None:
-        return [_solve_one(j) for j in jobs]
-    return list(pool.map(_solve_one, jobs, chunksize=1))
+    rho: float
+    tensor: TensorGrid
+    vals: np.ndarray
+    vecs: np.ndarray
+    kern: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
+    here: np.ndarray
+    prev_here: np.ndarray | None = None
 
 
 def _checked_rho_grid(rho_grid) -> np.ndarray:
@@ -351,25 +358,17 @@ def solve_terms(
     grid: HyperangularGrid,
     rho_grid,
     n_terms: int,
-    n_workers: int = 1,
 ) -> AdiabaticSolution:
-    """Adiabatic terms of the Coulomb system at every rho point.
+    """Adiabatic terms of the Coulomb system at every rho point, in order.
 
     Each point is solved on the clustered grid of `build_grids` with the
-    default ClusterSpec and the three-pair Coulomb potential.  Independent
-    rho points may be dispatched to worker processes.  Each point returns
-    only its eigenvalues (a worker sends back n_terms floats), so no grid
-    or basis outlives its point: the sign fixing the couplings need leaves
-    the eigenvalues unchanged, and the bases are left to
-    `solve_with_couplings`.
+    default ClusterSpec and the three-pair Coulomb potential, and keeps
+    only its eigenvalues, so no grid or basis outlives its point: the sign
+    fixing the couplings need leaves the eigenvalues unchanged, and the
+    bases are left to `solve_with_couplings`.
     """
     rho_grid = _checked_rho_grid(rho_grid)
-    jobs = [(masses, rho, grid, n_terms) for rho in rho_grid]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            terms = list(pool.map(_terms_one, jobs, chunksize=1))
-    else:
-        terms = [_terms_one(j) for j in jobs]
+    terms = [_solve_one(masses, rho, grid, n_terms)[1] for rho in rho_grid]
     return AdiabaticSolution(
         rho_grid=rho_grid,
         terms=np.array(terms),
@@ -382,80 +381,60 @@ def solve_with_couplings(
     grid: HyperangularGrid,
     rho_grid,
     n_terms: int,
-    n_workers: int = 1,
 ) -> AdiabaticSolution:
-    """Terms plus coupling tables of the Coulomb system, streamed over rho.
+    """Terms plus coupling tables of the Coulomb system, in one ordered sweep.
 
-    Solves rho points as `solve_terms` does, in chunks (optionally in
-    parallel), fixes each basis's signs against the previous accepted
-    point, bisects an interval whose smallest overlap falls below
-    OVERLAP_FLOOR, and differences a rolling window of three sign-fixed
-    bases into the H/Q tables; memory stays bounded for long rho grids.
-    H is the Gram matrix of the differenced derivatives (symmetric PSD by
-    construction); Q is antisymmetrized.
+    Solves each rho point as `solve_terms` does, fixes its basis's signs
+    against the previous accepted point, and bisects the interval when the
+    smallest overlap falls below OVERLAP_FLOOR (the rejected point waits,
+    solved, on the stack until its midpoint is accepted).  Point k's
+    couplings are differenced once point k+1 is accepted, so only two
+    bases are held at a time.  H is the Gram matrix of the differenced
+    derivatives (symmetric PSD by construction); Q is antisymmetrized.
     """
     rho_grid = _checked_rho_grid(rho_grid)
     if rho_grid.size < 3:
         raise ValidationError("need at least 3 rho points for differencing")
 
-    pending = list(rho_grid)[::-1]  # stack, smallest rho on top
-    cache: dict[float, tuple] = {}  # speculative chunk results, keyed by rho
-    pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
-    chunk = max(1, n_workers) * 3
-
-    def solve_at(rho):
-        if rho not in cache:
-            todo = [r for r in pending[::-1] if r not in cache][:chunk]
-            if rho not in todo:
-                todo.insert(0, rho)
-            batch = [(masses, r, grid, n_terms) for r in todo]
-            cache.update(zip(todo, _solve_batch(batch, pool)))
-        return cache.pop(rho)  # (tensor, vals, vecs)
-
+    # stack, smallest rho on top; a point under bisection goes back solved
+    pending: list[tuple] = [(rho, None) for rho in rho_grid[::-1]]
     accepted_rho: list[float] = []
     accepted_terms: list[np.ndarray] = []
-    bases: dict[int, tuple] = {}  # rolling window of sign-fixed bases
     h_rows: list[np.ndarray] = []
     q_rows: list[np.ndarray] = []
+    last = None  # the last accepted point
     max_bisect = 7
 
-    def emit_couplings(k):
-        h, q = _couplings_at(bases, k, np.asarray(accepted_rho))
+    def emit_couplings(point, nxt):
+        h, q = _couplings_at(np.asarray(accepted_rho), len(h_rows), point, nxt)
         h_rows.append(h)
         q_rows.append(q)
 
     depth = 0
-    try:
-        while pending:
-            rho = pending.pop()
-            tensor, vals, vecs = solve_at(rho)
-            ov = _fix_signs_against(bases.get(len(accepted_rho) - 1), tensor, vecs)
-            if ov < OVERLAP_FLOOR:
-                if depth >= max_bisect:
-                    raise TrackingError(
-                        f"basis continuity lost near rho={rho:.6g} "
-                        f"(overlap {ov:.3f} after {depth} bisections)"
-                    )
-                # bisect: revisit this rho after an inserted midpoint
-                pending.append(rho)
-                pending.append(0.5 * (accepted_rho[-1] + rho))
-                cache[rho] = (tensor, vals, vecs)
-                depth += 1
-                continue
-            depth = 0
-            k = len(accepted_rho)
-            accepted_rho.append(rho)
-            accepted_terms.append(vals)
-            bases[k] = (tensor, vecs)
-            if k == 1:
-                emit_couplings(0)
-            if k >= 2:
-                emit_couplings(k - 1)
-                del bases[k - 2]
-        emit_couplings(len(accepted_rho) - 1)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while pending:
+        rho, point = pending.pop()
+        if point is None:
+            tensor, vals, vecs = _solve_one(masses, rho, grid, n_terms)
+            point = _Point(rho, tensor, vals, vecs, *_on_quadrature(tensor, vecs))
+        ov = _fix_signs(point, last)
+        if ov < OVERLAP_FLOOR:
+            if depth >= max_bisect:
+                raise TrackingError(
+                    f"basis continuity lost near rho={rho:.6g} "
+                    f"(overlap {ov:.3f} after {depth} bisections)"
+                )
+            # bisect: revisit this point after an inserted midpoint
+            pending.append((rho, point))
+            pending.append((0.5 * (last.rho + rho), None))
+            depth += 1
+            continue
+        depth = 0
+        accepted_rho.append(rho)
+        accepted_terms.append(point.vals)
+        if last is not None:
+            emit_couplings(last, point)
+        last = point
+    emit_couplings(last, None)
 
     return AdiabaticSolution(
         rho_grid=np.asarray(accepted_rho),
@@ -466,39 +445,36 @@ def solve_with_couplings(
     )
 
 
-def _fix_signs_against(prev, tensor, vecs) -> float:
-    """Flip rows of vecs toward positive overlap with the prev basis (toward
-    a positive mean value when prev is None); returns the smallest |overlap|
-    (inf without prev)."""
-    kern = _measure_kernel(tensor)
-    px, _, py, _ = tensor.quad_points()
-    vals = _quad_values(tensor, vecs)
+def _fix_signs(point: _Point, prev: _Point | None) -> float:
+    """Flip the point's basis toward positive overlap with the prev basis
+    (toward a positive mean value when prev is None), keeping prev's values
+    on the point's quadrature for the differencing; returns the smallest
+    |overlap| (inf without prev)."""
     if prev is None:
-        signs = np.einsum("xy,jxy->j", kern, vals)
+        signs = np.einsum("xy,jxy->j", point.kern, point.here)
     else:
-        pt, pv = prev
-        signs = np.einsum("xy,jxy,jxy->j", kern, pt.evaluate(pv, px, py), vals)
+        point.prev_here = prev.tensor.evaluate(prev.vecs, point.px, point.py)
+        signs = np.einsum("xy,jxy,jxy->j", point.kern, point.prev_here,
+                          point.here)
     for j, o in enumerate(signs):
         if o < 0.0:
-            vecs[j] *= -1.0
+            point.vecs[j] *= -1.0
+            point.here[j] *= -1.0
     return math.inf if prev is None else float(np.abs(signs).min())
 
 
-def _couplings_at(bases, k, rho):
-    """(H, Q) at accepted point k, by differencing over its stencil."""
+def _couplings_at(rho, k, point: _Point, nxt: _Point | None):
+    """(H, Q) at accepted point k, by differencing over its stencil; nxt is
+    point k+1 (None at the last point)."""
     idx, wts = _fd_weights(rho, k)
-    tensor, vecs = bases[k]
-    kern = _measure_kernel(tensor)
-    px, _, py, _ = tensor.quad_points()
-    here = _quad_values(tensor, vecs)
-    dphi = np.zeros_like(here)
+    dphi = np.zeros_like(point.here)
     for i, w in zip(idx, wts):
         if i == k:
-            vals = here
+            vals = point.here
         else:
-            ti, vi = bases[i]
-            vals = ti.evaluate(vi, px, py)
-            diag = np.einsum("xy,jxy,jxy->j", kern, here, vals)
+            vals = (point.prev_here if i < k
+                    else nxt.tensor.evaluate(nxt.vecs, point.px, point.py))
+            diag = np.einsum("xy,jxy,jxy->j", point.kern, point.here, vals)
             if np.any(np.abs(diag) < OVERLAP_FLOOR):
                 j = int(np.argmin(np.abs(diag)))
                 raise TrackingError(
@@ -507,15 +483,14 @@ def _couplings_at(bases, k, rho):
                     "refine the rho grid near this point"
                 )
         dphi += w * vals
-    h = np.einsum("xy,jxy,Jxy->jJ", kern, dphi, dphi)
-    q_raw = -np.einsum("xy,jxy,Jxy->jJ", kern, here, dphi)
+    h = np.einsum("xy,jxy,Jxy->jJ", point.kern, dphi, dphi)
+    q_raw = -np.einsum("xy,jxy,Jxy->jJ", point.kern, point.here, dphi)
     return h, 0.5 * (q_raw - q_raw.T)
 
 
 def orthonormality_defect(tensor: TensorGrid, vecs: np.ndarray) -> float:
     """Max |<phi_i|phi_j> - delta_ij| of one point's basis, by quadrature."""
-    kern = _measure_kernel(tensor)
-    vals = _quad_values(tensor, vecs)
+    kern, _, _, vals = _on_quadrature(tensor, vecs)
     gram = np.einsum("xy,jxy,Jxy->jJ", kern, vals, vals)
     return float(np.abs(gram - np.eye(vecs.shape[0])).max())
 

@@ -67,7 +67,6 @@ DEFAULTS = {
         "rho_max": "500.0",
         "n_rho": "400",
         "n_refine": "80",
-        "n_workers": "1",
     },
     "radial": {
         "rho_start": "0.05",
@@ -115,30 +114,29 @@ class RunConfig:
         read = parser.read(path)
         if not read:
             raise ConfigError(f"cannot read config file {path}")
-        return cls(parser=parser, path=str(path))
+        return cls(parser=_checked_keys(parser), path=str(path))
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         parser = _fresh_parser()
         parser.read_string(text)
-        return cls(parser=parser, path="<text>")
+        return cls(parser=_checked_keys(parser), path="<text>")
 
     def get(self, section: str, key: str, cast=str):
         try:
             raw = self.parser.get(section, key)
         except (configparser.NoSectionError, configparser.NoOptionError) as exc:
             raise ConfigError(f"missing [{section}] {key}") from exc
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        try:
+            return self.parser.getboolean(section, key) if cast is bool else cast(raw)
+        except ValueError as exc:
+            kind = "boolean" if cast is bool else cast.__name__
+            raise ConfigError(
+                f"[{section}] {key} = {raw!r} is not a valid {kind}") from exc
 
     def get_optional(self, section: str, key: str) -> float | None:
-        try:
-            raw = self.parser.get(section, key)
-        except (configparser.NoSectionError, configparser.NoOptionError):
-            return None
-        raw = raw.strip()
-        return float(raw) if raw else None
+        raw = self.parser.get(section, key, fallback="")
+        return self.get(section, key, float) if raw.strip() else None
 
     def canonical(self, sections) -> str:
         """Normalized text of the given sections (for digests)."""
@@ -173,17 +171,34 @@ class RunConfig:
         )
 
     def _floats(self, section: str) -> dict:
-        return {key: self.parser.getfloat(section, key)
+        return {key: self.get(section, key, float)
                 for key in self.parser.options(section)}
 
     def toy(self):
         from .models import TwoChannelToy
-        return TwoChannelToy(**self._floats("toy"))
+        try:
+            return TwoChannelToy(**self._floats("toy"))
+        except TypeError as exc:  # a key that is not a toy parameter
+            raise ConfigError(f"unknown key in [toy]: {exc}") from exc
 
 
 def _fresh_parser() -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     parser.read_dict(DEFAULTS)
+    return parser
+
+
+def _checked_keys(parser: configparser.ConfigParser) -> configparser.ConfigParser:
+    """parser, once every section and key it holds is one DEFAULTS names;
+    [toy] keys are the toy model's parameters, checked by RunConfig.toy."""
+    for section in parser.sections():
+        if section not in DEFAULTS:
+            raise ConfigError(f"unknown section [{section}]")
+        if section == "toy":
+            continue
+        for key in parser.options(section):
+            if key not in DEFAULTS[section]:
+                raise ConfigError(f"unknown key [{section}] {key}")
     return parser
 
 
@@ -305,7 +320,6 @@ def _terms(config: RunConfig, expect: dict, out: Path):
     sol = solve_terms(
         config.masses(), _hyperangular_grid(config), rho_grid,
         config.get("basis", "n_terms", int),
-        n_workers=config.get("basis", "n_workers", int),
     )
     save_terms(out, sol, expect)
 
@@ -314,13 +328,13 @@ def _couplings(config: RunConfig, expect: dict, out: Path):
     if config.kind != "three-body":
         return save_couplings(out, _analytic_solution(config), expect)
     from .adiabatic import refine_rho_grid, solve_with_couplings
-    # the terms stage already solved the coarse grid the refinement needs
+    # terms.dat only places the refinement; every point of the refined grid
+    # is solved again, since the couplings need its basis
     rho_grid, terms, _ = load_terms(out.with_name("terms.dat"))
     sol = solve_with_couplings(
         config.masses(), _hyperangular_grid(config),
         refine_rho_grid(rho_grid, terms, config.get("basis", "n_refine", int)),
         config.get("basis", "n_terms", int),
-        n_workers=config.get("basis", "n_workers", int),
     )
     save_couplings(out, sol, expect)
 

@@ -186,23 +186,17 @@ class TestOperatorPair:
         assert np.abs(np.sort(vals) - direct).max() < 1e-10
 
 
-class TestParallelWorkers:
-    # n_workers never changes bytes: workers must give the serial answer
-    # bit for bit
-    RHO_GRID = np.linspace(20.0, 24.0, 5)
+class TestBisection:
+    # 4 points 5 apart lose basis continuity near the rho ~ 20 avoided
+    # crossing: the sweep bisects and accepts 7 points
     GRID = HyperangularGrid(n_chi=21, n_theta=21)
 
-    def test_two_workers_match_sequential(self):
-        seq = solve_terms(DTMU, self.GRID, self.RHO_GRID, 2)
-        par = solve_terms(DTMU, self.GRID, self.RHO_GRID, 2, n_workers=2)
-        assert np.array_equal(seq.terms, par.terms)
-
-    def test_two_workers_match_sequential_couplings(self):
-        seq = solve_with_couplings(DTMU, self.GRID, self.RHO_GRID, 2)
-        par = solve_with_couplings(DTMU, self.GRID, self.RHO_GRID, 2,
-                                   n_workers=2)
+    def test_bisected_sweep_reproduced_on_its_accepted_grid(self):
+        sol = solve_with_couplings(DTMU, self.GRID, np.linspace(15.0, 30.0, 4), 3)
+        assert sol.rho_grid.size == 7
+        again = solve_with_couplings(DTMU, self.GRID, sol.rho_grid, 3)
         for name in ("rho_grid", "terms", "h_table", "q_table"):
-            assert np.array_equal(getattr(seq, name), getattr(par, name)), name
+            assert np.array_equal(getattr(again, name), getattr(sol, name)), name
 
 
 class TestMemory:

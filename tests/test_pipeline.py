@@ -2,6 +2,7 @@
 
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 import hypres
 from hypres import radial
 from hypres.cli import _print_summary, main
-from hypres.errors import CacheError, StageError, ValidationError
+from hypres.errors import CacheError, ConfigError, StageError, ValidationError
 from hypres.pipeline import (
     RunConfig,
     _fit,
@@ -286,6 +287,56 @@ class TestConfigDigest:
         assert a.digest(["scan"]) != b.digest(["scan"])
 
 
+class TestConfigChecks:
+    # a misspelled key would otherwise run on its default, unreported
+    @pytest.mark.parametrize("text, named", [
+        ("[scan]\nalpha_stpe = 0.5\n", "[scan] alpha_stpe"),
+        ("[basis]\nn_workers = 1\n", "[basis] n_workers"),
+        ("[sacn]\nalpha_step = 0.5\n", "[sacn]"),
+    ])
+    def test_unknown_keys_refused(self, text, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            RunConfig.from_text(text)
+
+    def test_unknown_toy_key_refused(self):
+        config = RunConfig.from_text("[system]\nkind = toy\n[toy]\nbarrier_hight = 9\n")
+        with pytest.raises(ConfigError, match="barrier_hight"):
+            config.toy()
+        with pytest.raises(ConfigError) as err:
+            stage_terms(config)
+        assert err.value.stage == "terms"
+
+    @pytest.mark.parametrize("text, read", [
+        ("[scan]\nn_levels = ten\n", lambda c: c.get("scan", "n_levels", int)),
+        ("[scan]\nalpha_step = 1,0\n", lambda c: c.get("scan", "alpha_step", float)),
+        ("[scan]\nsigma = low\n", lambda c: c.get_optional("scan", "sigma")),
+        ("[radial]\ninclude_rho_term = ture\n",
+         lambda c: c.get("radial", "include_rho_term", bool)),
+        ("[toy]\nrho_match = far\n", lambda c: c.toy()),
+    ])
+    def test_malformed_values_refused(self, text, read):
+        with pytest.raises(ConfigError, match="is not a valid"):
+            read(RunConfig.from_text(text))
+
+    def test_boolean_words(self):
+        for word, value in (("yes", True), ("On", True), ("0", False), ("off", False)):
+            config = RunConfig.from_text(f"[radial]\ninclude_rho_term = {word}\n")
+            assert config.get("radial", "include_rho_term", bool) is value
+
+    def test_cli_exit_codes(self, tmp_path, capsys):
+        ini = tmp_path / "toy.ini"
+        for line, terms_written in (("alpha_stpe = 0.5", False),
+                                    ("n_levels = ten", True)):
+            ini.write_text(TOY_INI.replace("n_levels = 12", line)
+                           .format(out=tmp_path / "out"))
+            assert main(["pipeline", "--config", str(ini)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("[config] error:"), err
+            # an unknown key stops the run before any stage writes; a malformed
+            # value is found by the stage that reads it (scan)
+            assert (tmp_path / "out" / "terms.dat").exists() == terms_written
+
+
 class TestCli:
     def test_exit_codes(self, toy_run, capsys):
         assert main(["fit", "--config", str(toy_run["ini"])]) == 0
@@ -378,6 +429,10 @@ class TestImportSurface:
             "scipy.sparse.linalg", "scipy.interpolate", "scipy.optimize",
         )
         assert _loaded_after("import hypres.pipeline, hypres.cli", names) == []
+
+    def test_adiabatic_loads_no_process_pool(self):
+        # the adiabatic sweep runs in this process, one point at a time
+        assert _loaded_after("import hypres.adiabatic", ("multiprocessing",)) == []
 
     def test_cached_fit_loads_no_solver_layer(self, toy_run, tmp_path):
         out = tmp_path / "out"
