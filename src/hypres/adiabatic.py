@@ -9,7 +9,9 @@ At fixed hyperradius rho the channel functions and terms solve
 with the volume element sin^2 chi sin theta dchi dtheta.  The weak form is
 assembled with quadratic Lagrange elements on a tensor grid; for Coulomb
 systems the element boundaries are clustered around the two light-heavy
-coalescence points, whose angular size shrinks like 1/rho.
+coalescence points, whose angular size shrinks like 1/rho.  A point's
+lowest terms come from a band Cholesky factor of A - sigma B, sigma placed
+below the lowest term by Rayleigh quotients, in ARPACK's shift-invert mode.
 
 Both solvers sweep the rho grid in order, one point at a time in this
 process.  `solve_terms` gives the terms alone.  `solve_with_couplings` fixes
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .channels import ThreeBodyMasses
 from .errors import AssemblyError, EigensolverError, TrackingError, ValidationError
@@ -250,15 +253,32 @@ def solve_adiabatic_point(
     masses=None,
     sigma: float | None = None,
 ):
-    """Lowest n_terms eigenpairs at one rho; B-orthonormal, terms ascending."""
+    """Lowest n_terms eigenpairs at one rho; B-orthonormal, terms ascending.
+
+    ARPACK's shift-invert mode solves with the band Cholesky factor of
+    A - sigma B (flat index ix n_theta + iy: 2 n_theta + 2 superdiagonals).
+    It exists only for a sigma below every term, so the n_terms nearest
+    sigma are the lowest (Sylvester's law of inertia); else EigensolverError.
+    """
     a, b = assemble_adiabatic_operator(tensor, rho, potential)
     if sigma is None:
         sigma = _sigma_estimate(a, b, tensor, masses, rho)
+    n = a.shape[0]
+    kd = 2 * tensor.gy.n_nodes + 2
+    upper = sp.triu(a - sigma * b).tocoo()
+    ab = np.zeros((kd + 1, n), order="F")
+    ab[kd + upper.row - upper.col, upper.col] = upper.data
+    factor, info = lapack.dpbtrf(ab, overwrite_ab=1)
+    if info != 0:
+        raise EigensolverError(f"sigma={sigma!r} is not below the lowest "
+                               f"term at rho={rho!r}", rho=rho)
     try:
         vals, vecs = spla.eigsh(
             a, k=n_terms, M=b, sigma=sigma, which="LM",
+            OPinv=spla.LinearOperator(
+                (n, n), lambda x: lapack.dpbtrs(factor, x)[0], dtype=float),
             ncv=max(4 * n_terms + 1, 25), maxiter=400,
-            v0=np.random.default_rng(START_VECTOR_SEED).standard_normal(a.shape[0]),
+            v0=np.random.default_rng(START_VECTOR_SEED).standard_normal(n),
         )
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(
@@ -287,8 +307,6 @@ class AdiabaticSolution:
 def _fd_weights(rho_grid: np.ndarray, k: int):
     """First-derivative weights on the (up to 3-point) stencil around k."""
     n = rho_grid.size
-    if n < 2:
-        raise ValidationError("need at least 2 rho points for differencing")
     if 0 < k < n - 1:
         hm = rho_grid[k] - rho_grid[k - 1]
         hp = rho_grid[k + 1] - rho_grid[k]

@@ -106,21 +106,26 @@ class RunConfig:
     """Parsed configuration plus the canonical text it hashes to."""
 
     parser: configparser.ConfigParser
-    path: str = "<defaults>"
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        parser = _fresh_parser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-        return cls(parser=_checked_keys(parser), path=str(path))
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}") from exc
+        return cls.from_text(text, source=str(path))
 
     @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        parser = _fresh_parser()
-        parser.read_string(text)
-        return cls(parser=_checked_keys(parser), path="<text>")
+    def from_text(cls, text: str, source: str = "<text>") -> "RunConfig":
+        """Config from INI text; malformed INI (a key given twice, a line
+        outside any section) is a ConfigError like an unknown key."""
+        parser = configparser.ConfigParser()
+        parser.read_dict(DEFAULTS)
+        try:
+            parser.read_string(text, source)
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config: {exc}") from exc
+        return cls(parser=_checked_keys(parser))
 
     def get(self, section: str, key: str, cast=str):
         try:
@@ -180,12 +185,6 @@ class RunConfig:
             return TwoChannelToy(**self._floats("toy"))
         except TypeError as exc:  # a key that is not a toy parameter
             raise ConfigError(f"unknown key in [toy]: {exc}") from exc
-
-
-def _fresh_parser() -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    parser.read_dict(DEFAULTS)
-    return parser
 
 
 def _checked_keys(parser: configparser.ConfigParser) -> configparser.ConfigParser:

@@ -16,7 +16,8 @@ three-point pencil A0 u = E A1 u on a piecewise-uniform grid (steps halve
 toward small rho, with the low-order join rows confined to the classically
 forbidden region).  The pencil is block-tridiagonal, so each grid keeps it
 once in LAPACK band storage (bandwidth 2N - 1), and both solvers run on
-that one band with LAPACK's banded LU; no sparse (SuperLU) factor is built.
+that one band with LAPACK's banded LU; no sparse (SuperLU) factor is built
+here or in the adiabatic layer, which factors its pair as a band Cholesky.
 The scattering solve takes the matrix ratio P = u_M u_{M-1}^{-1} at the
 match point from a Dirichlet solve of the interior rows with u_0 = 0 and
 u_M = I, so P = u_{M-1}^{-1}; the rows are eliminated in fixed chunks that
@@ -33,11 +34,11 @@ the pencil, -> q_j as h -> 0) and discrete decaying exponentials in closed
 channels.  Matching to exact solutions of the same recursion makes K
 symmetric to roundoff once the couplings have died out, instead of only to
 the O(h^2) mismatch between continuum and discrete waves.  The auxiliary box
-problem diagonalizes the pencil with Dirichlet ends: every box is a leading
-block of the band, factored once per box for ARPACK's shift-invert
-iteration.  That iteration keeps scipy's default Krylov subspace of
-min(max(2k + 1, 20), n) vectors for k levels, the ncv >= 2 nev the ARPACK
-Users' Guide recommends; a larger one only adds O(n ncv^2)
+problem takes only the pencil's eigenvalues, with Dirichlet ends: every box
+is a leading block of the band, factored once per box for ARPACK's
+shift-invert iteration.  That iteration keeps scipy's default Krylov
+subspace of min(max(2k + 1, 20), n) vectors for k levels, the ncv >= 2 nev
+the ARPACK Users' Guide recommends; a larger one only adds O(n ncv^2)
 reorthogonalization per restart and enlarges two n x ncv work arrays.
 Sharing the stencil keeps the box spectrum and the K(E) pole structure
 consistent far below the discretization error of either alone.
@@ -52,7 +53,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
-from scipy.linalg import blas, expm, lapack
+from scipy.linalg import blas, lapack
 
 from .algebra import KMatrix
 from .errors import (
@@ -269,10 +270,14 @@ class RadialGrid:
 
 
 def _gauge_path(problem: RadialProblem, points: np.ndarray) -> np.ndarray:
-    """Orthogonal gauge S(rho) with S' = Q S, midpoint-exponential steps."""
+    """Orthogonal gauge S(rho) with S' = Q S, midpoint-exponential steps:
+    exp(h A), A the antisymmetric part of Q at the bond's midpoint, is
+    V exp(-i L) V^H from the eigenpairs of the Hermitian i h A = V L V^H."""
     h = np.diff(points)
     q = np.asarray(problem.q_mat(points[:-1] + 0.5 * h), dtype=float)
-    steps = expm(h[:, None, None] * (0.5 * (q - np.swapaxes(q, 1, 2))))
+    lam, v = np.linalg.eigh(
+        1j * h[:, None, None] * (0.5 * (q - np.swapaxes(q, 1, 2))))
+    steps = (v * np.exp(-1j * lam)[:, None, :] @ np.swapaxes(v.conj(), 1, 2)).real
     out = np.empty((points.size,) + steps.shape[1:])
     s = out[0] = np.eye(problem.n_channels)
     for k, step in enumerate(steps, start=1):
@@ -376,8 +381,7 @@ def stabilization_eigenvalues(
     n_levels: int,
     grid: RadialGrid,
     sigma: float | None = None,
-    return_vectors: bool = False,
-):
+) -> np.ndarray:
     """Eigenvalues of the Dirichlet box problem on [rho_start, alpha].
 
     sigma=None targets the bottom of the spectrum (lowest n_levels);
@@ -422,22 +426,19 @@ def stabilization_eigenvalues(
 
     k = min(n_levels, n - 1)
     try:
-        vals, vecs = spla.eigsh(
+        vals = spla.eigsh(
             spla.LinearOperator((n, n), a0_matvec, dtype=float),
             k=k, M=spla.LinearOperator((n, n), a1_matvec, dtype=float),
             sigma=sigma, which="LM",
             OPinv=spla.LinearOperator((n, n), op_inv_matvec, dtype=float),
-            maxiter=600,
+            maxiter=600, return_eigenvectors=False,
             v0=np.random.default_rng(START_VECTOR_SEED).standard_normal(n),
         )
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(
             f"box eigensolver stalled at alpha={alpha!r}", rho=alpha
         ) from exc
-    order = np.argsort(vals)
-    if return_vectors:
-        return vals[order], vecs[:, order]
-    return vals[order]
+    return np.sort(vals)
 
 
 def _free_waves(problem, grid, energies):

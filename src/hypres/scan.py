@@ -4,8 +4,9 @@ Scanning the Dirichlet box size alpha sweeps the discrete eigenvalues
 Lambda_j(alpha) downward through the spectrum; near a resonance a branch
 flattens into a plateau (avoided crossings with the box continuum), so the
 values E = Lambda_j(alpha) sampled on a fixed alpha step pile up densely
-around the resonance energy.  Evaluating K(E) at exactly those energies
-gives the near-pole sampling the fit needs.
+around the resonance energy.  Boxes are solved for eigenvalues only; branch
+b is the b-th lowest level at every alpha.  Evaluating K(E) at exactly
+those energies gives the near-pole sampling the fit needs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # called as radial.<name>, so a function replaced on radial is the one run
 from . import radial
@@ -22,7 +22,7 @@ from .errors import ValidationError
 from .radial import RadialGrid, RadialProblem
 from .samples import KSample
 
-# extra tracked levels guarding the top of the reported window
+# extra solved levels guarding the top of the reported window
 N_BUFFER = 4
 
 
@@ -57,20 +57,23 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class StabilizationSpectrum:
-    """Continuity-tracked eigenvalue branches Lambda_j(alpha).
+    """Eigenvalue branches Lambda_j(alpha), labelled in eigenvalue order.
 
-    levels[a, b] is branch b at alpha_grid[a]; swaps[a] counts the order vs
-    max-overlap label disagreements at step a (avoided crossings traversed
-    inside one alpha step).
+    levels[a, b] is branch b at alpha_grid[a].
     """
 
     alpha_grid: np.ndarray
     levels: np.ndarray
-    swaps: np.ndarray | None = None
 
     @property
     def n_branches(self) -> int:
         return self.levels.shape[1]
+
+    @property
+    def swaps(self) -> np.ndarray:
+        """Zeros: branch swaps are no longer tracked; kept for the benchmark
+        tracer until it reads stage run records (ROADMAP item 3)."""
+        return np.zeros(self.alpha_grid.size, dtype=int)
 
     def monotone_defect(self) -> float:
         """Largest upward jump along any branch (<= 0 for monotone branches)."""
@@ -102,41 +105,20 @@ class ResonanceWindow:
 def scan_branches(
     problem: RadialProblem, config: ScanConfig, grid: RadialGrid
 ) -> StabilizationSpectrum:
-    """Eigenvalue branches over the alpha window, overlap-tracked.
+    """Eigenvalue branches over the alpha window, labelled in eigenvalue order.
 
     All alphas share one master grid, which must reach alpha_max (so box
-    spaces nest and branches are monotone; a window past its end raises
-    ValidationError before the first box); consecutive eigenvector sets are
-    matched by maximal overlap via linear assignment, never assigning two
-    branches to one continuation.
+    spaces nest and, without sigma, branches are monotone; a window past its
+    end raises ValidationError before the first box).  Branch b is the b-th
+    lowest solved level at each alpha, so no eigenvectors are computed.
     """
     alphas = config.alphas()
     grid.check_reach(alphas[-1])
     k = config.n_levels
-    k_solve = k + N_BUFFER
-    levels = np.full((alphas.size, k), np.nan)
-    swaps = np.zeros(alphas.size, dtype=int)
-    prev_vecs = None
-    for ia, alpha in enumerate(alphas):
-        vals, vecs = radial.stabilization_eigenvalues(
-            problem, alpha, k_solve, grid=grid, sigma=config.sigma,
-            return_vectors=True,
-        )
-        if prev_vecs is not None:
-            # bijective max-overlap continuation of the k reported branches
-            # among the k + buffer candidates; character swaps (avoided
-            # crossings traversed within one alpha step) are logged, but the
-            # labels keep the eigenvalue order, which the Dirichlet nesting
-            # of the shared master grid makes monotone branch by branch
-            m = min(prev_vecs.shape[0], vecs.shape[0])
-            overlap = np.abs(prev_vecs[:m, :k].T @ vecs[:m])
-            row, col = linear_sum_assignment(-overlap)
-            assign = np.empty(k, dtype=int)
-            assign[row] = col
-            swaps[ia] = int(np.count_nonzero(assign != np.arange(k)))
-        levels[ia] = vals[:k]
-        prev_vecs = vecs[:, :k]
-    return StabilizationSpectrum(alpha_grid=alphas, levels=levels, swaps=swaps)
+    levels = [radial.stabilization_eigenvalues(
+        problem, alpha, k + N_BUFFER, grid=grid, sigma=config.sigma)[:k]
+        for alpha in alphas]
+    return StabilizationSpectrum(alpha_grid=alphas, levels=np.array(levels))
 
 
 def _plateau_candidates(spectrum: StabilizationSpectrum, config: ScanConfig):

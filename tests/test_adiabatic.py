@@ -17,9 +17,10 @@ from hypres.adiabatic import (
     solve_terms,
     solve_with_couplings,
     build_grids,
+    _sigma_estimate,
 )
 from hypres.channels import ThreeBodyMasses, dtmu_masses
-from hypres.errors import ValidationError
+from hypres.errors import EigensolverError, ValidationError
 from hypres.tableio import load_couplings, save_couplings
 
 DTMU = dtmu_masses()
@@ -184,6 +185,35 @@ class TestOperatorPair:
         vals = spla.eigsh(a, k=2, M=b, sigma=direct[0] - 0.2, which="LM",
                           return_eigenvectors=False)
         assert np.abs(np.sort(vals) - direct).max() < 1e-10
+
+    @pytest.mark.parametrize("rho", [5.0, 30.0, 90.0])
+    def test_band_cholesky_terms_match_sparse_eigsh(self, rho):
+        # scipy's own shift-invert (a sparse LU of A - sigma B) at the same
+        # shift is the independent solve
+        import scipy.sparse.linalg as spla
+
+        tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
+        potential = coulomb_potential(DTMU, rho)
+        a, b = assemble_adiabatic_operator(tensor, rho, potential)
+        sigma = _sigma_estimate(a, b, tensor, DTMU, rho)
+        direct, _ = solve_adiabatic_point(tensor, rho, 4, potential=potential,
+                                          masses=DTMU)
+        ref = np.sort(spla.eigsh(a, k=4, M=b, sigma=sigma, which="LM",
+                                 return_eigenvectors=False))
+        assert np.abs(direct - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_sigma_above_lowest_term_raises(self):
+        # A - sigma B is then indefinite and has no Cholesky factor; the
+        # terms nearest such a sigma need not be the lowest ones
+        rho = 30.0
+        tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
+        potential = coulomb_potential(DTMU, rho)
+        vals, _ = solve_adiabatic_point(tensor, rho, 3, potential=potential,
+                                        masses=DTMU)
+        with pytest.raises(EigensolverError) as err:
+            solve_adiabatic_point(tensor, rho, 2, potential=potential,
+                                  sigma=0.5 * (vals[1] + vals[2]))
+        assert err.value.rho == rho
 
 
 class TestBisection:

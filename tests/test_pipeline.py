@@ -336,6 +336,21 @@ class TestConfigChecks:
             # value is found by the stage that reads it (scan)
             assert (tmp_path / "out" / "terms.dat").exists() == terms_written
 
+    @pytest.mark.parametrize("text, named", [
+        ("[scan]\nn_levels = 6\nn_levels = 8\n", "already exists"),
+        ("n_levels = 6\n", "no section headers"),
+        ("[scan]\n[scan]\n", "already exists"),
+    ])
+    def test_malformed_file_exit_code(self, tmp_path, capsys, text, named):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        with pytest.raises(ConfigError, match=named):
+            RunConfig.from_file(ini)
+        assert main(["scan", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[config] error: malformed config"), err
+        assert str(ini) in err
+
 
 class TestCli:
     def test_exit_codes(self, toy_run, capsys):

@@ -124,7 +124,8 @@ class TestBoxSpectrum:
 
 def loop_w_samples(problem, points):
     """Per-point reference for build_grid's W samples and gauge: scalar
-    w_bare calls and one 2-D midpoint-exponential gauge step per bond."""
+    w_bare calls and one 2-D midpoint-exponential gauge step per bond, in
+    the closed form exp(h A) = V exp(-i L) V^H of i h A = V L V^H."""
     n = problem.n_channels
     gauge = None
     if problem.has_gauge():
@@ -134,8 +135,8 @@ def loop_w_samples(problem, points):
         for k in range(points.size - 1):
             h = points[k + 1] - points[k]
             q = np.asarray(problem.q_mat(points[k] + 0.5 * h), dtype=float)
-            q = 0.5 * (q - q.T)
-            s = expm(h * q) @ s
+            lam, v = np.linalg.eigh(1j * h * (0.5 * (q - q.T)))
+            s = (v * np.exp(-1j * lam) @ v.conj().T).real @ s
             gauge[k + 1] = s
     w = np.empty((points.size, n, n))
     for k, rho in enumerate(points):
@@ -199,6 +200,30 @@ class TestGridBuild:
         grid = build_grid(prob, rho_end=6.0, h_max=0.05)
         assert np.unique(grid.bond_h.round(12)).size >= 4
         assert np.array_equal(grid.join_bond, loop_join_bond(grid.bond_h))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_gauge_steps_match_expm(self, n):
+        # each closed-form step is scipy's expm of h A to 1e-13, with O(1)
+        # rotation angles; the path stays orthogonal to 1e-12
+        rng = np.random.default_rng(n)
+        coef = rng.standard_normal((3, n, n))
+
+        def q_mat(rho):
+            rho = np.asarray(rho, dtype=float)[..., None, None]
+            return coef[0] + coef[1] * np.sin(rho) + coef[2] * np.cos(2.0 * rho)
+
+        prob = RadialProblem(thresholds=np.zeros(n), eps=lambda r: 0.0,
+                             q_mat=q_mat, rho_start=0.1, rho_match=40.0)
+        points = np.cumsum(np.concatenate([[0.1], rng.uniform(0.05, 0.8, 200)]))
+        path = radial._gauge_path(prob, points)
+        for k in range(points.size - 1):
+            h = points[k + 1] - points[k]
+            q = q_mat(points[k] + 0.5 * h)
+            want = expm(h * 0.5 * (q - q.T))
+            step = radial._gauge_path(prob, points[k:k + 2])[1]
+            assert np.abs(step - want).max() <= 1e-13
+        gram = np.swapaxes(path, 1, 2) @ path
+        assert np.abs(gram - np.eye(n)).max() <= 1e-12
 
     def test_w_bare_shapes(self):
         prob = coupled_wells(4)
@@ -365,21 +390,17 @@ class TestBandedKernel:
         assert np.abs(vals - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("alpha", [8.0, 16.0, 24.0])
-    def test_box_eigenpairs_at_scan_size(self, toy_problem, toy_scan_config,
-                                         alpha):
-        # the scan tracks branches by the overlap of these vectors: at its
-        # own k they must be A1-orthonormal eigenpairs of the pencil
+    def test_box_eigenvalues_at_scan_size(self, toy_problem, toy_scan_config,
+                                          alpha):
+        # at the scan's own k (eigenvalues only, no vectors) the box solve
+        # gives the lowest k eigenvalues of the dense pencil
         k = toy_scan_config.n_levels + N_BUFFER
         grid = build_grid(toy_problem, rho_end=24.0, h_max=0.04)
-        last = grid.index_of(alpha)
-        a0, a1 = dense_pencil(grid, last)
-        vals, vecs = stabilization_eigenvalues(toy_problem, alpha, k, grid=grid,
-                                               return_vectors=True)
-        assert vecs.shape == (a0.shape[0], k)
-        gram = vecs.T @ a1 @ vecs
-        assert np.abs(gram - np.eye(k)).max() <= 1e-10
-        residual = np.linalg.norm(a0 @ vecs - (a1 @ vecs) * vals, axis=0)
-        assert residual.max() <= 1e-9 * np.linalg.norm(a0, 2)
+        a0, a1 = dense_pencil(grid, grid.index_of(alpha))
+        want = eigh(a0, a1, eigvals_only=True)[:k]
+        vals = stabilization_eigenvalues(toy_problem, alpha, k, grid=grid)
+        assert vals.shape == (k,)
+        assert np.abs(vals - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("model", ["toy", "coupled_wells4"])
     def test_propagate_ratio_matches_recursion(self, model):
