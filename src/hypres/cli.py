@@ -14,7 +14,7 @@ import sys
 
 from . import pipeline
 from .errors import ConfigError, HypresError
-from .pipeline import STAGE_TABLE, STAGES, RunConfig
+from .pipeline import STAGE_TABLE, STAGES, WORDS, RunConfig
 from .tableio import read_keyvalues
 
 _PARAMS = ("resonance", "model")  # every stage parameter, as CLI options
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--resonance", type=int, default=0,
                              help="window index from the scan stage (0 = lowest)")
         if "model" in params:
-            sub.add_argument("--model", choices=["general", "diagonal", "both"],
+            sub.add_argument("--model", choices=WORDS["fit", "model"],
                              help="override [fit] model")
         if name == "pipeline":
             sub.add_argument("--stage", choices=list(STAGES),
@@ -73,9 +73,7 @@ def _print_summary(path):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig.from_file(args.config)
-        if args.out:
-            config.parser.set("output", "directory", args.out)
+        config = RunConfig.from_file(args.config, directory=args.out)
     except ConfigError as exc:
         print(f"[config] error: {exc}", file=sys.stderr)
         return 2

@@ -373,8 +373,9 @@ def fit(problem: FitProblem, guesses=None) -> FitResult:
     POLE_SIDE_SAMPLES samples strictly on each side; a pole pushed onto
     the window edge with a collapsing residue is the "no resonance"
     minimum that noisy samples can offer, and it is rejected even when
-    its cost is lower.  The lowest-cost admissible result is returned, the
-    earliest start on a tie.
+    its cost is lower.  So is a pole whose width b1 + b2 is not above the
+    float spacing math.ulp(E1): no energy grid can resolve it.  The
+    lowest-cost admissible result is returned, the earliest start on a tie.
 
     Raises FitFailureError (carrying the best-so-far parameters) only when
     no start is admissible, and InconsistentFitError when the returned
@@ -394,12 +395,16 @@ def fit(problem: FitProblem, guesses=None) -> FitResult:
         )
         below = int(np.count_nonzero(e < theta[0]))
         above = int(np.count_nonzero(e > theta[0]))
+        width = theta[-2] ** 2 + theta[-1] ** 2  # b1 + b2
         why = None
         if not converged:
             why = f"no convergence after {n_iter} iterations"
         elif min(below, above) < POLE_SIDE_SAMPLES:
             why = (f"pole E1={theta[0]:.12g} has {below} samples below, "
                    f"{above} above")
+        elif not width > math.ulp(theta[0]):
+            why = (f"pole E1={theta[0]:.12g} has b1 + b2 = {width:.3e}, "
+                   f"not above the float spacing at E1")
         runs.append((cost, name, theta, n_iter, why))
     admissible = [run for run in runs if run[4] is None]
     cost, start, theta, n_iter, _ = min(admissible or runs, key=lambda r: r[0])

@@ -17,7 +17,8 @@ code, and importing this module loads no channel or pole-form algebra.
 The configuration is one INI-style file with a section per stage; the
 defaults reproduce the full three-body run (131x61 basis grid, 6 retained
 channels, rho in [0.05, 500]) so a config that only names the system is
-complete.
+complete.  It is read once, each value cast to the type of its default, so
+a bad key or value is a ConfigError before any stage runs.
 """
 
 from __future__ import annotations
@@ -50,107 +51,105 @@ from .tableio import (
 if TYPE_CHECKING:
     from .channels import ChannelSet, ThreeBodyMasses
 
+# Each key's type is the type of its default; None marks an optional float,
+# whose empty value reads as None.  [toy] keys are the toy model's parameters
+# (floats); RunConfig.toy checks their names.
 DEFAULTS = {
     "system": {
         "kind": "three-body",
-        "m1": "26.584935828866946",
-        "m2": "17.75167309872182",
-        "z1": "1",
-        "z2": "1",
-        "z_light": "-1",
+        "m1": 26.584935828866946,
+        "m2": 17.75167309872182,
+        "z1": 1,
+        "z2": 1,
+        "z_light": -1,
     },
     "basis": {
-        "n_chi": "131",
-        "n_theta": "61",
-        "n_terms": "6",
-        "rho_min": "0.05",
-        "rho_max": "500.0",
-        "n_rho": "400",
-        "n_refine": "80",
+        "n_chi": 131,
+        "n_theta": 61,
+        "n_terms": 6,
+        "rho_min": 0.05,
+        "rho_max": 500.0,
+        "n_rho": 400,
+        "n_refine": 80,
     },
-    "radial": {
-        "rho_start": "0.05",
-        "rho_match": "500.0",
-        "h_max": "0.05",
-        "include_rho_term": "true",
-    },
+    "radial": {"rho_start": 0.05, "rho_match": 500.0, "h_max": 0.05},
     "scan": {
-        "alpha_min": "50.0",
-        "alpha_max": "400.0",
-        "alpha_step": "1.0",
-        "n_levels": "12",
-        "sigma": "",
-        "e_min": "",
-        "e_max": "",
-        "halfwidth": "8.0",
-        "max_samples": "400",
-        "plateau_fraction": "0.05",
+        "alpha_min": 50.0,
+        "alpha_max": 400.0,
+        "alpha_step": 1.0,
+        "n_levels": 12,
+        "sigma": None,
+        "e_max": None,
+        "halfwidth": 8.0,
     },
-    "fit": {
-        "model": "general",
-        "weighting": "relative",
-    },
-    "xsec": {
-        "n_points": "201",
-        "span_widths": "8.0",
-    },
-    "output": {
-        "directory": "out",
-    },
+    "fit": {"model": "general", "weighting": "relative"},
+    "output": {"directory": "out"},
     "toy": {},
+}
+
+# the words an enumerated key may take
+WORDS = {
+    ("system", "kind"): ("three-body", "toy"),
+    ("fit", "model"): ("general", "diagonal", "both"),
+    ("fit", "weighting"): ("uniform", "relative"),
 }
 
 
 @dataclass
 class RunConfig:
-    """Parsed configuration plus the canonical text it hashes to."""
+    """Typed values of every configuration key, and the text of each key
+    the file gave; the digests hash that text (a default as its str)."""
 
-    parser: configparser.ConfigParser
+    values: dict
+    text: dict
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
+    def from_file(cls, path, directory=None) -> "RunConfig":
         try:
             text = Path(path).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}") from exc
-        return cls.from_text(text, source=str(path))
+        return cls.from_text(text, source=str(path), directory=directory)
 
     @classmethod
-    def from_text(cls, text: str, source: str = "<text>") -> "RunConfig":
-        """Config from INI text; malformed INI (a key given twice, a line
-        outside any section) is a ConfigError like an unknown key."""
-        parser = configparser.ConfigParser()
-        parser.read_dict(DEFAULTS)
+    def from_text(cls, text: str, source: str = "<text>",
+                  directory=None) -> "RunConfig":
+        """Config from INI text, each value cast once; directory, when given,
+        replaces [output] directory.  Malformed INI (a key given twice, a
+        line outside any section), an unknown section or key, a malformed
+        value and a word outside its WORDS are each a ConfigError."""
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text, source)
         except configparser.Error as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
-        return cls(parser=_checked_keys(parser))
+        if parser.defaults():
+            raise ConfigError(f"unknown section [{parser.default_section}]")
+        values = {section: dict(keys) for section, keys in DEFAULTS.items()}
+        texts = {section: {} for section in DEFAULTS}
+        for section in parser.sections():
+            if section not in DEFAULTS:
+                raise ConfigError(f"unknown section [{section}]")
+            for key, raw in parser.items(section):
+                if section != "toy" and key not in DEFAULTS[section]:
+                    raise ConfigError(f"unknown key [{section}] {key}")
+                values[section][key] = _typed(section, key, raw)
+                texts[section][key] = raw
+        if directory is not None:
+            values["output"]["directory"] = texts["output"]["directory"] = str(directory)
+        return cls(values=values, text=texts)
 
-    def get(self, section: str, key: str, cast=str):
-        try:
-            raw = self.parser.get(section, key)
-        except (configparser.NoSectionError, configparser.NoOptionError) as exc:
-            raise ConfigError(f"missing [{section}] {key}") from exc
-        try:
-            return self.parser.getboolean(section, key) if cast is bool else cast(raw)
-        except ValueError as exc:
-            kind = "boolean" if cast is bool else cast.__name__
-            raise ConfigError(
-                f"[{section}] {key} = {raw!r} is not a valid {kind}") from exc
-
-    def get_optional(self, section: str, key: str) -> float | None:
-        raw = self.parser.get(section, key, fallback="")
-        return self.get(section, key, float) if raw.strip() else None
+    def get(self, section: str, key: str):
+        return self.values[section][key]
 
     def canonical(self, sections) -> str:
         """Normalized text of the given sections (for digests)."""
         buf = io.StringIO()
         for sec in sections:
             buf.write(f"[{sec}]\n")
-            if self.parser.has_section(sec):
-                for key in sorted(self.parser.options(sec)):
-                    buf.write(f"{key} = {self.parser.get(sec, key)}\n")
+            for key in sorted(self.values[sec]):
+                value = self.text[sec].get(key, self.values[sec][key])
+                buf.write(f"{key} = {'' if value is None else value}\n")
         return buf.getvalue()
 
     def digest(self, sections) -> str:
@@ -162,43 +161,42 @@ class RunConfig:
 
     def out_dir(self) -> Path:
         d = Path(self.get("output", "directory"))
-        d.mkdir(parents=True, exist_ok=True)
+        try:
+            d.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {d}: {exc}") from exc
         return d
 
     def masses(self) -> ThreeBodyMasses:
         from .channels import ThreeBodyMasses
-        return ThreeBodyMasses(
-            m1=self.get("system", "m1", float),
-            m2=self.get("system", "m2", float),
-            z1=self.get("system", "z1", int),
-            z2=self.get("system", "z2", int),
-            z_light=self.get("system", "z_light", int),
-        )
-
-    def _floats(self, section: str) -> dict:
-        return {key: self.get(section, key, float)
-                for key in self.parser.options(section)}
+        keys = ("m1", "m2", "z1", "z2", "z_light")
+        return ThreeBodyMasses(**{key: self.get("system", key) for key in keys})
 
     def toy(self):
         from .models import TwoChannelToy
         try:
-            return TwoChannelToy(**self._floats("toy"))
+            return TwoChannelToy(**self.values["toy"])
         except TypeError as exc:  # a key that is not a toy parameter
             raise ConfigError(f"unknown key in [toy]: {exc}") from exc
 
 
-def _checked_keys(parser: configparser.ConfigParser) -> configparser.ConfigParser:
-    """parser, once every section and key it holds is one DEFAULTS names;
-    [toy] keys are the toy model's parameters, checked by RunConfig.toy."""
-    for section in parser.sections():
-        if section not in DEFAULTS:
-            raise ConfigError(f"unknown section [{section}]")
-        if section == "toy":
-            continue
-        for key in parser.options(section):
-            if key not in DEFAULTS[section]:
-                raise ConfigError(f"unknown key [{section}] {key}")
-    return parser
+def _typed(section: str, key: str, raw: str):
+    """raw read as the type of the key's default; [toy] values are floats."""
+    default = DEFAULTS[section].get(key, 0.0)
+    words = WORDS.get((section, key))
+    if words is not None and raw not in words:
+        raise ConfigError(
+            f"[{section}] {key} = {raw!r} is not one of {', '.join(words)}")
+    if isinstance(default, str):
+        return raw
+    if default is None and not raw:
+        return None
+    cast = int if isinstance(default, int) else float
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ConfigError(
+            f"[{section}] {key} = {raw!r} is not a valid {cast.__name__}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -290,41 +288,37 @@ def _run(name: str, config: RunConfig, force: bool, **params) -> Path:
 def _hyperangular_grid(config: RunConfig):
     from .adiabatic import HyperangularGrid
     return HyperangularGrid(
-        n_chi=config.get("basis", "n_chi", int),
-        n_theta=config.get("basis", "n_theta", int),
+        n_chi=config.get("basis", "n_chi"),
+        n_theta=config.get("basis", "n_theta"),
     )
 
 
 def _analytic_solution(config: RunConfig):
-    """Terms and H/Q tables of the toy kind, the one analytic kind, in the
-    FEM solve's form; any other kind but three-body is a ConfigError."""
+    """Terms and H/Q tables of the toy kind, in the FEM solve's form."""
     from .adiabatic import AdiabaticSolution
-    kind = config.kind
-    if kind != "toy":
-        raise ConfigError(f"no analytic tables for kind={kind!r}")
     rho, eps, h, q = config.toy().tables()
     return AdiabaticSolution(rho_grid=rho, terms=eps, h_table=h, q_table=q,
-                             meta={"kind": kind})
+                             meta={"kind": "toy"})
 
 
 def _terms(config: RunConfig, expect: dict, out: Path):
-    if config.kind != "three-body":
+    if config.kind == "toy":
         return save_terms(out, _analytic_solution(config), expect)
     from .adiabatic import solve_terms
     rho_grid = np.geomspace(
-        config.get("basis", "rho_min", float),
-        config.get("basis", "rho_max", float),
-        config.get("basis", "n_rho", int),
+        config.get("basis", "rho_min"),
+        config.get("basis", "rho_max"),
+        config.get("basis", "n_rho"),
     )
     sol = solve_terms(
         config.masses(), _hyperangular_grid(config), rho_grid,
-        config.get("basis", "n_terms", int),
+        config.get("basis", "n_terms"),
     )
     save_terms(out, sol, expect)
 
 
 def _couplings(config: RunConfig, expect: dict, out: Path):
-    if config.kind != "three-body":
+    if config.kind == "toy":
         return save_couplings(out, _analytic_solution(config), expect)
     from .adiabatic import refine_rho_grid, solve_with_couplings
     # terms.dat only places the refinement; every point of the refined grid
@@ -332,50 +326,45 @@ def _couplings(config: RunConfig, expect: dict, out: Path):
     rho_grid, terms, _ = load_terms(out.with_name("terms.dat"))
     sol = solve_with_couplings(
         config.masses(), _hyperangular_grid(config),
-        refine_rho_grid(rho_grid, terms, config.get("basis", "n_refine", int)),
-        config.get("basis", "n_terms", int),
+        refine_rho_grid(rho_grid, terms, config.get("basis", "n_refine")),
+        config.get("basis", "n_terms"),
     )
     save_couplings(out, sol, expect)
 
 
 def _radial_setup(config: RunConfig):
     """The radial problem of couplings.dat and its one master grid, which
-    ends at rho_match: the scan's boxes and the sample's K match share it."""
+    ends at rho_match: the scan's boxes and the sample's K match share it.
+    The toy's channels carry no 15/(4 rho^2) term, as in its own problem."""
     from .radial import RadialProblem, build_grid
     rho, eps, h, q, _ = load_couplings(config.out_dir() / "couplings.dat")
     if config.kind == "toy":
         toy = config.toy()
-        rho_start, rho_match, include = toy.rho_start, toy.rho_match, False
+        rho_start, rho_match = toy.rho_start, toy.rho_match
     else:
-        rho_start = config.get("radial", "rho_start", float)
-        rho_match = config.get("radial", "rho_match", float)
-        include = config.get("radial", "include_rho_term", bool)
+        rho_start = config.get("radial", "rho_start")
+        rho_match = config.get("radial", "rho_match")
     problem = RadialProblem.from_tables(
-        rho, eps, h, q,
-        rho_start=rho_start, rho_match=rho_match, include_rho_term=include,
+        rho, eps, h, q, rho_start=rho_start, rho_match=rho_match,
+        include_rho_term=config.kind == "three-body",
     )
-    h_max = config.get("radial", "h_max", float)
-    return problem, build_grid(problem, h_max=h_max)
+    return problem, build_grid(problem, h_max=config.get("radial", "h_max"))
 
 
 def _scan_config(config: RunConfig, problem):
     from .scan import ScanConfig
-    e_min = config.get_optional("scan", "e_min")
-    if e_min is None:
-        # default to the two-open-channel regime of the 2x2 sample contract
-        thr = np.sort(problem.thresholds)
-        e_min = float(thr[min(1, thr.size - 1)]) + 1e-9
+    # detection starts in the two-open-channel regime of the 2x2 sample
+    # contract, just above the second-lowest threshold
+    thr = np.sort(problem.thresholds)
     return ScanConfig(
-        alpha_min=config.get("scan", "alpha_min", float),
-        alpha_max=config.get("scan", "alpha_max", float),
-        alpha_step=config.get("scan", "alpha_step", float),
-        n_levels=config.get("scan", "n_levels", int),
-        sigma=config.get_optional("scan", "sigma"),
-        e_min=e_min,
-        e_max=config.get_optional("scan", "e_max"),
-        energy_window_halfwidth=config.get("scan", "halfwidth", float),
-        max_samples=config.get("scan", "max_samples", int),
-        plateau_slope_fraction=config.get("scan", "plateau_fraction", float),
+        alpha_min=config.get("scan", "alpha_min"),
+        alpha_max=config.get("scan", "alpha_max"),
+        alpha_step=config.get("scan", "alpha_step"),
+        n_levels=config.get("scan", "n_levels"),
+        sigma=config.get("scan", "sigma"),
+        e_min=float(thr[min(1, thr.size - 1)]) + 1e-9,
+        e_max=config.get("scan", "e_max"),
+        energy_window_halfwidth=config.get("scan", "halfwidth"),
     )
 
 
@@ -445,14 +434,13 @@ def _sample(config: RunConfig, expect: dict, out: Path, resonance: int):
 
 
 def _fit_weights(samples, mode: str):
+    """Per-sample fit weights of a [fit] weighting word."""
     if mode == "uniform":
         return None
-    if mode == "relative":
-        norms = [
-            max(1e-6, s.k11 ** 2 + 2.0 * s.k12 ** 2 + s.k22 ** 2) for s in samples
-        ]
-        return tuple(1.0 / n for n in norms)
-    raise ConfigError(f"unknown weighting {mode!r}")
+    norms = [
+        max(1e-6, s.k11 ** 2 + 2.0 * s.k12 ** 2 + s.k22 ** 2) for s in samples
+    ]
+    return tuple(1.0 / n for n in norms)
 
 
 def _report_pairs(result, prefix=""):
@@ -518,6 +506,12 @@ def _fit(config: RunConfig, expect: dict, out: Path, resonance: int, model: str)
     # Table-shaped summary row on stdout is the CLI's job; keep data pure.
 
 
+# the model cross sections: XSEC_POINTS energies over E0 +- XSEC_SPAN_WIDTHS
+# Gamma, cut at the upper threshold
+XSEC_POINTS = 201
+XSEC_SPAN_WIDTHS = 8.0
+
+
 def _xsec(config: RunConfig, expect: dict, out_k: Path, out_i: Path,
           out_x: Path, resonance: int):
     from .algebra import cross_sections
@@ -548,16 +542,17 @@ def _xsec(config: RunConfig, expect: dict, out_k: Path, out_i: Path,
     channels = _channel_set(config)
     gamma = pairs["Gamma"]
     e0 = pairs["E0"]
-    span = config.get("xsec", "span_widths", float) * gamma
-    n_pts = config.get("xsec", "n_points", int)
-    lo = max(e0 - span, float(np.max(channels.thresholds)) + 1e-9)
+    upper = float(np.max(channels.thresholds))
+    span = XSEC_SPAN_WIDTHS * gamma
+    lo = max(e0 - span, upper + 1e-9)
     hi = e0 + span
     if hi <= lo:
         raise StageError(
-            f"cross-section range [{lo}, {hi}] empty: E below both thresholds"
+            f"cross-section range [{lo}, {hi}] empty: E0 = {e0!r}, "
+            f"Gamma = {gamma!r}, upper threshold {upper!r}"
         )
     rows_x = []
-    for e in np.linspace(lo, hi, n_pts):
+    for e in np.linspace(lo, hi, XSEC_POINTS):
         if e == params.E1:
             continue
         sigma = cross_sections(bw_k(params, float(e)), channels)
@@ -567,16 +562,13 @@ def _xsec(config: RunConfig, expect: dict, out_k: Path, out_i: Path,
 
 def _channel_set(config: RunConfig) -> ChannelSet:
     from .channels import ChannelSet
-    kind = config.kind
-    if kind == "three-body":
+    if config.kind == "three-body":
         return config.masses().channel_set()
-    if kind == "toy":
-        toy = config.toy()
-        # plain Schroedinger units: k = q, so 2 mu = 1
-        return ChannelSet(
-            thresholds=tuple(toy.thresholds), reduced_masses=(0.5, 0.5)
-        )
-    raise ConfigError(f"no channel set for kind={kind!r}")
+    toy = config.toy()
+    # plain Schroedinger units: k = q, so 2 mu = 1
+    return ChannelSet(
+        thresholds=tuple(toy.thresholds), reduced_masses=(0.5, 0.5)
+    )
 
 
 _PHYSICS = ("system", "basis", "radial", "scan")
@@ -600,7 +592,7 @@ STAGE_TABLE = (
           digested="ksamples_{resonance}.dat",
           header=("model",), params=("resonance", "model")),
     Stage("xsec", "profile files: K entries, inverse parts, cross sections",
-          ("xsec",),
+          (),
           ("profiles_k_{resonance}.dat", "profiles_invk_{resonance}.dat",
            "profiles_xsec_{resonance}.dat"), _xsec,
           inputs=("fit_{resonance}.txt",), digested="fit_{resonance}.txt",

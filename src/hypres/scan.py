@@ -24,20 +24,23 @@ from .samples import KSample
 
 # extra solved levels guarding the top of the reported window
 N_BUFFER = 4
+# a window keeps at most this many energies, evenly spread over its levels
+MAX_SAMPLES = 400
+# a branch is flat where |slope| is below this fraction of its median |slope|
+PLATEAU_SLOPE_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Box-scan window and detection knobs."""
+    """Box-scan window and detection bounds; the sample cap and the plateau
+    flatness are the constants MAX_SAMPLES and PLATEAU_SLOPE_FRACTION."""
 
     alpha_min: float
     alpha_max: float
     alpha_step: float
     n_levels: int = 12
     sigma: float | None = None  # eigensolver target; None = lowest levels
-    max_samples: int = 400
     energy_window_halfwidth: float = 1.0  # multiples of gamma_est
-    plateau_slope_fraction: float = 0.05
     e_min: float | None = None  # detection bounds; bound states (below the
     e_max: float | None = None  # lowest threshold) are not resonances
 
@@ -138,7 +141,7 @@ def _plateau_candidates(spectrum: StabilizationSpectrum, config: ScanConfig):
         scale = np.median(np.abs(slope))
         if scale == 0.0:
             scale = np.abs(slope).max()
-        mask = np.abs(slope) < config.plateau_slope_fraction * scale
+        mask = np.abs(slope) < PLATEAU_SLOPE_FRACTION * scale
         if not mask.any():
             continue
         # contiguous runs of flat points; keep the flattest point of each
@@ -154,7 +157,7 @@ def _plateau_candidates(spectrum: StabilizationSpectrum, config: ScanConfig):
             # threshold never steepen again, and exactly flat branches
             # (bound states) never dive at all
             floor = max(3.0 * abs(slope[best]),
-                        config.plateau_slope_fraction * spectrum_scale)
+                        PLATEAU_SLOPE_FRACTION * spectrum_scale)
             dives_in = best > 0 and np.abs(slope[:best]).max() >= floor
             dives_out = (
                 best < alphas.size - 1 and np.abs(slope[best + 1 :]).max() >= floor
@@ -219,9 +222,9 @@ def detect_resonances(
         order = np.argsort(e_list)
         energies = np.asarray(e_list)[order]
         prov = [prov[i] for i in order]
-        if energies.size > config.max_samples:
+        if energies.size > MAX_SAMPLES:
             keep = np.unique(
-                np.round(np.linspace(0, energies.size - 1, config.max_samples))
+                np.round(np.linspace(0, energies.size - 1, MAX_SAMPLES))
             ).astype(int)
             energies = energies[keep]
             prov = [prov[i] for i in keep]

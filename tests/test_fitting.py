@@ -168,6 +168,21 @@ class TestAdmissiblePole:
             fit(FitProblem(samples=tuple(samples)))
         assert err.value.best_params is not None
 
+    def test_zero_width_pole_rejected(self, monkeypatch):
+        # a converged pole inside the window whose residue underflows: b1 +
+        # b2 = 2e-302, far below the float spacing at E1, so no energy grid
+        # resolves its width and no start is left
+        samples = synthesize(TRUTH, sample_grid())
+
+        def collapsed(theta0, e, k, w, model):
+            theta = theta0.copy()
+            theta[0], theta[-2:] = TRUTH.E1 + 0.01, (1e-151, -1e-151)
+            return theta, 1.0, 1, True
+
+        monkeypatch.setattr(fitting, "_lm_minimize", collapsed)
+        with pytest.raises(FitFailureError, match="float spacing at E1"):
+            fit(FitProblem(samples=tuple(samples)))
+
 
 class TestModelComparison:
     def test_nested_on_background_free_truth(self):

@@ -18,6 +18,7 @@ from hypres.errors import CacheError, ConfigError, StageError, ValidationError
 from hypres.pipeline import (
     RunConfig,
     _fit,
+    _xsec,
     run_pipeline,
     stage_couplings,
     stage_sample,
@@ -196,6 +197,19 @@ class TestStages:
         # restore the cached single-model report for other tests
         stage_fit(toy_run["config"], force=True)
 
+    def test_empty_xsec_range_names_its_bounds(self, toy_run, tmp_path):
+        # a zero-width pole leaves no energies between E0 -+ 8 Gamma
+        for name in ("couplings.dat", "ksamples_0.dat"):
+            shutil.copy(toy_run["out"] / name, tmp_path)
+        pairs, _ = read_keyvalues(toy_run["report"])
+        write_keyvalues(tmp_path / "fit_0.txt", dict(pairs, Gamma=0.0))
+        outputs = [tmp_path / f"profiles_{p}_0.dat" for p in ("k", "invk", "xsec")]
+        with pytest.raises(StageError) as err:
+            _xsec(toy_run["config"], {}, *outputs, 0)
+        message = str(err.value)
+        assert f"E0 = {pairs['E0']!r}" in message
+        assert "Gamma = 0.0" in message and "upper threshold 0.5" in message
+
     def test_model_both_without_diagonal_fit(self, toy_run, tmp_path, capsys):
         # samples on which the diagonal model has no admissible start: the
         # report keeps the general fit and says so in place of the ratio
@@ -256,7 +270,7 @@ class TestScanRange:
         ini.write_text(text.replace("alpha_max = 24.0", "alpha_max = 30.0")
                        .replace("directory = out-toy", f"directory = {tmp_path / 'out'}"))
         config = RunConfig.from_file(ini)
-        assert config.get("scan", "alpha_max", float) == 30.0
+        assert config.get("scan", "alpha_max") == 30.0
         assert config.out_dir() == tmp_path / "out"
         stage_terms(config)
         stage_couplings(config)
@@ -293,6 +307,9 @@ class TestConfigChecks:
         ("[scan]\nalpha_stpe = 0.5\n", "[scan] alpha_stpe"),
         ("[basis]\nn_workers = 1\n", "[basis] n_workers"),
         ("[sacn]\nalpha_step = 0.5\n", "[sacn]"),
+        ("[radial]\ninclude_rho_term = true\n", "[radial] include_rho_term"),
+        ("[xsec]\nn_points = 101\n", "[xsec]"),
+        ("[DEFAULT]\nn_levels = 8\n", "[DEFAULT]"),
     ])
     def test_unknown_keys_refused(self, text, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
@@ -306,35 +323,46 @@ class TestConfigChecks:
             stage_terms(config)
         assert err.value.stage == "terms"
 
-    @pytest.mark.parametrize("text, read", [
-        ("[scan]\nn_levels = ten\n", lambda c: c.get("scan", "n_levels", int)),
-        ("[scan]\nalpha_step = 1,0\n", lambda c: c.get("scan", "alpha_step", float)),
-        ("[scan]\nsigma = low\n", lambda c: c.get_optional("scan", "sigma")),
-        ("[radial]\ninclude_rho_term = ture\n",
-         lambda c: c.get("radial", "include_rho_term", bool)),
-        ("[toy]\nrho_match = far\n", lambda c: c.toy()),
+    # refused when the text is read, before any stage reads the value
+    @pytest.mark.parametrize("text, named", [
+        ("[scan]\nn_levels = ten\n", "'ten' is not a valid int"),
+        ("[scan]\nalpha_step = 1,0\n", "'1,0' is not a valid float"),
+        ("[scan]\nsigma = low\n", "'low' is not a valid float"),
+        ("[toy]\nrho_match = far\n", "'far' is not a valid float"),
+        ("[system]\nkind = tyo\n", "'tyo' is not one of three-body, toy"),
+        ("[fit]\nmodel = bogus\n", "'bogus' is not one of general, diagonal, both"),
+        ("[fit]\nweighting = Relative\n", "'Relative' is not one of uniform, relative"),
     ])
-    def test_malformed_values_refused(self, text, read):
-        with pytest.raises(ConfigError, match="is not a valid"):
-            read(RunConfig.from_text(text))
+    def test_malformed_values_refused(self, text, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            RunConfig.from_text(text)
 
-    def test_boolean_words(self):
-        for word, value in (("yes", True), ("On", True), ("0", False), ("off", False)):
-            config = RunConfig.from_text(f"[radial]\ninclude_rho_term = {word}\n")
-            assert config.get("radial", "include_rho_term", bool) is value
+    def test_values_typed_at_load(self):
+        config = RunConfig.from_text(
+            "[scan]\nn_levels = 10\nsigma = -0.157\n[toy]\nrho_match = 30\n")
+        assert config.get("scan", "n_levels") == 10
+        assert type(config.get("scan", "n_levels")) is int
+        assert config.get("scan", "sigma") == -0.157
+        assert config.get("scan", "e_max") is None
+        assert config.get("system", "z_light") == -1
+        assert config.toy().rho_match == 30.0
+        # digests hash the text as written
+        assert "n_levels = 10\n" in config.canonical(["scan"])
+        assert "sigma = \n" in RunConfig.from_text("").canonical(["scan"])
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         ini = tmp_path / "toy.ini"
-        for line, terms_written in (("alpha_stpe = 0.5", False),
-                                    ("n_levels = ten", True)):
-            ini.write_text(TOY_INI.replace("n_levels = 12", line)
-                           .format(out=tmp_path / "out"))
+        for old, new in (("n_levels = 12", "alpha_stpe = 0.5"),
+                         ("n_levels = 12", "n_levels = ten"),
+                         ("model = general", "model = bogus"),
+                         ("weighting = relative", "weighting = bogus"),
+                         ("kind = toy", "kind = tyo")):
+            ini.write_text(TOY_INI.replace(old, new).format(out=tmp_path / "out"))
             assert main(["pipeline", "--config", str(ini)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("[config] error:"), err
-            # an unknown key stops the run before any stage writes; a malformed
-            # value is found by the stage that reads it (scan)
-            assert (tmp_path / "out" / "terms.dat").exists() == terms_written
+            # refused when the file is read: no stage ran, nothing was written
+            assert not (tmp_path / "out").exists(), new
 
     @pytest.mark.parametrize("text, named", [
         ("[scan]\nn_levels = 6\nn_levels = 8\n", "already exists"),
@@ -377,6 +405,15 @@ class TestCli:
             ["pipeline", "--config", str(toy_run["ini"]), "--resonance", "99"]
         ) == 1
         assert "[stage:sample]" in capsys.readouterr().err
+
+    def test_out_that_cannot_be_created(self, toy_run, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        assert main(["terms", "--config", str(toy_run["ini"]),
+                     "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"[config] error: cannot create output directory {taken}"), err
 
     def test_out_overrides_output_directory(self, toy_run, tmp_path, capsys):
         # [output] is not digested: artifacts copied to another directory are

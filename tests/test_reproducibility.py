@@ -39,8 +39,7 @@ ARTIFACTS = (
 
 def _configs(base: Path):
     base.mkdir(parents=True, exist_ok=True)
-    toy = RunConfig.from_file(TOY_INI)
-    toy.parser.set("output", "directory", str(base / "toy"))
+    toy = RunConfig.from_file(TOY_INI, directory=base / "toy")
     ini = base / "three-body.ini"
     ini.write_text(THREE_BODY_INI.format(out=base / "three-body"))
     return {"toy": toy, "three-body": RunConfig.from_file(ini)}
