@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sub)
         if "resonance" in params:
             sub.add_argument("--resonance", type=int, default=0,
-                             help="window index from the scan stage (0 = lowest)")
+                             help="window index from the scan stage "
+                                  "(0 = most pronounced)")
         if "model" in params:
             sub.add_argument("--model", choices=WORDS["fit", "model"],
                              help="override [fit] model")

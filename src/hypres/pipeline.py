@@ -374,12 +374,12 @@ def _scan(config: RunConfig, expect: dict, out_b: Path, out_w: Path):
     cfg = _scan_config(config, problem)
     spectrum = scan_branches(problem, cfg, grid=grid)
     rows = np.hstack([spectrum.alpha_grid[:, None], spectrum.levels])
-    write_table(
-        out_b, rows,
-        dict(expect, n_branches=spectrum.n_branches,
-             monotone_defect=f"{spectrum.monotone_defect():.3e}"),
-        "alpha Lambda_1..Lambda_n",
-    )
+    header = dict(expect, n_branches=spectrum.n_branches)
+    if cfg.sigma is None:
+        # with sigma, branch b is the b-th level nearest sigma, which jumps
+        # whenever a level leaves that window: never monotone
+        header["monotone_defect"] = f"{spectrum.monotone_defect():.3e}"
+    write_table(out_b, rows, header, "alpha Lambda_1..Lambda_n")
     windows = detect_resonances(spectrum, cfg, thresholds=problem.thresholds)
     wrows = [
         [i, w.e_center, w.gamma_est, w.slope, w.alpha_at, e, alpha, branch]

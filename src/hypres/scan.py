@@ -1,12 +1,16 @@
-"""Stabilization driver: box-size scans, plateau detection, K sampling.
+"""Stabilization driver: box-size scans, level-density peaks, K sampling.
 
 Scanning the Dirichlet box size alpha sweeps the discrete eigenvalues
-Lambda_j(alpha) downward through the spectrum; near a resonance a branch
+Lambda_j(alpha) downward through the spectrum; near a resonance a level
 flattens into a plateau (avoided crossings with the box continuum), so the
 values E = Lambda_j(alpha) sampled on a fixed alpha step pile up densely
-around the resonance energy.  Boxes are solved for eigenvalues only; branch
-b is the b-th lowest level at every alpha.  Evaluating K(E) at exactly
-those energies gives the near-pole sampling the fit needs.
+around the resonance energy.  On a uniform alpha grid the pooled levels
+sample the stabilization density of states rho(E) = sum_n |dalpha/dE_n|
+(Mandelshtam, Ravuri & Taylor, Phys. Rev. Lett. 70, 1932 (1993)), so a
+resonance is a peak of the sorted levels, found without branch labels.
+Boxes are solved for eigenvalues only; branch b is the b-th lowest level at
+every alpha.  Evaluating K(E) at exactly those energies gives the near-pole
+sampling the fit needs.
 """
 
 from __future__ import annotations
@@ -26,14 +30,16 @@ from .samples import KSample
 N_BUFFER = 4
 # a window keeps at most this many energies, evenly spread over its levels
 MAX_SAMPLES = 400
-# a branch is flat where |slope| is below this fraction of its median |slope|
-PLATEAU_SLOPE_FRACTION = 0.05
+# a density peak: every PEAK_RUN + 1 consecutive pooled levels span at most
+# 1 / PEAK_DENSITY of the median such span
+PEAK_RUN = 6
+PEAK_DENSITY = 10.0
 
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Box-scan window and detection bounds; the sample cap and the plateau
-    flatness are the constants MAX_SAMPLES and PLATEAU_SLOPE_FRACTION."""
+    """Box-scan window and detection bounds; the sample cap and the peak
+    rule are the constants MAX_SAMPLES, PEAK_RUN and PEAK_DENSITY."""
 
     alpha_min: float
     alpha_max: float
@@ -86,11 +92,12 @@ class StabilizationSpectrum:
 
 @dataclass(frozen=True)
 class ResonanceWindow:
-    """Plateau energy and the stabilization samples around it.
+    """A level-density peak's centre and the stabilization samples around it.
 
-    gamma_est is the width estimate 2 |dLambda/dalpha| / q read off the
-    residual plateau slope (a box level pinned to a resonance moves at the
-    rate set by the resonance's phase derivative 2/Gamma).
+    e_center is the peak's flattest level, slope its |dLambda/dalpha| and
+    alpha_at its box size.  gamma_est is the width estimate 2 slope / q read
+    off that residual plateau slope (a box level pinned to a resonance moves
+    at the rate set by the resonance's phase derivative 2/Gamma).
     """
 
     e_center: float
@@ -124,56 +131,46 @@ def scan_branches(
     return StabilizationSpectrum(alpha_grid=alphas, levels=np.array(levels))
 
 
-def _plateau_candidates(spectrum: StabilizationSpectrum, config: ScanConfig):
-    alphas = spectrum.alpha_grid
+def _peaks(spectrum: StabilizationSpectrum, config: ScanConfig) -> list[dict]:
+    """Peaks of the pooled level density, most pronounced first."""
+    alphas, levels = spectrum.alpha_grid, spectrum.levels
     if alphas.size < 10 or spectrum.n_branches < 2:
         raise ValidationError("need >= 10 alpha points and >= 2 branches")
-    cands = []
     lo = -np.inf if config.e_min is None else config.e_min
     hi = np.inf if config.e_max is None else config.e_max
-    all_slopes = np.abs(np.gradient(spectrum.levels, alphas, axis=0))
-    spectrum_scale = float(np.nanmedian(all_slopes))
-    for b in range(spectrum.n_branches):
-        lam = spectrum.levels[:, b]
-        if np.any(np.isnan(lam)):
+    slope = np.abs(np.gradient(levels, alphas, axis=0))
+    # strict local minima of |dLambda/dalpha| along each label: a branch
+    # flattening toward a threshold or the scan's end has none, and neither
+    # has an exactly flat level; NaN levels compare False throughout
+    stationary = np.zeros(levels.shape, dtype=bool)
+    stationary[1:-1] = (slope[1:-1] < slope[:-2]) & (slope[1:-1] < slope[2:])
+    slope, stationary = slope.ravel(), stationary.ravel()
+    pooled = np.flatnonzero((levels > lo) & (levels < hi))
+    pooled = pooled[np.argsort(levels.ravel()[pooled], kind="stable")]
+    energies = levels.ravel()[pooled]
+    if energies.size <= PEAK_RUN:
+        return []
+    spans = energies[PEAK_RUN:] - energies[:-PEAK_RUN]
+    median = float(np.median(spans))
+    edges = np.diff(np.concatenate(([0], spans <= median / PEAK_DENSITY, [0])))
+    peaks = []
+    for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+        members = pooled[i : j + PEAK_RUN]
+        centres = members[stationary[members]]
+        if not centres.size:
             continue
-        slope = np.gradient(lam, alphas)
-        scale = np.median(np.abs(slope))
-        if scale == 0.0:
-            scale = np.abs(slope).max()
-        mask = np.abs(slope) < PLATEAU_SLOPE_FRACTION * scale
-        if not mask.any():
-            continue
-        # contiguous runs of flat points; keep the flattest point of each
-        idx = np.nonzero(mask)[0]
-        splits = np.nonzero(np.diff(idx) > 1)[0]
-        for run in np.split(idx, splits + 1):
-            best = run[np.argmin(np.abs(slope[run]))]
-            if not lo < lam[best] < hi:
-                continue
-            # a plateau is a stationary dip of the slope magnitude: the
-            # branch must dive in before it and dive out after it at box-like
-            # rates; branches that merely keep flattening toward a channel
-            # threshold never steepen again, and exactly flat branches
-            # (bound states) never dive at all
-            floor = max(3.0 * abs(slope[best]),
-                        PLATEAU_SLOPE_FRACTION * spectrum_scale)
-            dives_in = best > 0 and np.abs(slope[:best]).max() >= floor
-            dives_out = (
-                best < alphas.size - 1 and np.abs(slope[best + 1 :]).max() >= floor
-            )
-            if not (dives_in and dives_out):
-                continue
-            span = float(lam[run].max() - lam[run].min())
-            cands.append(
-                dict(
-                    e_center=float(lam[best]),
-                    slope=float(abs(slope[best])),
-                    span=span,
-                    alpha_at=float(alphas[best]),
-                )
-            )
-    return cands
+        best = centres[np.argmin(slope[centres])]
+        smallest = float(spans[i:j].min())
+        peaks.append(dict(
+            e_center=float(levels.flat[best]),
+            slope=float(slope[best]),
+            span=float(energies[j + PEAK_RUN - 1] - energies[i]),
+            alpha_at=float(alphas[best // spectrum.n_branches]),
+            density=median / smallest if smallest > 0.0 else math.inf,
+        ))
+    # stable: peaks of equal density stay in ascending energy
+    peaks.sort(key=lambda p: -p["density"])
+    return peaks
 
 
 def detect_resonances(
@@ -181,29 +178,21 @@ def detect_resonances(
     config: ScanConfig,
     thresholds=None,
 ) -> list[ResonanceWindow]:
-    """All plateau signatures in the spectrum, one window per resonance.
+    """One window per peak of the stabilization level density, most
+    pronounced (densest) peak first; an empty list means no resonance.
 
-    Plateaus on different branches within each other's run span are merged
-    (the same resonance crossed by consecutive box branches).  The sampling
-    window is e_center +- halfwidth * gamma_est, with gamma_est from the
-    plateau slope when channel thresholds are known (else from the run
-    span).  An empty list means no resonance was detected.
+    All levels in (e_min, e_max) are pooled and sorted, with no branch
+    labels.  A peak is a maximal stretch of them in which every PEAK_RUN + 1
+    consecutive levels span at most 1 / PEAK_DENSITY of the median such
+    span; its density is that median over the stretch's smallest span.  The
+    peak's centre is its flattest level whose |dLambda/dalpha| is a strict
+    local minimum along its label; a peak with no such level is dropped.
+    The sampling window is e_center +- halfwidth * gamma_est, with
+    gamma_est = 2 |slope| / q when channel thresholds are known (else the
+    stretch's energy span).
     """
-    cands = _plateau_candidates(spectrum, config)
-    cands.sort(key=lambda c: c["e_center"])
-    merged: list[dict] = []
-    for c in cands:
-        if merged:
-            prev = merged[-1]
-            scale = 2.0 * max(c["span"], prev["span"]) + 1e-12 * abs(c["e_center"])
-            if abs(c["e_center"] - prev["e_center"]) < scale:
-                if c["slope"] < prev["slope"]:
-                    merged[-1] = c
-                continue
-        merged.append(c)
-
     windows = []
-    for c in merged:
+    for c in _peaks(spectrum, config):
         gamma_est = c["span"]
         if thresholds is not None:
             thr = np.asarray(thresholds, dtype=float)
@@ -212,8 +201,7 @@ def detect_resonances(
                 q = math.sqrt(c["e_center"] - float(below.min()))
                 gamma_est = 2.0 * c["slope"] / q
         half = config.energy_window_halfwidth * max(
-            gamma_est, 0.5 * c["span"], 1e-14 * abs(c["e_center"])
-        )
+            gamma_est, 1e-14 * abs(c["e_center"]))
         sel = np.abs(spectrum.levels - c["e_center"]) <= half
         e_list, prov = [], []
         for ia, ib in zip(*np.nonzero(sel)):

@@ -225,8 +225,10 @@ class TestCriterion6:
                 f"[output]\ndirectory = {tmp_path / 'out'}\n"
             )
             config = RunConfig.from_file(ini)
-            report = run_pipeline(config, resonance=0)
-            pairs, _ = read_keyvalues(report)
+            run_pipeline(config, resonance=0)
+            # the pipeline's last artifact is the xsec profile; the fit
+            # report is the fit stage's
+            pairs, _ = read_keyvalues(config.out_dir() / "fit_0.txt")
             minus_e0 = pairs["minus_E0"]
             gamma = pairs["Gamma"]
             ratio = pairs["Gamma2_over_Gamma"]

@@ -27,17 +27,35 @@ def synthetic_crossing(e_res=1.5, slope=-0.08, coupling=2e-5, alpha0=20.0,
     The sorted branches mimic a stabilization diagram whose only plateau
     sits at the flat-diabat energy e_res (to within c^2 / spacing).
     """
+    return synthetic_resonances([(e_res, coupling)], e_res, slope, alpha0,
+                                n_diabats)
+
+
+def synthetic_resonances(flat, e_mid=1.5, slope=-0.08, alpha0=20.0,
+                         n_diabats=14):
+    """synthetic_crossing with several flat levels, given as (energy,
+    coupling) pairs; each couples only to the diabats, and the plateau
+    slope, hence the width, grows as its coupling squared."""
     alphas = np.linspace(alpha0 - 10.0, alpha0 + 10.0, 201)
     offsets = np.linspace(-0.9, 0.9, n_diabats)
-    levels = np.empty((alphas.size, n_diabats + 1))
+    levels = np.empty((alphas.size, n_diabats + len(flat)))
     for ia, alpha in enumerate(alphas):
         diag = np.concatenate(
-            [e_res + offsets + slope * (alpha - alpha0), [e_res]]
+            [e_mid + offsets + slope * (alpha - alpha0), [e for e, _ in flat]]
         )
         h = np.diag(diag)
-        h[:-1, -1] = h[-1, :-1] = coupling
+        for m, (_, coupling) in enumerate(flat):
+            h[:n_diabats, n_diabats + m] = h[n_diabats + m, :n_diabats] = coupling
         levels[ia] = np.linalg.eigvalsh(h)
     return alphas, levels
+
+
+def detect_synthetic(alphas, levels):
+    spectrum = StabilizationSpectrum(alpha_grid=alphas, levels=levels)
+    cfg = ScanConfig(alpha_min=alphas[0], alpha_max=alphas[-1],
+                     alpha_step=alphas[1] - alphas[0],
+                     n_levels=levels.shape[1])
+    return detect_resonances(spectrum, cfg)
 
 
 class TestScanConfig:
@@ -122,6 +140,43 @@ class TestDetection:
                                  thresholds=toy_problem.thresholds)
         win = min(wins, key=lambda w: w.slope)
         assert abs(win.e_center - toy_window.e_center) < 0.1 * TOY_GAMMA
+
+    def test_uncoupled_crossing_has_no_window(self):
+        # an exact crossing: the flat level is exactly flat, its slope has no
+        # strict minimum, and a zero-width window would carry gamma_est 0
+        assert detect_synthetic(*synthetic_crossing(coupling=0.0)) == []
+
+    def test_narrowest_resonance_first(self):
+        # the narrower resonance lies higher: windows go by peak density,
+        # not by energy
+        wins = detect_synthetic(*synthetic_resonances([(1.3, 4e-5), (1.7, 1e-5)]))
+        assert len(wins) == 2
+        assert abs(wins[0].e_center - 1.7) < 1e-6
+        assert abs(wins[1].e_center - 1.3) < 1e-6
+        assert wins[0].slope < wins[1].slope
+
+    def test_bit_identical_stretch(self):
+        # coupling 1e-12 leaves the flat level bit-identical over long
+        # stretches: the smallest span in the peak is zero
+        wins = detect_synthetic(*synthetic_crossing(coupling=1e-12))
+        assert len(wins) == 1
+        win = wins[0]
+        assert abs(win.e_center - 1.5) < 1e-12
+        assert np.isfinite([win.e_center, win.slope, win.gamma_est]).all()
+        assert win.n_samples > 0
+
+    def test_short_scan_finds_the_toy_resonance(self, toy_problem,
+                                                toy_scan_config, toy_grid):
+        # 17 alphas pile only 8 levels around the resonance: a peak must
+        # not need more than that
+        from dataclasses import replace
+
+        short_cfg = replace(toy_scan_config, alpha_min=12.0, alpha_max=16.0)
+        spectrum = scan_branches(toy_problem, short_cfg, grid=toy_grid)
+        wins = detect_resonances(spectrum, short_cfg,
+                                 thresholds=toy_problem.thresholds)
+        assert len(wins) == 1
+        assert abs(wins[0].e_center - TOY_E0) < 0.1 * TOY_GAMMA
 
     def test_needs_enough_data(self):
         spectrum = StabilizationSpectrum(
