@@ -299,10 +299,6 @@ class AdiabaticSolution:
     q_table: np.ndarray | None = None  # (n_rho, N, N)
     meta: dict = field(default_factory=dict)
 
-    @property
-    def n_terms(self) -> int:
-        return self.terms.shape[1]
-
 
 def _fd_weights(rho_grid: np.ndarray, k: int):
     """First-derivative weights on the (up to 3-point) stencil around k."""

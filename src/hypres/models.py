@@ -6,16 +6,22 @@ integrators keep their accuracy) and a localized Gaussian coupling; channel
 above both thresholds.  It exercises the whole pipeline without the
 three-body machinery: its terms/couplings are expressible as plain tables
 (diagonal eps_j plus an off-diagonal H), with no first-derivative coupling.
+
+Importing this module loads numpy alone: the problems below load the
+radial solver on first use, so a process that only writes the toy's
+tables never imports it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .radial import RadialProblem
+if TYPE_CHECKING:
+    from .radial import RadialProblem
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,7 @@ class TwoChannelToy:
         )
 
     def problem(self) -> RadialProblem:
+        from .radial import RadialProblem
         return RadialProblem(
             thresholds=self.thresholds,
             eps=self.eps,
@@ -99,6 +106,7 @@ class BoxMode:
     rho_match: float = 40.0
 
     def problem(self) -> RadialProblem:
+        from .radial import RadialProblem
         c = self.offset
 
         def eps(rho):
@@ -117,12 +125,13 @@ class BoxMode:
         return self.offset + (np.arange(1, n + 1) * math.pi / width) ** 2
 
 
-def coupled_wells(n_channels: int = 4):
+def coupled_wells(n_channels: int = 4) -> RadialProblem:
     """Hierarchically coupled smooth wells for truncation-convergence checks.
 
     Channel couplings fall off geometrically, so retaining more channels
     changes K by a decreasing sequence.
     """
+    from .radial import RadialProblem
     thresholds = np.array([0.0, 0.4, 2.5, 4.0])[:n_channels]
     depths = np.array([0.8, 1.1, 0.9, 0.7])[:n_channels]
 

@@ -13,6 +13,8 @@ runner use (numpy, errors, tableio).  Each stage, and each helper that
 builds a layer object (the channel set and masses too), imports its layer
 when it runs, so a process whose stage is cached loads no FEM, scan or fit
 code, and importing this module loads no channel or pole-form algebra.
+The toy's terms and couplings stages write the analytic model's tables
+directly, so they load neither the FEM layer nor the radial solver.
 
 The configuration is one INI-style file with a section per stage; the
 defaults reproduce the full three-body run (131x61 basis grid, 6 retained
@@ -293,17 +295,10 @@ def _hyperangular_grid(config: RunConfig):
     )
 
 
-def _analytic_solution(config: RunConfig):
-    """Terms and H/Q tables of the toy kind, in the FEM solve's form."""
-    from .adiabatic import AdiabaticSolution
-    rho, eps, h, q = config.toy().tables()
-    return AdiabaticSolution(rho_grid=rho, terms=eps, h_table=h, q_table=q,
-                             meta={"kind": "toy"})
-
-
 def _terms(config: RunConfig, expect: dict, out: Path):
     if config.kind == "toy":
-        return save_terms(out, _analytic_solution(config), expect)
+        rho, eps, _, _ = config.toy().tables()
+        return save_terms(out, rho, eps, {"kind": "toy", **expect})
     from .adiabatic import solve_terms
     rho_grid = np.geomspace(
         config.get("basis", "rho_min"),
@@ -314,12 +309,12 @@ def _terms(config: RunConfig, expect: dict, out: Path):
         config.masses(), _hyperangular_grid(config), rho_grid,
         config.get("basis", "n_terms"),
     )
-    save_terms(out, sol, expect)
+    save_terms(out, sol.rho_grid, sol.terms, dict(sol.meta, **expect))
 
 
 def _couplings(config: RunConfig, expect: dict, out: Path):
     if config.kind == "toy":
-        return save_couplings(out, _analytic_solution(config), expect)
+        return save_couplings(out, *config.toy().tables(), {"kind": "toy", **expect})
     from .adiabatic import refine_rho_grid, solve_with_couplings
     # terms.dat only places the refinement; every point of the refined grid
     # is solved again, since the couplings need its basis
@@ -329,7 +324,8 @@ def _couplings(config: RunConfig, expect: dict, out: Path):
         refine_rho_grid(rho_grid, terms, config.get("basis", "n_refine")),
         config.get("basis", "n_terms"),
     )
-    save_couplings(out, sol, expect)
+    save_couplings(out, sol.rho_grid, sol.terms, sol.h_table, sol.q_table,
+                   dict(sol.meta, **expect))
 
 
 def _radial_setup(config: RunConfig):

@@ -118,29 +118,21 @@ def read_keyvalues(path):
     return pairs, meta
 
 
-def save_couplings(path, solution, extra_meta=None) -> None:
-    """Terms + coupling tables: rho, eps_1..N, H flattened, Q flattened."""
-    n_rho = solution.rho_grid.size
-    n = solution.n_terms
-    h = solution.h_table
-    q = solution.q_table
-    if h is None or q is None:
-        raise ValidationError("solution has no coupling tables")
+def save_couplings(path, rho, eps, h, q, meta) -> None:
+    """Terms + coupling tables: rho, eps_1..N, H flattened, Q flattened.
+
+    rho (n_rho,), eps (n_rho, N), h and q (n_rho, N, N) are the arrays
+    load_couplings returns; the header is n_terms first, then the other
+    keys of meta in their order.
+    """
+    n_rho, n = eps.shape
     rows = np.hstack(
-        [
-            solution.rho_grid[:, None],
-            solution.terms,
-            h.reshape(n_rho, n * n),
-            q.reshape(n_rho, n * n),
-        ]
+        [rho[:, None], eps, h.reshape(n_rho, n * n), q.reshape(n_rho, n * n)]
     )
-    meta = {"n_terms": n}
-    meta.update(solution.meta)
-    meta.update(extra_meta or {})
     cols = (
         "rho eps_1..eps_N H_11..H_NN(row-major) Q_11..Q_NN(row-major)"
     )
-    write_table(path, rows, meta, cols)
+    write_table(path, rows, {"n_terms": n, **meta}, cols)
 
 
 def load_couplings(path):
@@ -160,12 +152,12 @@ def load_couplings(path):
     return rho, eps, h, q, meta
 
 
-def save_terms(path, solution, extra_meta=None) -> None:
-    rows = np.hstack([solution.rho_grid[:, None], solution.terms])
-    meta = {"n_terms": solution.n_terms}
-    meta.update(solution.meta)
-    meta.update(extra_meta or {})
-    write_table(path, rows, meta, "rho eps_1..eps_N")
+def save_terms(path, rho, eps, meta) -> None:
+    """Terms table: rho, eps_1..N.  rho (n_rho,) and eps (n_rho, N) are the
+    arrays load_terms returns; the header is n_terms first, then the other
+    keys of meta in their order."""
+    rows = np.hstack([rho[:, None], eps])
+    write_table(path, rows, {"n_terms": eps.shape[1], **meta}, "rho eps_1..eps_N")
 
 
 def load_terms(path):

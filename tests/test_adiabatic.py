@@ -21,7 +21,7 @@ from hypres.adiabatic import (
 )
 from hypres.channels import ThreeBodyMasses, dtmu_masses
 from hypres.errors import EigensolverError, ValidationError
-from hypres.tableio import load_couplings, save_couplings
+from hypres.tableio import load_couplings, load_terms, save_couplings, save_terms
 
 DTMU = dtmu_masses()
 GRID_FINE = HyperangularGrid(n_chi=181, n_theta=91)
@@ -160,12 +160,27 @@ class TestFileContract:
         sol = small_solution
         h, q = sol.h_table, sol.q_table
         path = tmp_path / "couplings.dat"
-        save_couplings(path, sol, {"config-digest": "test"})
+        save_couplings(path, sol.rho_grid, sol.terms, h, q,
+                       {"config-digest": "test"})
         rho, eps, h2, q2, meta = load_couplings(path)
         assert np.array_equal(rho, sol.rho_grid)
         assert np.abs(eps - sol.terms).max() == 0.0
         assert np.abs(h2 - h).max() == 0.0
         assert np.abs(q2 - q).max() == 0.0
+        assert meta["config-digest"] == "test"
+
+    def test_terms_roundtrip(self, small_solution, tmp_path):
+        sol = small_solution
+        path = tmp_path / "terms.dat"
+        save_terms(path, sol.rho_grid, sol.terms,
+                   {**sol.meta, "config-digest": "test"})
+        rho, eps, meta = load_terms(path)
+        assert np.array_equal(rho, sol.rho_grid)
+        assert np.array_equal(eps, sol.terms)
+        # n_terms leads the header, then the solve's meta, then the stage's
+        solve_keys = [k for k in sol.meta if k != "n_terms"]
+        assert list(meta) == ["n_terms", *solve_keys, "config-digest", "columns"]
+        assert int(meta["n_terms"]) == sol.terms.shape[1]
         assert meta["config-digest"] == "test"
 
 

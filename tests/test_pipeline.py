@@ -442,6 +442,10 @@ class TestCli:
 # The solver layers; a process that parses, dispatches or finds its stage
 # cached loads none of them.
 SOLVER_LAYERS = ("hypres.adiabatic", "hypres.fem", "hypres.radial", "hypres.scan")
+# The toy's terms and couplings stages write analytic tables and load none
+# of these.
+_TABLE_LAYERS = ("hypres.adiabatic", "hypres.fem", "hypres.channels",
+                 "hypres.radial", "scipy.sparse")
 
 
 def _printed_by(code: str) -> list:
@@ -472,7 +476,8 @@ class TestImportSurface:
         assert _loaded_after("import hypres.pipeline", names) == []
 
     def test_models_load_no_pole_form_or_channels(self):
-        names = ("hypres.breit_wigner", "hypres.channels")
+        names = ("hypres.breit_wigner", "hypres.channels", "hypres.radial",
+                 "hypres.algebra", "scipy.interpolate", "scipy.sparse.linalg")
         assert _loaded_after("import hypres.models", names) == []
 
     def test_import_loads_no_layer(self):
@@ -494,6 +499,24 @@ class TestImportSurface:
         code = f"from hypres.cli import main\nassert main({argv!r}) == 0"
         assert _loaded_after(code, SOLVER_LAYERS) == []
         assert (out / "fit_0.txt").stat().st_mtime_ns == stamp
+
+    @pytest.mark.parametrize("argv, names", [
+        (["terms"], _TABLE_LAYERS),
+        (["couplings"], _TABLE_LAYERS),
+        (["xsec", "--resonance", "0"],
+         ("hypres.radial", "hypres.scan", "scipy.interpolate",
+          "scipy.sparse.linalg")),
+    ], ids=["terms", "couplings", "xsec"])
+    def test_forced_toy_stage_loads_only_its_layer(self, toy_run, tmp_path,
+                                                   argv, names):
+        # each stage as its own process: none may lean on a layer that an
+        # earlier stage of the same process happened to load
+        out = tmp_path / "out"
+        shutil.copytree(toy_run["out"], out)
+        argv = argv + ["--config", str(toy_run["ini"]), "--out", str(out),
+                       "--force"]
+        code = f"from hypres.cli import main\nassert main({argv!r}) == 0"
+        assert _loaded_after(code, names) == []
 
     def test_tracer_leaves_no_wrapper_in_a_layer_it_loads(self):
         # perfbench/run.py imports these two before tracing; hypres.scan is
