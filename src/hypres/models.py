@@ -9,14 +9,14 @@ three-body machinery: its terms/couplings are expressible as plain tables
 
 Importing this module loads numpy alone: the problems below load the
 radial solver on first use, so a process that only writes the toy's
-tables never imports it.
+tables never imports it.  The two models are NamedTuples, not dataclasses,
+so that no method is generated and compiled at import.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ if TYPE_CHECKING:
     from .radial import RadialProblem
 
 
-@dataclass(frozen=True)
-class TwoChannelToy:
+class TwoChannelToy(NamedTuple):
     """Two open channels, one pocket-behind-barrier resonance in channel 2."""
 
     threshold_2: float = 0.5
@@ -97,8 +96,7 @@ class TwoChannelToy:
         return rho, eps, h, q
 
 
-@dataclass(frozen=True)
-class BoxMode:
+class BoxMode(NamedTuple):
     """Uncoupled constant channel, no barrier term: exact box spectrum."""
 
     offset: float = 0.0

@@ -20,7 +20,9 @@ The configuration is one INI-style file with a section per stage; the
 defaults reproduce the full three-body run (131x61 basis grid, 6 retained
 channels, rho in [0.05, 500]) so a config that only names the system is
 complete.  It is read once, each value cast to the type of its default, so
-a bad key or value is a ConfigError before any stage runs.
+a bad key or value is a ConfigError before any stage runs.  The config and
+the stage rows are NamedTuples, not dataclasses, so that no method is
+generated and compiled at import.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ import configparser
 import io
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -97,8 +98,7 @@ WORDS = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Typed values of every configuration key, and the text of each key
     the file gave; the digests hash that text (a default as its str)."""
 
@@ -205,8 +205,7 @@ def _typed(section: str, key: str, raw: str):
 # stage plumbing
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One row of the stage table.
 
     sections are the config sections whose digest the header records

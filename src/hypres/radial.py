@@ -295,27 +295,43 @@ def build_grid(
     h halves wherever the local wavenumber asks: the step targets
     POINTS_PER_WAVE points per local wavelength of the stiffest channel,
     measured from one unit above the highest threshold.  Joins land in the
-    strongly repulsive small-rho region.
+    strongly repulsive small-rho region.  Each step size runs on until the
+    requirement allows doubling it, tested along the probe chain
+    p -> 1.3 p + h from the step's start; the chain is fixed by its start
+    and h, so all its points are tested in one batch.  h_max must be finite
+    and positive and rho_end finite and past rho_start (ValidationError).
     """
     rho_end = problem.rho_match if rho_end is None else float(rho_end)
+    # the probe chain below only ends for h > 0 and a finite rho_end
+    if not 0.0 < h_max < math.inf:
+        raise ValidationError(f"need 0 < h_max < inf, got h_max={h_max!r}")
+    if not problem.rho_start < rho_end < math.inf:
+        raise ValidationError(
+            f"need rho_start < rho_end < inf, got rho_start="
+            f"{problem.rho_start!r}, rho_end={rho_end!r}")
     e_ref = float(np.max(problem.thresholds)) + 1.0
 
     def h_required(rho):
+        """The step each point of the 1-d array rho asks for."""
         w = problem.w_bare(rho)
-        kap_sq = np.max(np.abs(np.linalg.eigvalsh(w) - e_ref))
-        kap = math.sqrt(max(kap_sq, 1e-12))
-        return min(h_max, 2.0 * math.pi / (POINTS_PER_WAVE * kap))
+        kap_sq = np.max(np.abs(np.linalg.eigvalsh(w) - e_ref), axis=-1)
+        kap = np.sqrt(np.maximum(kap_sq, 1e-12))
+        return np.minimum(h_max, 2.0 * math.pi / (POINTS_PER_WAVE * kap))
 
     pieces = []
     rho = problem.rho_start
     h = h_max
-    while h_required(rho) < h:
+    h_start = h_required(np.array([rho]))[0]
+    while h_start < h:
         h *= 0.5
     while rho < rho_end - 1e-12:
-        # extend with step h until the local requirement allows doubling
-        probe = rho
-        while probe < rho_end and h_required(min(probe * 1.3 + h, rho_end)) < 2.0 * h:
-            probe = probe * 1.3 + h
+        # extend with step h up to the chain point before the first whose
+        # requirement allows doubling (past rho_end, tested at rho_end)
+        chain = [rho]
+        while chain[-1] < rho_end:
+            chain.append(chain[-1] * 1.3 + h)
+        keep = h_required(np.minimum(chain[1:], rho_end)) < 2.0 * h
+        probe = chain[-1] if keep.all() else chain[int(np.argmin(keep))]
         limit = min(probe, rho_end)
         n_steps = max(1, int(math.ceil((limit - rho) / h)))
         if rho + n_steps * h > rho_end:

@@ -480,6 +480,18 @@ class TestImportSurface:
                  "hypres.algebra", "scipy.interpolate", "scipy.sparse.linalg")
         assert _loaded_after("import hypres.models", names) == []
 
+    def test_import_path_records_are_not_dataclasses(self):
+        # @dataclass generates and compiles its methods at every import
+        code = ("import dataclasses, inspect, hypres.pipeline, hypres.models\n"
+                "print(*[f'{name}:{dataclasses.is_dataclass(obj)}'\n"
+                "        for m in (hypres.pipeline, hypres.models)\n"
+                "        for name, obj in vars(m).items()\n"
+                "        if inspect.isclass(obj) and obj.__module__ == m.__name__])")
+        words = _printed_by(code)
+        assert {"RunConfig", "Stage", "TwoChannelToy", "BoxMode"} <= {
+            word.split(":")[0] for word in words}
+        assert [word for word in words if word.endswith(":True")] == []
+
     def test_import_loads_no_layer(self):
         names = SOLVER_LAYERS + (
             "hypres.models", "hypres.samples", "hypres.fitting",

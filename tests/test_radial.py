@@ -172,7 +172,85 @@ def wells_table_problem(with_q, n=4):
     )
 
 
+def loop_build_grid(problem, h_max):
+    """Reference for build_grid: its probe loop with one scalar w_bare and
+    eigvalsh per probe, and the same samples, joins and gauge."""
+    rho_end = problem.rho_match
+    e_ref = float(np.max(problem.thresholds)) + 1.0
+
+    def h_required(rho):
+        w = problem.w_bare(rho)
+        kap_sq = np.max(np.abs(np.linalg.eigvalsh(w) - e_ref))
+        kap = math.sqrt(max(kap_sq, 1e-12))
+        return min(h_max, 2.0 * math.pi / (radial.POINTS_PER_WAVE * kap))
+
+    pieces = []
+    rho = problem.rho_start
+    h = h_max
+    while h_required(rho) < h:
+        h *= 0.5
+    while rho < rho_end - 1e-12:
+        probe = rho
+        while probe < rho_end and h_required(min(probe * 1.3 + h, rho_end)) < 2.0 * h:
+            probe = probe * 1.3 + h
+        limit = min(probe, rho_end)
+        n_steps = max(1, int(math.ceil((limit - rho) / h)))
+        if rho + n_steps * h > rho_end:
+            n_steps = max(1, int(math.ceil((rho_end - rho) / h)))
+            h_seg = (rho_end - rho) / n_steps
+        else:
+            h_seg = h
+        seg = rho + h_seg * np.arange(1, n_steps + 1)
+        pieces.append(seg)
+        rho = seg[-1]
+        h = min(2.0 * h, h_max)
+    points = np.concatenate([[problem.rho_start]] + pieces)
+    bond_h = np.diff(points)
+    left, right = bond_h[:-1], bond_h[1:]
+    step = np.abs(right - left) > 1e-9 * np.maximum(np.abs(left), np.abs(right))
+    join_bond = np.zeros(bond_h.size, dtype=bool)
+    join_bond[:-1] |= step
+    join_bond[1:] |= step
+    gauge = radial._gauge_path(problem, points) if problem.has_gauge() else None
+    w = problem.w_bare(points)
+    if gauge is not None:
+        w = np.swapaxes(gauge, 1, 2) @ w @ gauge
+    return {"points": points, "bond_h": bond_h, "join_bond": join_bond,
+            "w_samples": 0.5 * (w + np.swapaxes(w, 1, 2)), "gauge": gauge}
+
+
+GRID_PROBLEMS = {
+    "toy": lambda: TwoChannelToy().problem(),
+    "coupled_wells4": lambda: coupled_wells(4),
+    "box": lambda: BoxMode(offset=0.7).problem(),
+    "wells2_barrier": lambda: replace(coupled_wells(2), include_rho_term=True,
+                                      rho_start=0.05),
+    "toy_tables": lambda: RadialProblem.from_tables(
+        *TwoChannelToy().tables(), include_rho_term=False),
+}
+
+
 class TestGridBuild:
+    @pytest.mark.parametrize("h_max", [0.01, 0.05, 0.1])
+    @pytest.mark.parametrize("model", list(GRID_PROBLEMS))
+    def test_grid_matches_scalar_probe_loop(self, model, h_max):
+        prob = GRID_PROBLEMS[model]()
+        grid = build_grid(prob, h_max=h_max)
+        want = loop_build_grid(prob, h_max)
+        for name, array in want.items():
+            got = getattr(grid, name)
+            assert (got is None and array is None) or np.array_equal(got, array), name
+
+    @pytest.mark.parametrize("kwargs", [
+        {"h_max": 0.0}, {"h_max": -0.01}, {"h_max": math.nan},
+        {"h_max": math.inf}, {"rho_end": 1.0}, {"rho_end": 0.5},
+        {"rho_end": math.nan}, {"rho_end": math.inf},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_bad_step_or_end_refused(self, kwargs):
+        # BoxMode starts at rho = 1.0
+        with pytest.raises(ValidationError):
+            build_grid(BoxMode().problem(), **kwargs)
+
     @pytest.mark.parametrize("with_q", [False, True])
     def test_table_samples_match_loop_bitwise(self, with_q):
         prob = wells_table_problem(with_q)
