@@ -9,12 +9,15 @@ CacheError naming the stage that produces them, keeps outputs whose headers
 match, and otherwise runs the stage.
 
 Module level imports only what the configuration, the stage table and the
-runner use (numpy, errors, tableio).  Each stage, and each helper that
-builds a layer object (the channel set and masses too), imports its layer
-when it runs, so a process whose stage is cached loads no FEM, scan or fit
-code, and importing this module loads no channel or pole-form algebra.
-The toy's terms and couplings stages write the analytic model's tables
-directly, so they load neither the FEM layer nor the radial solver.
+runner use (errors, tableio).  The stage bodies live in `hypres.stages`,
+which the runner imports only when a stage must run, so importing this
+module, `hypres --help` and a fully cached run compile no stage code.  Each
+body, and each helper that builds a layer object (the channel set and
+masses too), imports its layer when it runs, so a process whose stage is
+cached loads no FEM, scan or fit code, and importing this module loads no
+channel or pole-form algebra.  The toy's terms and couplings stages write
+the analytic model's tables directly, so they load neither the FEM layer
+nor the radial solver.
 
 The configuration is one INI-style file with a section per stage; the
 defaults reproduce the full three-body run (131x61 basis grid, 6 retained
@@ -29,30 +32,14 @@ from __future__ import annotations
 
 import configparser
 import io
-import math
-from collections.abc import Callable
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .errors import CacheError, ConfigError, HypresError, StageError
-from .tableio import (
-    digest_file,
-    digest_text,
-    load_couplings,
-    load_terms,
-    read_header,
-    read_keyvalues,
-    read_table,
-    save_couplings,
-    save_terms,
-    write_keyvalues,
-    write_table,
-)
+from .errors import CacheError, ConfigError, HypresError
+from .tableio import digest_file, digest_text, read_header
 
 if TYPE_CHECKING:
-    from .channels import ChannelSet, ThreeBodyMasses
+    from .channels import ThreeBodyMasses
 
 # Each key's type is the type of its default; None marks an optional float,
 # whose empty value reads as None.  [toy] keys are the toy model's parameters
@@ -215,14 +202,13 @@ class Stage(NamedTuple):
     before it runs; digested is the input whose file digest the header
     records; header names the parameters the header records; params are the
     parameters the stage takes besides the configuration.  File names may
-    use {resonance}.
+    use {resonance}.  The stage's body is `hypres.stages._<name>`.
     """
 
     name: str
     help: str
     sections: tuple
     outputs: tuple
-    run: Callable
     inputs: tuple = ()
     digested: str | None = None
     header: tuple = ()
@@ -279,317 +265,37 @@ def _run(name: str, config: RunConfig, force: bool, **params) -> Path:
         expect = _expect(stage, config, params)
         outputs = [out_dir / p.format(**params) for p in stage.outputs]
         if force or not all(_check_cache(p, expect) for p in outputs):
-            stage.run(config, expect, *outputs, **params)
+            from . import stages
+            getattr(stages, f"_{name}")(config, expect, *outputs, **params)
         return outputs[-1]
     except HypresError as exc:
         exc.stage = name
         raise
 
 
-def _hyperangular_grid(config: RunConfig):
-    from .adiabatic import HyperangularGrid
-    return HyperangularGrid(
-        n_chi=config.get("basis", "n_chi"),
-        n_theta=config.get("basis", "n_theta"),
-    )
-
-
-def _terms(config: RunConfig, expect: dict, out: Path):
-    if config.kind == "toy":
-        rho, eps, _, _ = config.toy().tables()
-        return save_terms(out, rho, eps, {"kind": "toy", **expect})
-    from .adiabatic import solve_terms
-    rho_grid = np.geomspace(
-        config.get("basis", "rho_min"),
-        config.get("basis", "rho_max"),
-        config.get("basis", "n_rho"),
-    )
-    sol = solve_terms(
-        config.masses(), _hyperangular_grid(config), rho_grid,
-        config.get("basis", "n_terms"),
-    )
-    save_terms(out, sol.rho_grid, sol.terms, dict(sol.meta, **expect))
-
-
-def _couplings(config: RunConfig, expect: dict, out: Path):
-    if config.kind == "toy":
-        return save_couplings(out, *config.toy().tables(), {"kind": "toy", **expect})
-    from .adiabatic import refine_rho_grid, solve_with_couplings
-    # terms.dat only places the refinement; every point of the refined grid
-    # is solved again, since the couplings need its basis
-    rho_grid, terms, _ = load_terms(out.with_name("terms.dat"))
-    sol = solve_with_couplings(
-        config.masses(), _hyperangular_grid(config),
-        refine_rho_grid(rho_grid, terms, config.get("basis", "n_refine")),
-        config.get("basis", "n_terms"),
-    )
-    save_couplings(out, sol.rho_grid, sol.terms, sol.h_table, sol.q_table,
-                   dict(sol.meta, **expect))
-
-
-def _radial_setup(config: RunConfig):
-    """The radial problem of couplings.dat and its one master grid, which
-    ends at rho_match: the scan's boxes and the sample's K match share it.
-    The toy's channels carry no 15/(4 rho^2) term, as in its own problem."""
-    from .radial import RadialProblem, build_grid
-    rho, eps, h, q, _ = load_couplings(config.out_dir() / "couplings.dat")
-    if config.kind == "toy":
-        toy = config.toy()
-        rho_start, rho_match = toy.rho_start, toy.rho_match
-    else:
-        rho_start = config.get("radial", "rho_start")
-        rho_match = config.get("radial", "rho_match")
-    problem = RadialProblem.from_tables(
-        rho, eps, h, q, rho_start=rho_start, rho_match=rho_match,
-        include_rho_term=config.kind == "three-body",
-    )
-    return problem, build_grid(problem, h_max=config.get("radial", "h_max"))
-
-
-def _scan_config(config: RunConfig, problem):
-    from .scan import ScanConfig
-    # detection starts in the two-open-channel regime of the 2x2 sample
-    # contract, just above the second-lowest threshold
-    thr = np.sort(problem.thresholds)
-    return ScanConfig(
-        alpha_min=config.get("scan", "alpha_min"),
-        alpha_max=config.get("scan", "alpha_max"),
-        alpha_step=config.get("scan", "alpha_step"),
-        n_levels=config.get("scan", "n_levels"),
-        sigma=config.get("scan", "sigma"),
-        e_min=float(thr[min(1, thr.size - 1)]) + 1e-9,
-        e_max=config.get("scan", "e_max"),
-        energy_window_halfwidth=config.get("scan", "halfwidth"),
-    )
-
-
-def _scan(config: RunConfig, expect: dict, out_b: Path, out_w: Path):
-    from .scan import detect_resonances, scan_branches
-    problem, grid = _radial_setup(config)
-    cfg = _scan_config(config, problem)
-    spectrum = scan_branches(problem, cfg, grid=grid)
-    rows = np.hstack([spectrum.alpha_grid[:, None], spectrum.levels])
-    header = dict(expect, n_branches=spectrum.n_branches)
-    if cfg.sigma is None:
-        # with sigma, branch b is the b-th level nearest sigma, which jumps
-        # whenever a level leaves that window: never monotone
-        header["monotone_defect"] = f"{spectrum.monotone_defect():.3e}"
-    write_table(out_b, rows, header, "alpha Lambda_1..Lambda_n")
-    windows = detect_resonances(spectrum, cfg, thresholds=problem.thresholds)
-    wrows = [
-        [i, w.e_center, w.gamma_est, w.slope, w.alpha_at, e, alpha, branch]
-        for i, w in enumerate(windows)
-        for e, (alpha, branch) in zip(w.energies, w.provenance)
-    ]
-    write_table(
-        out_w,
-        np.asarray(wrows) if wrows else np.empty((0, 8)),
-        dict(expect, n_windows=len(windows)),
-        "window e_center gamma_est slope alpha_at E alpha branch",
-    )
-
-
-def load_windows(path):
-    """The scan's ResonanceWindows from windows.dat, and its header."""
-    from .scan import ResonanceWindow
-    rows, meta = read_table(path)
-    windows = []
-    for i in range(int(meta.get("n_windows", 0))):
-        sel = rows[rows[:, 0] == i]
-        windows.append(
-            ResonanceWindow(
-                e_center=float(sel[0, 1]),
-                gamma_est=float(sel[0, 2]),
-                slope=float(sel[0, 3]),
-                alpha_at=float(sel[0, 4]),
-                energies=sel[:, 5],
-                provenance=tuple((float(a), int(b)) for a, b in sel[:, 6:8]),
-            )
-        )
-    return windows, meta
-
-
-def _sample(config: RunConfig, expect: dict, out: Path, resonance: int):
-    from .samples import write_samples
-    from .scan import sample_k
-    windows, _ = load_windows(out.with_name("windows.dat"))
-    if not windows:
-        raise StageError("no resonance windows detected by the scan stage")
-    if not 0 <= resonance < len(windows):
-        raise StageError(
-            f"resonance index {resonance} out of range (found {len(windows)})"
-        )
-    window = windows[resonance]
-    problem, grid = _radial_setup(config)
-    samples = sample_k(problem, window, grid=grid)
-    header = [f"{k}: {v}" for k, v in expect.items()]
-    header.append(f"e_center: {window.e_center:.17e}")
-    header.append(f"gamma_est: {window.gamma_est:.6e}")
-    write_samples(out, samples, header_lines=header)
-
-
-def _fit_weights(samples, mode: str):
-    """Per-sample fit weights of a [fit] weighting word."""
-    if mode == "uniform":
-        return None
-    norms = [
-        max(1e-6, s.k11 ** 2 + 2.0 * s.k12 ** 2 + s.k22 ** 2) for s in samples
-    ]
-    return tuple(1.0 / n for n in norms)
-
-
-def _report_pairs(result, prefix=""):
-    rep = result.report
-    p = result.params
-    pairs = {
-        f"{prefix}model": result.model,
-        f"{prefix}E1": p.E1,
-        f"{prefix}a1": p.a1,
-        f"{prefix}a2": p.a2,
-        f"{prefix}a": p.a,
-        f"{prefix}b1": p.b1,
-        f"{prefix}b2": p.b2,
-        f"{prefix}b": p.b,
-        f"{prefix}rank_defect": p.rank_defect,
-        f"{prefix}residual": result.residual,
-        f"{prefix}iterations": result.iterations,
-        f"{prefix}weight_mode": result.weight_mode,
-        f"{prefix}E0": rep.E0,
-        f"{prefix}Gamma": rep.Gamma,
-        f"{prefix}Gamma1": rep.partial_widths[0],
-        f"{prefix}Gamma2": rep.partial_widths[1],
-        f"{prefix}branching1": rep.branching[0],
-        f"{prefix}branching2": rep.branching[1],
-        f"{prefix}Delta1": rep.eigenphases[0],
-        f"{prefix}Delta2": rep.eigenphases[1],
-        f"{prefix}mixing_nu": rep.mixing_angle,
-        f"{prefix}beta_tilde1": rep.beta_tilde[0],
-        f"{prefix}beta_tilde2": rep.beta_tilde[1],
-        f"{prefix}degenerate_background": rep.degenerate_background,
-        f"{prefix}ill_conditioned_background": rep.ill_conditioned_background,
-    }
-    return pairs
-
-
-def _fit(config: RunConfig, expect: dict, out: Path, resonance: int, model: str):
-    from .fitting import FitProblem, compare_models, fit
-    from .samples import read_samples
-    samples = read_samples(out.with_name(f"ksamples_{resonance}.dat"))
-    weights = _fit_weights(samples, config.get("fit", "weighting"))
-    # the upper threshold is the top term at the last rho point, as in
-    # RadialProblem.from_tables
-    _, eps, _, _, _ = load_couplings(out.with_name("couplings.dat"))
-    upper = float(np.max(eps[-1]))
-
-    if model == "both":
-        comparison = compare_models(samples, weights=weights)
-        pairs = _report_pairs(comparison.general)
-        if comparison.diagonal is None:
-            pairs["diagonal_status"] = "no admissible start"
-        else:
-            pairs.update(_report_pairs(comparison.diagonal, prefix="diagonal_"))
-            pairs["residual_ratio"] = comparison.residual_ratio
-            pairs["branching_shift"] = comparison.branching_shift
-        best = comparison.general
-    else:
-        best = fit(FitProblem(samples=tuple(samples), weights=weights, model=model))
-        pairs = _report_pairs(best)
-    pairs["E0_below_upper_threshold"] = upper - best.report.E0
-    pairs["minus_E0"] = -best.report.E0
-    pairs["Gamma2_over_Gamma"] = best.report.branching[1]
-    write_keyvalues(out, pairs, header=expect)
-    # Table-shaped summary row on stdout is the CLI's job; keep data pure.
-
-
-# the model cross sections: XSEC_POINTS energies over E0 +- XSEC_SPAN_WIDTHS
-# Gamma, cut at the upper threshold
-XSEC_POINTS = 201
-XSEC_SPAN_WIDTHS = 8.0
-
-
-def _xsec(config: RunConfig, expect: dict, out_k: Path, out_i: Path,
-          out_x: Path, resonance: int):
-    from .algebra import cross_sections
-    from .breit_wigner import BWPoleParams, bw_k
-    from .samples import read_samples
-    pairs, _ = read_keyvalues(out_k.with_name(f"fit_{resonance}.txt"))
-    samples = read_samples(out_k.with_name(f"ksamples_{resonance}.dat"))
-    params = BWPoleParams.from_amplitudes(
-        E1=pairs["E1"], a1=pairs["a1"], a2=pairs["a2"], a=pairs["a"],
-        beta1=math.sqrt(pairs["b1"]),
-        beta2=math.copysign(math.sqrt(pairs["b2"]), pairs["b"] or 1.0),
-    )
-    rows_k = [[s.energy, s.k11, s.k12, s.k22] for s in samples]
-    write_table(out_k, rows_k, dict(expect), "E K11 K12 K22")
-    rows_i = []
-    for s in samples:
-        d11 = s.k11 - pairs["a1"]
-        d12 = s.k12 - pairs["a"]
-        d22 = s.k22 - pairs["a2"]
-        if min(abs(d11), abs(d12), abs(d22)) == 0.0:
-            continue
-        rows_i.append([s.energy, 1.0 / d11, 1.0 / d12, 1.0 / d22])
-    write_table(
-        out_i, rows_i, dict(expect),
-        "E 1/(K11-a1) 1/(K12-a) 1/(K22-a2)",
-    )
-
-    channels = _channel_set(config)
-    gamma = pairs["Gamma"]
-    e0 = pairs["E0"]
-    upper = float(np.max(channels.thresholds))
-    span = XSEC_SPAN_WIDTHS * gamma
-    lo = max(e0 - span, upper + 1e-9)
-    hi = e0 + span
-    if hi <= lo:
-        raise StageError(
-            f"cross-section range [{lo}, {hi}] empty: E0 = {e0!r}, "
-            f"Gamma = {gamma!r}, upper threshold {upper!r}"
-        )
-    rows_x = []
-    for e in np.linspace(lo, hi, XSEC_POINTS):
-        if e == params.E1:
-            continue
-        sigma = cross_sections(bw_k(params, float(e)), channels)
-        rows_x.append([e, sigma[0, 0], sigma[0, 1], sigma[1, 1]])
-    write_table(out_x, rows_x, dict(expect), "E sigma11 sigma12 sigma22")
-
-
-def _channel_set(config: RunConfig) -> ChannelSet:
-    from .channels import ChannelSet
-    if config.kind == "three-body":
-        return config.masses().channel_set()
-    toy = config.toy()
-    # plain Schroedinger units: k = q, so 2 mu = 1
-    return ChannelSet(
-        thresholds=tuple(toy.thresholds), reduced_masses=(0.5, 0.5)
-    )
-
-
 _PHYSICS = ("system", "basis", "radial", "scan")
 
 # The stage list, in dependency order; the CLI builds its subcommands from it.
 STAGE_TABLE = (
-    Stage("terms", "adiabatic terms table", _PHYSICS[:2], ("terms.dat",),
-          _terms),
+    Stage("terms", "adiabatic terms table", _PHYSICS[:2], ("terms.dat",)),
     Stage("couplings", "terms plus nonadiabatic coupling tables", _PHYSICS[:2],
-          ("couplings.dat",), _couplings, inputs=("terms.dat",)),
+          ("couplings.dat",), inputs=("terms.dat",)),
     Stage("scan", "stabilization scan and resonance windows", _PHYSICS,
-          ("branches.dat", "windows.dat"), _scan,
+          ("branches.dat", "windows.dat"),
           inputs=("couplings.dat",), digested="couplings.dat"),
     Stage("sample", "K(E) samples inside one window", _PHYSICS,
-          ("ksamples_{resonance}.dat",), _sample,
+          ("ksamples_{resonance}.dat",),
           inputs=("couplings.dat", "windows.dat"), digested="couplings.dat",
           header=("resonance",), params=("resonance",)),
     Stage("fit", "pole-form fit and resonance report", ("fit",),
-          ("fit_{resonance}.txt",), _fit,
+          ("fit_{resonance}.txt",),
           inputs=("couplings.dat", "ksamples_{resonance}.dat"),
           digested="ksamples_{resonance}.dat",
           header=("model",), params=("resonance", "model")),
     Stage("xsec", "profile files: K entries, inverse parts, cross sections",
           (),
           ("profiles_k_{resonance}.dat", "profiles_invk_{resonance}.dat",
-           "profiles_xsec_{resonance}.dat"), _xsec,
+           "profiles_xsec_{resonance}.dat"),
           inputs=("fit_{resonance}.txt",), digested="fit_{resonance}.txt",
           params=("resonance",)),
 )

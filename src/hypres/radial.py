@@ -353,12 +353,14 @@ def build_grid(
     join_bond[1:] |= step
 
     gauge = _gauge_path(problem, points) if problem.has_gauge() else None
-    w = problem.w_bare(points)
+    w = problem.w_bare(points)  # already symmetric
     if gauge is not None:
+        # the rotation can break exact symmetry
         w = np.swapaxes(gauge, 1, 2) @ w @ gauge
+        w = 0.5 * (w + np.swapaxes(w, 1, 2))
     return RadialGrid(
         points=points, bond_h=bond_h, join_bond=join_bond,
-        w_samples=0.5 * (w + np.swapaxes(w, 1, 2)), gauge=gauge,
+        w_samples=w, gauge=gauge,
     )
 
 

@@ -10,8 +10,8 @@ from hypres import fitting
 from hypres.breit_wigner import BWPoleParams, bw_k, resonance_from_pole
 from hypres.errors import BracketError, FitFailureError, ValidationError
 from hypres.fitting import FitProblem, compare_models, fit, initial_guess
-from hypres.pipeline import _fit_weights
 from hypres.samples import KSample, read_samples, write_samples
+from hypres.stages import _fit_weights
 
 DATA = Path(__file__).parent / "data"
 

@@ -264,6 +264,14 @@ class TestGridBuild:
             assert grid.gauge is None
 
     @pytest.mark.parametrize("model", ["toy", "coupled_wells4"])
+    def test_gauge_free_samples_are_w_bare(self, model):
+        # w_bare is symmetric already; only a gauge rotation is symmetrized
+        prob = TwoChannelToy().problem() if model == "toy" else coupled_wells(4)
+        assert not prob.has_gauge()
+        grid = build_grid(prob, h_max=0.01)
+        assert np.array_equal(grid.w_samples, prob.w_bare(grid.points))
+
+    @pytest.mark.parametrize("model", ["toy", "coupled_wells4"])
     def test_analytic_samples_match_loop(self, model):
         # numpy's array and scalar exp may differ far below any physical
         # scale (entries ~1e-37 and smaller); nothing else may

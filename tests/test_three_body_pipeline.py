@@ -9,7 +9,8 @@ resolution, and every stage artifact has to appear with fresh digests.
 import numpy as np
 import pytest
 
-from hypres.pipeline import RunConfig, load_windows, run_pipeline
+from hypres.pipeline import RunConfig, run_pipeline
+from hypres.stages import load_windows
 from hypres.tableio import load_couplings, read_keyvalues
 
 INI = """
