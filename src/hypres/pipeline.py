@@ -11,7 +11,8 @@ match, and otherwise runs the stage.
 Module level imports only what the configuration, the stage table and the
 runner use (errors, tableio).  The stage bodies live in `hypres.stages`,
 which the runner imports only when a stage must run, so importing this
-module, `hypres --help` and a fully cached run compile no stage code.  Each
+module, `hypres --help` and a fully cached run compile no stage code (a
+process that runs a stage compiles it then, so it saves nothing).  Each
 body, and each helper that builds a layer object (the channel set and
 masses too), imports its layer when it runs, so a process whose stage is
 cached loads no FEM, scan or fit code, and importing this module loads no

@@ -3,10 +3,12 @@
 `hypres.pipeline` holds the configuration, the stage table and the runner;
 its runner imports this module only when a stage must run (outputs missing,
 stale or forced), so importing the pipeline, `hypres --help` and a fully
-cached run never compile these bodies.  Each body still imports its layer (FEM, radial
-solver, scan, fit) when it runs.  Table functions are called through the
-`tableio` module, never bound here, so a wrapper set on them while this
-module first loads (a profiler's, say) does not stay behind once removed.
+cached run never compile these bodies.  A process that runs any stage
+compiles them then: it does the same work as when they sat in the pipeline
+module.  Each body still imports its layer (FEM, radial solver, scan, fit)
+when it runs.  Table functions are called through the `tableio` module,
+never bound here, so a wrapper set on them while this module first loads
+(a profiler's, say) does not stay behind once removed.
 """
 
 from __future__ import annotations
