@@ -60,7 +60,6 @@ class HyperangularGrid:
                 raise ValidationError(f"{name} must be odd and >= 3, got {n}")
 
 
-@dataclass(frozen=True)
 class ClusterSpec:
     """Node-density model for the coalescence-point clusters.
 
@@ -69,16 +68,18 @@ class ClusterSpec:
     cusp, which is what exponential atomic states need.  Extents are in
     units of the atom's length scale 1/m_red; the angular widths scale like
     1/rho and are capped so the density degrades to uniform at small rho.
+    The parameters are constants (class attributes); an instance only marks
+    a grid as clustered in `build_grids`.
     """
 
-    extent_n1: float = 9.0
-    extent_n2: float = 36.0
-    core_frac: float = 0.125  # innermost element size as fraction of decay length
-    frac_tight: float = 0.30
-    frac_medium: float = 0.10
-    frac_theta_tight: float = 0.24
-    frac_theta_medium: float = 0.08
-    width_cap: float = 1.2
+    extent_n1 = 9.0
+    extent_n2 = 36.0
+    core_frac = 0.125  # innermost element size as fraction of decay length
+    frac_tight = 0.30
+    frac_medium = 0.10
+    frac_theta_tight = 0.24
+    frac_theta_medium = 0.08
+    width_cap = 1.2
 
 
 def coulomb_potential(masses: ThreeBodyMasses, rho: float):

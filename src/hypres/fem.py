@@ -186,25 +186,21 @@ class TensorGrid:
             out[i] = px @ ci @ py.T
         return out.reshape(*lead, x.size, y.size)
 
-    def weighted_kernel(self, fn=None, wx_fn=None, wy_fn=None) -> np.ndarray:
+    def weighted_kernel(self, fn, wx_fn, wy_fn) -> np.ndarray:
         """Quadrature kernel w(x) w(y) f(x, y) on the full tensor, flat arrays."""
         px, wx, py, wy = self.quad_points()
-        kx = wx * (wx_fn(px) if wx_fn else 1.0)
-        ky = wy * (wy_fn(py) if wy_fn else 1.0)
-        kern = np.outer(kx, ky)
-        if fn is not None:
-            vals = fn(px[:, None], py[None, :])
-            if not np.all(np.isfinite(vals)):
-                raise AssemblyError(
-                    "kernel not finite at a quadrature node "
-                    "(singular point sampled exactly)"
-                )
-            kern = kern * vals
-        return kern
+        kern = np.outer(wx * wx_fn(px), wy * wy_fn(py))
+        vals = fn(px[:, None], py[None, :])
+        if not np.all(np.isfinite(vals)):
+            raise AssemblyError(
+                "kernel not finite at a quadrature node "
+                "(singular point sampled exactly)"
+            )
+        return kern * vals
 
-    def potential_matrix(self, fn, wx_fn=None, wy_fn=None) -> sp.csr_matrix:
+    def potential_matrix(self, fn, wx_fn, wy_fn) -> sp.csr_matrix:
         """Assemble integral of phi_i phi_j f(x,y) w(x) w(y) dx dy."""
-        kern = self.weighted_kernel(fn=fn, wx_fn=wx_fn, wy_fn=wy_fn)
+        kern = self.weighted_kernel(fn, wx_fn, wy_fn)
         nex, ney = self.gx.n_elements, self.gy.n_elements
         kern = kern.reshape(nex, N_QUAD, ney, N_QUAD)
         _, _, sx, _ = _element_tables(self.gx)

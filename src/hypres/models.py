@@ -9,8 +9,9 @@ three-body machinery: its terms/couplings are expressible as plain tables
 
 Importing this module loads numpy alone: the problems below load the
 radial solver on first use, so a process that only writes the toy's
-tables never imports it.  The two models are NamedTuples, not dataclasses,
-so that no method is generated and compiled at import.
+tables never imports it.  Neither model is a dataclass, so that no method
+is generated and compiled at import: the toy is a plain class whose
+parameters are class attributes, BoxMode a NamedTuple.
 """
 
 from __future__ import annotations
@@ -24,22 +25,26 @@ if TYPE_CHECKING:
     from .radial import RadialProblem
 
 
-class TwoChannelToy(NamedTuple):
-    """Two open channels, one pocket-behind-barrier resonance in channel 2."""
+class TwoChannelToy:
+    """Two open channels, one pocket-behind-barrier resonance in channel 2.
 
-    threshold_2: float = 0.5
-    depth_1: float = 0.6
-    pocket_depth: float = 4.0
-    barrier_height: float = 9.5
-    barrier_center: float = 3.6
-    barrier_width: float = 1.0
-    pocket_center: float = 1.7
-    pocket_width: float = 1.0
-    coupling: float = 0.10
-    coupling_center: float = 2.0
-    coupling_width: float = 0.8
-    rho_start: float = 1e-3
-    rho_match: float = 28.0
+    The parameters are constants: the oracle pole (E0, Gamma) that the
+    tests and the benchmark check holds for these values alone.
+    """
+
+    threshold_2 = 0.5
+    depth_1 = 0.6
+    pocket_depth = 4.0
+    barrier_height = 9.5
+    barrier_center = 3.6
+    barrier_width = 1.0
+    pocket_center = 1.7
+    pocket_width = 1.0
+    coupling = 0.10
+    coupling_center = 2.0
+    coupling_width = 0.8
+    rho_start = 1e-3
+    rho_match = 28.0
 
     @property
     def thresholds(self) -> np.ndarray:

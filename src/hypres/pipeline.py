@@ -43,8 +43,7 @@ if TYPE_CHECKING:
     from .channels import ThreeBodyMasses
 
 # Each key's type is the type of its default; None marks an optional float,
-# whose empty value reads as None.  [toy] keys are the toy model's parameters
-# (floats); RunConfig.toy checks their names.
+# whose empty value reads as None.
 DEFAULTS = {
     "system": {
         "kind": "three-body",
@@ -75,7 +74,6 @@ DEFAULTS = {
     },
     "fit": {"model": "general", "weighting": "relative"},
     "output": {"directory": "out"},
-    "toy": {},
 }
 
 # the words an enumerated key may take
@@ -121,7 +119,7 @@ class RunConfig(NamedTuple):
             if section not in DEFAULTS:
                 raise ConfigError(f"unknown section [{section}]")
             for key, raw in parser.items(section):
-                if section != "toy" and key not in DEFAULTS[section]:
+                if key not in DEFAULTS[section]:
                     raise ConfigError(f"unknown key [{section}] {key}")
                 values[section][key] = _typed(section, key, raw)
                 texts[section][key] = raw
@@ -162,17 +160,10 @@ class RunConfig(NamedTuple):
         keys = ("m1", "m2", "z1", "z2", "z_light")
         return ThreeBodyMasses(**{key: self.get("system", key) for key in keys})
 
-    def toy(self):
-        from .models import TwoChannelToy
-        try:
-            return TwoChannelToy(**self.values["toy"])
-        except TypeError as exc:  # a key that is not a toy parameter
-            raise ConfigError(f"unknown key in [toy]: {exc}") from exc
-
 
 def _typed(section: str, key: str, raw: str):
-    """raw read as the type of the key's default; [toy] values are floats."""
-    default = DEFAULTS[section].get(key, 0.0)
+    """raw read as the type of the key's default."""
+    default = DEFAULTS[section][key]
     words = WORDS.get((section, key))
     if words is not None and raw not in words:
         raise ConfigError(
@@ -197,13 +188,13 @@ class Stage(NamedTuple):
     """One row of the stage table.
 
     sections are the config sections whose digest the header records
-    ("basis" stands for the system kind's own section: [toy] for the toy
-    kind, [basis] for three-body); outputs are the files the stage writes,
-    the last one being its result; inputs are the files that must be fresh
-    before it runs; digested is the input whose file digest the header
-    records; header names the parameters the header records; params are the
-    parameters the stage takes besides the configuration.  File names may
-    use {resonance}.  The stage's body is `hypres.stages._<name>`.
+    ([basis] only in three-body runs: the toy's tables are constants);
+    outputs are the files the stage writes, the last one being its result;
+    inputs are the files that must be fresh before it runs; digested is the
+    input whose file digest the header records; header names the parameters
+    the header records; params are the parameters the stage takes besides
+    the configuration.  File names may use {resonance}.  The stage's body
+    is `hypres.stages._<name>`.
     """
 
     name: str
@@ -232,8 +223,8 @@ def _check_cache(path: Path, expect: dict) -> bool:
 def _expect(stage: Stage, config: RunConfig, params: dict) -> dict:
     """Header of a fresh output of stage under config and params; header
     parameters absent from params are not checked."""
-    kind_section = "toy" if config.kind == "toy" else "basis"
-    sections = [kind_section if s == "basis" else s for s in stage.sections]
+    sections = [s for s in stage.sections
+                if s != "basis" or config.kind == "three-body"]
     expect = {"config-digest": config.digest(sections)}
     if stage.digested is not None:
         path = config.out_dir() / stage.digested.format(**params)

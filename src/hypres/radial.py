@@ -84,7 +84,8 @@ class RadialProblem:
     arrays, and (M, N), (M, N, N), (M, N, N) for an array of M points;
     thresholds are the asymptotic channel energies used in the matching,
     one per channel.  include_rho_term toggles the universal 15/(4 rho^2)
-    barrier (off in flat test modes).
+    barrier (off in flat test modes).  A given q_mat turns on the gauge
+    rotation of build_grid, whatever its support.
     """
 
     thresholds: np.ndarray
@@ -122,7 +123,8 @@ class RadialProblem:
 
         Tables are interpolated by cubic splines and every table channel is
         kept; thresholds default to the term values at the last table point,
-        and otherwise need one value per table channel.
+        and otherwise need one value per table channel.  An all-zero Q table
+        (the toy's) gives no q_mat, so the problem has no gauge rotation.
         """
         rho_table = np.asarray(rho_table, dtype=float)
         eps_table = np.asarray(eps_table, dtype=float)
@@ -138,7 +140,7 @@ class RadialProblem:
         h_sp = q_sp = None
         if h_table is not None:
             h_sp = CubicSpline(rho_table, np.asarray(h_table), axis=0)
-        if q_table is not None:
+        if q_table is not None and np.any(q_table):
             q_sp = CubicSpline(rho_table, np.asarray(q_table), axis=0)
         return cls(
             thresholds=thresholds,
@@ -168,10 +170,7 @@ class RadialProblem:
         return 0.5 * (w + np.swapaxes(w, -1, -2))
 
     def has_gauge(self) -> bool:
-        if self.q_mat is None:
-            return False
-        probe = np.asarray(self.q_mat(0.5 * (self.rho_start + self.rho_match)))
-        return bool(np.abs(probe).max() > 0.0)
+        return self.q_mat is not None
 
 
 @dataclass

@@ -81,7 +81,7 @@ class StabilizationSpectrum:
     @property
     def swaps(self) -> np.ndarray:
         """Zeros: branch swaps are no longer tracked; kept for the benchmark
-        tracer until it reads stage run records (ROADMAP item 3)."""
+        tracer until it reads stage run records (ROADMAP item 4)."""
         return np.zeros(self.alpha_grid.size, dtype=int)
 
     def monotone_defect(self) -> float:

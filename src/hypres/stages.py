@@ -21,6 +21,7 @@ import numpy as np
 
 from . import tableio
 from .errors import StageError
+from .models import TwoChannelToy
 
 if TYPE_CHECKING:
     from .channels import ChannelSet
@@ -37,7 +38,7 @@ def _hyperangular_grid(config: RunConfig):
 
 def _terms(config: RunConfig, expect: dict, out: Path):
     if config.kind == "toy":
-        rho, eps, _, _ = config.toy().tables()
+        rho, eps, _, _ = TwoChannelToy().tables()
         return tableio.save_terms(out, rho, eps, {"kind": "toy", **expect})
     from .adiabatic import solve_terms
     rho_grid = np.geomspace(
@@ -54,7 +55,7 @@ def _terms(config: RunConfig, expect: dict, out: Path):
 
 def _couplings(config: RunConfig, expect: dict, out: Path):
     if config.kind == "toy":
-        return tableio.save_couplings(out, *config.toy().tables(),
+        return tableio.save_couplings(out, *TwoChannelToy().tables(),
                                       {"kind": "toy", **expect})
     from .adiabatic import refine_rho_grid, solve_with_couplings
     # terms.dat only places the refinement; every point of the refined grid
@@ -76,8 +77,7 @@ def _radial_setup(config: RunConfig):
     from .radial import RadialProblem, build_grid
     rho, eps, h, q, _ = tableio.load_couplings(config.out_dir() / "couplings.dat")
     if config.kind == "toy":
-        toy = config.toy()
-        rho_start, rho_match = toy.rho_start, toy.rho_match
+        rho_start, rho_match = TwoChannelToy.rho_start, TwoChannelToy.rho_match
     else:
         rho_start = config.get("radial", "rho_start")
         rho_match = config.get("radial", "rho_match")
@@ -301,8 +301,7 @@ def _channel_set(config: RunConfig) -> ChannelSet:
     from .channels import ChannelSet
     if config.kind == "three-body":
         return config.masses().channel_set()
-    toy = config.toy()
     # plain Schroedinger units: k = q, so 2 mu = 1
     return ChannelSet(
-        thresholds=tuple(toy.thresholds), reduced_masses=(0.5, 0.5)
+        thresholds=tuple(TwoChannelToy().thresholds), reduced_masses=(0.5, 0.5)
     )

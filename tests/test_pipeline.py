@@ -13,8 +13,10 @@ import pytest
 
 import hypres
 from hypres import radial
+from hypres.adiabatic import ClusterSpec
 from hypres.cli import _print_summary, main
 from hypres.errors import CacheError, ConfigError, StageError, ValidationError
+from hypres.models import TwoChannelToy
 from hypres.pipeline import (
     RunConfig,
     run_pipeline,
@@ -30,8 +32,10 @@ from hypres.tableio import (
     read_table,
     write_keyvalues,
 )
+from test_three_body_pipeline import INI as THREE_BODY_INI
 
 DATA = Path(__file__).parent / "data"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TOY_INI = """
 [system]
@@ -309,25 +313,38 @@ class TestConfigChecks:
         ("[radial]\ninclude_rho_term = true\n", "[radial] include_rho_term"),
         ("[xsec]\nn_points = 101\n", "[xsec]"),
         ("[DEFAULT]\nn_levels = 8\n", "[DEFAULT]"),
+        # the toy's parameters are constants, for either kind
+        ("[system]\nkind = toy\n[toy]\nbarrier_hight = 9\n", "[toy]"),
+        ("[system]\nkind = three-body\n[toy]\nbarrier_height = 9\n", "[toy]"),
     ])
     def test_unknown_keys_refused(self, text, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
             RunConfig.from_text(text)
 
-    def test_unknown_toy_key_refused(self):
-        config = RunConfig.from_text("[system]\nkind = toy\n[toy]\nbarrier_hight = 9\n")
-        with pytest.raises(ConfigError, match="barrier_hight"):
-            config.toy()
-        with pytest.raises(ConfigError) as err:
-            stage_terms(config)
-        assert err.value.stage == "terms"
+    def test_model_parameters_take_no_arguments(self):
+        assert TwoChannelToy().coupling == TwoChannelToy.coupling == 0.10
+        assert ClusterSpec().width_cap == ClusterSpec.width_cap == 1.2
+        with pytest.raises(TypeError):
+            TwoChannelToy(coupling=0.2)
+        with pytest.raises(TypeError):
+            ClusterSpec(width_cap=2.0)
+
+    def test_shipped_configs_load(self):
+        configs = sorted(CONFIGS.glob("*.ini"))
+        assert {path.name for path in configs} >= {"dtmu.ini", "toy.ini"}
+        loaded = {path.name: RunConfig.from_file(path) for path in configs}
+        # dtmu.ini reproduces the production setup: the physics of the INI
+        # that criterion 6 (test_acceptance.py) runs
+        criterion6 = RunConfig.from_text(
+            "[system]\nkind = three-body\n[scan]\nsigma = -0.16\nn_levels = 16\n")
+        physics = ["system", "basis", "radial", "scan"]
+        assert loaded["dtmu.ini"].digest(physics) == criterion6.digest(physics)
 
     # refused when the text is read, before any stage reads the value
     @pytest.mark.parametrize("text, named", [
         ("[scan]\nn_levels = ten\n", "'ten' is not a valid int"),
         ("[scan]\nalpha_step = 1,0\n", "'1,0' is not a valid float"),
         ("[scan]\nsigma = low\n", "'low' is not a valid float"),
-        ("[toy]\nrho_match = far\n", "'far' is not a valid float"),
         ("[system]\nkind = tyo\n", "'tyo' is not one of three-body, toy"),
         ("[fit]\nmodel = bogus\n", "'bogus' is not one of general, diagonal, both"),
         ("[fit]\nweighting = Relative\n", "'Relative' is not one of uniform, relative"),
@@ -338,13 +355,12 @@ class TestConfigChecks:
 
     def test_values_typed_at_load(self):
         config = RunConfig.from_text(
-            "[scan]\nn_levels = 10\nsigma = -0.157\n[toy]\nrho_match = 30\n")
+            "[scan]\nn_levels = 10\nsigma = -0.157\n")
         assert config.get("scan", "n_levels") == 10
         assert type(config.get("scan", "n_levels")) is int
         assert config.get("scan", "sigma") == -0.157
         assert config.get("scan", "e_max") is None
         assert config.get("system", "z_light") == -1
-        assert config.toy().rho_match == 30.0
         # digests hash the text as written
         assert "n_levels = 10\n" in config.canonical(["scan"])
         assert "sigma = \n" in RunConfig.from_text("").canonical(["scan"])
@@ -362,6 +378,15 @@ class TestConfigChecks:
             assert err.startswith("[config] error:"), err
             # refused when the file is read: no stage ran, nothing was written
             assert not (tmp_path / "out").exists(), new
+
+    def test_cli_refuses_toy_section_in_three_body_ini(self, tmp_path, capsys):
+        ini = tmp_path / "three-body.ini"
+        ini.write_text(THREE_BODY_INI.format(out=tmp_path / "out")
+                       + "\n[toy]\nbarrier_height = 9\n")
+        assert main(["fit", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[config] error: unknown section [toy]"), err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, named", [
         ("[scan]\nn_levels = 6\nn_levels = 8\n", "already exists"),

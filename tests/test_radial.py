@@ -271,6 +271,26 @@ class TestGridBuild:
         grid = build_grid(prob, h_max=0.01)
         assert np.array_equal(grid.w_samples, prob.w_bare(grid.points))
 
+    def test_gauge_follows_q_of_compact_support(self):
+        # Q = 0.3 at rho = 2 and zero from rho = 5 on, so zero at the
+        # midpoint of [rho_start, rho_match]: the gauge must still run
+        def q_mat(rho):
+            rho = np.asarray(rho, dtype=float)
+            bump = 0.3 * np.clip(1.0 - ((rho - 2.0) / 3.0) ** 2, 0.0, None) ** 2
+            q = np.zeros(rho.shape + (2, 2))
+            q[..., 0, 1], q[..., 1, 0] = bump, -bump
+            return q
+
+        prob = replace(coupled_wells(2), q_mat=q_mat)
+        assert prob.has_gauge()
+        grid = build_grid(prob, h_max=0.05)
+        assert np.array_equal(grid.gauge, radial._gauge_path(prob, grid.points))
+        assert np.abs(grid.gauge[-1] - np.eye(2)).max() > 1e-2
+        # an all-zero Q table is no first-derivative coupling
+        tab = RadialProblem.from_tables(*TwoChannelToy().tables(),
+                                        include_rho_term=False)
+        assert tab.q_mat is None and not tab.has_gauge()
+
     @pytest.mark.parametrize("model", ["toy", "coupled_wells4"])
     def test_analytic_samples_match_loop(self, model):
         # numpy's array and scalar exp may differ far below any physical
