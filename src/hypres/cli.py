@@ -15,7 +15,6 @@ import sys
 from . import pipeline
 from .errors import ConfigError, HypresError
 from .pipeline import STAGE_TABLE, STAGES, WORDS, RunConfig
-from .tableio import read_keyvalues
 
 _PARAMS = ("resonance", "model")  # every stage parameter, as CLI options
 
@@ -53,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_summary(path):
+    from .tableio import read_keyvalues
     pairs, _ = read_keyvalues(path)
     e0 = pairs["E0"]
     gamma = pairs["Gamma"]

@@ -9,15 +9,15 @@ three-body machinery: its terms/couplings are expressible as plain tables
 
 Importing this module loads numpy alone: the problems below load the
 radial solver on first use, so a process that only writes the toy's
-tables never imports it.  Neither model is a dataclass, so that no method
-is generated and compiled at import: the toy is a plain class whose
-parameters are class attributes, BoxMode a NamedTuple.
+tables never imports it.  Neither model is a dataclass or a NamedTuple, so
+that no method is generated and compiled at import: the toy is a plain
+class whose parameters are class attributes, BoxMode a plain slotted class.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,33 +50,24 @@ class TwoChannelToy:
     def thresholds(self) -> np.ndarray:
         return np.array([0.0, self.threshold_2])
 
-    def v11(self, rho):
+    def eps(self, rho):
         rho = np.asarray(rho, dtype=float)
-        return -self.depth_1 * np.exp(-((rho - 1.8) / 1.2) ** 2)
-
-    def v22(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return (
+        v11 = -self.depth_1 * np.exp(-((rho - 1.8) / 1.2) ** 2)
+        v22 = (
             self.threshold_2
             - self.pocket_depth
             * np.exp(-(((rho - self.pocket_center) / self.pocket_width) ** 2))
             + self.barrier_height
             * np.exp(-(((rho - self.barrier_center) / self.barrier_width) ** 2))
         )
-
-    def v12(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return self.coupling * np.exp(
-            -(((rho - self.coupling_center) / self.coupling_width) ** 2)
-        )
-
-    def eps(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return np.stack([self.v11(rho), self.v22(rho)], axis=-1)
+        return np.stack([v11, v22], axis=-1)
 
     def h_mat(self, rho):
+        rho = np.asarray(rho, dtype=float)
         z = np.zeros(np.shape(rho))
-        v = self.v12(rho)
+        v = self.coupling * np.exp(
+            -(((rho - self.coupling_center) / self.coupling_width) ** 2)
+        )
         return np.stack(
             [np.stack([z, v], axis=-1), np.stack([v, z], axis=-1)], axis=-2
         )
@@ -101,12 +92,14 @@ class TwoChannelToy:
         return rho, eps, h, q
 
 
-class BoxMode(NamedTuple):
+class BoxMode:
     """Uncoupled constant channel, no barrier term: exact box spectrum."""
 
-    offset: float = 0.0
-    rho_start: float = 1.0
-    rho_match: float = 40.0
+    __slots__ = ("offset", "rho_start", "rho_match")
+
+    def __init__(self, offset: float = 0.0, rho_start: float = 1.0,
+                 rho_match: float = 40.0):
+        self.offset, self.rho_start, self.rho_match = offset, rho_start, rho_match
 
     def problem(self) -> RadialProblem:
         from .radial import RadialProblem

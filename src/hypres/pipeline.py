@@ -8,25 +8,26 @@ One runner serves every stage: it refuses missing or stale inputs with a
 CacheError naming the stage that produces them, keeps outputs whose headers
 match, and otherwise runs the stage.
 
-Module level imports only what the configuration, the stage table and the
-runner use (errors, tableio).  The stage bodies live in `hypres.stages`,
-which the runner imports only when a stage must run, so importing this
-module, `hypres --help` and a fully cached run compile no stage code (a
-process that runs a stage compiles it then, so it saves nothing).  Each
-body, and each helper that builds a layer object (the channel set and
-masses too), imports its layer when it runs, so a process whose stage is
-cached loads no FEM, scan or fit code, and importing this module loads no
-channel or pole-form algebra.  The toy's terms and couplings stages write
-the analytic model's tables directly, so they load neither the FEM layer
-nor the radial solver.
+Module level imports only what the configuration and the stage table use
+(errors).  The table functions (`hypres.tableio`) are imported where a
+digest is taken or a header read, the stage bodies (`hypres.stages`) only
+when a stage must run.  So importing this module, `hypres --help` and a
+config error compile neither, a fully cached run compiles no stage code,
+and a process that checks a cache or runs a stage compiles that code then,
+saving nothing.  Each body, and each helper that builds a layer object
+(the channel set and masses too), imports its layer when it runs, so a
+process whose stage is cached loads no FEM, scan or fit code, and
+importing this module loads no channel or pole-form algebra.  The toy's
+terms and couplings stages write the analytic model's tables directly, so
+they load neither the FEM layer nor the radial solver.
 
 The configuration is one INI-style file with a section per stage; the
 defaults reproduce the full three-body run (131x61 basis grid, 6 retained
 channels, rho in [0.05, 500]) so a config that only names the system is
 complete.  It is read once, each value cast to the type of its default, so
 a bad key or value is a ConfigError before any stage runs.  The config and
-the stage rows are NamedTuples, not dataclasses, so that no method is
-generated and compiled at import.
+the stage rows are plain slotted classes, neither dataclasses nor
+NamedTuples, so that no method is generated and compiled at import.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ from __future__ import annotations
 import configparser
 import io
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import CacheError, ConfigError, HypresError
-from .tableio import digest_file, digest_text, read_header
 
 if TYPE_CHECKING:
     from .channels import ThreeBodyMasses
@@ -84,12 +84,14 @@ WORDS = {
 }
 
 
-class RunConfig(NamedTuple):
+class RunConfig:
     """Typed values of every configuration key, and the text of each key
     the file gave; the digests hash that text (a default as its str)."""
 
-    values: dict
-    text: dict
+    __slots__ = ("values", "text")
+
+    def __init__(self, values: dict, text: dict):
+        self.values, self.text = values, text
 
     @classmethod
     def from_file(cls, path, directory=None) -> "RunConfig":
@@ -105,7 +107,8 @@ class RunConfig(NamedTuple):
         """Config from INI text, each value cast once; directory, when given,
         replaces [output] directory.  Malformed INI (a key given twice, a
         line outside any section), an unknown section or key, a malformed
-        value and a word outside its WORDS are each a ConfigError."""
+        value, a word outside its WORDS and a three-body key in a toy run
+        are each a ConfigError."""
         parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text, source)
@@ -123,6 +126,12 @@ class RunConfig(NamedTuple):
                     raise ConfigError(f"unknown key [{section}] {key}")
                 values[section][key] = _typed(section, key, raw)
                 texts[section][key] = raw
+        if values["system"]["kind"] == "toy":
+            # the toy reads [radial] h_max alone (its tables and rho range are fixed)
+            unread = [f"[{section}] {key}" for section in ("basis", "radial")
+                      for key in texts[section] if key != "h_max"]
+            if unread:
+                raise ConfigError(f"{', '.join(unread)}: not read by kind = toy")
         if directory is not None:
             values["output"]["directory"] = texts["output"]["directory"] = str(directory)
         return cls(values=values, text=texts)
@@ -141,6 +150,7 @@ class RunConfig(NamedTuple):
         return buf.getvalue()
 
     def digest(self, sections) -> str:
+        from .tableio import digest_text
         return digest_text(self.canonical(sections))
 
     @property
@@ -184,7 +194,7 @@ def _typed(section: str, key: str, raw: str):
 # stage plumbing
 
 
-class Stage(NamedTuple):
+class Stage:
     """One row of the stage table.
 
     sections are the config sections whose digest the header records
@@ -197,14 +207,15 @@ class Stage(NamedTuple):
     is `hypres.stages._<name>`.
     """
 
-    name: str
-    help: str
-    sections: tuple
-    outputs: tuple
-    inputs: tuple = ()
-    digested: str | None = None
-    header: tuple = ()
-    params: tuple = ()
+    __slots__ = ("name", "help", "sections", "outputs", "inputs", "digested",
+                 "header", "params")
+
+    def __init__(self, name: str, help: str, sections: tuple, outputs: tuple,
+                 inputs: tuple = (), digested: str | None = None,
+                 header: tuple = (), params: tuple = ()):
+        self.name, self.help = name, help
+        self.sections, self.outputs, self.inputs = sections, outputs, inputs
+        self.digested, self.header, self.params = digested, header, params
 
 
 def _check_cache(path: Path, expect: dict) -> bool:
@@ -213,6 +224,7 @@ def _check_cache(path: Path, expect: dict) -> bool:
     Only the header is read: artifacts are replaced whole once written, so
     a file with a matching header is complete.
     """
+    from .tableio import read_header
     try:
         meta = read_header(path)
     except (CacheError, UnicodeDecodeError):
@@ -223,6 +235,7 @@ def _check_cache(path: Path, expect: dict) -> bool:
 def _expect(stage: Stage, config: RunConfig, params: dict) -> dict:
     """Header of a fresh output of stage under config and params; header
     parameters absent from params are not checked."""
+    from .tableio import digest_file
     sections = [s for s in stage.sections
                 if s != "basis" or config.kind == "three-body"]
     expect = {"config-digest": config.digest(sections)}

@@ -309,6 +309,8 @@ class TestConfigChecks:
     @pytest.mark.parametrize("text, named", [
         ("[scan]\nalpha_stpe = 0.5\n", "[scan] alpha_stpe"),
         ("[basis]\nn_workers = 1\n", "[basis] n_workers"),
+        ("[system]\nkind = toy\n[basis]\nn_workers = 1\n",
+         "unknown key [basis] n_workers"),
         ("[sacn]\nalpha_step = 0.5\n", "[sacn]"),
         ("[radial]\ninclude_rho_term = true\n", "[radial] include_rho_term"),
         ("[xsec]\nn_points = 101\n", "[xsec]"),
@@ -320,6 +322,20 @@ class TestConfigChecks:
     def test_unknown_keys_refused(self, text, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
             RunConfig.from_text(text)
+
+    # the toy's tables and rho range are constants: a toy INI that set these
+    # would load, be ignored, and (for [radial]) still change the digests
+    @pytest.mark.parametrize("text, named", [
+        ("[basis]\nn_rho = 100\n", "[basis] n_rho"),
+        ("[basis]\nn_chi = 4\n", "[basis] n_chi"),
+        ("[radial]\nrho_start = 0.1\nh_max = 0.02\n", "[radial] rho_start"),
+        ("[radial]\nrho_match = 5\n", "[radial] rho_match"),
+    ])
+    def test_three_body_keys_refused_in_toy_ini(self, text, named):
+        refusal = re.escape(f"{named}: not read by kind = toy")
+        with pytest.raises(ConfigError, match=refusal):
+            RunConfig.from_text("[system]\nkind = toy\n" + text)
+        RunConfig.from_text(text)  # a three-body INI takes them
 
     def test_model_parameters_take_no_arguments(self):
         assert TwoChannelToy().coupling == TwoChannelToy.coupling == 0.10
@@ -371,7 +387,9 @@ class TestConfigChecks:
                          ("n_levels = 12", "n_levels = ten"),
                          ("model = general", "model = bogus"),
                          ("weighting = relative", "weighting = bogus"),
-                         ("kind = toy", "kind = tyo")):
+                         ("kind = toy", "kind = tyo"),
+                         ("h_max = 0.02", "h_max = 0.02\nrho_match = 5"),
+                         ("[fit]", "[basis]\nn_rho = 100\n\n[fit]")):
             ini.write_text(TOY_INI.replace(old, new).format(out=tmp_path / "out"))
             assert main(["pipeline", "--config", str(ini)]) == 2
             err = capsys.readouterr().err
@@ -505,9 +523,11 @@ class TestImportSurface:
         assert _loaded_after("import hypres.models", names) == []
 
     def test_import_path_records_are_not_dataclasses(self):
-        # @dataclass generates and compiles its methods at every import
+        # @dataclass and typing.NamedTuple (a class with _fields) generate
+        # and compile their methods at every import
         code = ("import dataclasses, inspect, hypres.pipeline, hypres.models\n"
-                "print(*[f'{name}:{dataclasses.is_dataclass(obj)}'\n"
+                "print(*[f'{name}:{dataclasses.is_dataclass(obj)"
+                " or hasattr(obj, \"_fields\")}'\n"
                 "        for m in (hypres.pipeline, hypres.models)\n"
                 "        for name, obj in vars(m).items()\n"
                 "        if inspect.isclass(obj) and obj.__module__ == m.__name__])")
@@ -519,9 +539,23 @@ class TestImportSurface:
     def test_import_loads_no_layer(self):
         names = SOLVER_LAYERS + (
             "hypres.stages", "hypres.models", "hypres.samples", "hypres.fitting",
-            "scipy.sparse.linalg", "scipy.interpolate", "scipy.optimize",
+            "hypres.tableio", "scipy.sparse.linalg", "scipy.interpolate",
+            "scipy.optimize",
         )
         assert _loaded_after("import hypres.pipeline, hypres.cli", names) == []
+
+    def test_k_extraction_loads_no_table_code(self):
+        # the kprofile path: K(E) of an analytic problem reads and writes no
+        # table, digest or header
+        code = ("import hypres.pipeline\n"
+                "from hypres import radial\n"
+                "from hypres.models import TwoChannelToy\n"
+                "problem = TwoChannelToy().problem()\n"
+                "grid = radial.build_grid(problem, h_max=0.05)\n"
+                "ks, _ = radial.extract_k(problem, [2.5, 3.0], grid=grid)\n"
+                "assert len(ks) == 2")
+        assert _loaded_after(code, ("hypres.radial", "hypres.tableio")) == [
+            "hypres.radial"]
 
     def test_adiabatic_loads_no_process_pool(self):
         # the adiabatic sweep runs in this process, one point at a time
