@@ -5,8 +5,11 @@ fit -> xsec), as listed in `STAGE_TABLE`, which the CLI reads too.  Each
 stage writes one or more text artifacts whose headers record the digest of
 the configuration sections (and of the input file) that produced them.
 One runner serves every stage: it refuses missing or stale inputs with a
-CacheError naming the stage that produces them, keeps outputs whose headers
-match, and otherwise runs the stage.
+CacheError naming the stage that produces them (and, when stale, the header
+key that differs), keeps outputs whose headers match, and otherwise runs
+the stage.  It builds each expected header and hashes each input file once
+per header chain: one chain per run_pipeline call, a fresh one for a stage
+run on its own; in table order a file is hashed only after its stage ran.
 
 Module level imports only what the configuration and the stage table use
 (errors).  The table functions (`hypres.tableio`) are imported where a
@@ -33,6 +36,7 @@ NamedTuples, so that no method is generated and compiled at import.
 from __future__ import annotations
 
 import configparser
+import contextvars
 import io
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -218,8 +222,8 @@ class Stage:
         self.digested, self.header, self.params = digested, header, params
 
 
-def _check_cache(path: Path, expect: dict) -> bool:
-    """True when path exists and its header matches every expected value.
+def _check_cache(path: Path, expect: dict) -> str | None:
+    """First key of expect that path's header lacks or contradicts, or None.
 
     Only the header is read: artifacts are replaced whole once written, so
     a file with a matching header is complete.
@@ -228,22 +232,26 @@ def _check_cache(path: Path, expect: dict) -> bool:
     try:
         meta = read_header(path)
     except (CacheError, UnicodeDecodeError):
-        return False
-    return all(meta.get(k) == v for k, v in expect.items())
+        meta = {}
+    return next((k for k, v in expect.items() if meta.get(k) != v), None)
 
 
-def _expect(stage: Stage, config: RunConfig, params: dict) -> dict:
-    """Header of a fresh output of stage under config and params; header
-    parameters absent from params are not checked."""
-    from .tableio import digest_file
-    sections = [s for s in stage.sections
-                if s != "basis" or config.kind == "three-body"]
-    expect = {"config-digest": config.digest(sections)}
-    if stage.digested is not None:
-        path = config.out_dir() / stage.digested.format(**params)
-        expect["input-digest"] = digest_file(path) if path.exists() else "missing"
-    expect.update((key, str(params[key])) for key in stage.header if key in params)
-    return expect
+def _expect(stage: Stage, config: RunConfig, params: dict, chain: dict) -> dict:
+    """Header of a fresh output of stage under config and params, built once
+    per chain; header parameters absent from params are not checked."""
+    if stage.name not in chain:
+        from .tableio import digest_file
+        sections = [s for s in stage.sections
+                    if s != "basis" or config.kind == "three-body"]
+        expect = {"config-digest": config.digest(sections)}
+        if stage.digested is not None:
+            path = config.out_dir() / stage.digested.format(**params)
+            if path not in chain:
+                chain[path] = digest_file(path) if path.exists() else "missing"
+            expect["input-digest"] = chain[path]
+        expect.update((key, str(params[key])) for key in stage.header if key in params)
+        chain[stage.name] = expect
+    return chain[stage.name]
 
 
 def _run(name: str, config: RunConfig, force: bool, **params) -> Path:
@@ -255,21 +263,20 @@ def _run(name: str, config: RunConfig, force: bool, **params) -> Path:
     """
     stage = _STAGE[name]
     out_dir = config.out_dir()
+    chain = _CHAIN.get({})
     try:
         for pattern in stage.inputs:
             producer = _PRODUCER[pattern]
             path = out_dir / pattern.format(**params)
             if not path.exists():
                 raise CacheError(
-                    f"missing {path.name}; run the '{producer}' stage first"
-                )
-            if not _check_cache(path, _expect(_STAGE[producer], config, params)):
+                    f"missing {path.name}; run the '{producer.name}' stage first")
+            if key := _check_cache(path, _expect(producer, config, params, chain)):
                 raise CacheError(
-                    f"stale cache {path.name} (config changed); rerun '{producer}'"
-                )
-        expect = _expect(stage, config, params)
+                    f"stale cache {path.name} ({key} differs); rerun '{producer.name}'")
+        expect = _expect(stage, config, params, chain)
         outputs = [out_dir / p.format(**params) for p in stage.outputs]
-        if force or not all(_check_cache(p, expect) for p in outputs):
+        if force or any(_check_cache(p, expect) for p in outputs):
             from . import stages
             getattr(stages, f"_{name}")(config, expect, *outputs, **params)
         return outputs[-1]
@@ -306,7 +313,9 @@ STAGE_TABLE = (
 )
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
 _STAGE = {stage.name: stage for stage in STAGE_TABLE}
-_PRODUCER = {name: stage.name for stage in STAGE_TABLE for name in stage.outputs}
+_PRODUCER = {name: stage for stage in STAGE_TABLE for name in stage.outputs}
+# the running run_pipeline's chain: stage name -> header, input path -> digest
+_CHAIN = contextvars.ContextVar("header_chain")
 
 
 # One public function per stage.  The pipeline and the CLI look them up by
@@ -362,8 +371,11 @@ def run_pipeline(config: RunConfig, resonance: int = 0, model: str | None = None
     """
     if upto is not None and upto not in STAGES:
         raise ConfigError(f"unknown stage {upto!r}")
-    last = STAGES.index(upto) if upto else len(STAGES) - 1
-    for name in STAGES[: last + 1]:
-        path = run_stage(name, config, force=force, resonance=resonance,
-                         model=model)
+    token = _CHAIN.set({})
+    try:
+        for name in STAGES[: STAGES.index(upto) + 1 if upto else None]:
+            path = run_stage(name, config, force=force, resonance=resonance,
+                             model=model)
+    finally:
+        _CHAIN.reset(token)
     return path

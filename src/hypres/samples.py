@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .tableio import replacing
+from .tableio import _write_header, replacing
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,10 @@ class KSample:
     branch: int = -1
 
 
-def write_samples(path, samples, header_lines=()) -> None:
+def write_samples(path, samples, meta: dict) -> None:
     """Write samples as delimited text: E K11 K12 K22 defect alpha branch."""
     with replacing(path) as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("# columns: E K11 K12 K22 defect alpha branch\n")
+        _write_header(fh, {**meta, "columns": "E K11 K12 K22 defect alpha branch"})
         for s in samples:
             fh.write(
                 f"{s.energy:.17e} {s.k11:.17e} {s.k12:.17e} {s.k22:.17e} "

@@ -164,10 +164,8 @@ def _sample(config: RunConfig, expect: dict, out: Path, resonance: int):
     window = windows[resonance]
     problem, grid = _radial_setup(config)
     samples = sample_k(problem, window, grid=grid)
-    header = [f"{k}: {v}" for k, v in expect.items()]
-    header.append(f"e_center: {window.e_center:.17e}")
-    header.append(f"gamma_est: {window.gamma_est:.6e}")
-    write_samples(out, samples, header_lines=header)
+    write_samples(out, samples, dict(expect, e_center=f"{window.e_center:.17e}",
+                                     gamma_est=f"{window.gamma_est:.6e}"))
 
 
 def _fit_weights(samples, mode: str):

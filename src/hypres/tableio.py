@@ -40,12 +40,15 @@ def replacing(path):
         tmp.unlink(missing_ok=True)
 
 
+def _write_header(fh, meta: dict) -> None:
+    """The '# key: value' line of each item of meta, in its order."""
+    fh.writelines(f"# {key}: {value}\n" for key, value in meta.items())
+
+
 def write_table(path, rows: np.ndarray, meta: dict, columns: str) -> None:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     with replacing(path) as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}: {value}\n")
-        fh.write(f"# columns: {columns}\n")
+        _write_header(fh, {**meta, "columns": columns})
         for row in rows:
             fh.write(" ".join(f"{v:.17e}" for v in row) + "\n")
 
@@ -96,8 +99,7 @@ def read_table(path):
 
 def write_keyvalues(path, pairs: dict, header: dict | None = None) -> None:
     with replacing(path) as fh:
-        for key, value in (header or {}).items():
-            fh.write(f"# {key}: {value}\n")
+        _write_header(fh, header or {})
         for key, value in pairs.items():
             if isinstance(value, float):
                 fh.write(f"{key} = {value:.17e}\n")

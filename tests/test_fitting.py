@@ -287,7 +287,7 @@ class TestSampleIO:
     def test_roundtrip(self, tmp_path):
         samples = synthesize(TRUTH, sample_grid()[:10])
         path = tmp_path / "k.dat"
-        write_samples(path, samples, header_lines=["origin: test"])
+        write_samples(path, samples, {"origin": "test"})
         back = read_samples(path)
         assert len(back) == len(samples)
         for a, b in zip(samples, back):

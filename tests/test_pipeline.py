@@ -168,6 +168,41 @@ class TestStages:
         assert (out / "fit_0.txt").read_bytes() != before["fit_0.txt"][0]
         assert (out / "fit_0.txt").stat().st_mtime_ns != before["fit_0.txt"][1]
 
+    def test_one_header_chain_per_run(self, toy_run, tmp_path, monkeypatch):
+        # each stage's header is built once and each digested file (couplings,
+        # ksamples, fit report) hashed once, whether the stages run or not
+        from hypres import tableio
+
+        calls = []
+        for name in ("digest_file", "digest_text"):
+            def counted(arg, _name=name, _digest=getattr(tableio, name)):
+                calls.append(_name)
+                return _digest(arg)
+            monkeypatch.setattr(tableio, name, counted)
+        config = RunConfig.from_file(toy_run["ini"], directory=tmp_path / "out")
+        for force in (False, False, True):  # cold, warm, forced
+            calls.clear()
+            run_pipeline(config, force=force)
+            assert (calls.count("digest_file"), calls.count("digest_text")) == (3, 6)
+
+    def test_edited_input_names_differing_key(self, toy_run, tmp_path):
+        # a couplings row edited under its old header: the scan's outputs
+        # recorded the old file digest, so the scan and all after it rerun
+        out = tmp_path / "out"
+        shutil.copytree(toy_run["out"], out)
+        lines = (out / "couplings.dat").read_text().splitlines(keepends=True)
+        lines[-1] = lines[-1].replace("e", "1e", 1)  # one more mantissa digit
+        (out / "couplings.dat").write_text("".join(lines))
+        config = RunConfig.from_file(toy_run["ini"], directory=out)
+        with pytest.raises(CacheError) as err:
+            stage_sample(config)
+        assert "'scan'" in str(err.value) and "input-digest" in str(err.value)
+        before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        run_pipeline(config)
+        rewritten = {p.name for p in out.iterdir()
+                     if p.stat().st_mtime_ns != before[p.name]}
+        assert rewritten == set(before) - {"terms.dat", "couplings.dat"}
+
     def test_bad_resonance_index(self, toy_run):
         with pytest.raises(StageError):
             stage_sample(toy_run["config"], resonance=99)
