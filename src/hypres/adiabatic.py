@@ -82,31 +82,33 @@ class ClusterSpec:
     width_cap = 1.2
 
 
-def coulomb_potential(masses: ThreeBodyMasses, rho: float):
-    """V(chi, theta) for the three Coulomb pairs at fixed rho.
+def _distances(masses: ThreeBodyMasses, rho: float, chi, theta):
+    """Heavy-heavy distance R and light-heavy distances r1, r2 at (chi, theta).
 
-    Interparticle distances in terms of the mass-weighted coordinates:
-    r = rho sin(chi/2)/sqrt(2 mu) (light to heavy-pair center of mass),
-    R = rho cos(chi/2)/sqrt(2 M) (heavy-heavy), and the two light-heavy
-    separations follow from the heavy positions -c1 R, +c2 R with
-    c1 = m2/(m1+m2), c2 = m1/(m1+m2).
+    In the mass-weighted coordinates r = rho sin(chi/2)/sqrt(2 mu) (light to
+    heavy-pair center of mass) and R = rho cos(chi/2)/sqrt(2 M); the
+    light-heavy separations follow from the heavy positions -c1 R, +c2 R
+    (`ThreeBodyMasses.heavy_fractions`), theta the angle between r and R.
     """
+    c1, c2 = masses.heavy_fractions
+    r = rho * np.sin(0.5 * chi) / math.sqrt(2.0 * masses.mu)
+    rr = rho * np.cos(0.5 * chi) / math.sqrt(2.0 * masses.mass_heavy_pair)
+    ct = np.cos(theta)
+    r1 = np.sqrt(r * r + (c1 * rr) ** 2 + 2.0 * c1 * r * rr * ct)
+    r2 = np.sqrt(r * r + (c2 * rr) ** 2 - 2.0 * c2 * r * rr * ct)
+    return rr, r1, r2
+
+
+def coulomb_potential(masses: ThreeBodyMasses, rho: float):
+    """V(chi, theta) for the three Coulomb pairs at fixed rho (`_distances`)."""
     if rho <= 0.0:
         raise AssemblyError(f"rho must be positive, got {rho!r}")
-    mu = masses.mu
-    mm = masses.mass_heavy_pair
-    c1 = masses.m2 / (masses.m1 + masses.m2)
-    c2 = masses.m1 / (masses.m1 + masses.m2)
     z12 = masses.z1 * masses.z2
     z1l = masses.z1 * masses.z_light
     z2l = masses.z2 * masses.z_light
 
     def v(chi, theta):
-        r = rho * np.sin(0.5 * chi) / math.sqrt(2.0 * mu)
-        rr = rho * np.cos(0.5 * chi) / math.sqrt(2.0 * mm)
-        ct = np.cos(theta)
-        r1 = np.sqrt(r * r + (c1 * rr) ** 2 + 2.0 * c1 * r * rr * ct)
-        r2 = np.sqrt(r * r + (c2 * rr) ** 2 - 2.0 * c2 * r * rr * ct)
+        rr, r1, r2 = _distances(masses, rho, chi, theta)
         if np.any(rr == 0.0) or np.any(r1 == 0.0) or np.any(r2 == 0.0):
             raise AssemblyError(
                 f"quadrature node exactly at a Coulomb singularity (rho={rho})"
@@ -119,8 +121,7 @@ def coulomb_potential(masses: ThreeBodyMasses, rho: float):
 def coalescence_points(masses: ThreeBodyMasses):
     """(chi, theta) of the two light-heavy coalescence points."""
     ratio = math.sqrt(masses.mu / masses.mass_heavy_pair)
-    c1 = masses.m2 / (masses.m1 + masses.m2)
-    c2 = masses.m1 / (masses.m1 + masses.m2)
+    c1, c2 = masses.heavy_fractions
     chi1 = 2.0 * math.atan(ratio * c1)
     chi2 = 2.0 * math.atan(ratio * c2)
     return (chi1, math.pi), (chi2, 0.0)
@@ -153,8 +154,8 @@ def build_grids(
 
     chi_terms = []
     theta_terms = []
-    for chi_c, m_red, cfrac in ((chi1, m_red1, masses.m2 / (masses.m1 + masses.m2)),
-                                (chi2, m_red2, masses.m1 / (masses.m1 + masses.m2))):
+    c1, c2 = masses.heavy_fractions
+    for chi_c, m_red, cfrac in ((chi1, m_red1, c1), (chi2, m_red2, c2)):
         theta_c = math.pi if chi_c == chi1 else 0.0
         for n_sq, extent, frac, frac_t in (
             (1.0, cluster.extent_n1, cluster.frac_tight, cluster.frac_theta_tight),
@@ -223,20 +224,10 @@ def _sigma_estimate(a, b, tensor: TensorGrid, masses, rho) -> float:
     trials = [np.ones(tensor.n_dof)]
     if masses is not None:
         nx, ny = tensor.gx.n_nodes, tensor.gy.n_nodes
-        chi = tensor.gx.nodes[:, None]
-        theta = tensor.gy.nodes[None, :]
-        mu = masses.mu
-        mm = masses.mass_heavy_pair
-        r = rho * np.sin(0.5 * chi) / math.sqrt(2.0 * mu)
-        rr = rho * np.cos(0.5 * chi) / math.sqrt(2.0 * mm)
-        for c, m, sgn in (
-            (masses.m2 / (masses.m1 + masses.m2), masses.m1, +1.0),
-            (masses.m1 / (masses.m1 + masses.m2), masses.m2, -1.0),
-        ):
+        _, r1, r2 = _distances(masses, rho, tensor.gx.nodes[:, None],
+                               tensor.gy.nodes[None, :])
+        for dist, m in ((r1, masses.m1), (r2, masses.m2)):
             m_red = m / (m + 1.0)
-            dist = np.sqrt(
-                r * r + (c * rr) ** 2 + sgn * 2.0 * c * r * rr * np.cos(theta)
-            )
             trials.append(np.exp(-m_red * dist).reshape(nx * ny))
     best = np.inf
     for t in trials:

@@ -38,7 +38,6 @@ import numpy as np
 
 from .algebra import KMatrix, SMatrix
 from .errors import (
-    DegenerateBackgroundError,
     InconsistentParametersError,
     PoleEvaluationError,
     ValidationError,
@@ -88,6 +87,13 @@ class BWPoleParams:
             E1=E1, a1=a1, a2=a2, a=a,
             b1=beta1 * beta1, b2=beta2 * beta2, b=beta1 * beta2,
         )
+
+    @property
+    def amplitudes(self) -> tuple[float, float]:
+        """(beta1, beta2) of `from_amplitudes`: beta1 = sqrt(b1) >= 0, beta2
+        carries the sign of b (positive when b = 0)."""
+        return (math.sqrt(self.b1),
+                math.copysign(math.sqrt(self.b2), self.b if self.b else 1.0))
 
     @property
     def rank_defect(self) -> float:
@@ -173,11 +179,8 @@ def resonance_from_pole(params: BWPoleParams) -> ResonanceReport:
     f = a1 + a2
     g = b1 + b2
     h = a1 * b2 + a2 * b1 - 2.0 * a * b
+    # never 0: f = 0 makes d = -a1^2 - a^2 <= 0, so denom >= 1
     denom = (1.0 - d) ** 2 + f**2
-    if denom == 0.0:
-        raise DegenerateBackgroundError(
-            "background decomposition singular: (1 - d)^2 + f^2 = 0"
-        )
 
     E0 = params.E1 - (h * (1.0 - d) - f * g) / denom
     gamma1 = 2.0 * (h * a2 + b1 - d * b2) / denom

@@ -100,6 +100,12 @@ class ThreeBodyMasses:
     def mass_heavy_pair(self) -> float:
         return 1.0 / (1.0 / self.m1 + 1.0 / self.m2)
 
+    @property
+    def heavy_fractions(self) -> tuple[float, float]:
+        """(c1, c2) = (m2, m1) / (m1 + m2): the heavy particles sit at -c1 R
+        and +c2 R from their center of mass."""
+        return self.m2 / (self.m1 + self.m2), self.m1 / (self.m1 + self.m2)
+
     def atom_energy(self, heavy: int, n: int = 1) -> float:
         """Hydrogenic energy of (heavy i + light) with the other heavy removed."""
         m = self.m1 if heavy == 1 else self.m2

@@ -31,10 +31,6 @@ class PoleEvaluationError(HypresError):
     """Model evaluated exactly at its pole energy."""
 
 
-class DegenerateBackgroundError(HypresError):
-    """Background K-matrix decomposition is degenerate, (1-d)^2 + f^2 = 0."""
-
-
 class InconsistentParametersError(HypresError):
     """Pole parameters imply a negative partial width."""
 

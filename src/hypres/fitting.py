@@ -6,9 +6,10 @@ The model is fitted in the amplitude parametrization
     b1 = beta1^2,  b2 = beta2^2,  b = beta1 beta2,
 
 so the rank-1 residue constraint holds exactly and one redundant parameter
-disappears.  The diagonal-background variant pins a = 0 (no inelastic
-background), which is the traditional resonance formula; comparing the two
-fits on identical samples shows how much the inelastic background moves the
+disappears.  Both models use this one vector.  The traditional resonance
+formula is the same form without inelastic background: the diagonal model
+pins a = 0 and frees the other five slots (FREE); comparing the two fits on
+identical samples shows how much the inelastic background moves the
 branching ratio.
 
 The minimizer is a damped Gauss-Newton iteration (Levenberg-Marquardt style
@@ -44,6 +45,8 @@ POLE_SIDE_SAMPLES = 2  # admissible pole: samples needed on each side
 
 MODEL_GENERAL = "general"
 MODEL_DIAGONAL = "diagonal"
+# theta slots each model fits; the diagonal model keeps a (slot 3) at +0.0
+FREE = {MODEL_GENERAL: (0, 1, 2, 3, 4, 5), MODEL_DIAGONAL: (0, 1, 2, 4, 5)}
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,9 @@ class FitProblem:
     model: str = MODEL_GENERAL
 
     def __post_init__(self):
-        if self.model not in (MODEL_GENERAL, MODEL_DIAGONAL):
+        if self.model not in FREE:
             raise ValidationError(f"unknown model {self.model!r}")
-        n_params = 6 if self.model == MODEL_GENERAL else 5
+        n_params = len(FREE[self.model])
         if len(self.samples) < n_params + 1:
             raise ValidationError(
                 f"{self.model} model needs at least {n_params + 1} samples, "
@@ -166,35 +169,24 @@ def initial_guess(samples) -> BWPoleParams:
 
 
 def _theta_from_params(p: BWPoleParams, model: str) -> np.ndarray:
-    beta1 = math.sqrt(p.b1)
-    beta2 = math.copysign(math.sqrt(p.b2), p.b if p.b else 1.0)
-    if model == MODEL_GENERAL:
-        return np.array([p.E1, p.a1, p.a2, p.a, beta1, beta2])
-    return np.array([p.E1, p.a1, p.a2, beta1, beta2])
+    a = p.a if model == MODEL_GENERAL else 0.0
+    return np.array([p.E1, p.a1, p.a2, a, *p.amplitudes])
 
 
-def _params_from_theta(theta: np.ndarray, model: str) -> BWPoleParams:
-    if model == MODEL_GENERAL:
-        e1, a1, a2, a, beta1, beta2 = theta
-    else:
-        e1, a1, a2, beta1, beta2 = theta
-        a = 0.0
+def _params_from_theta(theta: np.ndarray) -> BWPoleParams:
+    e1, a1, a2, a, beta1, beta2 = theta
     if beta1 < 0.0:  # overall sign convention: beta1 >= 0
         beta1, beta2 = -beta1, -beta2
     return BWPoleParams.from_amplitudes(e1, a1, a2, a, beta1, beta2)
 
 
-def _residual_and_jacobian(theta, e, k, w, model):
-    """Weighted residual vector and Jacobian of the pole-form model.
+def _residual_and_jacobian(theta, e, k, w):
+    """Weighted residual vector and six-column Jacobian of the pole form.
 
     Off-diagonal rows carry sqrt(2) so the objective is the Frobenius misfit
     of the full symmetric matrix.
     """
-    general = model == MODEL_GENERAL
-    if general:
-        e1, a1, a2, a, beta1, beta2 = theta
-    else:
-        (e1, a1, a2, beta1, beta2), a = theta, 0.0
+    e1, a1, a2, a, beta1, beta2 = theta
     de = e - e1
     if np.any(de == 0.0):
         de = np.where(de == 0.0, 1e-300, de)
@@ -212,44 +204,50 @@ def _residual_and_jacobian(theta, e, k, w, model):
     )
 
     n = e.size
-    npar = 6 if general else 5
-    jac = np.zeros((3 * n, npar))
+    jac = np.zeros((3 * n, 6))
     one = np.ones(n)
-    ib1, ib2 = (4, 5) if general else (3, 4)
     # row block 11
     jac[0:n, 0] = sw * (-(beta1**2) * inv2)
     jac[0:n, 1] = sw * one
-    jac[0:n, ib1] = sw * (-2.0 * beta1 * inv)
+    jac[0:n, 4] = sw * (-2.0 * beta1 * inv)
     # row block 12
     jac[n : 2 * n, 0] = s2 * sw * (-(beta1 * beta2) * inv2)
-    if general:
-        jac[n : 2 * n, 3] = s2 * sw * one
-    jac[n : 2 * n, ib1] = s2 * sw * (-beta2 * inv)
-    jac[n : 2 * n, ib2] = s2 * sw * (-beta1 * inv)
+    jac[n : 2 * n, 3] = s2 * sw * one
+    jac[n : 2 * n, 4] = s2 * sw * (-beta2 * inv)
+    jac[n : 2 * n, 5] = s2 * sw * (-beta1 * inv)
     # row block 22
     jac[2 * n : 3 * n, 0] = sw * (-(beta2**2) * inv2)
     jac[2 * n : 3 * n, 2] = sw * one
-    jac[2 * n : 3 * n, ib2] = sw * (-2.0 * beta2 * inv)
+    jac[2 * n : 3 * n, 5] = sw * (-2.0 * beta2 * inv)
     return r, jac
 
 
 def _lm_minimize(theta0, e, k, w, model):
-    """Damped Gauss-Newton with multiplicative trust-region fallback."""
+    """Damped Gauss-Newton with multiplicative trust-region fallback.
+
+    Steps move the model's FREE slots of theta; the others keep theta0's
+    values.
+    """
+    free = list(FREE[model])
     theta = theta0.copy()
-    r, jac = _residual_and_jacobian(theta, e, k, w, model)
+    r, jac = _residual_and_jacobian(theta, e, k, w)
     cost = float(r @ r)
     lam = 1e-6
     n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
+        # a C-contiguous copy: the column norms then sum in the same order
+        # whichever columns are free
+        jac = np.ascontiguousarray(jac[:, free])
         scale = np.linalg.norm(jac, axis=0)
         scale[scale == 0.0] = 1.0
         accepted = False
         for _ in range(60):
-            aug = np.vstack([jac / scale, math.sqrt(lam) * np.eye(theta.size)])
-            rhs = np.concatenate([-r, np.zeros(theta.size)])
+            aug = np.vstack([jac / scale, math.sqrt(lam) * np.eye(len(free))])
+            rhs = np.concatenate([-r, np.zeros(len(free))])
             step = np.linalg.lstsq(aug, rhs, rcond=None)[0] / scale
-            trial = theta + step
-            r_t, jac_t = _residual_and_jacobian(trial, e, k, w, model)
+            trial = theta.copy()
+            trial[free] += step
+            r_t, jac_t = _residual_and_jacobian(trial, e, k, w)
             cost_t = float(r_t @ r_t)
             if np.isfinite(cost_t) and cost_t <= cost:
                 accepted = True
@@ -257,9 +255,8 @@ def _lm_minimize(theta0, e, k, w, model):
             lam *= 8.0
         if not accepted:
             return theta, cost, n_iter, False
-        rel_step = np.max(
-            np.abs(step) / np.maximum(np.abs(theta), np.abs(trial) + 1e-300)
-        )
+        rel_step = np.max(np.abs(step) / np.maximum(
+            np.abs(theta[free]), np.abs(trial[free]) + 1e-300))
         rel_fall = (cost - cost_t) / cost if cost > 0.0 else 0.0
         theta, r, jac, cost = trial, r_t, jac_t, cost_t
         lam = max(lam / 4.0, 1e-14)
@@ -356,9 +353,7 @@ def _varpro_refine(e, k, w, model):
     beta = math.sqrt(lam) * vecs[:, lead]
     if beta[0] < 0.0:
         beta = -beta
-    if model == MODEL_GENERAL:
-        return np.array([e1, a1, a2, a12, beta[0], beta[1]])
-    return np.array([e1, a1, a2, beta[0], beta[1]])
+    return np.array([e1, a1, a2, a12, beta[0], beta[1]])
 
 
 def fit(problem: FitProblem, guesses=None) -> FitResult:
@@ -408,7 +403,7 @@ def fit(problem: FitProblem, guesses=None) -> FitResult:
         runs.append((cost, name, theta, n_iter, why))
     admissible = [run for run in runs if run[4] is None]
     cost, start, theta, n_iter, _ = min(admissible or runs, key=lambda r: r[0])
-    params = _params_from_theta(theta, problem.model)
+    params = _params_from_theta(theta)
     residual = math.sqrt(cost / (4.0 * float(np.sum(w))))
     if not admissible:
         reasons = "; ".join(f"{run[1]}: {run[4]}" for run in runs)

@@ -13,7 +13,6 @@ never bound here, so a wrapper set on them while this module first loads
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -254,10 +253,9 @@ def _xsec(config: RunConfig, expect: dict, out_k: Path, out_i: Path,
     from .samples import read_samples
     pairs, _ = tableio.read_keyvalues(out_k.with_name(f"fit_{resonance}.txt"))
     samples = read_samples(out_k.with_name(f"ksamples_{resonance}.dat"))
-    params = BWPoleParams.from_amplitudes(
+    params = BWPoleParams(
         E1=pairs["E1"], a1=pairs["a1"], a2=pairs["a2"], a=pairs["a"],
-        beta1=math.sqrt(pairs["b1"]),
-        beta2=math.copysign(math.sqrt(pairs["b2"]), pairs["b"] or 1.0),
+        b1=pairs["b1"], b2=pairs["b2"], b=pairs["b"],
     )
     rows_k = [[s.energy, s.k11, s.k12, s.k22] for s in samples]
     tableio.write_table(out_k, rows_k, dict(expect), "E K11 K12 K22")

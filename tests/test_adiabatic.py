@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypres import adiabatic
 from hypres.adiabatic import (
     ClusterSpec,
     HyperangularGrid,
@@ -20,7 +21,7 @@ from hypres.adiabatic import (
     _sigma_estimate,
 )
 from hypres.channels import ThreeBodyMasses, dtmu_masses
-from hypres.errors import EigensolverError, ValidationError
+from hypres.errors import EigensolverError, TrackingError, ValidationError
 from hypres.tableio import load_couplings, load_terms, save_couplings, save_terms
 
 DTMU = dtmu_masses()
@@ -242,6 +243,13 @@ class TestBisection:
         again = solve_with_couplings(DTMU, self.GRID, sol.rho_grid, 3)
         for name in ("rho_grid", "terms", "h_table", "q_table"):
             assert np.array_equal(getattr(again, name), getattr(sol, name)), name
+
+    def test_unreachable_overlap_raises_after_bisections(self, monkeypatch):
+        # no overlap reaches a floor above 1: the sweep bisects to its limit
+        # and names the rho where continuity was lost
+        monkeypatch.setattr(adiabatic, "OVERLAP_FLOOR", 1.5)
+        with pytest.raises(TrackingError, match=r"rho=.*after 7 bisections"):
+            solve_with_couplings(DTMU, self.GRID, [15.0, 20.0, 25.0], 3)
 
 
 class TestMemory:

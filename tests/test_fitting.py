@@ -234,6 +234,17 @@ class TestModelComparison:
         assert refined.count("general") == 1
         assert len(general) == len(set(general)) == 3
 
+    def test_diagonal_pins_background_at_positive_zero(self):
+        # a guess with a != 0 must not leak into the diagonal fit, and the
+        # pinned a must be +0.0 (a -0.0 would print as such in fit_0.txt)
+        samples = synthesize(TRUTH, sample_grid())
+        diag = fit(FitProblem(samples=tuple(samples), model="diagonal"),
+                   guesses=(TRUTH,))
+        cmp_ = compare_models(samples)
+        for params in (diag.params, cmp_.diagonal.params):
+            assert params.a == 0.0
+            assert math.copysign(1.0, params.a) == 1.0
+
     @pytest.mark.parametrize("weighting", ["relative", "uniform"])
     def test_diagonal_without_admissible_start(self, weighting):
         # on these samples only the general model has an admissible start:

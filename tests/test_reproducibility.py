@@ -1,8 +1,9 @@
 """Stage artifacts are reproducible byte for byte, within and across processes.
 
-The toy INI and the coarse three-body INI run up to the fit twice in this
-process (the second time forced, so every stage recomputes) and once more
-in a fresh interpreter; every artifact must come out with the same bytes.
+The toy INI and the coarse three-body INI run through the cross sections
+twice in this process (the second time forced, so every stage recomputes)
+and once more in a fresh interpreter; every artifact must come out with the
+same bytes.
 
 Run as a script, it writes both runs under the given directory and prints
 the sha256 prefix of each artifact, the list a byte-identity comparison
@@ -34,6 +35,7 @@ TOY_INI = Path(__file__).resolve().parents[1] / "configs" / "toy.ini"
 ARTIFACTS = (
     "terms.dat", "couplings.dat", "branches.dat", "windows.dat",
     "ksamples_0.dat", "fit_0.txt",
+    "profiles_k_0.dat", "profiles_invk_0.dat", "profiles_xsec_0.dat",
 )
 
 
@@ -46,9 +48,10 @@ def _configs(base: Path):
 
 
 def run_stages(base: Path) -> None:
-    """Forced run of both configurations up to the fit, artifacts under base."""
+    """Forced run of both configurations through the cross sections,
+    artifacts under base."""
     for config in _configs(base).values():
-        run_pipeline(config, resonance=0, upto="fit", force=True)
+        run_pipeline(config, resonance=0, upto="xsec", force=True)
 
 
 def artifact_bytes(base: Path) -> dict:
@@ -111,7 +114,7 @@ def test_against_listing_names_each_difference(tmp_path):
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(
-        description="Run both INIs up to the fit and print artifact digests.")
+        description="Run both INIs through xsec and print artifact digests.")
     parser.add_argument("out_dir", type=Path)
     parser.add_argument("--against", type=Path, metavar="LISTING",
                         help="digest listing printed by an earlier run; exit 1 "
