@@ -51,8 +51,8 @@ START_VECTOR_SEED = 0
 class HyperangularGrid:
     """Node counts of the (chi, theta) tensor grid; element order is 2."""
 
-    n_chi: int = 131
-    n_theta: int = 61
+    n_chi: int
+    n_theta: int
 
     def __post_init__(self):
         for name, n in (("n_chi", self.n_chi), ("n_theta", self.n_theta)):
@@ -100,12 +100,9 @@ def _distances(masses: ThreeBodyMasses, rho: float, chi, theta):
 
 
 def coulomb_potential(masses: ThreeBodyMasses, rho: float):
-    """V(chi, theta) for the three Coulomb pairs at fixed rho (`_distances`)."""
+    """V(chi, theta) at fixed rho of the charges +1, +1, -1 (`_distances`)."""
     if rho <= 0.0:
         raise AssemblyError(f"rho must be positive, got {rho!r}")
-    z12 = masses.z1 * masses.z2
-    z1l = masses.z1 * masses.z_light
-    z2l = masses.z2 * masses.z_light
 
     def v(chi, theta):
         rr, r1, r2 = _distances(masses, rho, chi, theta)
@@ -113,7 +110,7 @@ def coulomb_potential(masses: ThreeBodyMasses, rho: float):
             raise AssemblyError(
                 f"quadrature node exactly at a Coulomb singularity (rho={rho})"
             )
-        return z12 / rr + z1l / r1 + z2l / r2
+        return 1.0 / rr - 1.0 / r1 - 1.0 / r2
 
     return v
 
@@ -355,8 +352,7 @@ def _checked_rho_grid(rho_grid) -> np.ndarray:
 
 def _solution_meta(masses, grid: HyperangularGrid, n_terms: int):
     return dict(mode="coulomb", n_chi=grid.n_chi, n_theta=grid.n_theta,
-                n_terms=n_terms, m1=masses.m1, m2=masses.m2, z1=masses.z1,
-                z2=masses.z2, z_light=masses.z_light)
+                n_terms=n_terms, m1=masses.m1, m2=masses.m2)
 
 
 def solve_terms(
@@ -471,15 +467,16 @@ def _fix_signs(point: _Point, prev: _Point | None) -> float:
 
 def _couplings_at(rho, k, point: _Point, nxt: _Point | None):
     """(H, Q) at accepted point k, by differencing over its stencil; nxt is
-    point k+1 (None at the last point)."""
+    point k+1 (None at the last point), whose overlap is checked here."""
     idx, wts = _fd_weights(rho, k)
     dphi = np.zeros_like(point.here)
     for i, w in zip(idx, wts):
-        if i == k:
+        if i < k:
+            vals = point.prev_here
+        elif i == k:
             vals = point.here
         else:
-            vals = (point.prev_here if i < k
-                    else nxt.tensor.evaluate(nxt.vecs, point.px, point.py))
+            vals = nxt.tensor.evaluate(nxt.vecs, point.px, point.py)
             diag = np.einsum("xy,jxy,jxy->j", point.kern, point.here, vals)
             if np.any(np.abs(diag) < OVERLAP_FLOOR):
                 j = int(np.argmin(np.abs(diag)))

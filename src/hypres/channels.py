@@ -62,21 +62,21 @@ class ChannelSet:
         return np.sqrt(2.0 * np.asarray(self.reduced_masses)) * self.q(energy)
 
 
-def hydrogenic_energy(m_nucleus: float, n: int = 1, z: float = 1.0) -> float:
-    """Bound-state energy -z^2 m_red / (2 n^2) of a two-body Coulomb pair.
+def hydrogenic_energy(m_nucleus: float, n: int = 1) -> float:
+    """Bound-state energy -m_red / (2 n^2) of a unit-charge Coulomb pair.
 
     The light particle has unit mass, so m_red = m_nucleus / (m_nucleus + 1).
     """
     m_red = m_nucleus / (m_nucleus + 1.0)
-    return -(z * z) * m_red / (2.0 * n * n)
+    return -m_red / (2.0 * n * n)
 
 
 @dataclass(frozen=True)
 class ThreeBodyMasses:
-    """Masses and charges of a (heavy, heavy, light) Coulomb three-body system.
+    """Masses of a (heavy, heavy, light) muonic Coulomb three-body system.
 
-    Masses are in units of the light particle's mass; charges are signed
-    integers.  Derived quantities follow the mass-weighted Jacobi setup:
+    Masses are in units of the light particle's mass; the charges are +1,
+    +1 and -1.  Derived quantities follow the mass-weighted Jacobi setup:
 
         mu^-1 = 1 + (m1 + m2)^-1        (light vs heavy pair)
         M^-1  = m1^-1 + m2^-1           (heavy vs heavy)
@@ -84,9 +84,6 @@ class ThreeBodyMasses:
 
     m1: float
     m2: float
-    z1: int = 1
-    z2: int = 1
-    z_light: int = -1
 
     def __post_init__(self):
         if self.m1 <= 0 or self.m2 <= 0:
@@ -107,10 +104,9 @@ class ThreeBodyMasses:
         return self.m2 / (self.m1 + self.m2), self.m1 / (self.m1 + self.m2)
 
     def atom_energy(self, heavy: int, n: int = 1) -> float:
-        """Hydrogenic energy of (heavy i + light) with the other heavy removed."""
+        """Hydrogenic energy of the isolated (heavy i, light) atom, charges +1, -1."""
         m = self.m1 if heavy == 1 else self.m2
-        z = self.z1 if heavy == 1 else self.z2
-        return hydrogenic_energy(m, n=n, z=abs(z * self.z_light))
+        return hydrogenic_energy(m, n=n)
 
     def channel_set(self) -> ChannelSet:
         """Two-channel ChannelSet for the (atom1 + heavy2, atom2 + heavy1) pair.

@@ -25,8 +25,8 @@ terms and couplings stages write the analytic model's tables directly, so
 they load neither the FEM layer nor the radial solver.
 
 The configuration is one INI-style file with a section per stage; the
-defaults reproduce the full three-body run (131x61 basis grid, 6 retained
-channels, rho in [0.05, 500]) so a config that only names the system is
+defaults reproduce the full (t, d, mu) run (131x61 basis grid, 6 retained
+channels, rho in [0.05, 500]) so a config that only names the kind is
 complete.  It is read once, each value cast to the type of its default, so
 a bad key or value is a ConfigError before any stage runs.  The config and
 the stage rows are plain slotted classes, neither dataclasses nor
@@ -38,25 +38,15 @@ from __future__ import annotations
 import configparser
 import contextvars
 import io
+import math
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import CacheError, ConfigError, HypresError
-
-if TYPE_CHECKING:
-    from .channels import ThreeBodyMasses
 
 # Each key's type is the type of its default; None marks an optional float,
 # whose empty value reads as None.
 DEFAULTS = {
-    "system": {
-        "kind": "three-body",
-        "m1": 26.584935828866946,
-        "m2": 17.75167309872182,
-        "z1": 1,
-        "z2": 1,
-        "z_light": -1,
-    },
+    "system": {"kind": "three-body"},
     "basis": {
         "n_chi": 131,
         "n_theta": 61,
@@ -73,7 +63,6 @@ DEFAULTS = {
         "alpha_step": 1.0,
         "n_levels": 12,
         "sigma": None,
-        "e_max": None,
         "halfwidth": 8.0,
     },
     "fit": {"model": "general", "weighting": "relative"},
@@ -169,14 +158,9 @@ class RunConfig:
             raise ConfigError(f"cannot create output directory {d}: {exc}") from exc
         return d
 
-    def masses(self) -> ThreeBodyMasses:
-        from .channels import ThreeBodyMasses
-        keys = ("m1", "m2", "z1", "z2", "z_light")
-        return ThreeBodyMasses(**{key: self.get("system", key) for key in keys})
-
 
 def _typed(section: str, key: str, raw: str):
-    """raw read as the type of the key's default."""
+    """raw read as the type of the key's default; a float must be finite."""
     default = DEFAULTS[section][key]
     words = WORDS.get((section, key))
     if words is not None and raw not in words:
@@ -188,10 +172,13 @@ def _typed(section: str, key: str, raw: str):
         return None
     cast = int if isinstance(default, int) else float
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(
             f"[{section}] {key} = {raw!r} is not a valid {cast.__name__}") from exc
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    return value
 
 
 # --------------------------------------------------------------------------

@@ -90,10 +90,10 @@ class RadialProblem:
 
     thresholds: np.ndarray
     eps: object
+    rho_start: float
+    rho_match: float
     h_mat: object = None
     q_mat: object = None
-    rho_start: float = 0.05
-    rho_match: float = 500.0
     include_rho_term: bool = True
 
     def __post_init__(self):
@@ -287,7 +287,8 @@ def _gauge_path(problem: RadialProblem, points: np.ndarray) -> np.ndarray:
 def build_grid(
     problem: RadialProblem,
     rho_end: float | None = None,
-    h_max: float = 0.05,
+    *,
+    h_max: float,
 ) -> RadialGrid:
     """Adapted-step master grid on [rho_start, rho_end], steps at most h_max.
 

@@ -38,7 +38,7 @@ PEAK_DENSITY = 10.0
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Box-scan window and detection bounds; the sample cap and the peak
+    """Box-scan window and detection floor; the sample cap and the peak
     rule are the constants MAX_SAMPLES, PEAK_RUN and PEAK_DENSITY."""
 
     alpha_min: float
@@ -47,8 +47,7 @@ class ScanConfig:
     n_levels: int = 12
     sigma: float | None = None  # eigensolver target; None = lowest levels
     energy_window_halfwidth: float = 1.0  # multiples of gamma_est
-    e_min: float | None = None  # detection bounds; bound states (below the
-    e_max: float | None = None  # lowest threshold) are not resonances
+    e_min: float | None = None  # detection floor: only levels above it pool
 
     def __post_init__(self):
         if not self.alpha_min < self.alpha_max:
@@ -137,7 +136,6 @@ def _peaks(spectrum: StabilizationSpectrum, config: ScanConfig) -> list[dict]:
     if alphas.size < 10 or spectrum.n_branches < 2:
         raise ValidationError("need >= 10 alpha points and >= 2 branches")
     lo = -np.inf if config.e_min is None else config.e_min
-    hi = np.inf if config.e_max is None else config.e_max
     slope = np.abs(np.gradient(levels, alphas, axis=0))
     # strict local minima of |dLambda/dalpha| along each label: a branch
     # flattening toward a threshold or the scan's end has none, and neither
@@ -145,7 +143,7 @@ def _peaks(spectrum: StabilizationSpectrum, config: ScanConfig) -> list[dict]:
     stationary = np.zeros(levels.shape, dtype=bool)
     stationary[1:-1] = (slope[1:-1] < slope[:-2]) & (slope[1:-1] < slope[2:])
     slope, stationary = slope.ravel(), stationary.ravel()
-    pooled = np.flatnonzero((levels > lo) & (levels < hi))
+    pooled = np.flatnonzero(levels > lo)
     pooled = pooled[np.argsort(levels.ravel()[pooled], kind="stable")]
     energies = levels.ravel()[pooled]
     if energies.size <= PEAK_RUN:
@@ -181,7 +179,7 @@ def detect_resonances(
     """One window per peak of the stabilization level density, most
     pronounced (densest) peak first; an empty list means no resonance.
 
-    All levels in (e_min, e_max) are pooled and sorted, with no branch
+    All levels above e_min are pooled and sorted, with no branch
     labels.  A peak is a maximal stretch of them in which every PEAK_RUN + 1
     consecutive levels span at most 1 / PEAK_DENSITY of the median such
     span; its density is that median over the stretch's smallest span.  The

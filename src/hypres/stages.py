@@ -40,13 +40,14 @@ def _terms(config: RunConfig, expect: dict, out: Path):
         rho, eps, _, _ = TwoChannelToy().tables()
         return tableio.save_terms(out, rho, eps, {"kind": "toy", **expect})
     from .adiabatic import solve_terms
+    from .channels import dtmu_masses
     rho_grid = np.geomspace(
         config.get("basis", "rho_min"),
         config.get("basis", "rho_max"),
         config.get("basis", "n_rho"),
     )
     sol = solve_terms(
-        config.masses(), _hyperangular_grid(config), rho_grid,
+        dtmu_masses(), _hyperangular_grid(config), rho_grid,
         config.get("basis", "n_terms"),
     )
     tableio.save_terms(out, sol.rho_grid, sol.terms, dict(sol.meta, **expect))
@@ -57,11 +58,12 @@ def _couplings(config: RunConfig, expect: dict, out: Path):
         return tableio.save_couplings(out, *TwoChannelToy().tables(),
                                       {"kind": "toy", **expect})
     from .adiabatic import refine_rho_grid, solve_with_couplings
+    from .channels import dtmu_masses
     # terms.dat only places the refinement; every point of the refined grid
     # is solved again, since the couplings need its basis
     rho_grid, terms, _ = tableio.load_terms(out.with_name("terms.dat"))
     sol = solve_with_couplings(
-        config.masses(), _hyperangular_grid(config),
+        dtmu_masses(), _hyperangular_grid(config),
         refine_rho_grid(rho_grid, terms, config.get("basis", "n_refine")),
         config.get("basis", "n_terms"),
     )
@@ -99,7 +101,6 @@ def _scan_config(config: RunConfig, problem):
         n_levels=config.get("scan", "n_levels"),
         sigma=config.get("scan", "sigma"),
         e_min=float(thr[min(1, thr.size - 1)]) + 1e-9,
-        e_max=config.get("scan", "e_max"),
         energy_window_halfwidth=config.get("scan", "halfwidth"),
     )
 
@@ -294,9 +295,9 @@ def _xsec(config: RunConfig, expect: dict, out_k: Path, out_i: Path,
 
 
 def _channel_set(config: RunConfig) -> ChannelSet:
-    from .channels import ChannelSet
+    from .channels import ChannelSet, dtmu_masses
     if config.kind == "three-body":
-        return config.masses().channel_set()
+        return dtmu_masses().channel_set()
     # plain Schroedinger units: k = q, so 2 mu = 1
     return ChannelSet(
         thresholds=tuple(TwoChannelToy().thresholds), reduced_masses=(0.5, 0.5)

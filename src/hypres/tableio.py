@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import os
 from pathlib import Path
 
@@ -89,12 +90,29 @@ def _read(path, what: str):
 
 
 def read_table(path):
-    """Returns (rows array, meta dict); raises CacheError when missing."""
+    """Returns (rows array, meta dict); raises CacheError when missing and
+    ValidationError naming the line of a field that is not a number."""
     meta, lines = _read(path, "table")
-    rows = [[float(x) for x in line.split()] for line in lines]
+    try:
+        rows = [[float(x) for x in line.split()] for line in lines]
+    except ValueError:
+        raise ValidationError(_unreadable_line(path)) from None
     if rows and len({len(r) for r in rows}) != 1:
         raise ValidationError(f"ragged rows in {path}")
     return np.asarray(rows, dtype=float), meta
+
+
+def _unreadable_line(path) -> str:
+    """'path, line n: error' of the first line past path's header with a
+    field that is not a number."""
+    with open(path) as fh:
+        for n, raw in itertools.dropwhile(
+                lambda item: item[1].lstrip().startswith("#"), enumerate(fh, 1)):
+            try:
+                [float(x) for x in raw.split()]
+            except ValueError as exc:
+                return f"{path}, line {n}: {exc}"
+    return f"{path}: a field is not a number"
 
 
 def write_keyvalues(path, pairs: dict, header: dict | None = None) -> None:

@@ -106,8 +106,27 @@ class TestStages:
         path = tmp_path / "table.dat"
         path.write_text("# config-digest: abc\n# columns: x\nnot a number\n")
         assert read_header(path) == {"config-digest": "abc", "columns": "x"}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=re.escape(f"{path}, line 3")):
             read_table(path)
+
+    def test_bad_field_in_fresh_table_names_its_line(self, tmp_path, capsys):
+        # a couplings.dat whose header is fresh but one of whose numbers is
+        # not a number: the scan stage reads it and names the line
+        ini = tmp_path / "toy.ini"
+        ini.write_text(TOY_INI.format(out=tmp_path / "out"))
+        assert main(["pipeline", "--config", str(ini), "--stage", "couplings"]) == 0
+        path = tmp_path / "out" / "couplings.dat"
+        lines = path.read_text().splitlines(keepends=True)
+        n = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        fields = lines[n].split()
+        fields[1] = fields[1].replace("e", "x")
+        lines[n] = " ".join(fields) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["scan", "--config", str(ini)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[stage:scan] error:"), err
+        assert f"{path}, line {n + 1}:" in err
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         # the cache trusts a header alone, so a write that fails midway must
@@ -268,7 +287,7 @@ class TestStages:
 
 
 class TestNoWindow:
-    # the toy's one resonance sits at E = 3.02, above this e_max
+    # all six levels stay below the toy's one resonance (E = 3.02)
     INI = """
 [system]
 kind = toy
@@ -278,7 +297,6 @@ alpha_min = 10.0
 alpha_max = 24.0
 alpha_step = 0.5
 n_levels = 6
-e_max = 2.0
 
 [radial]
 h_max = 0.04
@@ -353,6 +371,10 @@ class TestConfigChecks:
         # the toy's parameters are constants, for either kind
         ("[system]\nkind = toy\n[toy]\nbarrier_hight = 9\n", "[toy]"),
         ("[system]\nkind = three-body\n[toy]\nbarrier_height = 9\n", "[toy]"),
+        # the (t, d, mu) masses and charges are constants, and every level
+        # above the detection floor is pooled
+        ("[system]\nm1 = 26.584935828866946\n", "[system] m1"),
+        ("[scan]\ne_max = 2.0\n", "[scan] e_max"),
     ])
     def test_unknown_keys_refused(self, text, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
@@ -399,6 +421,9 @@ class TestConfigChecks:
         ("[system]\nkind = tyo\n", "'tyo' is not one of three-body, toy"),
         ("[fit]\nmodel = bogus\n", "'bogus' is not one of general, diagonal, both"),
         ("[fit]\nweighting = Relative\n", "'Relative' is not one of uniform, relative"),
+        ("[scan]\nalpha_step = nan\n", "alpha_step = 'nan' is not finite"),
+        ("[scan]\nalpha_max = inf\n", "alpha_max = 'inf' is not finite"),
+        ("[scan]\nsigma = nan\n", "sigma = 'nan' is not finite"),
     ])
     def test_malformed_values_refused(self, text, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
@@ -410,8 +435,6 @@ class TestConfigChecks:
         assert config.get("scan", "n_levels") == 10
         assert type(config.get("scan", "n_levels")) is int
         assert config.get("scan", "sigma") == -0.157
-        assert config.get("scan", "e_max") is None
-        assert config.get("system", "z_light") == -1
         # digests hash the text as written
         assert "n_levels = 10\n" in config.canonical(["scan"])
         assert "sigma = \n" in RunConfig.from_text("").canonical(["scan"])

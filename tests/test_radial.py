@@ -249,7 +249,7 @@ class TestGridBuild:
     def test_bad_step_or_end_refused(self, kwargs):
         # BoxMode starts at rho = 1.0
         with pytest.raises(ValidationError):
-            build_grid(BoxMode().problem(), **kwargs)
+            build_grid(BoxMode().problem(), **{"h_max": 0.05, **kwargs})
 
     @pytest.mark.parametrize("with_q", [False, True])
     def test_table_samples_match_loop_bitwise(self, with_q):

@@ -6,10 +6,15 @@ and once more in a fresh interpreter; every artifact must come out with the
 same bytes.
 
 Run as a script, it writes both runs under the given directory and prints
-the sha256 prefix of each artifact, the list a byte-identity comparison
-between two versions of the code needs:
+the sha256 prefix of each artifact, and as "label/name:rows" that of its
+lines that do not start with '#', the list a byte-identity comparison
+between two versions of the code needs (a change that alters headers
+alone shows as equal rows digests):
 
     PYTHONPATH=src python tests/test_reproducibility.py OUT_DIR
+
+Run from this directory with PYTHONPATH naming another version's src, it
+lists that version's artifacts for the same INIs in the same format.
 
 With --against LISTING (that output, saved from an earlier run) it also
 names every artifact whose prefix differs or is missing from the listing
@@ -87,6 +92,26 @@ def test_artifacts_byte_identical(tmp_path):
         assert third[name] == first[name], f"{name} differs across processes"
 
 
+def digests(artifacts: dict) -> dict:
+    """sha256 prefix of each artifact's bytes, and under "name:rows" that of
+    its lines that do not start with '#'."""
+    found = {}
+    for name, data in artifacts.items():
+        rows = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(b"#"))
+        found[name] = hashlib.sha256(data).hexdigest()[:16]
+        found[f"{name}:rows"] = hashlib.sha256(rows).hexdigest()[:16]
+    return found
+
+
+def test_rows_digest_ignores_header():
+    old = digests({"toy/terms.dat": b"# z1: 1\n# n: 2\n1.0 2.0\n"})
+    new = digests({"toy/terms.dat": b"# n: 2\n1.0 2.0\n"})
+    assert new["toy/terms.dat"] != old["toy/terms.dat"]
+    assert new["toy/terms.dat:rows"] == old["toy/terms.dat:rows"]
+    assert new["toy/terms.dat:rows"] == hashlib.sha256(b"1.0 2.0\n").hexdigest()[:16]
+
+
 def differing(found: dict, listing: Path) -> list:
     """Lines naming each artifact whose digest prefix is not the listed one;
     the listing's other lines (not "label/name prefix") are ignored."""
@@ -121,8 +146,7 @@ if __name__ == "__main__":
                              "naming every artifact that differs from it")
     args = parser.parse_args()
     run_stages(args.out_dir)
-    found = {name: hashlib.sha256(data).hexdigest()[:16]
-             for name, data in artifact_bytes(args.out_dir).items()}
+    found = digests(artifact_bytes(args.out_dir))
     for name, digest in found.items():
         print(name, digest)
     if args.against is not None:
