@@ -73,13 +73,9 @@ def _print_summary(path):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = RunConfig.from_file(args.config, directory=args.out)
-    except ConfigError as exc:
-        print(f"[config] error: {exc}", file=sys.stderr)
-        return 2
     params = {key: getattr(args, key) for key in _PARAMS if hasattr(args, key)}
     try:
+        config = RunConfig.from_file(args.config, directory=args.out)
         if args.command == "pipeline":
             out = pipeline.run_pipeline(config, force=args.force,
                                         upto=args.stage, **params)

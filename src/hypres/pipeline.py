@@ -41,7 +41,7 @@ import io
 import math
 from pathlib import Path
 
-from .errors import CacheError, ConfigError, HypresError
+from .errors import CacheError, ConfigError, HypresError, ValidationError
 
 # Each key's type is the type of its default; None marks an optional float,
 # whose empty value reads as None.
@@ -218,7 +218,7 @@ def _check_cache(path: Path, expect: dict) -> str | None:
     from .tableio import read_header
     try:
         meta = read_header(path)
-    except (CacheError, UnicodeDecodeError):
+    except (CacheError, ValidationError):
         meta = {}
     return next((k for k, v in expect.items() if meta.get(k) != v), None)
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .tableio import _write_header, replacing
+from .tableio import _write_header, read_lines, replacing
 
 
 @dataclass(frozen=True)
@@ -38,23 +37,17 @@ def write_samples(path, samples, meta: dict) -> None:
             )
 
 
+def _sample(line: str) -> KSample:
+    parts = line.split()
+    if len(parts) != 7:
+        raise ValueError(f"{len(parts)} fields, expected 7")
+    values = [float(x) for x in parts[:6]] + [int(parts[6])]
+    if not all(math.isfinite(x) for x in values[:4]):
+        raise ValueError("non-finite E or K entry")
+    return KSample(*values)
+
+
 def read_samples(path) -> list[KSample]:
-    """Rows of write_samples: 7 fields, E and K finite; else ValidationError."""
-    samples = []
-    with open(path) as fh:
-        for n, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path}, line {n}"
-            parts = line.split()
-            if len(parts) != 7:
-                raise ValidationError(f"{where}: {len(parts)} fields, expected 7")
-            try:
-                values = [float(x) for x in parts[:6]] + [int(parts[6])]
-            except ValueError as exc:
-                raise ValidationError(f"{where}: {exc}") from None
-            if not all(math.isfinite(x) for x in values[:4]):
-                raise ValidationError(f"{where}: non-finite E or K entry")
-            samples.append(KSample(*values))
-    return samples
+    """Rows of write_samples: 7 fields, E and K finite; else ValidationError
+    naming the line.  A missing path is a CacheError."""
+    return read_lines(path, "samples", _sample)[1]

@@ -44,9 +44,9 @@ class ScanConfig:
     alpha_min: float
     alpha_max: float
     alpha_step: float
-    n_levels: int = 12
+    n_levels: int
+    energy_window_halfwidth: float  # multiples of gamma_est
     sigma: float | None = None  # eigensolver target; None = lowest levels
-    energy_window_halfwidth: float = 1.0  # multiples of gamma_est
     e_min: float | None = None  # detection floor: only levels above it pool
 
     def __post_init__(self):

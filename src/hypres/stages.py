@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tableio
-from .errors import StageError
+from .errors import StageError, ValidationError
 from .models import TwoChannelToy
 
 if TYPE_CHECKING:
@@ -132,12 +132,19 @@ def _scan(config: RunConfig, expect: dict, out_b: Path, out_w: Path):
 
 
 def load_windows(path):
-    """The scan's ResonanceWindows from windows.dat, and its header."""
+    """The scan's ResonanceWindows from windows.dat, and its header; a
+    header n_windows that is not a count, or a window without rows of the
+    8 columns, is a ValidationError."""
     from .scan import ResonanceWindow
     rows, meta = tableio.read_table(path)
+    n_windows = tableio.header_count(path, meta, "n_windows")
+    if n_windows and rows.shape[-1] != 8:
+        raise ValidationError(f"{path}: expected 8 columns, got {rows.shape[-1]}")
     windows = []
-    for i in range(int(meta.get("n_windows", 0))):
+    for i in range(n_windows):
         sel = rows[rows[:, 0] == i]
+        if not len(sel):
+            raise ValidationError(f"{path}: no rows of window {i} of {n_windows}")
         windows.append(
             ResonanceWindow(
                 e_center=float(sel[0, 1]),
@@ -252,12 +259,14 @@ def _xsec(config: RunConfig, expect: dict, out_k: Path, out_i: Path,
     from .algebra import cross_sections
     from .breit_wigner import BWPoleParams, bw_k
     from .samples import read_samples
-    pairs, _ = tableio.read_keyvalues(out_k.with_name(f"fit_{resonance}.txt"))
+    report = out_k.with_name(f"fit_{resonance}.txt")
+    pairs, _ = tableio.read_keyvalues(report)
+    pole = ("E1", "a1", "a2", "a", "b1", "b2", "b")
+    if unread := [key for key in (*pole, "E0", "Gamma")
+                  if not isinstance(pairs.get(key), float)]:
+        raise ValidationError(f"{report}: no number for {', '.join(unread)}")
     samples = read_samples(out_k.with_name(f"ksamples_{resonance}.dat"))
-    params = BWPoleParams(
-        E1=pairs["E1"], a1=pairs["a1"], a2=pairs["a2"], a=pairs["a"],
-        b1=pairs["b1"], b2=pairs["b2"], b=pairs["b"],
-    )
+    params = BWPoleParams(**{key: pairs[key] for key in pole})
     rows_k = [[s.energy, s.k11, s.k12, s.k22] for s in samples]
     tableio.write_table(out_k, rows_k, dict(expect), "E K11 K12 K22")
     rows_i = []

@@ -4,14 +4,15 @@ Every stage artifact is plain text: '#'-prefixed header lines carry
 key: value metadata (including the config digest that produced the file),
 then whitespace-delimited numeric rows.  Formatting is deterministic, so
 identical inputs reproduce identical bytes, and every file is replaced
-whole, so a header that reads back belongs to a complete file.
+whole, so a header that reads back belongs to a complete file.  One
+parser, read_lines, reads every artifact: its header, and each body line
+through a line function of the caller (tables, reports and K samples).
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import os
 from pathlib import Path
 
@@ -54,65 +55,60 @@ def write_table(path, rows: np.ndarray, meta: dict, columns: str) -> None:
             fh.write(" ".join(f"{v:.17e}" for v in row) + "\n")
 
 
-def _open(path, what: str):
-    if not Path(path).exists():
-        raise CacheError(f"missing {what} {path}")
-    return open(path)
-
-
-def _header(fh):
-    """Key/values of the leading '#' lines of an open file, and the stripped
-    line after them ('' at the end of the file)."""
-    meta = {}
-    for raw in fh:
-        line = raw.strip()
-        if not line.startswith("#"):
-            return meta, line
-        body = line[1:].strip()
-        if ":" in body:
-            key, value = body.split(":", 1)
-            meta[key.strip()] = value.strip()
-    return meta, ""
+def read_lines(path, what: str, parse_line=None):
+    """(header key/values, [parse_line(line) for each non-blank body line])
+    of the artifact path, each line stripped and parsed as it is read (no
+    body is read without parse_line).  A missing path is a CacheError; a
+    ValueError of parse_line is a ValidationError "path, line n: error",
+    and text that is not UTF-8 a ValidationError naming path."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError:
+        raise CacheError(f"missing {what} {path}") from None
+    meta, parsed, header = {}, [], True
+    with fh:
+        try:
+            for n, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if header and line.startswith("#"):
+                    key, colon, value = line[1:].partition(":")
+                    if colon:
+                        meta[key.strip()] = value.strip()
+                elif line:
+                    if parse_line is None:
+                        break
+                    header = False
+                    parsed.append(parse_line(line))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except ValueError as exc:
+            raise ValidationError(f"{path}, line {n}: {exc}") from None
+    return meta, parsed
 
 
 def read_header(path) -> dict:
     """Key/values of the leading '#' lines of path; the body is not read."""
-    with _open(path, "file") as fh:
-        return _header(fh)[0]
+    return read_lines(path, "file")[0]
 
 
-def _read(path, what: str):
-    """(header key/values, non-blank stripped body lines) of path."""
-    with _open(path, what) as fh:
-        meta, first = _header(fh)
-        lines = [first] + [raw.strip() for raw in fh]
-    return meta, [line for line in lines if line]
+def _floats(line: str) -> list:
+    return list(map(float, line.split()))
 
 
 def read_table(path):
     """Returns (rows array, meta dict); raises CacheError when missing and
     ValidationError naming the line of a field that is not a number."""
-    meta, lines = _read(path, "table")
-    try:
-        rows = [[float(x) for x in line.split()] for line in lines]
-    except ValueError:
-        raise ValidationError(_unreadable_line(path)) from None
+    meta, rows = read_lines(path, "table", _floats)
     if rows and len({len(r) for r in rows}) != 1:
         raise ValidationError(f"ragged rows in {path}")
     return np.asarray(rows, dtype=float), meta
 
 
-def _unreadable_line(path) -> str:
-    """'path, line n: error' of the first line past path's header with a
-    field that is not a number."""
-    with open(path) as fh:
-        for n, raw in itertools.dropwhile(
-                lambda item: item[1].lstrip().startswith("#"), enumerate(fh, 1)):
-            try:
-                [float(x) for x in raw.split()]
-            except ValueError as exc:
-                return f"{path}, line {n}: {exc}"
-    return f"{path}: a field is not a number"
+def header_count(path, meta: dict, key: str) -> int:
+    """The header value meta[key] of path as a count, else ValidationError."""
+    if not meta.get(key, "").isdecimal():
+        raise ValidationError(f"{path}: header {key} {meta.get(key)!r} is not a count")
+    return int(meta[key])
 
 
 def write_keyvalues(path, pairs: dict, header: dict | None = None) -> None:
@@ -125,17 +121,21 @@ def write_keyvalues(path, pairs: dict, header: dict | None = None) -> None:
                 fh.write(f"{key} = {value}\n")
 
 
+def _keyvalue(line: str):
+    """(key, value) of a 'key = value' line, value a float where it can be."""
+    key, sep, value = line.partition("=")
+    if not sep:
+        raise ValueError(f"no '=' in {line!r}")
+    value = value.strip()
+    try:
+        return key.strip(), float(value)
+    except ValueError:
+        return key.strip(), value
+
+
 def read_keyvalues(path):
-    meta, lines = _read(path, "report")
-    pairs = {}
-    for line in lines:
-        key, value = line.split("=", 1)
-        value = value.strip()
-        try:
-            pairs[key.strip()] = float(value)
-        except ValueError:
-            pairs[key.strip()] = value
-    return pairs, meta
+    meta, pairs = read_lines(path, "report", _keyvalue)
+    return dict(pairs), meta
 
 
 def save_couplings(path, rho, eps, h, q, meta) -> None:
@@ -158,12 +158,12 @@ def save_couplings(path, rho, eps, h, q, meta) -> None:
 def load_couplings(path):
     """Inverse of save_couplings: (rho, eps, H, Q, meta)."""
     rows, meta = read_table(path)
-    n = int(meta["n_terms"])
+    n = header_count(path, meta, "n_terms")
     expected = 1 + n + 2 * n * n
-    if rows.shape[1] != expected:
+    if rows.shape[-1] != expected:
         raise ValidationError(
             f"{path}: expected {expected} columns for n_terms={n}, "
-            f"got {rows.shape[1]}"
+            f"got {rows.shape[-1]}"
         )
     rho = rows[:, 0]
     eps = rows[:, 1 : 1 + n]

@@ -8,7 +8,7 @@ import pytest
 
 from hypres import fitting
 from hypres.breit_wigner import BWPoleParams, bw_k, resonance_from_pole
-from hypres.errors import BracketError, FitFailureError, ValidationError
+from hypres.errors import BracketError, CacheError, FitFailureError, ValidationError
 from hypres.fitting import FitProblem, compare_models, fit, initial_guess
 from hypres.samples import KSample, read_samples, write_samples
 from hypres.stages import _fit_weights
@@ -317,3 +317,7 @@ class TestSampleIO:
                         f"0.5 0.1 0.2 0.3 0.0 nan -1\n{row}\n")
         with pytest.raises(ValidationError, match=r"k\.dat, line 3"):
             read_samples(path)
+
+    def test_missing_file_is_cache_error(self, tmp_path):
+        with pytest.raises(CacheError, match="missing samples"):
+            read_samples(tmp_path / "k.dat")

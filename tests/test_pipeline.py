@@ -25,8 +25,9 @@ from hypres.pipeline import (
     stage_scan,
     stage_terms,
 )
-from hypres.stages import _fit, _xsec
+from hypres.stages import _fit, _xsec, load_windows
 from hypres.tableio import (
+    load_couplings,
     read_header,
     read_keyvalues,
     read_table,
@@ -112,10 +113,7 @@ class TestStages:
     def test_bad_field_in_fresh_table_names_its_line(self, tmp_path, capsys):
         # a couplings.dat whose header is fresh but one of whose numbers is
         # not a number: the scan stage reads it and names the line
-        ini = tmp_path / "toy.ini"
-        ini.write_text(TOY_INI.format(out=tmp_path / "out"))
-        assert main(["pipeline", "--config", str(ini), "--stage", "couplings"]) == 0
-        path = tmp_path / "out" / "couplings.dat"
+        ini, path = _fresh_couplings(tmp_path)
         lines = path.read_text().splitlines(keepends=True)
         n = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         fields = lines[n].split()
@@ -127,6 +125,66 @@ class TestStages:
         err = capsys.readouterr().err
         assert err.startswith("[stage:scan] error:"), err
         assert f"{path}, line {n + 1}:" in err
+
+    def test_non_utf8_byte_in_fresh_table_refused(self, tmp_path, capsys):
+        # the header read decodes the first 8 kB, where a bad byte reads as
+        # a stale cache; past them the scan stage's read refuses it
+        ini, path = _fresh_couplings(tmp_path)
+        data = bytearray(path.read_bytes())
+        assert len(data) > 8192 + 100
+        data[-10] = 0xFF  # a digit of the last row
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["scan", "--config", str(ini)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[stage:scan] error:"), err
+        assert f"{path}: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("header", ["# n_terms: two\n", ""],
+                             ids=["not-an-integer", "missing"])
+    def test_couplings_header_needs_n_terms(self, tmp_path, header):
+        path = tmp_path / "couplings.dat"
+        path.write_text(f"{header}# columns: rho eps_1 H_11 Q_11\n"
+                        "1.0 -0.5 0.0 0.0\n")
+        named = f"{re.escape(str(path))}: header n_terms"
+        with pytest.raises(ValidationError, match=named):
+            load_couplings(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda text: text.replace("# n_windows: 1\n", "# n_windows: 2\n"),
+         "no rows of window 1 of 2"),
+        (lambda text: re.sub(r"(?m)^([^#].*) \S+$", r"\1", text),
+         "expected 8 columns, got 7"),
+    ], ids=["count-past-window-ids", "row-without-branch"])
+    def test_windows_without_rows_refused(self, toy_run, tmp_path, edit, named):
+        # the toy scan finds one window
+        path = tmp_path / "windows.dat"
+        text = (toy_run["out"] / "windows.dat").read_text()
+        assert "# n_windows: 1\n" in text
+        path.write_text(edit(text))
+        with pytest.raises(ValidationError, match=named):
+            load_windows(path)
+
+    @pytest.mark.parametrize("key, edit, named", [
+        ("E1", lambda line: line.replace(" =", "", 1), "{path}, line {n}: no '='"),
+        ("Gamma", lambda line: "", "{path}: no number for Gamma"),
+    ], ids=["line-without-equals", "key-missing"])
+    def test_bad_fit_report_refused_by_xsec(self, toy_run, tmp_path, capsys,
+                                            key, edit, named):
+        # an edited report changes xsec's input digest, so xsec rereads it
+        out = tmp_path / "out"
+        shutil.copytree(toy_run["out"], out)
+        path = out / "fit_0.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+        lines[i] = edit(lines[i])
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        argv = ["xsec", "--config", str(toy_run["ini"]), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[stage:xsec] error:"), err
+        assert named.format(path=path, n=i + 1) in err
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         # the cache trusts a header alone, so a write that fails midway must
@@ -284,6 +342,14 @@ class TestStages:
         out = capsys.readouterr().out
         assert "diagonal model: no admissible fit" in out
         assert "residual ratio" not in out
+
+
+def _fresh_couplings(tmp_path):
+    """A toy INI run up to its couplings stage, and its couplings.dat."""
+    ini = tmp_path / "toy.ini"
+    ini.write_text(TOY_INI.format(out=tmp_path / "out"))
+    assert main(["pipeline", "--config", str(ini), "--stage", "couplings"]) == 0
+    return ini, tmp_path / "out" / "couplings.dat"
 
 
 class TestNoWindow:
