@@ -52,8 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_summary(path):
-    from .tableio import read_keyvalues
-    pairs, _ = read_keyvalues(path)
+    from .tableio import check_numbers, read_keyvalues
+    try:
+        pairs, _ = read_keyvalues(path)
+        compared = "branching_shift" in pairs
+        check_numbers(path, pairs, ("E0", "Gamma", "E0_below_upper_threshold",
+                                    "Gamma2_over_Gamma")
+                      + (("residual_ratio", "branching_shift") if compared else ()))
+    except HypresError as exc:
+        exc.stage = "fit"  # the fit stage's report, under any command
+        raise
     e0 = pairs["E0"]
     gamma = pairs["Gamma"]
     print(f"# resonance report ({path})")
@@ -64,7 +72,7 @@ def _print_summary(path):
     )
     if "diagonal_status" in pairs:
         print("# model comparison: diagonal model: no admissible fit")
-    elif "branching_shift" in pairs:
+    elif compared:
         print(
             f"# model comparison: residual ratio {pairs['residual_ratio']:.3e}, "
             f"branching shift {pairs['branching_shift']:.4f}"

@@ -288,7 +288,7 @@ STAGE_TABLE = (
           header=("resonance",), params=("resonance",)),
     Stage("fit", "pole-form fit and resonance report", ("fit",),
           ("fit_{resonance}.txt",),
-          inputs=("couplings.dat", "ksamples_{resonance}.dat"),
+          inputs=("ksamples_{resonance}.dat",),
           digested="ksamples_{resonance}.dat",
           header=("model",), params=("resonance", "model")),
     Stage("xsec", "profile files: K entries, inverse parts, cross sections",

@@ -123,7 +123,10 @@ class RadialProblem:
 
         Tables are interpolated by cubic splines and every table channel is
         kept; thresholds default to the term values at the last table point,
-        and otherwise need one value per table channel.  An all-zero Q table
+        and otherwise need one value per table channel.  This is the one
+        home of that convention: the scan and the sample stage take the
+        thresholds of the problem built here, and the fit reads the upper
+        one from the samples' header.  An all-zero Q table
         (the toy's) gives no q_mat, so the problem has no gauge rotation.
         """
         rho_table = np.asarray(rho_table, dtype=float)

@@ -47,7 +47,9 @@ def _sample(line: str) -> KSample:
     return KSample(*values)
 
 
-def read_samples(path) -> list[KSample]:
-    """Rows of write_samples: 7 fields, E and K finite; else ValidationError
-    naming the line.  A missing path is a CacheError."""
-    return read_lines(path, "samples", _sample)[1]
+def read_samples(path) -> tuple[list[KSample], dict]:
+    """(rows of write_samples, header key/values): 7 fields, E and K
+    finite; else ValidationError naming the line.  A missing path is a
+    CacheError."""
+    meta, samples = read_lines(path, "samples", _sample)
+    return samples, meta

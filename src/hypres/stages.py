@@ -137,7 +137,7 @@ def load_windows(path):
     8 columns, is a ValidationError."""
     from .scan import ResonanceWindow
     rows, meta = tableio.read_table(path)
-    n_windows = tableio.header_count(path, meta, "n_windows")
+    n_windows = tableio.header_number(path, meta, "n_windows")
     if n_windows and rows.shape[-1] != 8:
         raise ValidationError(f"{path}: expected 8 columns, got {rows.shape[-1]}")
     windows = []
@@ -171,8 +171,10 @@ def _sample(config: RunConfig, expect: dict, out: Path, resonance: int):
     window = windows[resonance]
     problem, grid = _radial_setup(config)
     samples = sample_k(problem, window, grid=grid)
-    write_samples(out, samples, dict(expect, e_center=f"{window.e_center:.17e}",
-                                     gamma_est=f"{window.gamma_est:.6e}"))
+    write_samples(out, samples, dict(
+        expect, e_center=f"{window.e_center:.17e}",
+        gamma_est=f"{window.gamma_est:.6e}",
+        upper_threshold=f"{np.max(problem.thresholds):.17e}"))
 
 
 def _fit_weights(samples, mode: str):
@@ -221,12 +223,10 @@ def _report_pairs(result, prefix=""):
 def _fit(config: RunConfig, expect: dict, out: Path, resonance: int, model: str):
     from .fitting import FitProblem, compare_models, fit
     from .samples import read_samples
-    samples = read_samples(out.with_name(f"ksamples_{resonance}.dat"))
+    path = out.with_name(f"ksamples_{resonance}.dat")
+    samples, meta = read_samples(path)
+    upper = tableio.header_number(path, meta, "upper_threshold", float)
     weights = _fit_weights(samples, config.get("fit", "weighting"))
-    # the upper threshold is the top term at the last rho point, as in
-    # RadialProblem.from_tables
-    _, eps, _, _, _ = tableio.load_couplings(out.with_name("couplings.dat"))
-    upper = float(np.max(eps[-1]))
 
     if model == "both":
         comparison = compare_models(samples, weights=weights)
@@ -262,10 +262,8 @@ def _xsec(config: RunConfig, expect: dict, out_k: Path, out_i: Path,
     report = out_k.with_name(f"fit_{resonance}.txt")
     pairs, _ = tableio.read_keyvalues(report)
     pole = ("E1", "a1", "a2", "a", "b1", "b2", "b")
-    if unread := [key for key in (*pole, "E0", "Gamma")
-                  if not isinstance(pairs.get(key), float)]:
-        raise ValidationError(f"{report}: no number for {', '.join(unread)}")
-    samples = read_samples(out_k.with_name(f"ksamples_{resonance}.dat"))
+    tableio.check_numbers(report, pairs, (*pole, "E0", "Gamma"))
+    samples, _ = read_samples(out_k.with_name(f"ksamples_{resonance}.dat"))
     params = BWPoleParams(**{key: pairs[key] for key in pole})
     rows_k = [[s.energy, s.k11, s.k12, s.k22] for s in samples]
     tableio.write_table(out_k, rows_k, dict(expect), "E K11 K12 K22")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 from pathlib import Path
 
@@ -104,11 +105,15 @@ def read_table(path):
     return np.asarray(rows, dtype=float), meta
 
 
-def header_count(path, meta: dict, key: str) -> int:
-    """The header value meta[key] of path as a count, else ValidationError."""
-    if not meta.get(key, "").isdecimal():
-        raise ValidationError(f"{path}: header {key} {meta.get(key)!r} is not a count")
-    return int(meta[key])
+def header_number(path, meta: dict, key: str, kind=int):
+    """The header value meta[key] of path as a count (kind int) or a finite
+    float (kind float), else ValidationError naming path and key."""
+    text = meta.get(key, "")
+    with contextlib.suppress(ValueError):
+        if text.isdecimal() if kind is int else math.isfinite(float(text)):
+            return kind(text)
+    what = "a count" if kind is int else "a finite number"
+    raise ValidationError(f"{path}: header {key} {meta.get(key)!r} is not {what}")
 
 
 def write_keyvalues(path, pairs: dict, header: dict | None = None) -> None:
@@ -138,6 +143,13 @@ def read_keyvalues(path):
     return dict(pairs), meta
 
 
+def check_numbers(path, pairs: dict, keys) -> None:
+    """ValidationError naming path unless pairs holds a number for each key
+    of keys (a report read by read_keyvalues)."""
+    if unread := [key for key in keys if not isinstance(pairs.get(key), float)]:
+        raise ValidationError(f"{path}: no number for {', '.join(unread)}")
+
+
 def save_couplings(path, rho, eps, h, q, meta) -> None:
     """Terms + coupling tables: rho, eps_1..N, H flattened, Q flattened.
 
@@ -155,16 +167,24 @@ def save_couplings(path, rho, eps, h, q, meta) -> None:
     write_table(path, rows, {"n_terms": n, **meta}, cols)
 
 
-def load_couplings(path):
-    """Inverse of save_couplings: (rho, eps, H, Q, meta)."""
+def _term_rows(path, couplings: bool):
+    """(rows, n, meta) of a terms or couplings table: n the header count
+    n_terms, each row 1 + n columns, 1 + n + 2 n^2 with couplings; a table
+    without rows or with other columns is a ValidationError naming path."""
     rows, meta = read_table(path)
-    n = header_count(path, meta, "n_terms")
-    expected = 1 + n + 2 * n * n
+    n = header_number(path, meta, "n_terms")
+    expected = 1 + n + (2 * n * n if couplings else 0)
     if rows.shape[-1] != expected:
         raise ValidationError(
             f"{path}: expected {expected} columns for n_terms={n}, "
             f"got {rows.shape[-1]}"
         )
+    return rows, n, meta
+
+
+def load_couplings(path):
+    """Inverse of save_couplings: (rho, eps, H, Q, meta)."""
+    rows, n, meta = _term_rows(path, couplings=True)
     rho = rows[:, 0]
     eps = rows[:, 1 : 1 + n]
     h = rows[:, 1 + n : 1 + n + n * n].reshape(-1, n, n)
@@ -181,5 +201,6 @@ def save_terms(path, rho, eps, meta) -> None:
 
 
 def load_terms(path):
-    rows, meta = read_table(path)
+    """Inverse of save_terms: (rho, eps, meta)."""
+    rows, _, meta = _term_rows(path, couplings=False)
     return rows[:, 0], rows[:, 1:], meta

@@ -147,7 +147,7 @@ class TestAdmissiblePole:
     def test_coarse_three_body_samples(self):
         # the variable-projection start collapses onto the top sample energy
         # on these samples; the fit must fall back to the physical pole
-        samples = read_samples(DATA / "threebody_coarse_ksamples.dat")
+        samples, _ = read_samples(DATA / "threebody_coarse_ksamples.dat")
         problem = FitProblem(
             samples=tuple(samples),
             weights=_fit_weights(samples, "relative"),
@@ -249,7 +249,7 @@ class TestModelComparison:
     def test_diagonal_without_admissible_start(self, weighting):
         # on these samples only the general model has an admissible start:
         # the comparison keeps the general fit from the guess alone
-        samples = read_samples(DATA / "threebody_coarse_ksamples_discrete.dat")
+        samples, _ = read_samples(DATA / "threebody_coarse_ksamples_discrete.dat")
         weights = _fit_weights(samples, weighting)
         with pytest.raises(FitFailureError):
             fit(FitProblem(samples=tuple(samples), weights=weights,
@@ -264,7 +264,7 @@ class TestModelComparison:
         assert cmp_.general.params == alone.params
 
     def test_older_coarse_samples_fit_both_models(self):
-        samples = read_samples(DATA / "threebody_coarse_ksamples.dat")
+        samples, _ = read_samples(DATA / "threebody_coarse_ksamples.dat")
         cmp_ = compare_models(samples, weights=_fit_weights(samples, "relative"))
         assert cmp_.diagonal is not None
         assert cmp_.residual_ratio >= 1.0
@@ -299,7 +299,8 @@ class TestSampleIO:
         samples = synthesize(TRUTH, sample_grid()[:10])
         path = tmp_path / "k.dat"
         write_samples(path, samples, {"origin": "test"})
-        back = read_samples(path)
+        back, meta = read_samples(path)
+        assert meta["origin"] == "test"
         assert len(back) == len(samples)
         for a, b in zip(samples, back):
             assert a.energy == b.energy

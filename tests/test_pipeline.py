@@ -26,8 +26,10 @@ from hypres.pipeline import (
     stage_terms,
 )
 from hypres.stages import _fit, _xsec, load_windows
+from hypres.samples import read_samples
 from hypres.tableio import (
     load_couplings,
+    load_terms,
     read_header,
     read_keyvalues,
     read_table,
@@ -150,6 +152,16 @@ class TestStages:
         with pytest.raises(ValidationError, match=named):
             load_couplings(path)
 
+    @pytest.mark.parametrize("body, named", [
+        ("", "expected 3 columns for n_terms=2, got 0"),
+        ("1.0\n2.0\n", "expected 3 columns for n_terms=2, got 1"),
+    ], ids=["no-rows", "one-column"])
+    def test_terms_table_checked_as_couplings_are(self, tmp_path, body, named):
+        path = tmp_path / "terms.dat"
+        path.write_text(f"# n_terms: 2\n# columns: rho eps_1..eps_N\n{body}")
+        with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: {named}"):
+            load_terms(path)
+
     @pytest.mark.parametrize("edit, named", [
         (lambda text: text.replace("# n_windows: 1\n", "# n_windows: 2\n"),
          "no rows of window 1 of 2"),
@@ -185,6 +197,72 @@ class TestStages:
         err = capsys.readouterr().err
         assert err.startswith("[stage:xsec] error:"), err
         assert named.format(path=path, n=i + 1) in err
+
+    @pytest.mark.parametrize("command, key", [
+        ("fit", "E0"), ("pipeline", "E0_below_upper_threshold"),
+    ])
+    def test_summary_refuses_report_without_number(self, toy_run, tmp_path,
+                                                   capsys, command, key):
+        # the report's header is fresh, so fit keeps it (xsec, which reruns
+        # under pipeline, needs no E0_below_upper_threshold); the CLI's
+        # summary reads the body and names what it lacks
+        out = tmp_path / "out"
+        shutil.copytree(toy_run["out"], out)
+        path = out / "fit_0.txt"
+        text = path.read_text()
+        path.write_text(re.sub(rf"(?m)^{key} = .*\n", "", text))
+        assert path.read_text() != text
+        capsys.readouterr()
+        assert main([command, "--config", str(toy_run["ini"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[stage:fit] error:"), err
+        assert f"{path}: no number for {key}" in err
+        assert "Traceback" not in err
+
+    def test_samples_record_upper_threshold(self, toy_run):
+        _, eps, _, _, _ = load_couplings(toy_run["out"] / "couplings.dat")
+        _, meta = read_samples(toy_run["out"] / "ksamples_0.dat")
+        assert float(meta["upper_threshold"]) == eps[-1].max()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: re.sub(r"(?m)^# upper_threshold: .*\n", "", text),
+        lambda text: re.sub(r"(?m)^(# upper_threshold:) .*$", r"\1 abc", text),
+        lambda text: re.sub(r"(?m)^(# upper_threshold:) .*$", r"\1 nan", text),
+    ], ids=["deleted", "not-a-number", "not-finite"])
+    def test_fit_needs_upper_threshold_of_samples(self, toy_run, tmp_path, edit):
+        # the sample stage does not check the key, so its cache holds; the
+        # edit changes the fit's input digest, so the fit reads the header
+        out = tmp_path / "out"
+        shutil.copytree(toy_run["out"], out)
+        path = out / "ksamples_0.dat"
+        path.write_text(edit(path.read_text()))
+        before = path.stat().st_mtime_ns
+        config = RunConfig.from_file(toy_run["ini"], directory=out)
+        with pytest.raises(ValidationError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "fit"
+        assert f"{path}: header upper_threshold" in str(err.value)
+        assert path.stat().st_mtime_ns == before
+
+    def test_refit_parses_no_coupling_table(self, toy_run, tmp_path, monkeypatch):
+        # a changed [fit] section reruns fit and xsec, which read the samples
+        # and the report alone
+        from hypres import tableio
+
+        calls = []
+        def counted(path, _load=tableio.load_couplings):
+            calls.append(path)
+            return _load(path)
+        monkeypatch.setattr(tableio, "load_couplings", counted)
+        out = tmp_path / "out"
+        shutil.copytree(toy_run["out"], out)
+        ini = tmp_path / "refit.ini"
+        ini.write_text(TOY_INI.format(out=out)
+                       .replace("weighting = relative", "weighting = uniform"))
+        before = (out / "fit_0.txt").read_bytes()
+        run_pipeline(RunConfig.from_file(ini))
+        assert (out / "fit_0.txt").read_bytes() != before
+        assert calls == []
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         # the cache trusts a header alone, so a write that fails midway must
@@ -328,9 +406,10 @@ class TestStages:
     def test_model_both_without_diagonal_fit(self, toy_run, tmp_path, capsys):
         # samples on which the diagonal model has no admissible start: the
         # report keeps the general fit and says so in place of the ratio
-        shutil.copy(toy_run["out"] / "couplings.dat", tmp_path)
-        shutil.copy(DATA / "threebody_coarse_ksamples_discrete.dat",
-                    tmp_path / "ksamples_0.dat")
+        # under the toy's upper threshold, as its sample stage records it
+        text = (DATA / "threebody_coarse_ksamples_discrete.dat").read_text()
+        (tmp_path / "ksamples_0.dat").write_text(
+            "# upper_threshold: 5.00000000000000000e-01\n" + text)
         report = tmp_path / "fit_0.txt"
         _fit(toy_run["config"], {}, report, 0, "both")
         pairs, _ = read_keyvalues(report)
