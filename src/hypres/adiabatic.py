@@ -9,9 +9,13 @@ At fixed hyperradius rho the channel functions and terms solve
 with the volume element sin^2 chi sin theta dchi dtheta.  The weak form is
 assembled with quadratic Lagrange elements on a tensor grid; for Coulomb
 systems the element boundaries are clustered around the two light-heavy
-coalescence points, whose angular size shrinks like 1/rho.  A point's
-lowest terms come from a band Cholesky factor of A - sigma B, sigma placed
-below the lowest term by Rayleigh quotients, in ARPACK's shift-invert mode.
+coalescence points, whose angular size shrinks like 1/rho.  A is assembled
+straight into the upper LAPACK band that `dpbtrf` reads; B is the
+Kronecker product M2chi (x) Mtheta of two dense 1D mass matrices, applied
+as x -> M2chi X Mtheta and never formed.  A point's lowest terms come from
+the band Cholesky factor of A - sigma B (sigma B subtracted in the same
+band, sigma placed below the lowest term by Rayleigh quotients) in
+ARPACK's shift-invert mode, which applies only that factor and B.
 
 Both solvers sweep the rho grid in order, one point at a time in this
 process.  `solve_terms` gives the terms alone.  `solve_with_couplings` fixes
@@ -31,13 +35,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .channels import ThreeBodyMasses
 from .errors import AssemblyError, EigensolverError, TrackingError, ValidationError
-from .fem import Grid1D, TensorGrid, mass_matrix, stiffness_matrix
+from .fem import (Grid1D, TensorGrid, element_tables, mass_matrix,
+                  potential_blocks, stiffness_matrix)
 
 # smallest |overlap| of a term with its previous-point continuation before
 # the rho interval is bisected (and, between differenced points, an error)
@@ -188,29 +192,24 @@ def build_grids(
 def assemble_adiabatic_operator(tensor: TensorGrid, rho: float, potential=None):
     """Weak-form (stiffness-like, mass-like) pair of the adiabatic Hamiltonian.
 
-    Returns sparse (A, B) with A symmetric and B symmetric positive definite;
-    potential=None assembles the bare hyperangular kinetic operator.
+    Returns (A's upper LAPACK band, (M2chi, Mtheta)): A symmetric, and
+    B = kron(M2chi, Mtheta) symmetric positive definite as its two dense 1D
+    factors.  potential=None assembles the bare hyperangular kinetic operator.
     """
     if rho <= 0.0:
         raise AssemblyError(f"rho must be positive, got {rho!r}")
-    gx, gy = tensor.gx, tensor.gy
     sin2 = lambda x: np.sin(x) ** 2
-    sin1 = np.sin
-    k_chi = stiffness_matrix(gx, sin2)
-    m0_chi = mass_matrix(gx)
-    m2_chi = mass_matrix(gx, sin2)
-    k_th = stiffness_matrix(gy, sin1)
-    m_th = mass_matrix(gy, sin1)
-
-    a = (4.0 / rho**2) * (sp.kron(k_chi, m_th) + sp.kron(m0_chi, k_th))
+    tx, ty = element_tables(tensor.gx), element_tables(tensor.gy)
+    m_th = mass_matrix(ty, np.sin)
+    band = np.zeros((tensor.kd + 1, tensor.n_dof), order="F")  # as dpbtrf reads
+    tensor.add_kron(band, 4.0 / rho**2, stiffness_matrix(tx, sin2), m_th)
+    tensor.add_kron(band, 4.0 / rho**2, mass_matrix(tx), stiffness_matrix(ty, np.sin))
     if potential is not None:
-        a = a + tensor.potential_matrix(potential, wx_fn=sin2, wy_fn=sin1)
-    b = sp.kron(m2_chi, m_th)
-    a = (0.5 * (a + a.T)).tocsc()
-    return a, b.tocsc()
+        tensor.add_element_blocks(band, potential_blocks(tx, ty, potential, sin2, np.sin))
+    return band, (mass_matrix(tx, sin2), m_th)
 
 
-def _sigma_estimate(a, b, tensor: TensorGrid, masses, rho) -> float:
+def _sigma_estimate(band, b_pair, tensor: TensorGrid, masses, rho) -> float:
     """Safe shift below the lowest eigenvalue, from Rayleigh quotients.
 
     Trial states: a constant (dominates at small rho where the kinetic term
@@ -218,19 +217,19 @@ def _sigma_estimate(a, b, tensor: TensorGrid, masses, rho) -> float:
     points (dominant at large rho).  Rayleigh quotients bound eps_1 from
     above; the margin pushes the shift below it.
     """
-    trials = [np.ones(tensor.n_dof)]
+    mx, my = b_pair
+    trials = [np.ones((tensor.gx.n_nodes, tensor.gy.n_nodes))]
     if masses is not None:
-        nx, ny = tensor.gx.n_nodes, tensor.gy.n_nodes
         _, r1, r2 = _distances(masses, rho, tensor.gx.nodes[:, None],
                                tensor.gy.nodes[None, :])
-        for dist, m in ((r1, masses.m1), (r2, masses.m2)):
-            m_red = m / (m + 1.0)
-            trials.append(np.exp(-m_red * dist).reshape(nx * ny))
+        trials += [np.exp(-m / (m + 1.0) * dist)
+                   for dist, m in ((r1, masses.m1), (r2, masses.m2))]
     best = np.inf
     for t in trials:
-        denom = float(t @ (b @ t))
+        denom = float(np.sum(t * (mx @ t @ my)))
         if denom > 0.0:
-            best = min(best, float(t @ (a @ t)) / denom)
+            t = t.ravel()
+            best = min(best, float(t @ blas.dsbmv(tensor.kd, 1.0, band, t)) / denom)
     return best - 0.25 * abs(best) - 1.0 - 1.0 / max(rho, 0.02)
 
 
@@ -245,28 +244,35 @@ def solve_adiabatic_point(
     """Lowest n_terms eigenpairs at one rho; B-orthonormal, terms ascending.
 
     ARPACK's shift-invert mode solves with the band Cholesky factor of
-    A - sigma B (flat index ix n_theta + iy: 2 n_theta + 2 superdiagonals).
-    It exists only for a sigma below every term, so the n_terms nearest
-    sigma are the lowest (Sylvester's law of inertia); else EigensolverError.
+    A - sigma B (flat index ix n_theta + iy: 2 n_theta + 2 superdiagonals),
+    formed in A's band.  It exists only for a sigma below every term, so
+    the n_terms nearest sigma are the lowest (Sylvester's law of inertia);
+    else EigensolverError.  n_terms must lie in (0, n_chi n_theta).
     """
-    a, b = assemble_adiabatic_operator(tensor, rho, potential)
+    n = tensor.n_dof
+    if not 0 < n_terms < n:
+        raise ValidationError(f"n_terms must be above 0 and below the basis "
+                              f"size {n}, got {n_terms}")
+    band, b_pair = assemble_adiabatic_operator(tensor, rho, potential)
     if sigma is None:
-        sigma = _sigma_estimate(a, b, tensor, masses, rho)
-    n = a.shape[0]
-    kd = 2 * tensor.gy.n_nodes + 2
-    upper = sp.triu(a - sigma * b).tocoo()
-    ab = np.zeros((kd + 1, n), order="F")
-    ab[kd + upper.row - upper.col, upper.col] = upper.data
-    factor, info = lapack.dpbtrf(ab, overwrite_ab=1)
+        sigma = _sigma_estimate(band, b_pair, tensor, masses, rho)
+    tensor.add_kron(band, -sigma, *b_pair)
+    factor, info = lapack.dpbtrf(band, overwrite_ab=1)
     if info != 0:
         raise EigensolverError(f"sigma={sigma!r} is not below the lowest "
                                f"term at rho={rho!r}", rho=rho)
+    mx, my = b_pair
+    b = spla.LinearOperator(  # kron(mx, my) x as mx X my, X the grid view of x
+        (n, n), lambda x: (mx @ x.reshape(mx.shape[0], -1) @ my).ravel(),
+        dtype=float)
     try:
+        # shift-invert mode applies only OPinv and M: eigsh reads A (here
+        # B, which has its shape) for its shape alone
         vals, vecs = spla.eigsh(
-            a, k=n_terms, M=b, sigma=sigma, which="LM",
+            b, k=n_terms, M=b, sigma=sigma, which="LM",
             OPinv=spla.LinearOperator(
                 (n, n), lambda x: lapack.dpbtrs(factor, x)[0], dtype=float),
-            ncv=max(4 * n_terms + 1, 25), maxiter=400,
+            ncv=min(max(4 * n_terms + 1, 25), n), maxiter=400,
             v0=np.random.default_rng(START_VECTOR_SEED).standard_normal(n),
         )
     except spla.ArpackNoConvergence as exc:

@@ -2,19 +2,20 @@
 
 One-dimensional quadratic elements (3 nodes each, shared endpoints, so a
 grid with n elements has 2n+1 nodes) are combined by tensor product into a
-2D basis.  Weighted mass/stiffness matrices are assembled per element with
-Gauss-Legendre quadrature of N_QUAD = 4 points per element and dimension
-(exact to polynomial degree 7); separable operator terms use Kronecker
-products of 1D matrices and non-separable terms (the potential) are
-assembled from 2D element blocks.
+2D basis.  Dense 1D weighted mass/stiffness matrices come from element
+blocks with Gauss-Legendre quadrature of N_QUAD = 4 points per element
+(exact to polynomial degree 7), one quadrature call per grid.  A 2D
+operator is held only as its upper LAPACK band (`TensorGrid.kd`): separable
+terms are Kronecker products of 1D matrices, non-separable ones (the
+potential) 2D element blocks, both added through strided band diagonals.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import AssemblyError, ValidationError
 
@@ -97,61 +98,65 @@ class Grid1D:
         pts = left + jac * (xi[None, :] + 1.0)
         return pts, jac * wq[None, :]
 
-    def locate(self, x: np.ndarray):
-        """Element index and reference coordinate for arbitrary points."""
+    def interp_matrix(self, x: np.ndarray) -> np.ndarray:
+        """Dense (len(x), n_nodes) evaluation operator for nodal coefficients."""
         x = np.asarray(x, dtype=float)
         b = self.boundaries
         idx = np.clip(np.searchsorted(b, x, side="right") - 1, 0, self.n_elements - 1)
         xi = 2.0 * (x - b[idx]) / (b[idx + 1] - b[idx]) - 1.0
-        return idx, xi
-
-    def interp_matrix(self, x: np.ndarray) -> sp.csr_matrix:
-        """Sparse (len(x), n_nodes) evaluation operator for nodal coefficients."""
-        x = np.asarray(x, dtype=float)
-        idx, xi = self.locate(x)
-        vals = _shapes(xi)
-        rows = np.repeat(np.arange(x.size), 3)
-        cols = (2 * idx[:, None] + np.arange(3)[None, :]).ravel()
-        return sp.csr_matrix(
-            (vals.ravel(), (rows, cols)), shape=(x.size, self.n_nodes)
-        )
+        out = np.zeros((x.size, self.n_nodes))
+        out[np.arange(x.size)[:, None], 2 * idx[:, None] + np.arange(3)] = _shapes(xi)
+        return out
 
 
-def _element_tables(grid: Grid1D):
-    """Shape values/derivatives and mapped weights at all element Gauss points."""
-    xi, wq = np.polynomial.legendre.leggauss(N_QUAD)
+def element_tables(grid: Grid1D):
+    """(pts, wts, shp, dshp) at every element Gauss point, from the grid's one
+    quadrature call: points and mapped weights (n_el, N_QUAD), shape values
+    and x-derivatives (n_el, N_QUAD, 3)."""
+    xi, _ = np.polynomial.legendre.leggauss(N_QUAD)
     pts, wts = grid.quadrature()
-    shp = _shapes(xi)  # (N_QUAD, 3)
+    shp = np.broadcast_to(_shapes(xi), (grid.n_elements, N_QUAD, 3))
     jac = 0.5 * np.diff(grid.boundaries)  # (n_el,)
-    dshp = _dshapes(xi)[None, :, :] / jac[:, None, None]  # (n_el, N_QUAD, 3)
-    return pts, wts, np.broadcast_to(shp, (grid.n_elements, N_QUAD, 3)), dshp
+    dshp = _dshapes(xi)[None, :, :] / jac[:, None, None]
+    return pts, wts, shp, dshp
 
 
-def _assemble_1d(grid: Grid1D, kernel: np.ndarray, table: np.ndarray) -> sp.csr_matrix:
-    """Sum_q kernel[e, q] * table[e, q, a] * table[e, q, b] scattered globally."""
+def _assemble_1d(kernel: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Symmetrized dense sum of the element blocks
+    sum_q kernel[e, q] * table[e, q, a] * table[e, q, b]."""
     local = np.einsum("eq,eqa,eqb->eab", kernel, table, table)
-    el = np.arange(grid.n_elements)
-    ga = (2 * el[:, None] + np.arange(3)[None, :])  # (n_el, 3) global indices
-    rows = np.repeat(ga[:, :, None], 3, axis=2).ravel()
-    cols = np.repeat(ga[:, None, :], 3, axis=1).ravel()
-    mat = sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(grid.n_nodes, grid.n_nodes)
-    )
-    return mat.tocsr()
+    n_el = local.shape[0]
+    ga = 2 * np.arange(n_el)[:, None] + np.arange(3)  # (n_el, 3) global indices
+    mat = np.zeros((2 * n_el + 1, 2 * n_el + 1))
+    np.add.at(mat, (ga[:, :, None], ga[:, None, :]), local)
+    return 0.5 * (mat + mat.T)
 
 
-def mass_matrix(grid: Grid1D, weight=None) -> sp.csr_matrix:
+def mass_matrix(tables, weight=None) -> np.ndarray:
     """1D weighted mass matrix: integral of u_a u_b w(x) dx."""
-    pts, wts, shp, _ = _element_tables(grid)
-    kernel = wts if weight is None else wts * weight(pts)
-    return _assemble_1d(grid, kernel, shp)
+    pts, wts, shp, _ = tables
+    return _assemble_1d(wts if weight is None else wts * weight(pts), shp)
 
 
-def stiffness_matrix(grid: Grid1D, weight=None) -> sp.csr_matrix:
+def stiffness_matrix(tables, weight=None) -> np.ndarray:
     """1D weighted stiffness matrix: integral of u_a' u_b' w(x) dx."""
-    pts, wts, _, dshp = _element_tables(grid)
-    kernel = wts if weight is None else wts * weight(pts)
-    return _assemble_1d(grid, kernel, dshp)
+    pts, wts, _, dshp = tables
+    return _assemble_1d(wts if weight is None else wts * weight(pts), dshp)
+
+
+def potential_blocks(tx, ty, fn, wx_fn, wy_fn) -> np.ndarray:
+    """(ex, ey, a, A, b, B) element blocks of the integral of
+    phi_i phi_j f(x, y) w(x) w(y) dx dy, from both grids' element_tables."""
+    px, wx, sx, _ = tx
+    py, wy, sy, _ = ty
+    vals = fn(px.reshape(-1, 1), py.reshape(1, -1))
+    if not np.all(np.isfinite(vals)):
+        raise AssemblyError("kernel not finite at a quadrature node "
+                            "(singular point sampled exactly)")
+    kern = np.outer((wx * wx_fn(px)).ravel(), (wy * wy_fn(py)).ravel()) * vals
+    kern = kern.reshape(px.shape[0], N_QUAD, py.shape[0], N_QUAD)
+    return np.einsum("xqyr,xqa,xqA,yrb,yrB->xyaAbB", kern, sx, sx, sy, sy,
+                     optimize=True)
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,39 @@ class TensorGrid:
     def n_dof(self) -> int:
         return self.gx.n_nodes * self.gy.n_nodes
 
+    @property
+    def kd(self) -> int:
+        """Superdiagonals of the upper band (band[kd + i - j, j] = entry
+        (i, j), i <= j): nodes share elements when ix, iy differ by <= 2."""
+        return 2 * self.gy.n_nodes + 2
+
+    def _diagonal(self, band: np.ndarray, d: int) -> np.ndarray:
+        """Superdiagonal d of the band as an (nx, ny) view over its columns."""
+        return band[self.kd - d].reshape(self.gx.n_nodes, self.gy.n_nodes)
+
+    def add_kron(self, band: np.ndarray, scale: float, x: np.ndarray,
+                 y: np.ndarray) -> None:
+        """band += scale * kron(x, y), x and y symmetric 1D matrices of gx
+        and gy: entry (i ny + k, j ny + l) = x[i, j] y[k, l] lies on
+        superdiagonal (j - i) ny + (l - k)."""
+        ny = self.gy.n_nodes
+        for p in range(3):
+            for q in range(-2 if p else 0, 3):
+                self._diagonal(band, p * ny + q)[p:, max(q, 0):ny + min(q, 0)] += (
+                    scale * np.outer(np.diagonal(x, p), np.diagonal(y, q)))
+
+    def add_element_blocks(self, band: np.ndarray, local: np.ndarray) -> None:
+        """band += the symmetrized assembly of (ex, ey, a, A, b, B) element
+        blocks: local index (a, b) is node (2 ex + a, 2 ey + b), so each
+        (a, A, b, B) of the upper triangle adds to a strided slice of one
+        superdiagonal."""
+        nex, ney, ny = self.gx.n_elements, self.gy.n_elements, self.gy.n_nodes
+        for a, A, b, B in itertools.product(range(3), repeat=4):
+            d = (A - a) * ny + B - b
+            if d >= 0:
+                self._diagonal(band, d)[A:A + 2 * nex:2, B:B + 2 * ney:2] += (
+                    0.5 * (local[:, :, a, A, b, B] + local[:, :, A, a, B, b]))
+
     def quad_points(self):
         """Full tensor quadrature: x pts, y pts (flattened per dim)."""
         px, wx = self.gx.quadrature()
@@ -172,54 +210,8 @@ class TensorGrid:
         return px.ravel(), wx.ravel(), py.ravel(), wy.ravel()
 
     def evaluate(self, coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Evaluate nodal field(s) on the tensor of points x (x) y.
-
-        coeffs has shape (..., n_dof); result (..., len(x), len(y)).
-        """
-        px = self.gx.interp_matrix(x)
-        py = self.gy.interp_matrix(y)
+        """Nodal field(s) coeffs (..., n_dof) on the tensor of points x (x) y:
+        shape (..., len(x), len(y))."""
         c = np.asarray(coeffs)
-        lead = c.shape[:-1]
-        c2 = c.reshape(-1, self.gx.n_nodes, self.gy.n_nodes)
-        out = np.empty((c2.shape[0], x.size, y.size))
-        for i, ci in enumerate(c2):
-            out[i] = px @ ci @ py.T
-        return out.reshape(*lead, x.size, y.size)
-
-    def weighted_kernel(self, fn, wx_fn, wy_fn) -> np.ndarray:
-        """Quadrature kernel w(x) w(y) f(x, y) on the full tensor, flat arrays."""
-        px, wx, py, wy = self.quad_points()
-        kern = np.outer(wx * wx_fn(px), wy * wy_fn(py))
-        vals = fn(px[:, None], py[None, :])
-        if not np.all(np.isfinite(vals)):
-            raise AssemblyError(
-                "kernel not finite at a quadrature node "
-                "(singular point sampled exactly)"
-            )
-        return kern * vals
-
-    def potential_matrix(self, fn, wx_fn, wy_fn) -> sp.csr_matrix:
-        """Assemble integral of phi_i phi_j f(x,y) w(x) w(y) dx dy."""
-        kern = self.weighted_kernel(fn, wx_fn, wy_fn)
-        nex, ney = self.gx.n_elements, self.gy.n_elements
-        kern = kern.reshape(nex, N_QUAD, ney, N_QUAD)
-        _, _, sx, _ = _element_tables(self.gx)
-        _, _, sy, _ = _element_tables(self.gy)
-        # local (ex, ey, a, A, b, B) blocks over both quadrature indices
-        local = np.einsum("xqyr,xqa,xqA,yrb,yrB->xyaAbB", kern, sx, sx, sy, sy,
-                          optimize=True)
-        ex = np.arange(nex)
-        ey = np.arange(ney)
-        gx = 2 * ex[:, None] + np.arange(3)[None, :]  # (nex, 3)
-        gy = 2 * ey[:, None] + np.arange(3)[None, :]  # (ney, 3)
-        ny = self.gy.n_nodes
-        gi = (gx[:, None, :, None, None, None] * ny
-              + gy[None, :, None, None, :, None])  # rows (ex,ey,a,1,b,1)
-        gj = (gx[:, None, None, :, None, None] * ny
-              + gy[None, :, None, None, None, :])  # cols (ex,ey,1,A,1,B)
-        rows = np.broadcast_to(gi, local.shape).ravel()
-        cols = np.broadcast_to(gj, local.shape).ravel()
-        mat = sp.coo_matrix(
-            (local.ravel(), (rows, cols)), shape=(self.n_dof, self.n_dof)
-        )
-        return mat.tocsr()
+        c = c.reshape(*c.shape[:-1], self.gx.n_nodes, self.gy.n_nodes)
+        return self.gx.interp_matrix(x) @ c @ self.gy.interp_matrix(y).T

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from hypres import adiabatic
 from hypres.adiabatic import (
@@ -22,6 +24,13 @@ from hypres.adiabatic import (
 )
 from hypres.channels import ThreeBodyMasses, dtmu_masses
 from hypres.errors import EigensolverError, TrackingError, ValidationError
+from hypres.fem import (
+    Grid1D,
+    element_tables,
+    mass_matrix,
+    potential_blocks,
+    stiffness_matrix,
+)
 from hypres.tableio import load_couplings, load_terms, save_couplings, save_terms
 
 DTMU = dtmu_masses()
@@ -185,37 +194,131 @@ class TestFileContract:
         assert meta["config-digest"] == "test"
 
 
-class TestOperatorPair:
-    def test_adiabatic_pair_matches_point_solve(self):
-        import scipy.sparse.linalg as spla
+def dense_from_band(band):
+    """The symmetric matrix whose upper LAPACK band is band."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    a = np.zeros((n, n))
+    for d in range(kd + 1):
+        j = np.arange(d, n)
+        a[j - d, j] = a[j, j - d] = band[kd - d, d:]
+    return a
 
+
+def dense_assembly(tensor, rho, potential):
+    """A from the same element blocks, assembled densely: np.kron of the
+    1D matrices, and each potential block scattered by global index, then
+    symmetrized."""
+    tx, ty = element_tables(tensor.gx), element_tables(tensor.gy)
+    sin2 = lambda x: np.sin(x) ** 2
+    a = (4.0 / rho**2) * (
+        np.kron(stiffness_matrix(tx, sin2), mass_matrix(ty, np.sin))
+        + np.kron(mass_matrix(tx), stiffness_matrix(ty, np.sin)))
+    if potential is not None:
+        local = potential_blocks(tx, ty, potential, sin2, np.sin)
+        ny = tensor.gy.n_nodes
+        ix = 2 * np.arange(local.shape[0])[:, None] + np.arange(3)
+        iy = 2 * np.arange(local.shape[1])[:, None] + np.arange(3)
+        rows = ix[:, None, :, None, None, None] * ny + iy[None, :, None, None, :, None]
+        cols = ix[:, None, None, :, None, None] * ny + iy[None, :, None, None, None, :]
+        v = np.zeros_like(a)
+        np.add.at(v, (np.broadcast_to(rows, local.shape),
+                      np.broadcast_to(cols, local.shape)), local)
+        a += 0.5 * (v + v.T)
+    return a
+
+
+def dense_lowest(band, b_pair, k):
+    """The k lowest eigenvalues of the pair, by dense generalized eigh of the
+    whole spectrum: the subset driver (gvx) of the same pair strays by up to
+    5e-10 where B's condition number reaches 1e8."""
+    return scipy.linalg.eigh(dense_from_band(band), np.kron(*b_pair),
+                             eigvals_only=True)[:k]
+
+
+class TestOperatorPair:
+    GRID = HyperangularGrid(n_chi=21, n_theta=21)
+
+    @pytest.mark.parametrize("coulomb", [False, True], ids=["bare", "coulomb"])
+    def test_band_equals_dense_assembly(self, coulomb):
+        rho = 20.0
+        if coulomb:
+            tensor = build_grids(DTMU, rho, self.GRID, ClusterSpec())
+            potential = coulomb_potential(DTMU, rho)
+        else:
+            tensor = build_grids(None, rho, self.GRID, None)
+            potential = None
+        band, _ = assemble_adiabatic_operator(tensor, rho, potential)
+        ref = dense_assembly(tensor, rho, potential)
+        assert np.abs(dense_from_band(band) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_mass_operator_is_the_kronecker_product(self, monkeypatch):
+        # the M that ARPACK applies is kron(M2chi, Mtheta), never formed
+        rho = 20.0
+        tensor = build_grids(DTMU, rho, self.GRID, ClusterSpec())
+        potential = coulomb_potential(DTMU, rho)
+        _, (m2_chi, m_th) = assemble_adiabatic_operator(tensor, rho, potential)
+        seen = {}
+        eigsh = spla.eigsh
+
+        def spy(*args, **kwargs):
+            seen["M"] = kwargs["M"]
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", spy)
+        solve_adiabatic_point(tensor, rho, 3, potential=potential, masses=DTMU)
+        x = np.random.default_rng(1).standard_normal(tensor.n_dof)
+        ref = np.kron(m2_chi, m_th) @ x
+        assert np.abs(seen["M"] @ x - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_one_quadrature_per_grid(self, monkeypatch):
+        calls = []
+        quadrature = Grid1D.quadrature
+
+        def counted(grid):
+            calls.append(grid)
+            return quadrature(grid)
+
+        monkeypatch.setattr(Grid1D, "quadrature", counted)
+        rho = 20.0
+        tensor = build_grids(DTMU, rho, self.GRID, ClusterSpec())
+        solve_adiabatic_point(tensor, rho, 3, potential=coulomb_potential(DTMU, rho),
+                              masses=DTMU)
+        assert len(calls) == 2
+        assert {id(g) for g in calls} == {id(tensor.gx), id(tensor.gy)}
+
+    @pytest.mark.parametrize("n_terms", [0, -1, 441, 600])
+    def test_impossible_term_count_refused(self, n_terms):
+        rho = 20.0
+        tensor = build_grids(DTMU, rho, self.GRID, ClusterSpec())
+        with pytest.raises(ValidationError, match="n_terms"):
+            solve_adiabatic_point(tensor, rho, n_terms,
+                                  potential=coulomb_potential(DTMU, rho), masses=DTMU)
+
+    def test_adiabatic_pair_matches_point_solve(self):
         rho = 40.0
         tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
-        a, b = assemble_adiabatic_operator(
+        band, b_pair = assemble_adiabatic_operator(
             tensor, rho, coulomb_potential(DTMU, rho)
         )
         direct, _ = solve_adiabatic_point(
             tensor, rho, 2,
             potential=coulomb_potential(DTMU, rho), masses=DTMU,
         )
-        vals = spla.eigsh(a, k=2, M=b, sigma=direct[0] - 0.2, which="LM",
-                          return_eigenvectors=False)
-        assert np.abs(np.sort(vals) - direct).max() < 1e-10
+        vals = dense_lowest(band, b_pair, 2)
+        assert np.abs(vals - direct).max() < 1e-10
 
     @pytest.mark.parametrize("rho", [5.0, 30.0, 90.0])
-    def test_band_cholesky_terms_match_sparse_eigsh(self, rho):
-        # scipy's own shift-invert (a sparse LU of A - sigma B) at the same
-        # shift is the independent solve
-        import scipy.sparse.linalg as spla
-
+    def test_band_cholesky_terms_match_dense_eigh(self, rho):
+        # a dense generalized eigh of the same pair is the independent solve;
+        # the estimated shift lies below its lowest term
         tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
         potential = coulomb_potential(DTMU, rho)
-        a, b = assemble_adiabatic_operator(tensor, rho, potential)
-        sigma = _sigma_estimate(a, b, tensor, DTMU, rho)
+        band, b_pair = assemble_adiabatic_operator(tensor, rho, potential)
+        sigma = _sigma_estimate(band, b_pair, tensor, DTMU, rho)
         direct, _ = solve_adiabatic_point(tensor, rho, 4, potential=potential,
                                           masses=DTMU)
-        ref = np.sort(spla.eigsh(a, k=4, M=b, sigma=sigma, which="LM",
-                                 return_eigenvectors=False))
+        ref = dense_lowest(band, b_pair, 4)
+        assert sigma < ref[0]
         assert np.abs(direct - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_sigma_above_lowest_term_raises(self):

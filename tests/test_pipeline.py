@@ -651,6 +651,19 @@ class TestCli:
         ) == 1
         assert "[stage:sample]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_terms", [0, 600])
+    def test_impossible_term_count_is_stage_error(self, tmp_path, capsys, n_terms):
+        # a 21 x 21 grid has 441 basis functions
+        ini = tmp_path / "three-body.ini"
+        ini.write_text(THREE_BODY_INI.replace("n_chi = 61", "n_chi = 21")
+                       .replace("n_theta = 31", "n_theta = 21")
+                       .replace("n_terms = 4", f"n_terms = {n_terms}")
+                       .format(out=tmp_path / "out"))
+        assert main(["terms", "--config", str(ini)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[stage:terms] error: n_terms"), err
+        assert "Traceback" not in err
+
     def test_out_that_cannot_be_created(self, toy_run, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("a file, not a directory\n")
