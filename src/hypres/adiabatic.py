@@ -14,8 +14,9 @@ straight into the upper LAPACK band that `dpbtrf` reads; B is the
 Kronecker product M2chi (x) Mtheta of two dense 1D mass matrices, applied
 as x -> M2chi X Mtheta and never formed.  A point's lowest terms come from
 the band Cholesky factor of A - sigma B (sigma B subtracted in the same
-band, sigma placed below the lowest term by Rayleigh quotients) in
-ARPACK's shift-invert mode, which applies only that factor and B.
+band, sigma placed below the lowest term by the Rayleigh quotient of a
+constant trial state) in ARPACK's shift-invert mode, which applies only
+that factor and B in scipy's default Krylov subspace.
 
 Both solvers sweep the rho grid in order, one point at a time in this
 process.  `solve_terms` gives the terms alone.  `solve_with_couplings` fixes
@@ -209,28 +210,19 @@ def assemble_adiabatic_operator(tensor: TensorGrid, rho: float, potential=None):
     return band, (mass_matrix(tx, sin2), m_th)
 
 
-def _sigma_estimate(band, b_pair, tensor: TensorGrid, masses, rho) -> float:
-    """Safe shift below the lowest eigenvalue, from Rayleigh quotients.
+def _sigma_estimate(band, b_pair, tensor: TensorGrid, rho) -> float:
+    """Safe shift below the lowest eigenvalue, from a Rayleigh quotient.
 
-    Trial states: a constant (dominates at small rho where the kinetic term
-    freezes localization) and hydrogenic atoms pinned at the coalescence
-    points (dominant at large rho).  Rayleigh quotients bound eps_1 from
-    above; the margin pushes the shift below it.
+    The quotient q of the constant trial state bounds eps_1 from above; the
+    margin 0.25 |q| + 1 + 1/rho (rho floored at 0.02) puts the shift below
+    eps_1.  A shift that is not below it fails the factorization in
+    `solve_adiabatic_point`.
     """
     mx, my = b_pair
-    trials = [np.ones((tensor.gx.n_nodes, tensor.gy.n_nodes))]
-    if masses is not None:
-        _, r1, r2 = _distances(masses, rho, tensor.gx.nodes[:, None],
-                               tensor.gy.nodes[None, :])
-        trials += [np.exp(-m / (m + 1.0) * dist)
-                   for dist, m in ((r1, masses.m1), (r2, masses.m2))]
-    best = np.inf
-    for t in trials:
-        denom = float(np.sum(t * (mx @ t @ my)))
-        if denom > 0.0:
-            t = t.ravel()
-            best = min(best, float(t @ blas.dsbmv(tensor.kd, 1.0, band, t)) / denom)
-    return best - 0.25 * abs(best) - 1.0 - 1.0 / max(rho, 0.02)
+    t = np.ones((tensor.gx.n_nodes, tensor.gy.n_nodes))
+    q = (float(t.ravel() @ blas.dsbmv(tensor.kd, 1.0, band, t.ravel()))
+         / float(np.sum(t * (mx @ t @ my))))
+    return q - 0.25 * abs(q) - 1.0 - 1.0 / max(rho, 0.02)
 
 
 def solve_adiabatic_point(
@@ -238,16 +230,18 @@ def solve_adiabatic_point(
     rho: float,
     n_terms: int,
     potential=None,
-    masses=None,
     sigma: float | None = None,
 ):
     """Lowest n_terms eigenpairs at one rho; B-orthonormal, terms ascending.
 
     ARPACK's shift-invert mode solves with the band Cholesky factor of
     A - sigma B (flat index ix n_theta + iy: 2 n_theta + 2 superdiagonals),
-    formed in A's band.  It exists only for a sigma below every term, so
-    the n_terms nearest sigma are the lowest (Sylvester's law of inertia);
-    else EigensolverError.  n_terms must lie in (0, n_chi n_theta).
+    formed in A's band, in scipy's default Krylov subspace of
+    min(max(2 n_terms + 1, 20), n) vectors.  sigma=None takes the constant
+    trial's shift (`_sigma_estimate`).  The factor exists only for a sigma
+    below every term, so the n_terms nearest sigma are the lowest
+    (Sylvester's law of inertia); else EigensolverError.  n_terms must lie
+    in (0, n_chi n_theta).
     """
     n = tensor.n_dof
     if not 0 < n_terms < n:
@@ -255,7 +249,7 @@ def solve_adiabatic_point(
                               f"size {n}, got {n_terms}")
     band, b_pair = assemble_adiabatic_operator(tensor, rho, potential)
     if sigma is None:
-        sigma = _sigma_estimate(band, b_pair, tensor, masses, rho)
+        sigma = _sigma_estimate(band, b_pair, tensor, rho)
     tensor.add_kron(band, -sigma, *b_pair)
     factor, info = lapack.dpbtrf(band, overwrite_ab=1)
     if info != 0:
@@ -272,7 +266,7 @@ def solve_adiabatic_point(
             b, k=n_terms, M=b, sigma=sigma, which="LM",
             OPinv=spla.LinearOperator(
                 (n, n), lambda x: lapack.dpbtrs(factor, x)[0], dtype=float),
-            ncv=min(max(4 * n_terms + 1, 25), n), maxiter=400,
+            maxiter=400,
             v0=np.random.default_rng(START_VECTOR_SEED).standard_normal(n),
         )
     except spla.ArpackNoConvergence as exc:
@@ -326,9 +320,7 @@ def _on_quadrature(tensor: TensorGrid, vecs: np.ndarray):
 def _solve_one(masses, rho, grid, n_terms):
     tensor = build_grids(masses, rho, grid, ClusterSpec())
     vals, vecs = solve_adiabatic_point(
-        tensor, rho, n_terms, potential=coulomb_potential(masses, rho),
-        masses=masses,
-    )
+        tensor, rho, n_terms, potential=coulomb_potential(masses, rho))
     return tensor, vals, vecs
 
 

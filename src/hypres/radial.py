@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .algebra import KMatrix
 from .errors import (
@@ -411,11 +411,11 @@ def stabilization_eigenvalues(
     last point.
     """
     if alpha < problem.rho_start:
-        raise ValidationError(f"alpha={alpha!r} below rho_start")
+        raise ValidationError(f"alpha={float(alpha)!r} below rho_start")
     grid.check_reach(alpha)
     last = grid.index_of(alpha)
     if last < 3:
-        raise ValidationError(f"alpha={alpha!r} leaves too few grid points")
+        raise ValidationError(f"alpha={float(alpha)!r} leaves too few grid points")
     if sigma is None:
         lam = float(grid.w_floor[last - 1])
         sigma = lam - 0.5 * (abs(lam) + 1.0)
@@ -426,14 +426,12 @@ def stabilization_eigenvalues(
     )
     if info != 0:
         raise EigensolverError(
-            f"box pencil singular at sigma={sigma!r}, alpha={alpha!r}", rho=alpha
+            f"box pencil singular at sigma={float(sigma)!r}, "
+            f"alpha={float(alpha)!r}", rho=alpha
         )
     n = lu.shape[1]
-    a0, a1_diag, a1_off = grid.band
+    _, a1_diag, a1_off = grid.band
     diag, off = a1_diag[:n], a1_off[: n - n_ch]
-
-    def a0_matvec(x):  # ARPACK's shift-invert mode never calls it
-        return blas.dsbmv(kl, 1.0, a0[:, :n], x.ravel())
 
     def a1_matvec(x):
         x = x.ravel()
@@ -446,18 +444,19 @@ def stabilization_eigenvalues(
         return lapack.dgbtrs(lu, kl, kl, x, piv)[0]
 
     k = min(n_levels, n - 1)
+    a1 = spla.LinearOperator((n, n), a1_matvec, dtype=float)
     try:
+        # shift-invert mode applies only OPinv and M: eigsh reads A (here
+        # A1, which has its shape) for its shape alone
         vals = spla.eigsh(
-            spla.LinearOperator((n, n), a0_matvec, dtype=float),
-            k=k, M=spla.LinearOperator((n, n), a1_matvec, dtype=float),
-            sigma=sigma, which="LM",
+            a1, k=k, M=a1, sigma=sigma, which="LM",
             OPinv=spla.LinearOperator((n, n), op_inv_matvec, dtype=float),
             maxiter=600, return_eigenvectors=False,
             v0=np.random.default_rng(START_VECTOR_SEED).standard_normal(n),
         )
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(
-            f"box eigensolver stalled at alpha={alpha!r}", rho=alpha
+            f"box eigensolver stalled at alpha={float(alpha)!r}", rho=alpha
         ) from exc
     return np.sort(vals)
 

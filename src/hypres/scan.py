@@ -118,12 +118,18 @@ def scan_branches(
 
     All alphas share one master grid, which must reach alpha_max (so box
     spaces nest and, without sigma, branches are monotone; a window past its
-    end raises ValidationError before the first box).  Branch b is the b-th
-    lowest solved level at each alpha, so no eigenvectors are computed.
+    end, or a first box with no more pencil rows than n_levels, raises
+    ValidationError before the first box).  Branch b is the b-th lowest
+    solved level at each alpha, so no eigenvectors are computed.
     """
     alphas = config.alphas()
     grid.check_reach(alphas[-1])
     k = config.n_levels
+    rows = max(grid.index_of(alphas[0]) - 1, 0) * grid.w_samples.shape[1]
+    if rows <= k:
+        raise ValidationError(
+            f"alpha_min={float(alphas[0])!r} gives a box of {rows} pencil rows; "
+            f"n_levels={k} needs more than {k}")
     levels = [radial.stabilization_eigenvalues(
         problem, alpha, k + N_BUFFER, grid=grid, sigma=config.sigma)[:k]
         for alpha in alphas]

@@ -186,7 +186,7 @@ class TestCriterion4:
             tensor = build_grids(masses, rho, fine, ClusterSpec())
             vals, _ = solve_adiabatic_point(
                 tensor, rho, 2,
-                potential=coulomb_potential(masses, rho), masses=masses,
+                potential=coulomb_potential(masses, rho),
             )
             assert abs(vals[0] - e1_inf) <= 1e-4
 

@@ -58,7 +58,7 @@ class TestThresholds:
         rho = 500.0
         tensor = build_grids(DTMU, rho, GRID_FINE, ClusterSpec())
         vals, _ = solve_adiabatic_point(
-            tensor, rho, 4, potential=coulomb_potential(DTMU, rho), masses=DTMU
+            tensor, rho, 4, potential=coulomb_potential(DTMU, rho),
         )
         oracle = -(DTMU.m1 / (DTMU.m1 + 1.0)) / 2.0
         assert abs(vals[0] - oracle) < 1e-4
@@ -71,7 +71,7 @@ class TestThresholds:
             tensor = build_grids(DTMU, rho, GRID_FINE, ClusterSpec())
             vals, _ = solve_adiabatic_point(
                 tensor, rho, 2,
-                potential=coulomb_potential(DTMU, rho), masses=DTMU,
+                potential=coulomb_potential(DTMU, rho),
             )
             errs.append(abs(vals[0] - oracle))
         assert errs[0] > errs[1] > errs[2]
@@ -86,7 +86,7 @@ class TestBasisInvariants:
         for rho in small_solution.rho_grid:
             tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
             _, vecs = solve_adiabatic_point(
-                tensor, rho, 4, potential=coulomb_potential(DTMU, rho), masses=DTMU
+                tensor, rho, 4, potential=coulomb_potential(DTMU, rho),
             )
             assert orthonormality_defect(tensor, vecs) < 1e-5
 
@@ -112,7 +112,7 @@ class TestBasisInvariants:
             tensor = build_grids(DTMU, rho, grid, ClusterSpec())
             vals[grid.n_chi], _ = solve_adiabatic_point(
                 tensor, rho, 4,
-                potential=coulomb_potential(DTMU, rho), masses=DTMU,
+                potential=coulomb_potential(DTMU, rho),
             )
         assert np.all(vals[121] <= vals[61] + 3e-4)
 
@@ -127,7 +127,7 @@ class TestSymmetricSystem:
         tensor = build_grids(masses, rho, grid, ClusterSpec())
         vals, vecs = solve_adiabatic_point(
             tensor, rho, 4,
-            potential=coulomb_potential(masses, rho), masses=masses,
+            potential=coulomb_potential(masses, rho),
         )
         px, wx, py, wy = tensor.quad_points()
         kern = np.outer(wx * np.sin(px) ** 2, wy * np.sin(py))
@@ -265,7 +265,7 @@ class TestOperatorPair:
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(spla, "eigsh", spy)
-        solve_adiabatic_point(tensor, rho, 3, potential=potential, masses=DTMU)
+        solve_adiabatic_point(tensor, rho, 3, potential=potential)
         x = np.random.default_rng(1).standard_normal(tensor.n_dof)
         ref = np.kron(m2_chi, m_th) @ x
         assert np.abs(seen["M"] @ x - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -281,8 +281,7 @@ class TestOperatorPair:
         monkeypatch.setattr(Grid1D, "quadrature", counted)
         rho = 20.0
         tensor = build_grids(DTMU, rho, self.GRID, ClusterSpec())
-        solve_adiabatic_point(tensor, rho, 3, potential=coulomb_potential(DTMU, rho),
-                              masses=DTMU)
+        solve_adiabatic_point(tensor, rho, 3, potential=coulomb_potential(DTMU, rho))
         assert len(calls) == 2
         assert {id(g) for g in calls} == {id(tensor.gx), id(tensor.gy)}
 
@@ -292,7 +291,7 @@ class TestOperatorPair:
         tensor = build_grids(DTMU, rho, self.GRID, ClusterSpec())
         with pytest.raises(ValidationError, match="n_terms"):
             solve_adiabatic_point(tensor, rho, n_terms,
-                                  potential=coulomb_potential(DTMU, rho), masses=DTMU)
+                                  potential=coulomb_potential(DTMU, rho))
 
     def test_adiabatic_pair_matches_point_solve(self):
         rho = 40.0
@@ -302,24 +301,35 @@ class TestOperatorPair:
         )
         direct, _ = solve_adiabatic_point(
             tensor, rho, 2,
-            potential=coulomb_potential(DTMU, rho), masses=DTMU,
+            potential=coulomb_potential(DTMU, rho),
         )
         vals = dense_lowest(band, b_pair, 2)
         assert np.abs(vals - direct).max() < 1e-10
 
-    @pytest.mark.parametrize("rho", [5.0, 30.0, 90.0])
+    @pytest.mark.parametrize("rho", [0.05, 5.0, 30.0, 90.0, 500.0])
     def test_band_cholesky_terms_match_dense_eigh(self, rho):
         # a dense generalized eigh of the same pair is the independent solve;
-        # the estimated shift lies below its lowest term
+        # the estimated shift lies below its lowest term, also at the ends
+        # of the full INI's sweep (rho 0.05 and 500)
         tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
         potential = coulomb_potential(DTMU, rho)
         band, b_pair = assemble_adiabatic_operator(tensor, rho, potential)
-        sigma = _sigma_estimate(band, b_pair, tensor, DTMU, rho)
-        direct, _ = solve_adiabatic_point(tensor, rho, 4, potential=potential,
-                                          masses=DTMU)
+        sigma = _sigma_estimate(band, b_pair, tensor, rho)
+        direct, _ = solve_adiabatic_point(tensor, rho, 4, potential=potential)
         ref = dense_lowest(band, b_pair, 4)
         assert sigma < ref[0]
         assert np.abs(direct - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("rho", [20.0, 100.0, 300.0])
+    def test_sigma_close_below_lowest_term(self, rho):
+        # shift-invert converges with (eps_k - sigma) / (eps_k+1 - sigma): the
+        # constant trial's shift stays within 0.75 of the lowest term
+        tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
+        band, b_pair = assemble_adiabatic_operator(
+            tensor, rho, coulomb_potential(DTMU, rho))
+        sigma = _sigma_estimate(band, b_pair, tensor, rho)
+        lowest = dense_lowest(band, b_pair, 1)[0]
+        assert lowest - 0.75 < sigma < lowest
 
     def test_sigma_above_lowest_term_raises(self):
         # A - sigma B is then indefinite and has no Cholesky factor; the
@@ -327,8 +337,7 @@ class TestOperatorPair:
         rho = 30.0
         tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
         potential = coulomb_potential(DTMU, rho)
-        vals, _ = solve_adiabatic_point(tensor, rho, 3, potential=potential,
-                                        masses=DTMU)
+        vals, _ = solve_adiabatic_point(tensor, rho, 3, potential=potential)
         with pytest.raises(EigensolverError) as err:
             solve_adiabatic_point(tensor, rho, 2, potential=potential,
                                   sigma=0.5 * (vals[1] + vals[2]))

@@ -664,6 +664,21 @@ class TestCli:
         assert err.startswith("[stage:terms] error: n_terms"), err
         assert "Traceback" not in err
 
+    def test_first_box_with_too_few_rows_is_stage_error(self, tmp_path, capsys):
+        # at h_max = 0.05 the box at alpha 0.26 has 8 pencil rows, too few
+        # for 12 levels
+        ini = tmp_path / "toy.ini"
+        ini.write_text(TOY_INI.replace("alpha_min = 8.0", "alpha_min = 0.26")
+                       .replace("alpha_max = 17.0", "alpha_max = 1.5")
+                       .replace("h_max = 0.02", "h_max = 0.05")
+                       .format(out=tmp_path / "out"))
+        assert main(["pipeline", "--config", str(ini), "--stage", "scan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "[stage:scan] error: alpha_min=0.26 gives a box of 8 pencil rows; "
+            "n_levels=12 needs more than 12"), err
+        assert "Traceback" not in err
+
     def test_out_that_cannot_be_created(self, toy_run, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("a file, not a directory\n")

@@ -121,6 +121,34 @@ class TestBoxSpectrum:
                                          grid=grid)
         assert np.array_equal(near, at_end)
 
+    def test_box_errors_print_plain_floats(self, monkeypatch, toy_problem):
+        # numpy scalars read as 0.02 in the messages, not np.float64(0.02)
+        grid = build_grid(toy_problem, h_max=0.05)
+        start = np.float64(toy_problem.rho_start)
+        with pytest.raises(ValidationError) as err:
+            stabilization_eigenvalues(toy_problem, 0.5 * start, 4, grid=grid)
+        assert str(err.value) == f"alpha={0.5 * float(start)!r} below rho_start"
+        with pytest.raises(ValidationError) as err:
+            stabilization_eigenvalues(toy_problem, start, 4, grid=grid)
+        assert str(err.value) == f"alpha={float(start)!r} leaves too few grid points"
+        alpha = np.float64(10.0)
+        monkeypatch.setattr(
+            radial.lapack, "dgbtrf",
+            lambda ab, *args, **kwargs: (ab, np.zeros(ab.shape[1], np.int32), 1))
+        with pytest.raises(EigensolverError) as err:
+            stabilization_eigenvalues(toy_problem, alpha, 4, grid=grid,
+                                      sigma=np.float64(2.5))
+        assert "at sigma=2.5, alpha=10.0" in str(err.value)
+        monkeypatch.undo()
+
+        def stall(*args, **kwargs):
+            raise radial.spla.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(radial.spla, "eigsh", stall)
+        with pytest.raises(EigensolverError) as err:
+            stabilization_eigenvalues(toy_problem, alpha, 4, grid=grid)
+        assert "box eigensolver stalled at alpha=10.0" in str(err.value)
+
 
 def loop_w_samples(problem, points):
     """Per-point reference for build_grid's W samples and gauge: scalar
