@@ -45,7 +45,7 @@ from .fem import (Grid1D, TensorGrid, element_tables, mass_matrix,
                   potential_blocks, stiffness_matrix)
 
 # smallest |overlap| of a term with its previous-point continuation before
-# the rho interval is bisected (and, between differenced points, an error)
+# the rho interval is bisected
 OVERLAP_FLOOR = 0.5
 # ARPACK start vector: a fixed generic draw (not ones, which can be orthogonal
 # to antisymmetric states) so that every eigensolve is reproducible
@@ -465,7 +465,7 @@ def _fix_signs(point: _Point, prev: _Point | None) -> float:
 
 def _couplings_at(rho, k, point: _Point, nxt: _Point | None):
     """(H, Q) at accepted point k, by differencing over its stencil; nxt is
-    point k+1 (None at the last point), whose overlap is checked here."""
+    point k+1 (None at the last point)."""
     idx, wts = _fd_weights(rho, k)
     dphi = np.zeros_like(point.here)
     for i, w in zip(idx, wts):
@@ -475,14 +475,6 @@ def _couplings_at(rho, k, point: _Point, nxt: _Point | None):
             vals = point.here
         else:
             vals = nxt.tensor.evaluate(nxt.vecs, point.px, point.py)
-            diag = np.einsum("xy,jxy,jxy->j", point.kern, point.here, vals)
-            if np.any(np.abs(diag) < OVERLAP_FLOOR):
-                j = int(np.argmin(np.abs(diag)))
-                raise TrackingError(
-                    f"basis continuity lost between rho={rho[k]:.6g} and "
-                    f"rho={rho[i]:.6g} (term {j + 1}, overlap {diag[j]:.3f}); "
-                    "refine the rho grid near this point"
-                )
         dphi += w * vals
     h = np.einsum("xy,jxy,Jxy->jJ", point.kern, dphi, dphi)
     q_raw = -np.einsum("xy,jxy,Jxy->jJ", point.kern, point.here, dphi)

@@ -114,7 +114,6 @@ class RadialProblem:
         eps_table,
         h_table=None,
         q_table=None,
-        thresholds=None,
         rho_start=None,
         rho_match=None,
         include_rho_term=True,
@@ -122,22 +121,24 @@ class RadialProblem:
         """Build from per-rho tables (the coupling-file contract).
 
         Tables are interpolated by cubic splines and every table channel is
-        kept; thresholds default to the term values at the last table point,
-        and otherwise need one value per table channel.  This is the one
-        home of that convention: the scan and the sample stage take the
-        thresholds of the problem built here, and the fit reads the upper
-        one from the samples' header.  An all-zero Q table
-        (the toy's) gives no q_mat, so the problem has no gauge rotation.
+        kept; the thresholds are the term values at the last table point.
+        This is the one home of that convention: the scan and the sample
+        stage take the thresholds of the problem built here, and the fit
+        reads the upper one from the samples' header.  rho_start and
+        rho_match default to the table's ends and must lie within them
+        (a spline is never extrapolated: ValidationError).  An all-zero Q
+        table (the toy's) gives no q_mat, so the problem has no gauge
+        rotation.
         """
         rho_table = np.asarray(rho_table, dtype=float)
         eps_table = np.asarray(eps_table, dtype=float)
-        thresholds = np.asarray(
-            eps_table[-1] if thresholds is None else thresholds, dtype=float
-        )
-        if thresholds.shape != eps_table.shape[1:]:
+        lo, hi = float(rho_table[0]), float(rho_table[-1])
+        rho_start = lo if rho_start is None else float(rho_start)
+        rho_match = hi if rho_match is None else float(rho_match)
+        if not (lo <= rho_start and rho_match <= hi):
             raise ValidationError(
-                f"{thresholds.size} thresholds for {eps_table.shape[1]} table "
-                "channels; need one per channel"
+                f"radial range [{rho_start!r}, {rho_match!r}] leaves the "
+                f"coupling table's [{lo!r}, {hi!r}]"
             )
         eps_sp = CubicSpline(rho_table, eps_table, axis=0)
         h_sp = q_sp = None
@@ -146,12 +147,12 @@ class RadialProblem:
         if q_table is not None and np.any(q_table):
             q_sp = CubicSpline(rho_table, np.asarray(q_table), axis=0)
         return cls(
-            thresholds=thresholds,
+            thresholds=eps_table[-1],
             eps=eps_sp,
             h_mat=h_sp,
             q_mat=q_sp,
-            rho_start=float(rho_start if rho_start is not None else rho_table[0]),
-            rho_match=float(rho_match if rho_match is not None else rho_table[-1]),
+            rho_start=rho_start,
+            rho_match=rho_match,
             include_rho_term=include_rho_term,
         )
 

@@ -38,8 +38,10 @@ PEAK_DENSITY = 10.0
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Box-scan window and detection floor; the sample cap and the peak
-    rule are the constants MAX_SAMPLES, PEAK_RUN and PEAK_DENSITY."""
+    """Box-scan window, level count and sampling half-width (n_levels >= 2,
+    halfwidth > 0); the detection floor is set by the thresholds, and the
+    sample cap and the peak rule are the constants MAX_SAMPLES, PEAK_RUN
+    and PEAK_DENSITY."""
 
     alpha_min: float
     alpha_max: float
@@ -47,13 +49,18 @@ class ScanConfig:
     n_levels: int
     energy_window_halfwidth: float  # multiples of gamma_est
     sigma: float | None = None  # eigensolver target; None = lowest levels
-    e_min: float | None = None  # detection floor: only levels above it pool
 
     def __post_init__(self):
         if not self.alpha_min < self.alpha_max:
             raise ValidationError("need alpha_min < alpha_max")
         if self.alpha_step <= 0:
             raise ValidationError("alpha_step must be positive")
+        if self.n_levels < 2:
+            raise ValidationError(
+                f"n_levels={self.n_levels!r}: need at least 2 levels per box")
+        if self.energy_window_halfwidth <= 0:
+            raise ValidationError(
+                f"halfwidth={self.energy_window_halfwidth!r} must be positive")
 
     def alphas(self) -> np.ndarray:
         # the relative slack keeps alpha_max when roundoff puts the step
@@ -136,12 +143,11 @@ def scan_branches(
     return StabilizationSpectrum(alpha_grid=alphas, levels=np.array(levels))
 
 
-def _peaks(spectrum: StabilizationSpectrum, config: ScanConfig) -> list[dict]:
-    """Peaks of the pooled level density, most pronounced first."""
+def _peaks(spectrum: StabilizationSpectrum, floor: float) -> list[dict]:
+    """Peaks of the density of the levels above floor, densest first."""
     alphas, levels = spectrum.alpha_grid, spectrum.levels
     if alphas.size < 10 or spectrum.n_branches < 2:
         raise ValidationError("need >= 10 alpha points and >= 2 branches")
-    lo = -np.inf if config.e_min is None else config.e_min
     slope = np.abs(np.gradient(levels, alphas, axis=0))
     # strict local minima of |dLambda/dalpha| along each label: a branch
     # flattening toward a threshold or the scan's end has none, and neither
@@ -149,7 +155,7 @@ def _peaks(spectrum: StabilizationSpectrum, config: ScanConfig) -> list[dict]:
     stationary = np.zeros(levels.shape, dtype=bool)
     stationary[1:-1] = (slope[1:-1] < slope[:-2]) & (slope[1:-1] < slope[2:])
     slope, stationary = slope.ravel(), stationary.ravel()
-    pooled = np.flatnonzero(levels > lo)
+    pooled = np.flatnonzero(levels > floor)
     pooled = pooled[np.argsort(levels.ravel()[pooled], kind="stable")]
     energies = levels.ravel()[pooled]
     if energies.size <= PEAK_RUN:
@@ -168,7 +174,6 @@ def _peaks(spectrum: StabilizationSpectrum, config: ScanConfig) -> list[dict]:
         peaks.append(dict(
             e_center=float(levels.flat[best]),
             slope=float(slope[best]),
-            span=float(energies[j + PEAK_RUN - 1] - energies[i]),
             alpha_at=float(alphas[best // spectrum.n_branches]),
             density=median / smallest if smallest > 0.0 else math.inf,
         ))
@@ -180,30 +185,27 @@ def _peaks(spectrum: StabilizationSpectrum, config: ScanConfig) -> list[dict]:
 def detect_resonances(
     spectrum: StabilizationSpectrum,
     config: ScanConfig,
-    thresholds=None,
+    thresholds,
 ) -> list[ResonanceWindow]:
     """One window per peak of the stabilization level density, most
     pronounced (densest) peak first; an empty list means no resonance.
 
-    All levels above e_min are pooled and sorted, with no branch
-    labels.  A peak is a maximal stretch of them in which every PEAK_RUN + 1
-    consecutive levels span at most 1 / PEAK_DENSITY of the median such
+    The levels above the detection floor, the second-lowest threshold +
+    1e-9 (where the 2x2 sample contract of `sample_k` starts; the lowest
+    one when there is only one), are pooled and sorted, with no branch
+    labels.  A peak is a maximal stretch of them in which every PEAK_RUN +
+    1 consecutive levels span at most 1 / PEAK_DENSITY of the median such
     span; its density is that median over the stretch's smallest span.  The
     peak's centre is its flattest level whose |dLambda/dalpha| is a strict
     local minimum along its label; a peak with no such level is dropped.
     The sampling window is e_center +- halfwidth * gamma_est, with
-    gamma_est = 2 |slope| / q when channel thresholds are known (else the
-    stretch's energy span).
+    gamma_est = 2 |slope| / q and q = sqrt(e_center - lowest threshold).
     """
+    thr = np.sort(np.asarray(thresholds, dtype=float))
+    floor = float(thr[min(1, thr.size - 1)]) + 1e-9
     windows = []
-    for c in _peaks(spectrum, config):
-        gamma_est = c["span"]
-        if thresholds is not None:
-            thr = np.asarray(thresholds, dtype=float)
-            below = thr[thr < c["e_center"]]
-            if below.size:
-                q = math.sqrt(c["e_center"] - float(below.min()))
-                gamma_est = 2.0 * c["slope"] / q
+    for c in _peaks(spectrum, floor):
+        gamma_est = 2.0 * c["slope"] / math.sqrt(c["e_center"] - float(thr[0]))
         half = config.energy_window_halfwidth * max(
             gamma_est, 1e-14 * abs(c["e_center"]))
         sel = np.abs(spectrum.levels - c["e_center"]) <= half

@@ -41,11 +41,13 @@ def _terms(config: RunConfig, expect: dict, out: Path):
         return tableio.save_terms(out, rho, eps, {"kind": "toy", **expect})
     from .adiabatic import solve_terms
     from .channels import dtmu_masses
-    rho_grid = np.geomspace(
-        config.get("basis", "rho_min"),
-        config.get("basis", "rho_max"),
-        config.get("basis", "n_rho"),
-    )
+    rho_min, rho_max, n_rho = (
+        config.get("basis", key) for key in ("rho_min", "rho_max", "n_rho"))
+    if not (0.0 < rho_min < rho_max and n_rho >= 2):
+        raise ValidationError(
+            f"[basis] rho_min={rho_min!r}, rho_max={rho_max!r}, n_rho={n_rho!r}: "
+            "need 0 < rho_min < rho_max and n_rho >= 2")
+    rho_grid = np.geomspace(rho_min, rho_max, n_rho)
     sol = solve_terms(
         dtmu_masses(), _hyperangular_grid(config), rho_grid,
         config.get("basis", "n_terms"),
@@ -89,26 +91,22 @@ def _radial_setup(config: RunConfig):
     return problem, build_grid(problem, h_max=config.get("radial", "h_max"))
 
 
-def _scan_config(config: RunConfig, problem):
+def _scan_config(config: RunConfig):
     from .scan import ScanConfig
-    # detection starts in the two-open-channel regime of the 2x2 sample
-    # contract, just above the second-lowest threshold
-    thr = np.sort(problem.thresholds)
     return ScanConfig(
         alpha_min=config.get("scan", "alpha_min"),
         alpha_max=config.get("scan", "alpha_max"),
         alpha_step=config.get("scan", "alpha_step"),
         n_levels=config.get("scan", "n_levels"),
         sigma=config.get("scan", "sigma"),
-        e_min=float(thr[min(1, thr.size - 1)]) + 1e-9,
         energy_window_halfwidth=config.get("scan", "halfwidth"),
     )
 
 
 def _scan(config: RunConfig, expect: dict, out_b: Path, out_w: Path):
     from .scan import detect_resonances, scan_branches
+    cfg = _scan_config(config)  # bad settings fail before the grid is built
     problem, grid = _radial_setup(config)
-    cfg = _scan_config(config, problem)
     spectrum = scan_branches(problem, cfg, grid=grid)
     rows = np.hstack([spectrum.alpha_grid[:, None], spectrum.levels])
     header = dict(expect, n_branches=spectrum.n_branches)
@@ -117,7 +115,7 @@ def _scan(config: RunConfig, expect: dict, out_b: Path, out_w: Path):
         # whenever a level leaves that window: never monotone
         header["monotone_defect"] = f"{spectrum.monotone_defect():.3e}"
     tableio.write_table(out_b, rows, header, "alpha Lambda_1..Lambda_n")
-    windows = detect_resonances(spectrum, cfg, thresholds=problem.thresholds)
+    windows = detect_resonances(spectrum, cfg, problem.thresholds)
     wrows = [
         [i, w.e_center, w.gamma_est, w.slope, w.alpha_at, e, alpha, branch]
         for i, w in enumerate(windows)

@@ -26,14 +26,13 @@ def toy_problem(toy):
 
 
 @pytest.fixture(scope="session")
-def toy_scan_config(toy_problem):
+def toy_scan_config():
     return ScanConfig(
         alpha_min=8.0,
         alpha_max=24.0,
         alpha_step=0.25,
         n_levels=14,
         energy_window_halfwidth=8.0,
-        e_min=float(max(toy_problem.thresholds)) + 0.05,
     )
 
 

@@ -464,14 +464,16 @@ directory = {out}
 
 
 class TestScanRange:
-    # the toy's grid ends at rho_match = 28: boxes beyond it have no pencil
-    def test_alpha_max_past_rho_match_rejected(self, tmp_path, monkeypatch):
+    @staticmethod
+    def refused_before_first_box(tmp_path, monkeypatch, old, new):
+        """The toy INI with one line replaced: its scan stage must raise a
+        scan-tagged ValidationError without solving a box."""
         text = (Path(__file__).resolve().parents[1] / "configs" / "toy.ini").read_text()
+        assert old in text
         ini = tmp_path / "toy.ini"
-        ini.write_text(text.replace("alpha_max = 24.0", "alpha_max = 30.0")
+        ini.write_text(text.replace(old, new)
                        .replace("directory = out-toy", f"directory = {tmp_path / 'out'}"))
         config = RunConfig.from_file(ini)
-        assert config.get("scan", "alpha_max") == 30.0
         assert config.out_dir() == tmp_path / "out"
         stage_terms(config)
         stage_couplings(config)
@@ -482,12 +484,31 @@ class TestScanRange:
             calls.append(args[1])
             return solve(*args, **kwargs)
 
-        # refused before the first box, not after solving those below the end
         monkeypatch.setattr(radial, "stabilization_eigenvalues", counted)
         with pytest.raises(ValidationError) as err:
             stage_scan(config)
         assert err.value.stage == "scan"
         assert calls == []
+        return config
+
+    # the toy's grid ends at rho_match = 28: boxes beyond it have no pencil
+    def test_alpha_max_past_rho_match_rejected(self, tmp_path, monkeypatch):
+        # refused before the first box, not after solving those below the end
+        config = self.refused_before_first_box(
+            tmp_path, monkeypatch, "alpha_max = 24.0", "alpha_max = 30.0")
+        assert config.get("scan", "alpha_max") == 30.0
+
+    @pytest.mark.parametrize("old, new", [
+        ("n_levels = 14", "n_levels = 0"),
+        ("n_levels = 14", "n_levels = 1"),
+        ("n_levels = 14", "n_levels = -2"),
+        ("halfwidth = 8.0", "halfwidth = 0"),
+        ("halfwidth = 8.0", "halfwidth = -1"),
+    ])
+    def test_unusable_scan_settings_rejected(self, tmp_path, monkeypatch,
+                                             old, new):
+        # too few levels to pool, or an empty sampling window
+        self.refused_before_first_box(tmp_path, monkeypatch, old, new)
 
 
 class TestConfigDigest:
@@ -662,6 +683,21 @@ class TestCli:
         assert main(["terms", "--config", str(ini)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("[stage:terms] error: n_terms"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("old, new", [
+        ("rho_min = 0.5", "rho_min = 0"),
+        ("n_rho = 70", "n_rho = 0"),
+    ])
+    def test_unusable_basis_grid_is_stage_error(self, tmp_path, capsys,
+                                                old, new):
+        ini = tmp_path / "three-body.ini"
+        assert old in THREE_BODY_INI
+        ini.write_text(THREE_BODY_INI.replace(old, new)
+                       .format(out=tmp_path / "out"))
+        assert main(["terms", "--config", str(ini)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[stage:terms] error: [basis]"), err
         assert "Traceback" not in err
 
     def test_first_box_with_too_few_rows_is_stage_error(self, tmp_path, capsys):

@@ -656,14 +656,14 @@ class TestGuardsAndErrors:
                 eps=lambda rho: np.zeros(1), rho_start=2.0, rho_match=1.0,
             )
 
-    def test_tables_need_one_threshold_per_channel(self, toy):
-        # one threshold for the two toy channels cannot be matched
+    @pytest.mark.parametrize("shift_start, shift_match", [(-0.1, 0.0), (0.0, 1.0)])
+    def test_tables_are_not_extrapolated(self, toy, shift_start, shift_match):
+        # the toy tables span exactly [rho_start, rho_match]
         rho, eps, h, q = toy.tables()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="coupling table"):
             RadialProblem.from_tables(
-                rho, eps, h, q, thresholds=[0.0],
-                rho_start=toy.rho_start, rho_match=toy.rho_match,
-                include_rho_term=False,
+                rho, eps, h, q, rho_start=toy.rho_start + shift_start,
+                rho_match=toy.rho_match + shift_match, include_rho_term=False,
             )
 
 
@@ -673,7 +673,7 @@ class TestTablesPath:
         tab = RadialProblem.from_tables(
             rho, eps, h, q,
             rho_start=toy.rho_start, rho_match=toy.rho_match,
-            include_rho_term=False, thresholds=toy.thresholds,
+            include_rho_term=False,
         )
         e = [2.8]
         g1 = build_grid(toy_problem, h_max=0.02)

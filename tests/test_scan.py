@@ -17,6 +17,9 @@ from hypres.scan import (
 
 from conftest import TOY_E0, TOY_GAMMA
 
+# one channel threshold below every synthetic level, so that all of them pool
+BELOW_ALL = (-10.0,)
+
 
 def synthetic_crossing(e_res=1.5, slope=-0.08, coupling=2e-5, alpha0=20.0,
                        n_diabats=14):
@@ -50,12 +53,12 @@ def synthetic_resonances(flat, e_mid=1.5, slope=-0.08, alpha0=20.0,
     return alphas, levels
 
 
-def detect_synthetic(alphas, levels):
+def detect_synthetic(alphas, levels, thresholds=BELOW_ALL):
     spectrum = StabilizationSpectrum(alpha_grid=alphas, levels=levels)
     cfg = ScanConfig(alpha_min=alphas[0], alpha_max=alphas[-1],
                      alpha_step=alphas[1] - alphas[0],
                      n_levels=levels.shape[1], energy_window_halfwidth=1.0)
-    return detect_resonances(spectrum, cfg)
+    return detect_resonances(spectrum, cfg, thresholds)
 
 
 class TestScanConfig:
@@ -86,11 +89,11 @@ class TestScanBranches:
         box = BoxMode(offset=0.0, rho_start=1.0, rho_match=45.0)
         prob = box.problem()
         cfg = ScanConfig(alpha_min=10.0, alpha_max=40.0, alpha_step=0.5,
-                         n_levels=6, energy_window_halfwidth=1.0, e_min=0.0)
+                         n_levels=6, energy_window_halfwidth=1.0)
         grid = build_grid(prob, rho_end=cfg.alpha_max, h_max=0.05)
         spectrum = scan_branches(prob, cfg, grid=grid)
         assert spectrum.monotone_defect() <= 1e-10
-        assert detect_resonances(spectrum, cfg) == []
+        assert detect_resonances(spectrum, cfg, prob.thresholds) == []
 
     def test_tracking_is_bijective(self, toy_spectrum):
         # ordered labels: no two branches ever coincide along the scan
@@ -100,12 +103,7 @@ class TestScanBranches:
 
 class TestDetection:
     def test_synthetic_two_level_model(self):
-        alphas, levels = synthetic_crossing(e_res=1.5, coupling=2e-5)
-        spectrum = StabilizationSpectrum(alpha_grid=alphas, levels=levels)
-        cfg = ScanConfig(alpha_min=alphas[0], alpha_max=alphas[-1],
-                         alpha_step=alphas[1] - alphas[0],
-                         n_levels=levels.shape[1], energy_window_halfwidth=1.0)
-        wins = detect_resonances(spectrum, cfg)
+        wins = detect_synthetic(*synthetic_crossing(e_res=1.5, coupling=2e-5))
         assert wins
         win = min(wins, key=lambda w: w.slope)
         assert abs(win.e_center - 1.5) < 1e-6
@@ -118,7 +116,15 @@ class TestDetection:
         spectrum = StabilizationSpectrum(alpha_grid=alphas, levels=levels)
         cfg = ScanConfig(alpha_min=5.0, alpha_max=25.0, alpha_step=0.2,
                          n_levels=4, energy_window_halfwidth=1.0)
-        assert detect_resonances(spectrum, cfg) == []
+        assert detect_resonances(spectrum, cfg, BELOW_ALL) == []
+
+    def test_floor_keeps_two_open_channels(self):
+        # a plateau between the two lowest thresholds has one open channel,
+        # outside the 2x2 sample contract: only the one above both pools
+        wins = detect_synthetic(*synthetic_resonances([(1.3, 2e-5), (1.7, 2e-5)]),
+                                thresholds=(1.0, 1.5))
+        assert len(wins) == 1
+        assert abs(wins[0].e_center - 1.7) < 1e-6
 
     def test_toy_window_matches_oracle(self, toy_window):
         assert abs(toy_window.e_center - TOY_E0) < 0.1 * TOY_GAMMA
@@ -188,7 +194,7 @@ class TestDetection:
         cfg = ScanConfig(alpha_min=0.0, alpha_max=1.0, alpha_step=0.25,
                          n_levels=12, energy_window_halfwidth=1.0)
         with pytest.raises(ValidationError):
-            detect_resonances(spectrum, cfg)
+            detect_resonances(spectrum, cfg, BELOW_ALL)
 
 
 class TestSampling:

@@ -6,9 +6,12 @@ to a couple of minutes; the detected lowest metastable level of the
 resolution, and every stage artifact has to appear with fresh digests.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
+from hypres.cli import main
 from hypres.pipeline import RunConfig, run_pipeline
 from hypres.samples import read_samples
 from hypres.stages import load_windows
@@ -83,6 +86,22 @@ class TestCoarseThreeBody:
         # converged position is -0.15917; the coarse basis should place the
         # plateau within a couple of 1e-3
         assert e0 == pytest.approx(-0.15917, abs=2e-3)
+
+    def test_radial_range_past_the_table_is_scan_error(self, coarse_run,
+                                                       tmp_path, capsys):
+        # the couplings header digests [system] and [basis] alone, so the
+        # copied tables stay fresh and only the scan runs again
+        out = tmp_path / "out"
+        shutil.copytree(coarse_run["out"], out)
+        ini = tmp_path / "run.ini"
+        ini.write_text(INI.replace("rho_match = 100.0", "rho_match = 105.0")
+                       .format(out=out))
+        tables = (out / "couplings.dat").stat().st_mtime_ns
+        assert main(["scan", "--config", str(ini)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[stage:scan] error: radial range"), err
+        assert "Traceback" not in err
+        assert (out / "couplings.dat").stat().st_mtime_ns == tables
 
     def test_fit_report_written(self, coarse_run):
         pairs, _ = read_keyvalues(coarse_run["out"] / "fit_0.txt")
