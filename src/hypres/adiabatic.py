@@ -41,8 +41,8 @@ from scipy.linalg import blas, lapack
 
 from .channels import ThreeBodyMasses
 from .errors import AssemblyError, EigensolverError, TrackingError, ValidationError
-from .fem import (Grid1D, TensorGrid, element_tables, mass_matrix,
-                  potential_blocks, stiffness_matrix)
+from .fem import (Grid1D, TensorGrid, mass_matrix, potential_blocks,
+                  stiffness_matrix)
 
 # smallest |overlap| of a term with its previous-point continuation before
 # the rho interval is bisected
@@ -200,7 +200,7 @@ def assemble_adiabatic_operator(tensor: TensorGrid, rho: float, potential=None):
     if rho <= 0.0:
         raise AssemblyError(f"rho must be positive, got {rho!r}")
     sin2 = lambda x: np.sin(x) ** 2
-    tx, ty = element_tables(tensor.gx), element_tables(tensor.gy)
+    tx, ty = tensor.tables
     m_th = mass_matrix(ty, np.sin)
     band = np.zeros((tensor.kd + 1, tensor.n_dof), order="F")  # as dpbtrf reads
     tensor.add_kron(band, 4.0 / rho**2, stiffness_matrix(tx, sin2), m_th)

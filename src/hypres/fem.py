@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,6 +171,11 @@ class TensorGrid:
     def n_dof(self) -> int:
         return self.gx.n_nodes * self.gy.n_nodes
 
+    @cached_property
+    def tables(self):
+        """element_tables of gx and gy, computed once per tensor grid."""
+        return element_tables(self.gx), element_tables(self.gy)
+
     @property
     def kd(self) -> int:
         """Superdiagonals of the upper band (band[kd + i - j, j] = entry
@@ -205,8 +211,7 @@ class TensorGrid:
 
     def quad_points(self):
         """Full tensor quadrature: x pts, y pts (flattened per dim)."""
-        px, wx = self.gx.quadrature()
-        py, wy = self.gy.quadrature()
+        (px, wx, _, _), (py, wy, _, _) = self.tables
         return px.ravel(), wx.ravel(), py.ravel(), wy.ravel()
 
     def evaluate(self, coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

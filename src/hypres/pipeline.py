@@ -100,8 +100,8 @@ class RunConfig:
         """Config from INI text, each value cast once; directory, when given,
         replaces [output] directory.  Malformed INI (a key given twice, a
         line outside any section), an unknown section or key, a malformed
-        value, a word outside its WORDS and a three-body key in a toy run
-        are each a ConfigError."""
+        value, a word outside its WORDS, a three-body key in a toy run and a
+        [radial] range past the [basis] range are each a ConfigError."""
         parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text, source)
@@ -119,12 +119,16 @@ class RunConfig:
                     raise ConfigError(f"unknown key [{section}] {key}")
                 values[section][key] = _typed(section, key, raw)
                 texts[section][key] = raw
+        b, r = values["basis"], values["radial"]  # couplings.dat spans b's range
         if values["system"]["kind"] == "toy":
             # the toy reads [radial] h_max alone (its tables and rho range are fixed)
             unread = [f"[{section}] {key}" for section in ("basis", "radial")
                       for key in texts[section] if key != "h_max"]
             if unread:
                 raise ConfigError(f"{', '.join(unread)}: not read by kind = toy")
+        elif not (b["rho_min"] <= r["rho_start"] and r["rho_match"] <= b["rho_max"]):
+            raise ConfigError(f"[radial] range [{r['rho_start']!r}, {r['rho_match']!r}]"
+                              f" leaves [basis] [{b['rho_min']!r}, {b['rho_max']!r}]")
         if directory is not None:
             values["output"]["directory"] = texts["output"]["directory"] = str(directory)
         return cls(values=values, text=texts)

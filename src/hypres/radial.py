@@ -74,6 +74,8 @@ START_VECTOR_SEED = 0
 CHUNK_ROWS = 256
 # build_grid's step target: points per local wavelength of the stiffest channel
 POINTS_PER_WAVE = 40.0
+# build_grid's bound on (rho_end - rho_start) / h_max: 100 times criterion 6
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -183,9 +185,9 @@ class RadialGrid:
 
     points includes both ends; bond k connects points k and k+1.  Numerov
     bonds/diagonals carry the 4th-order M-weights; the few rows adjacent to
-    step changes fall back to the plain second-order form.  The pencil
-    parts, their band and the W floor are computed on first use and kept
-    with the grid.
+    step changes fall back to the plain second-order form.  The pencil's
+    band (written straight from w_samples, bond_h and join_bond) and the W
+    floor are computed on first use and kept with the grid.
     """
 
     points: np.ndarray
@@ -208,8 +210,9 @@ class RadialGrid:
                 f"alpha={float(alpha)!r} past the grid's end at {self.points[-1]:.17g}"
             )
 
-    def pencil_parts(self):
-        """E-independent bond/diagonal blocks (g0, g1, d0, d1) of the pencil.
+    @cached_property
+    def band(self):
+        """The pencil A0 u = E A1 u over the points 1..n_points-1, banded.
 
         Bond k (between rows k and k+1):
             numerov: g0 = -I/h + h (W_k + W_{k+1}) / 24,   g1 = h/12
@@ -219,51 +222,38 @@ class RadialGrid:
             join:    d0 = (1/hl + 1/hr) I + hbar W_k,          d1 = hbar
         so each row approximates hbar (-u'' + W u - E u) = 0.  A row is plain
         (join) when either of its bonds is; the end rows repeat their one bond.
-        Computed on each call: the grid keeps only their band.
-        """
-        w = self.w_samples
-        eye = np.eye(w.shape[1])
-        h = self.bond_h
-        join = self.join_bond
-        hb = h[:, None, None]
-        g0 = -eye / hb + hb * (w[:-1] + w[1:]) / 24.0
-        g0[join] = -eye / hb[join]
-        g1 = np.where(join, 0.0, h / 12.0)
-        hl = np.concatenate([h[:1], h])
-        hr = np.concatenate([h, h[-1:]])
-        plain = np.concatenate([[False], join]) | np.concatenate([join, [False]])
-        d1 = 0.5 * (hl + hr) * np.where(plain, 1.0, 10.0 / 12.0)
-        d0 = (1.0 / hl + 1.0 / hr)[:, None, None] * eye + d1[:, None, None] * w
-        return g0, g1, d0, d1
-
-    @cached_property
-    def band(self):
-        """The pencil over the points 1..n_points-1, banded.
 
         Returns (a0, a1_diag, a1_off).  a0 is the upper triangle of the
         symmetric A0 in LAPACK symmetric-band layout with bandwidth
         kl = 2N - 1 (A0[i, j] at a0[kl + i - j, j] for i <= j),
-        Fortran-ordered so that every block of rows is a column slice.  A1
-        has only three nonzero diagonals: a1_diag on the main one and a1_off
-        at offsets +-N (d1 and g1 repeated per channel).  The rows of the
-        interior points 1..n_points-2 carry the box and K solves; the last
-        row only holds the bond to the far end, u_M's coupling in K.
+        Fortran-ordered so that every block of rows is a column slice, and
+        written one channel pair (r, c) at a time: no (M, N, N) block array
+        is formed.  A1 has only three nonzero diagonals: a1_diag on the main
+        one and a1_off at offsets +-N (d1 and g1 repeated per channel).  The
+        rows of the interior points 1..n_points-2 carry the box and K solves;
+        the last row only holds the bond to the far end, u_M's coupling in K.
         """
-        g0, g1, d0, d1 = self.pencil_parts()
-        n = g0.shape[1]
+        w, h, join = self.w_samples, self.bond_h, self.join_bond
+        n = w.shape[1]
         kl = 2 * n - 1
-        m = self.n_points - 1
-        r, c = np.indices((n, n))
-        up = r <= c
-        # cols[b, c, row] is band row `row` of column b N + c
-        cols = np.zeros((m, n, kl + 1))
-        cols[:, c[up], (kl + r - c)[up]] = d0[1:, r[up], c[up]]
-        cols[1:, c, kl + r - c - n] = g0[1:]
-        return (
-            cols.reshape(m * n, kl + 1).T,
-            np.repeat(d1[1:], n),
-            np.repeat(g1[1:], n),
-        )
+        # rows of the points 1..n_points-1: left steps h, right steps hr
+        hr = np.append(h[1:], h[-1])
+        plain = join | np.append(join[1:], False)
+        d1 = 0.5 * (h + hr) * np.where(plain, 1.0, 10.0 / 12.0)
+        inv_h = 1.0 / h + 1.0 / hr
+        # cols[b, c, row] is band row `row` of column b N + c; bond b, of
+        # points b and b+1, lies above column block b's diagonal block
+        cols = np.zeros((self.n_points - 1, n, kl + 1))
+        for r in range(n):
+            for c in range(n):
+                delta, wrc = float(r == c), w[:, r, c]
+                if r <= c:
+                    cols[:, c, kl + r - c] = inv_h * delta + d1 * wrc[1:]
+                g0 = -delta / h[1:]  # -0.0 off the diagonal, as -I / h gives
+                cols[1:, c, kl + r - c - n] = np.where(
+                    join[1:], g0, g0 + h[1:] * (wrc[1:-1] + wrc[2:]) / 24.0)
+        g1 = np.where(join[1:], 0.0, h[1:] / 12.0)
+        return cols.reshape(-1, kl + 1).T, np.repeat(d1, n), np.repeat(g1, n)
 
     @cached_property
     def w_floor(self) -> np.ndarray:
@@ -303,7 +293,8 @@ def build_grid(
     requirement allows doubling it, tested along the probe chain
     p -> 1.3 p + h from the step's start; the chain is fixed by its start
     and h, so all its points are tested in one batch.  h_max must be finite
-    and positive and rho_end finite and past rho_start (ValidationError).
+    and positive, rho_end finite, past rho_start and at most MAX_GRID_POINTS
+    steps h_max away (ValidationError, before anything is allocated).
     """
     rho_end = problem.rho_match if rho_end is None else float(rho_end)
     # the probe chain below only ends for h > 0 and a finite rho_end
@@ -313,6 +304,9 @@ def build_grid(
         raise ValidationError(
             f"need rho_start < rho_end < inf, got rho_start="
             f"{problem.rho_start!r}, rho_end={rho_end!r}")
+    if (rho_end - problem.rho_start) / h_max > MAX_GRID_POINTS:
+        raise ValidationError(f"h_max={h_max!r} gives more than {MAX_GRID_POINTS}"
+                              f" grid points on [{problem.rho_start!r}, {rho_end!r}]")
     e_ref = float(np.max(problem.thresholds)) + 1.0
 
     def h_required(rho):

@@ -79,15 +79,11 @@ def _radial_setup(config: RunConfig):
     The toy's channels carry no 15/(4 rho^2) term, as in its own problem."""
     from .radial import RadialProblem, build_grid
     rho, eps, h, q, _ = tableio.load_couplings(config.out_dir() / "couplings.dat")
-    if config.kind == "toy":
-        rho_start, rho_match = TwoChannelToy.rho_start, TwoChannelToy.rho_match
-    else:
-        rho_start = config.get("radial", "rho_start")
-        rho_match = config.get("radial", "rho_match")
+    # the toy's range is its tables' [rho_start, rho_match], from_tables' default
+    ends = {} if config.kind == "toy" else {
+        key: config.get("radial", key) for key in ("rho_start", "rho_match")}
     problem = RadialProblem.from_tables(
-        rho, eps, h, q, rho_start=rho_start, rho_match=rho_match,
-        include_rho_term=config.kind == "three-body",
-    )
+        rho, eps, h, q, include_rho_term=config.kind == "three-body", **ends)
     return problem, build_grid(problem, h_max=config.get("radial", "h_max"))
 
 

@@ -285,6 +285,27 @@ class TestOperatorPair:
         assert len(calls) == 2
         assert {id(g) for g in calls} == {id(tensor.gx), id(tensor.gy)}
 
+    def test_two_quadratures_per_swept_point(self, monkeypatch):
+        # the couplings sweep measures each point on the quadrature its
+        # assembly computed: one call per 1D grid of each solved point
+        calls, solved = [], []
+        quadrature = Grid1D.quadrature
+        solve = adiabatic.solve_adiabatic_point
+
+        def counted(grid):
+            calls.append(grid)
+            return quadrature(grid)
+
+        def counted_solve(tensor, *args, **kwargs):
+            solved.append(tensor)
+            return solve(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(Grid1D, "quadrature", counted)
+        monkeypatch.setattr(adiabatic, "solve_adiabatic_point", counted_solve)
+        solve_with_couplings(DTMU, self.GRID, [20.0, 21.0, 22.0], 3)
+        assert len(solved) >= 3
+        assert len(calls) == 2 * len(solved)
+
     @pytest.mark.parametrize("n_terms", [0, -1, 441, 600])
     def test_impossible_term_count_refused(self, n_terms):
         rho = 20.0

@@ -560,6 +560,20 @@ class TestConfigChecks:
             RunConfig.from_text("[system]\nkind = toy\n" + text)
         RunConfig.from_text(text)  # a three-body INI takes them
 
+    # the couplings table spans exactly [rho_min, rho_max]: a radial range
+    # past it is refused when the INI is read, before terms and couplings
+    @pytest.mark.parametrize("old, new", [
+        ("rho_start = 0.5", "rho_start = 0.4"),
+        ("rho_match = 100.0", "rho_match = 105.0"),
+    ])
+    def test_radial_range_past_basis_range_refused(self, tmp_path, old, new):
+        assert old in THREE_BODY_INI
+        text = THREE_BODY_INI.replace(old, new).format(out=tmp_path / "out")
+        with pytest.raises(ConfigError, match=r"^\[radial\] range .* leaves "
+                           r"\[basis\] \[0\.5, 100\.0\]$"):
+            RunConfig.from_text(text)
+        RunConfig.from_text(THREE_BODY_INI.format(out=tmp_path / "out"))
+
     def test_model_parameters_take_no_arguments(self):
         assert TwoChannelToy().coupling == TwoChannelToy.coupling == 0.10
         assert ClusterSpec().width_cap == ClusterSpec.width_cap == 1.2
@@ -713,6 +727,19 @@ class TestCli:
         assert err.startswith(
             "[stage:scan] error: alpha_min=0.26 gives a box of 8 pencil rows; "
             "n_levels=12 needs more than 12"), err
+        assert "Traceback" not in err
+
+    def test_grid_past_the_point_bound_is_stage_error(self, tmp_path, capsys):
+        # h_max = 1e-9 asks for ~2.8e10 radial points: refused before the
+        # grid is allocated
+        ini = tmp_path / "toy.ini"
+        ini.write_text(TOY_INI.replace("h_max = 0.02", "h_max = 1e-9")
+                       .format(out=tmp_path / "out"))
+        assert main(["pipeline", "--config", str(ini), "--stage", "scan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "[stage:scan] error: h_max=1e-09 gives more than 1000000 grid "
+            "points"), err
         assert "Traceback" not in err
 
     def test_out_that_cannot_be_created(self, toy_run, tmp_path, capsys):

@@ -87,21 +87,21 @@ class TestCoarseThreeBody:
         # plateau within a couple of 1e-3
         assert e0 == pytest.approx(-0.15917, abs=2e-3)
 
-    def test_radial_range_past_the_table_is_scan_error(self, coarse_run,
-                                                       tmp_path, capsys):
-        # the couplings header digests [system] and [basis] alone, so the
-        # copied tables stay fresh and only the scan runs again
+    def test_radial_range_past_the_table_is_config_error(self, coarse_run,
+                                                         tmp_path, capsys):
+        # the couplings table spans [rho_min, rho_max]: the INI is refused
+        # when read, so no stage runs and no artifact is touched
         out = tmp_path / "out"
         shutil.copytree(coarse_run["out"], out)
         ini = tmp_path / "run.ini"
         ini.write_text(INI.replace("rho_match = 100.0", "rho_match = 105.0")
                        .format(out=out))
-        tables = (out / "couplings.dat").stat().st_mtime_ns
-        assert main(["scan", "--config", str(ini)]) == 1
+        stamps = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        assert main(["scan", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("[stage:scan] error: radial range"), err
+        assert err.startswith("[config] error: [radial] range"), err
         assert "Traceback" not in err
-        assert (out / "couplings.dat").stat().st_mtime_ns == tables
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == stamps
 
     def test_fit_report_written(self, coarse_run):
         pairs, _ = read_keyvalues(coarse_run["out"] / "fit_0.txt")
