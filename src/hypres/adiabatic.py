@@ -289,23 +289,6 @@ class AdiabaticSolution:
     meta: dict = field(default_factory=dict)
 
 
-def _fd_weights(rho_grid: np.ndarray, k: int):
-    """First-derivative weights on the (up to 3-point) stencil around k."""
-    n = rho_grid.size
-    if 0 < k < n - 1:
-        hm = rho_grid[k] - rho_grid[k - 1]
-        hp = rho_grid[k + 1] - rho_grid[k]
-        return (
-            (k - 1, k, k + 1),
-            (-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))),
-        )
-    if k == 0:
-        h = rho_grid[1] - rho_grid[0]
-        return (0, 1), (-1.0 / h, 1.0 / h)
-    h = rho_grid[-1] - rho_grid[-2]
-    return (n - 2, n - 1), (-1.0 / h, 1.0 / h)
-
-
 def _on_quadrature(tensor: TensorGrid, vecs: np.ndarray):
     """Measure kernel, quadrature points and the basis values of one point.
 
@@ -324,21 +307,15 @@ def _solve_one(masses, rho, grid, n_terms):
     return tensor, vals, vecs
 
 
-@dataclass
 class _Point:
     """One solved rho point of the couplings sweep, with what its sign fix
     and its differencing share: the measure kernel, its own basis on its
     quadrature (here) and the previous accepted basis on it (prev_here)."""
 
-    rho: float
-    tensor: TensorGrid
-    vals: np.ndarray
-    vecs: np.ndarray
-    kern: np.ndarray
-    px: np.ndarray
-    py: np.ndarray
-    here: np.ndarray
-    prev_here: np.ndarray | None = None
+    def __init__(self, rho: float, tensor: TensorGrid, vals, vecs):
+        self.rho, self.tensor, self.vals, self.vecs = rho, tensor, vals, vecs
+        self.kern, self.px, self.py, self.here = _on_quadrature(tensor, vecs)
+        self.prev_here: np.ndarray | None = None
 
 
 def _checked_rho_grid(rho_grid) -> np.ndarray:
@@ -387,10 +364,16 @@ def solve_with_couplings(
     Solves each rho point as `solve_terms` does, fixes its basis's signs
     against the previous accepted point, and bisects the interval when the
     smallest overlap falls below OVERLAP_FLOOR (the rejected point waits,
-    solved, on the stack until its midpoint is accepted).  Point k's
-    couplings are differenced once point k+1 is accepted, so only two
-    bases are held at a time.  H is the Gram matrix of the differenced
-    derivatives (symmetric PSD by construction); Q is antisymmetrized.
+    solved, on the stack until its midpoint is accepted).  The bisection
+    limit counts the rejections since the last accepted point, each of
+    which inserts a midpoint; an accepted midpoint resets it, so it does
+    not bound the depth below one interval of rho_grid.  The sweep keeps
+    its last accepted point and the rho of the one before it; once the
+    next point is accepted, the last one's table row is differenced
+    (`_couplings_at`), so besides the rejected points waiting on the stack
+    only two bases are held at a time: the last accepted point's and the
+    one under test.  H is the Gram matrix of the differenced derivatives
+    (symmetric PSD by construction); Q is antisymmetrized.
     """
     rho_grid = _checked_rho_grid(rho_grid)
     if rho_grid.size < 3:
@@ -398,24 +381,14 @@ def solve_with_couplings(
 
     # stack, smallest rho on top; a point under bisection goes back solved
     pending: list[tuple] = [(rho, None) for rho in rho_grid[::-1]]
-    accepted_rho: list[float] = []
-    accepted_terms: list[np.ndarray] = []
-    h_rows: list[np.ndarray] = []
-    q_rows: list[np.ndarray] = []
-    last = None  # the last accepted point
-    max_bisect = 7
-
-    def emit_couplings(point, nxt):
-        h, q = _couplings_at(np.asarray(accepted_rho), len(h_rows), point, nxt)
-        h_rows.append(h)
-        q_rows.append(q)
-
+    rows: list[tuple] = []  # (rho, terms, H, Q) of each accepted point
+    prev_rho = last = None  # the last accepted point and the rho before it
+    max_bisect = 7  # rejections in a row before TrackingError
     depth = 0
     while pending:
         rho, point = pending.pop()
         if point is None:
-            tensor, vals, vecs = _solve_one(masses, rho, grid, n_terms)
-            point = _Point(rho, tensor, vals, vecs, *_on_quadrature(tensor, vecs))
+            point = _Point(rho, *_solve_one(masses, rho, grid, n_terms))
         ov = _fix_signs(point, last)
         if ov < OVERLAP_FLOOR:
             if depth >= max_bisect:
@@ -429,20 +402,14 @@ def solve_with_couplings(
             depth += 1
             continue
         depth = 0
-        accepted_rho.append(rho)
-        accepted_terms.append(point.vals)
         if last is not None:
-            emit_couplings(last, point)
+            rows.append(_couplings_at(prev_rho, last, point))
+            prev_rho = last.rho
         last = point
-    emit_couplings(last, None)
+    rows.append(_couplings_at(prev_rho, last, None))
 
-    return AdiabaticSolution(
-        rho_grid=np.asarray(accepted_rho),
-        terms=np.asarray(accepted_terms),
-        h_table=np.asarray(h_rows),
-        q_table=np.asarray(q_rows),
-        meta=_solution_meta(masses, grid, n_terms),
-    )
+    return AdiabaticSolution(*(np.asarray(col) for col in zip(*rows)),
+                             meta=_solution_meta(masses, grid, n_terms))
 
 
 def _fix_signs(point: _Point, prev: _Point | None) -> float:
@@ -463,22 +430,34 @@ def _fix_signs(point: _Point, prev: _Point | None) -> float:
     return math.inf if prev is None else float(np.abs(signs).min())
 
 
-def _couplings_at(rho, k, point: _Point, nxt: _Point | None):
-    """(H, Q) at accepted point k, by differencing over its stencil; nxt is
-    point k+1 (None at the last point)."""
-    idx, wts = _fd_weights(rho, k)
+def _couplings_at(prev_rho, point: _Point, nxt: _Point | None):
+    """Table row (rho, terms, H, Q) of one accepted point.
+
+    Its basis is differenced on its own quadrature over its stencil: the
+    previous accepted point (at prev_rho; its basis there is prev_here),
+    the point and the next accepted point nxt, centred, or one-sided at the
+    first point (prev_rho None) and at the last (nxt None).
+    """
+    rho = point.rho
+    if nxt is not None:
+        there = nxt.tensor.evaluate(nxt.vecs, point.px, point.py)
+    if prev_rho is None:
+        step = nxt.rho - rho
+        stencil = [(-1.0 / step, point.here), (1.0 / step, there)]
+    elif nxt is None:
+        step = rho - prev_rho
+        stencil = [(-1.0 / step, point.prev_here), (1.0 / step, point.here)]
+    else:
+        hm, hp = rho - prev_rho, nxt.rho - rho
+        stencil = [(-hp / (hm * (hm + hp)), point.prev_here),
+                   ((hp - hm) / (hm * hp), point.here),
+                   (hm / (hp * (hm + hp)), there)]
     dphi = np.zeros_like(point.here)
-    for i, w in zip(idx, wts):
-        if i < k:
-            vals = point.prev_here
-        elif i == k:
-            vals = point.here
-        else:
-            vals = nxt.tensor.evaluate(nxt.vecs, point.px, point.py)
+    for w, vals in stencil:
         dphi += w * vals
     h = np.einsum("xy,jxy,Jxy->jJ", point.kern, dphi, dphi)
     q_raw = -np.einsum("xy,jxy,Jxy->jJ", point.kern, point.here, dphi)
-    return h, 0.5 * (q_raw - q_raw.T)
+    return rho, point.vals, h, 0.5 * (q_raw - q_raw.T)
 
 
 def orthonormality_defect(tensor: TensorGrid, vecs: np.ndarray) -> float:

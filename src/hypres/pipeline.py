@@ -349,6 +349,8 @@ def stage_xsec(config: RunConfig, resonance: int = 0, force: bool = False) -> Pa
 
 def run_stage(name: str, config: RunConfig, force: bool = False, **params) -> Path:
     """The stage called name, with the params it takes from the given ones."""
+    if name not in _STAGE:
+        raise ConfigError(f"unknown stage {name!r}")
     stage = _STAGE[name]
     kwargs = {key: params[key] for key in stage.params if key in params}
     return globals()[f"stage_{name}"](config, force=force, **kwargs)

@@ -576,12 +576,15 @@ def extract_k(
     by their discrete flux -g sin(theta), so the asymmetry defect measures
     the residual coupling at the match point, not the discretization.
 
-    Returns (list of KMatrix, asymmetry defects).  Raises
+    Returns (list of KMatrix, asymmetry defects).  Raises ValidationError
+    for an empty batch or one that mixes open-channel counts,
     NoOpenChannelError / ClosedChannelError guards at construction and
     MatchingQualityError when |K - K^T| exceeds ASYMMETRY_LIMIT times
     max(1, |K|).
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    if energies.size == 0:
+        raise ValidationError("empty energy batch")
     thr = problem.thresholds
     if np.any(np.abs(energies[:, None] - thr[None, :]) < THRESHOLD_GUARD):
         raise ClosedChannelError(

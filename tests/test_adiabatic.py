@@ -365,6 +365,53 @@ class TestOperatorPair:
         assert err.value.rho == rho
 
 
+class TestDifferencing:
+    GRID = HyperangularGrid(n_chi=21, n_theta=21)
+
+    def test_rows_follow_the_difference_formulas(self):
+        # three unevenly spaced points that need no bisection: each row is
+        # rebuilt here from its own solve, its basis signs aligned as the
+        # sweep aligns them (positive mean first, then positive overlap with
+        # the previous point), and the derivative of the Lagrange
+        # interpolant through the stencil (one-sided at either end)
+        rho = np.array([30.0, 30.5, 31.5])
+        sol = solve_with_couplings(DTMU, self.GRID, rho, 3)
+        assert np.array_equal(sol.rho_grid, rho)
+        assert len(sol.h_table) == len(sol.q_table) == 3
+        points = []
+        for r in rho:
+            tensor = build_grids(DTMU, r, self.GRID, ClusterSpec())
+            vals, vecs = solve_adiabatic_point(
+                tensor, r, 3, potential=coulomb_potential(DTMU, r))
+            px, wx, py, wy = tensor.quad_points()
+            kern = np.outer(wx * np.sin(px) ** 2, wy * np.sin(py))
+            here = tensor.evaluate(vecs, px, py)
+            ref = (np.ones_like(here) if not points
+                   else points[-1][0].evaluate(points[-1][1], px, py))
+            flip = np.where(np.einsum("xy,jxy,jxy->j", kern, ref, here) < 0.0,
+                            -1.0, 1.0)
+            points.append((tensor, vecs * flip[:, None], kern, px, py))
+            assert np.array_equal(sol.terms[len(points) - 1], vals)
+
+        x0, x1, x2 = rho
+        weights = [
+            {0: -1.0 / (x1 - x0), 1: 1.0 / (x1 - x0)},
+            {0: (x1 - x2) / ((x0 - x1) * (x0 - x2)),
+             1: (2.0 * x1 - x0 - x2) / ((x1 - x0) * (x1 - x2)),
+             2: (x1 - x0) / ((x2 - x0) * (x2 - x1))},
+            {1: -1.0 / (x2 - x1), 2: 1.0 / (x2 - x1)},
+        ]
+        for k, stencil in enumerate(weights):
+            _, _, kern, px, py = points[k]
+            phi = {i: points[i][0].evaluate(points[i][1], px, py) for i in stencil}
+            dphi = sum(w * phi[i] for i, w in stencil.items())
+            h = np.einsum("xy,jxy,Jxy->jJ", kern, dphi, dphi)
+            q = -np.einsum("xy,jxy,Jxy->jJ", kern, phi[k], dphi)
+            q = 0.5 * (q - q.T)
+            assert np.abs(sol.h_table[k] - h).max() <= 1e-12 * np.abs(h).max(), k
+            assert np.abs(sol.q_table[k] - q).max() <= 1e-12 * np.abs(q).max(), k
+
+
 class TestBisection:
     # 4 points 5 apart lose basis continuity near the rho ~ 20 avoided
     # crossing: the sweep bisects and accepts 7 points
@@ -401,6 +448,23 @@ class TestMemory:
         solve_terms(DTMU, GRID_COARSE, np.linspace(20.0, 30.0, 4), 4)
         growth = peak(16) - peak(4)
         assert growth < 0.3e6, growth
+
+    def test_couplings_sweep_peak_independent_of_points(self):
+        # the sweep keeps the last accepted basis and its row, not every
+        # point's basis: 8 unbisected points peak as 4 do
+        def peak(n_points):
+            tracemalloc.start()
+            try:
+                sol = solve_with_couplings(
+                    DTMU, GRID_COARSE,
+                    np.linspace(30.0, 30.0 + 0.75 * (n_points - 1), n_points), 4)
+                assert sol.rho_grid.size == n_points
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak(8) - peak(4)
+        assert growth < 0.1e6, growth
 
 
 class TestValidationPaths:

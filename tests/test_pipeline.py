@@ -20,6 +20,7 @@ from hypres.models import TwoChannelToy
 from hypres.pipeline import (
     RunConfig,
     run_pipeline,
+    run_stage,
     stage_couplings,
     stage_sample,
     stage_scan,
@@ -197,6 +198,7 @@ class TestStages:
         err = capsys.readouterr().err
         assert err.startswith("[stage:xsec] error:"), err
         assert named.format(path=path, n=i + 1) in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, key", [
         ("fit", "E0"), ("pipeline", "E0_below_upper_threshold"),
@@ -215,8 +217,7 @@ class TestStages:
         capsys.readouterr()
         assert main([command, "--config", str(toy_run["ini"]), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("[stage:fit] error:"), err
-        assert f"{path}: no number for {key}" in err
+        assert err.startswith(f"[stage:fit] error: {path}: no number for {key}"), err
         assert "Traceback" not in err
 
     def test_samples_record_upper_threshold(self, toy_run):
@@ -506,9 +507,16 @@ class TestScanRange:
         ("halfwidth = 8.0", "halfwidth = -1"),
     ])
     def test_unusable_scan_settings_rejected(self, tmp_path, monkeypatch,
-                                             old, new):
-        # too few levels to pool, or an empty sampling window
+                                             capsys, old, new):
+        # too few levels to pool, or an empty sampling window; from the
+        # command line a stage-tagged error with exit code 1
         self.refused_before_first_box(tmp_path, monkeypatch, old, new)
+        capsys.readouterr()
+        argv = ["pipeline", "--config", str(tmp_path / "toy.ini"), "--stage", "scan"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[stage:scan] error:"), err
+        assert "Traceback" not in err
 
 
 class TestConfigDigest:
@@ -566,13 +574,33 @@ class TestConfigChecks:
         ("rho_start = 0.5", "rho_start = 0.4"),
         ("rho_match = 100.0", "rho_match = 105.0"),
     ])
-    def test_radial_range_past_basis_range_refused(self, tmp_path, old, new):
+    def test_radial_range_past_basis_range_refused(self, tmp_path, capsys,
+                                                   old, new):
         assert old in THREE_BODY_INI
         text = THREE_BODY_INI.replace(old, new).format(out=tmp_path / "out")
         with pytest.raises(ConfigError, match=r"^\[radial\] range .* leaves "
                            r"\[basis\] \[0\.5, 100\.0\]$"):
             RunConfig.from_text(text)
+        # from the command line: exit code 2, and no output directory made
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        assert main(["pipeline", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[config] error: [radial] range"), err
+        assert not (tmp_path / "out").exists()
         RunConfig.from_text(THREE_BODY_INI.format(out=tmp_path / "out"))
+
+    # refused as a configuration error, never a bare KeyError
+    @pytest.mark.parametrize("run", [
+        lambda config: run_stage("bogus", config),
+        lambda config: run_pipeline(config, upto="bogus"),
+    ], ids=["run_stage", "run_pipeline"])
+    def test_unknown_stage_refused(self, tmp_path, run):
+        config = RunConfig.from_text("[system]\nkind = toy\n",
+                                     directory=tmp_path / "out")
+        with pytest.raises(ConfigError, match="^unknown stage 'bogus'$"):
+            run(config)
+        assert not (tmp_path / "out").exists()
 
     def test_model_parameters_take_no_arguments(self):
         assert TwoChannelToy().coupling == TwoChannelToy.coupling == 0.10

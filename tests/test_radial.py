@@ -655,6 +655,18 @@ class TestGuardsAndErrors:
         with pytest.raises(ValidationError):
             extract_k(toy_problem, [0.2, 1.0], grid=toy_grid)
 
+    def test_empty_batch_rejected_before_propagation(self, monkeypatch):
+        # refused with a ValidationError, never an IndexError from the
+        # first energy's open channels, and before any ratio is propagated
+        prob = coupled_wells(2)
+        grid = build_grid(prob, h_max=0.05)
+        calls = []
+        monkeypatch.setattr(radial, "propagate_ratio",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValidationError, match="empty energy batch"):
+            extract_k(prob, [], grid)
+        assert calls == []
+
     def test_matching_quality_error(self, toy, monkeypatch):
         # matching inside the coupling region leaves K visibly asymmetric
         from dataclasses import replace
