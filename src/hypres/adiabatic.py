@@ -15,8 +15,8 @@ Kronecker product M2chi (x) Mtheta of two dense 1D mass matrices, applied
 as x -> M2chi X Mtheta and never formed.  A point's lowest terms come from
 the band Cholesky factor of A - sigma B (sigma B subtracted in the same
 band, sigma placed below the lowest term by the Rayleigh quotient of a
-constant trial state) in ARPACK's shift-invert mode, which applies only
-that factor and B in scipy's default Krylov subspace.
+constant trial state) in `algebra.shift_invert_eigsh`, which applies only
+that factor and B.
 
 Both solvers sweep the rho grid in order, one point at a time in this
 process.  `solve_terms` gives the terms alone.  `solve_with_couplings` fixes
@@ -36,9 +36,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
+from .algebra import shift_invert_eigsh
 from .channels import ThreeBodyMasses
 from .errors import AssemblyError, EigensolverError, TrackingError, ValidationError
 from .fem import (Grid1D, TensorGrid, mass_matrix, potential_blocks,
@@ -47,9 +47,6 @@ from .fem import (Grid1D, TensorGrid, mass_matrix, potential_blocks,
 # smallest |overlap| of a term with its previous-point continuation before
 # the rho interval is bisected
 OVERLAP_FLOOR = 0.5
-# ARPACK start vector: a fixed generic draw (not ones, which can be orthogonal
-# to antisymmetric states) so that every eigensolve is reproducible
-START_VECTOR_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -234,11 +231,10 @@ def solve_adiabatic_point(
 ):
     """Lowest n_terms eigenpairs at one rho; B-orthonormal, terms ascending.
 
-    ARPACK's shift-invert mode solves with the band Cholesky factor of
+    `algebra.shift_invert_eigsh` solves with the band Cholesky factor of
     A - sigma B (flat index ix n_theta + iy: 2 n_theta + 2 superdiagonals),
-    formed in A's band, in scipy's default Krylov subspace of
-    min(max(2 n_terms + 1, 20), n) vectors.  sigma=None takes the constant
-    trial's shift (`_sigma_estimate`).  The factor exists only for a sigma
+    formed in A's band.  sigma=None takes the constant trial's shift
+    (`_sigma_estimate`).  The factor exists only for a sigma
     below every term, so the n_terms nearest sigma are the lowest
     (Sylvester's law of inertia); else EigensolverError.  n_terms must lie
     in (0, n_chi n_theta).
@@ -255,25 +251,11 @@ def solve_adiabatic_point(
     if info != 0:
         raise EigensolverError(f"sigma={sigma!r} is not below the lowest "
                                f"term at rho={rho!r}", rho=rho)
-    mx, my = b_pair
-    b = spla.LinearOperator(  # kron(mx, my) x as mx X my, X the grid view of x
-        (n, n), lambda x: (mx @ x.reshape(mx.shape[0], -1) @ my).ravel(),
-        dtype=float)
-    try:
-        # shift-invert mode applies only OPinv and M: eigsh reads A (here
-        # B, which has its shape) for its shape alone
-        vals, vecs = spla.eigsh(
-            b, k=n_terms, M=b, sigma=sigma, which="LM",
-            OPinv=spla.LinearOperator(
-                (n, n), lambda x: lapack.dpbtrs(factor, x)[0], dtype=float),
-            maxiter=400,
-            v0=np.random.default_rng(START_VECTOR_SEED).standard_normal(n),
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(
-            f"adiabatic eigensolver stalled at rho={rho!r}",
-            rho=rho, iterations=400,
-        ) from exc
+    mx, my = b_pair  # kron(mx, my) x as mx X my, X the grid view of x
+    vals, vecs = shift_invert_eigsh(
+        lambda x: lapack.dpbtrs(factor, x)[0],
+        lambda x: (mx @ x.reshape(mx.shape[0], -1) @ my).ravel(), n, n_terms,
+        sigma, 400, f"adiabatic eigensolver stalled at rho={rho!r}", rho)
     order = np.argsort(vals)
     return vals[order], vecs[:, order].T  # (n_terms, n_dof)
 

@@ -1,6 +1,6 @@
-"""Reaction-matrix / scattering-matrix algebra and partial cross sections.
+"""Reaction-matrix / scattering-matrix algebra, cross sections, eigensolve.
 
-Pure, stateless matrix operations: the Cayley transform between the real
+Pure matrix operations: the Cayley transform between the real
 symmetric reaction matrix K and the unitary symmetric scattering matrix S,
 
     S = (1 + iK)(1 - iK)^-1,        K = i (1 + S)^-1 (1 - S),
@@ -9,6 +9,9 @@ and the two-channel s-wave partial cross sections
 
     sigma_ij = (4 pi / k_i^2) (delta_ij D^2 + K_ij^2) / ((1 - D)^2 + F^2),
     D = det K,   F = tr K.
+
+`shift_invert_eigsh` is both solver layers' one ARPACK call; it counts the
+factor solves it applies in `EIGENSOLVE_WORK["operator_applications"]`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ClosedChannelError,
+    EigensolverError,
     MatrixInversionError,
     UnsupportedShapeError,
     ValidationError,
@@ -30,6 +34,11 @@ if TYPE_CHECKING:
 
 SYMMETRY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
+# ARPACK start vector: a fixed generic draw (not ones, which can be orthogonal
+# to antisymmetric states) so that every eigensolve is reproducible
+START_VECTOR_SEED = 0
+# OPinv applications of every shift_invert_eigsh call in this process
+EIGENSOLVE_WORK = {"operator_applications": 0}
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -151,3 +160,31 @@ def cross_sections(k: KMatrix, channels: ChannelSet) -> np.ndarray:
             num = (det**2 if i == j else 0.0) + km[i, j] ** 2
             sigma[i, j] = 4.0 * np.pi / kk[i] ** 2 * num / denom
     return sigma
+
+
+def shift_invert_eigsh(solve, m_apply, n, k, sigma, maxiter, stalled, rho,
+                       vectors=True):
+    """The min(k, n - 1) eigenpairs of A x = lambda M x nearest sigma.
+
+    ARPACK's shift-invert mode applies only solve, x -> (A - sigma M)^-1 x,
+    and m_apply, x -> M x, from a seeded start vector, in scipy's default
+    Krylov subspace of min(max(2k + 1, 20), n) vectors, the ncv >= 2 nev the
+    ARPACK Users' Guide recommends.  Returns eigsh's (vals, vecs), or vals
+    alone if not vectors; a stall raises EigensolverError(stalled, rho=rho).
+    """
+    import scipy.sparse.linalg as spla  # the fit and xsec layers need no ARPACK
+
+    def op_inv(x):
+        EIGENSOLVE_WORK["operator_applications"] += 1
+        return solve(x)
+
+    m = spla.LinearOperator((n, n), m_apply, dtype=float)
+    try:
+        return spla.eigsh(  # eigsh reads A (here M) for its shape alone
+            m, k=min(k, n - 1), M=m, sigma=sigma, which="LM",
+            OPinv=spla.LinearOperator((n, n), op_inv, dtype=float),
+            maxiter=maxiter, return_eigenvectors=vectors,
+            v0=np.random.default_rng(START_VECTOR_SEED).standard_normal(n),
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise EigensolverError(stalled, rho=rho, iterations=maxiter) from exc

@@ -35,11 +35,9 @@ channels.  Matching to exact solutions of the same recursion makes K
 symmetric to roundoff once the couplings have died out, instead of only to
 the O(h^2) mismatch between continuum and discrete waves.  The auxiliary box
 problem takes only the pencil's eigenvalues, with Dirichlet ends: every box
-is a leading block of the band, factored once per box for ARPACK's
-shift-invert iteration.  That iteration keeps scipy's default Krylov
-subspace of min(max(2k + 1, 20), n) vectors for k levels, the ncv >= 2 nev
-the ARPACK Users' Guide recommends; a larger one only adds O(n ncv^2)
-reorthogonalization per restart and enlarges two n x ncv work arrays.
+is a leading block of the band, factored once per box for
+`algebra.shift_invert_eigsh`; a Krylov subspace larger than its default only
+adds O(n ncv^2) reorthogonalization per restart and two larger work arrays.
 Sharing the stencil keeps the box spectrum and the K(E) pole structure
 consistent far below the discretization error of either alone.
 """
@@ -51,11 +49,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
 
-from .algebra import KMatrix
+from .algebra import KMatrix, shift_invert_eigsh
 from .errors import (
     ClosedChannelError,
     EigensolverError,
@@ -67,9 +64,6 @@ from .errors import (
 
 THRESHOLD_GUARD = 1e-12
 ASYMMETRY_LIMIT = 1e-4
-# ARPACK start vector: a fixed generic draw (not ones, which can be orthogonal
-# to antisymmetric states) so that every box eigensolve is reproducible
-START_VECTOR_SEED = 0
 # pencil rows per banded solve in propagate_ratio: bounds its workspace
 CHUNK_ROWS = 256
 # build_grid's step target: points per local wavelength of the stiffest channel
@@ -401,9 +395,10 @@ def stabilization_eigenvalues(
     """Eigenvalues of the Dirichlet box problem on [rho_start, alpha].
 
     sigma=None targets the bottom of the spectrum (lowest n_levels);
-    passing sigma returns the n_levels eigenvalues nearest to it.  alpha is
-    snapped to the master grid, and may lie at most half a bond past its
-    last point.
+    passing sigma returns the n_levels eigenvalues nearest to it.  A box of
+    n pencil rows gives at most n - 1 of them, which `scan_branches` relies
+    on for its smallest boxes.  alpha is snapped to the master grid, and may
+    lie at most half a bond past its last point.
     """
     if alpha < problem.rho_start:
         raise ValidationError(f"alpha={float(alpha)!r} below rho_start")
@@ -420,10 +415,8 @@ def stabilization_eigenvalues(
         assemble_pencil(grid, last, sigma), kl, kl, overwrite_ab=1
     )
     if info != 0:
-        raise EigensolverError(
-            f"box pencil singular at sigma={float(sigma)!r}, "
-            f"alpha={float(alpha)!r}", rho=alpha
-        )
+        raise EigensolverError(f"box pencil singular at sigma={float(sigma)!r}, "
+                               f"alpha={float(alpha)!r}", rho=alpha)
     n = lu.shape[1]
     _, a1_diag, a1_off = grid.band
     diag, off = a1_diag[:n], a1_off[: n - n_ch]
@@ -435,24 +428,10 @@ def stabilization_eigenvalues(
         y[:-n_ch] += off * x[n_ch:]
         return y
 
-    def op_inv_matvec(x):
-        return lapack.dgbtrs(lu, kl, kl, x, piv)[0]
-
-    k = min(n_levels, n - 1)
-    a1 = spla.LinearOperator((n, n), a1_matvec, dtype=float)
-    try:
-        # shift-invert mode applies only OPinv and M: eigsh reads A (here
-        # A1, which has its shape) for its shape alone
-        vals = spla.eigsh(
-            a1, k=k, M=a1, sigma=sigma, which="LM",
-            OPinv=spla.LinearOperator((n, n), op_inv_matvec, dtype=float),
-            maxiter=600, return_eigenvectors=False,
-            v0=np.random.default_rng(START_VECTOR_SEED).standard_normal(n),
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(
-            f"box eigensolver stalled at alpha={float(alpha)!r}", rho=alpha
-        ) from exc
+    vals = shift_invert_eigsh(
+        lambda x: lapack.dgbtrs(lu, kl, kl, x, piv)[0], a1_matvec, n, n_levels,
+        sigma, 600, f"box eigensolver stalled at alpha={float(alpha)!r}",
+        alpha, vectors=False)
     return np.sort(vals)
 
 

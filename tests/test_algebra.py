@@ -1,18 +1,31 @@
-"""K/S matrix algebra and cross sections."""
+"""K/S matrix algebra, cross sections and the shift-invert eigensolve."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
-from hypres.algebra import KMatrix, SMatrix, cross_sections, k_to_s, s_to_k
-from hypres.channels import ChannelSet
+from hypres.adiabatic import (ClusterSpec, HyperangularGrid, build_grids,
+                              coulomb_potential, solve_adiabatic_point)
+from hypres.algebra import (EIGENSOLVE_WORK, KMatrix, SMatrix, cross_sections,
+                            k_to_s, s_to_k)
+from hypres.channels import ChannelSet, dtmu_masses
 from hypres.errors import (
     ClosedChannelError,
+    EigensolverError,
     MatrixInversionError,
     UnsupportedShapeError,
     ValidationError,
 )
+from hypres.models import TwoChannelToy
+from hypres.radial import build_grid, stabilization_eigenvalues
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hypres"
 
 
 def sym(rng, n, scale=5.0):
@@ -148,3 +161,69 @@ class TestChannelSet:
         ch = ChannelSet(thresholds=(0.0, 0.5), reduced_masses=(0.5, 0.5))
         with pytest.raises(ClosedChannelError):
             ch.q(0.3)
+
+
+def eigensolve_layer(layer):
+    """(call, its LAPACK band solve, stall message, rho, maxiter) of one
+    adiabatic point (21 x 21, 3 terms) or one toy box."""
+    if layer == "adiabatic":
+        rho, masses = 20.0, dtmu_masses()
+        tensor = build_grids(masses, rho, HyperangularGrid(21, 21), ClusterSpec())
+        potential = coulomb_potential(masses, rho)
+        return (lambda: solve_adiabatic_point(tensor, rho, 3, potential=potential),
+                "dpbtrs", f"adiabatic eigensolver stalled at rho={rho!r}", rho, 400)
+    problem = TwoChannelToy().problem()
+    grid = build_grid(problem, h_max=0.05)
+    return (lambda: stabilization_eigenvalues(problem, 10.0, 4, grid=grid),
+            "dgbtrs", "box eigensolver stalled at alpha=10.0", 10.0, 600)
+
+
+@pytest.mark.parametrize("layer", ["adiabatic", "box"])
+class TestShiftInvertEigsh:
+    def test_counter_reads_the_band_solves(self, monkeypatch, layer):
+        call, name, *_ = eigensolve_layer(layer)
+        band_solve, solves = getattr(lapack, name), []
+
+        def spy(*args, **kwargs):
+            solves.append(name)
+            return band_solve(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, spy)
+        counts = []
+        for _ in range(2):
+            solves.clear()
+            before = EIGENSOLVE_WORK["operator_applications"]
+            call()
+            counts.append(EIGENSOLVE_WORK["operator_applications"] - before)
+            assert counts[-1] == len(solves) > 0
+        assert counts[0] == counts[1]
+
+    def test_stall_raises_eigensolver_error(self, monkeypatch, layer):
+        call, _, message, rho, maxiter = eigensolve_layer(layer)
+
+        def stall(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", stall)
+        with pytest.raises(EigensolverError) as err:
+            call()
+        assert (str(err.value), err.value.rho, err.value.iterations) == (
+            message, rho, maxiter)
+
+
+class TestSolverSource:
+    def lines(self, pattern):
+        """The lines of src/hypres that pattern matches, as grep -rn lists them."""
+        return [f"{path.name}:{n}: {line}" for path in sorted(SRC.rglob("*.py"))
+                for n, line in enumerate(path.read_text().splitlines(), 1)
+                if re.search(pattern, line)]
+
+    def test_no_sparse_matrix(self):
+        # both solver layers keep their operators in LAPACK band storage
+        assert self.lines(r"import scipy\.sparse as|from scipy\.sparse import|"
+                          r"\.to(csr|csc|coo)\(|(coo|csr|csc)_matrix\(|"
+                          r"sp\.(kron|triu)\(") == []
+
+    def test_one_arpack_call(self):
+        assert len(self.lines(r"\beigsh\(")) == 1
+        assert len(self.lines(r"^START_VECTOR_SEED = ")) == 1
