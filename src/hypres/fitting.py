@@ -49,6 +49,13 @@ MODEL_DIAGONAL = "diagonal"
 FREE = {MODEL_GENERAL: (0, 1, 2, 3, 4, 5), MODEL_DIAGONAL: (0, 1, 2, 4, 5)}
 
 
+def _sample_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
+    """The samples' energies (n,) and K entries (n, 3) as K11 K12 K22."""
+    e = np.array([s.energy for s in samples])
+    k = np.array([[s.k11, s.k12, s.k22] for s in samples])
+    return e, k
+
+
 @dataclass(frozen=True)
 class FitProblem:
     """Samples, per-sample weights and the model variant to fit."""
@@ -66,8 +73,7 @@ class FitProblem:
                 f"{self.model} model needs at least {n_params + 1} samples, "
                 f"got {len(self.samples)}"
             )
-        energies = np.array([s.energy for s in self.samples])
-        if np.ptp(energies) == 0.0:
+        if np.ptp(_sample_arrays(self.samples)[0]) == 0.0:
             raise ValidationError("sample energies are all equal")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
@@ -76,8 +82,7 @@ class FitProblem:
         object.__setattr__(self, "samples", tuple(self.samples))
 
     def arrays(self):
-        e = np.array([s.energy for s in self.samples])
-        k = np.array([[s.k11, s.k12, s.k22] for s in self.samples])
+        e, k = _sample_arrays(self.samples)
         w = (
             np.ones_like(e)
             if self.weights is None
@@ -124,8 +129,7 @@ def initial_guess(samples) -> BWPoleParams:
     """
     if len(samples) < 3:
         raise BracketError(f"need at least 3 samples, got {len(samples)}")
-    e = np.array([s.energy for s in samples])
-    k = np.array([[s.k11, s.k12, s.k22] for s in samples])
+    e, k = _sample_arrays(samples)
     order = np.argsort(e)
 
     e1 = None

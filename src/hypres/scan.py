@@ -103,19 +103,21 @@ class ResonanceWindow:
     e_center is the peak's flattest level, slope its |dLambda/dalpha| and
     alpha_at its box size.  gamma_est is the width estimate 2 slope / q read
     off that residual plateau slope (a box level pinned to a resonance moves
-    at the rate set by the resonance's phase derivative 2/Gamma).
+    at the rate set by the resonance's phase derivative 2/Gamma).  rows is
+    an (n, 3) float array of (E, alpha, branch), one row per box level in
+    the window, ascending in E: the level's energy, its box size and its
+    branch index.
     """
 
     e_center: float
     slope: float
     alpha_at: float
-    energies: np.ndarray
-    provenance: tuple = ()  # (alpha, branch) per energy
+    rows: np.ndarray
     gamma_est: float = float("nan")
 
     @property
     def n_samples(self) -> int:
-        return self.energies.size
+        return self.rows.shape[0]
 
 
 def scan_branches(
@@ -143,8 +145,29 @@ def scan_branches(
     return StabilizationSpectrum(alpha_grid=alphas, levels=np.array(levels))
 
 
-def _peaks(spectrum: StabilizationSpectrum, floor: float) -> list[dict]:
-    """Peaks of the density of the levels above floor, densest first."""
+def detect_resonances(
+    spectrum: StabilizationSpectrum,
+    config: ScanConfig,
+    thresholds,
+) -> list[ResonanceWindow]:
+    """One window per peak of the stabilization level density, most
+    pronounced (densest) peak first; an empty list means no resonance.
+
+    The levels above the detection floor, the second-lowest threshold +
+    1e-9 (where the 2x2 sample contract of `sample_k` starts; the lowest
+    one when there is only one), are pooled and sorted, with no branch
+    labels.  A peak is a maximal stretch of them in which every PEAK_RUN +
+    1 consecutive levels span at most 1 / PEAK_DENSITY of the median such
+    span; its density is that median over the stretch's smallest span.  The
+    peak's centre is its flattest level whose |dLambda/dalpha| is a strict
+    local minimum along its label; a peak with no such level is dropped.
+    The window's rows are the (E, alpha, branch) of every level within
+    e_center +- halfwidth * gamma_est, with gamma_est = 2 |slope| / q and
+    q = sqrt(e_center - lowest threshold), ascending in E and thinned
+    evenly to at most MAX_SAMPLES.
+    """
+    thr = np.sort(np.asarray(thresholds, dtype=float))
+    floor = float(thr[min(1, thr.size - 1)]) + 1e-9
     alphas, levels = spectrum.alpha_grid, spectrum.levels
     if alphas.size < 10 or spectrum.n_branches < 2:
         raise ValidationError("need >= 10 alpha points and >= 2 branches")
@@ -163,76 +186,36 @@ def _peaks(spectrum: StabilizationSpectrum, floor: float) -> list[dict]:
     spans = energies[PEAK_RUN:] - energies[:-PEAK_RUN]
     median = float(np.median(spans))
     edges = np.diff(np.concatenate(([0], spans <= median / PEAK_DENSITY, [0])))
-    peaks = []
+    found = []  # (density, window) per peak, ascending in energy
     for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
         members = pooled[i : j + PEAK_RUN]
         centres = members[stationary[members]]
         if not centres.size:
             continue
         best = centres[np.argmin(slope[centres])]
+        e_center = float(levels.flat[best])
+        gamma_est = 2.0 * float(slope[best]) / math.sqrt(e_center - float(thr[0]))
+        half = config.energy_window_halfwidth * max(gamma_est, 1e-14 * abs(e_center))
+        ia, ib = np.nonzero(np.abs(levels - e_center) <= half)
+        rows = np.column_stack([levels[ia, ib], alphas[ia], ib])
+        rows = rows[np.argsort(rows[:, 0])]
+        if len(rows) > MAX_SAMPLES:
+            rows = rows[np.unique(
+                np.round(np.linspace(0, len(rows) - 1, MAX_SAMPLES))).astype(int)]
         smallest = float(spans[i:j].min())
-        peaks.append(dict(
-            e_center=float(levels.flat[best]),
-            slope=float(slope[best]),
-            alpha_at=float(alphas[best // spectrum.n_branches]),
-            density=median / smallest if smallest > 0.0 else math.inf,
+        found.append((
+            median / smallest if smallest > 0.0 else math.inf,
+            ResonanceWindow(
+                e_center=e_center,
+                slope=float(slope[best]),
+                alpha_at=float(alphas[best // spectrum.n_branches]),
+                rows=rows,
+                gamma_est=gamma_est,
+            ),
         ))
     # stable: peaks of equal density stay in ascending energy
-    peaks.sort(key=lambda p: -p["density"])
-    return peaks
-
-
-def detect_resonances(
-    spectrum: StabilizationSpectrum,
-    config: ScanConfig,
-    thresholds,
-) -> list[ResonanceWindow]:
-    """One window per peak of the stabilization level density, most
-    pronounced (densest) peak first; an empty list means no resonance.
-
-    The levels above the detection floor, the second-lowest threshold +
-    1e-9 (where the 2x2 sample contract of `sample_k` starts; the lowest
-    one when there is only one), are pooled and sorted, with no branch
-    labels.  A peak is a maximal stretch of them in which every PEAK_RUN +
-    1 consecutive levels span at most 1 / PEAK_DENSITY of the median such
-    span; its density is that median over the stretch's smallest span.  The
-    peak's centre is its flattest level whose |dLambda/dalpha| is a strict
-    local minimum along its label; a peak with no such level is dropped.
-    The sampling window is e_center +- halfwidth * gamma_est, with
-    gamma_est = 2 |slope| / q and q = sqrt(e_center - lowest threshold).
-    """
-    thr = np.sort(np.asarray(thresholds, dtype=float))
-    floor = float(thr[min(1, thr.size - 1)]) + 1e-9
-    windows = []
-    for c in _peaks(spectrum, floor):
-        gamma_est = 2.0 * c["slope"] / math.sqrt(c["e_center"] - float(thr[0]))
-        half = config.energy_window_halfwidth * max(
-            gamma_est, 1e-14 * abs(c["e_center"]))
-        sel = np.abs(spectrum.levels - c["e_center"]) <= half
-        e_list, prov = [], []
-        for ia, ib in zip(*np.nonzero(sel)):
-            e_list.append(spectrum.levels[ia, ib])
-            prov.append((float(spectrum.alpha_grid[ia]), int(ib)))
-        order = np.argsort(e_list)
-        energies = np.asarray(e_list)[order]
-        prov = [prov[i] for i in order]
-        if energies.size > MAX_SAMPLES:
-            keep = np.unique(
-                np.round(np.linspace(0, energies.size - 1, MAX_SAMPLES))
-            ).astype(int)
-            energies = energies[keep]
-            prov = [prov[i] for i in keep]
-        windows.append(
-            ResonanceWindow(
-                e_center=c["e_center"],
-                slope=c["slope"],
-                alpha_at=c["alpha_at"],
-                energies=energies,
-                provenance=tuple(prov),
-                gamma_est=gamma_est,
-            )
-        )
-    return windows
+    found.sort(key=lambda f: -f[0])
+    return [window for _, window in found]
 
 
 def sample_k(
@@ -240,42 +223,41 @@ def sample_k(
     window: ResonanceWindow,
     grid: RadialGrid,
 ) -> list[KSample]:
-    """K(E) at every window energy; duplicate energies removed.
+    """K(E) at the window's energies, one sample per row kept.
 
-    Energies are batched through one propagation sweep; each sample records
-    its asymmetry defect and (alpha, branch) provenance.  A defect above
-    radial.ASYMMETRY_LIMIT raises MatchingQualityError.
+    A row whose energy lies within 1e-14 (relative, absolute below 1) of
+    the last kept row's is dropped, and so is a row that does not have
+    exactly the two lowest channels open (the 2x2 sample contract); none
+    left is a ValidationError.  The kept energies are batched through one
+    propagation sweep; each sample records its asymmetry defect and its
+    row's alpha and branch.  A defect above radial.ASYMMETRY_LIMIT raises
+    MatchingQualityError.
     """
     if window.n_samples == 0:
         raise ValidationError("empty resonance window")
-    energies = window.energies
-    prov = list(window.provenance)
+    rows = window.rows
     keep = [0]
-    for i in range(1, energies.size):
-        if energies[i] - energies[keep[-1]] > 1e-14 * max(1.0, abs(energies[i])):
+    for i in range(1, len(rows)):
+        if rows[i, 0] - rows[keep[-1], 0] > 1e-14 * max(1.0, abs(rows[i, 0])):
             keep.append(i)
-    energies = energies[keep]
-    prov = [prov[i] for i in keep]
-    # keep energies with exactly the two lowest channels open (the 2x2
-    # sample contract); with ascending thresholds the open set is a prefix
+    rows = rows[keep]
+    # with ascending thresholds the open set is a prefix
     thr = np.asarray(problem.thresholds)
-    n_open = (energies[:, None] > thr[None, :]).sum(axis=1)
-    two_open = n_open == 2
+    two_open = (rows[:, :1] > thr[None, :]).sum(axis=1) == 2
     if not two_open.any():
         raise ValidationError(
             "no window energy has exactly two open channels; "
             "the sampled window does not fit the 2x2 contract"
         )
-    energies = energies[two_open]
-    prov = [p for p, ok in zip(prov, two_open) if ok]
-    mats, defects = radial.extract_k(problem, energies, grid=grid)
+    rows = rows[two_open]
+    mats, defects = radial.extract_k(problem, rows[:, 0], grid=grid)
     out = [
         KSample(
             energy=km.energy, k11=float(km.entries[0, 0]),
             k12=float(km.entries[0, 1]), k22=float(km.entries[1, 1]),
-            defect=float(defect), alpha=alpha, branch=branch,
+            defect=float(defect), alpha=float(alpha), branch=int(branch),
         )
-        for km, defect, (alpha, branch) in zip(mats, defects, prov)
+        for km, defect, (_, alpha, branch) in zip(mats, defects, rows)
     ]
     out.sort(key=lambda s: s.energy)
     return out

@@ -112,11 +112,8 @@ def _scan(config: RunConfig, expect: dict, out_b: Path, out_w: Path):
         header["monotone_defect"] = f"{spectrum.monotone_defect():.3e}"
     tableio.write_table(out_b, rows, header, "alpha Lambda_1..Lambda_n")
     windows = detect_resonances(spectrum, cfg, problem.thresholds)
-    wrows = [
-        [i, w.e_center, w.gamma_est, w.slope, w.alpha_at, e, alpha, branch]
-        for i, w in enumerate(windows)
-        for e, (alpha, branch) in zip(w.energies, w.provenance)
-    ]
+    wrows = [[i, w.e_center, w.gamma_est, w.slope, w.alpha_at, *row]
+             for i, w in enumerate(windows) for row in w.rows]
     tableio.write_table(
         out_w,
         np.asarray(wrows) if wrows else np.empty((0, 8)),
@@ -145,8 +142,7 @@ def load_windows(path):
                 gamma_est=float(sel[0, 2]),
                 slope=float(sel[0, 3]),
                 alpha_at=float(sel[0, 4]),
-                energies=sel[:, 5],
-                provenance=tuple((float(a), int(b)) for a, b in sel[:, 6:8]),
+                rows=sel[:, 5:8],
             )
         )
     return windows, meta

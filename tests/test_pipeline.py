@@ -18,6 +18,7 @@ from hypres.cli import _print_summary, main
 from hypres.errors import CacheError, ConfigError, StageError, ValidationError
 from hypres.models import TwoChannelToy
 from hypres.pipeline import (
+    STAGE_TABLE,
     RunConfig,
     run_pipeline,
     run_stage,
@@ -26,7 +27,8 @@ from hypres.pipeline import (
     stage_scan,
     stage_terms,
 )
-from hypres.stages import _fit, _xsec, load_windows
+from hypres.scan import detect_resonances, scan_branches
+from hypres.stages import _fit, _radial_setup, _scan_config, _xsec, load_windows
 from hypres.samples import read_samples
 from hypres.tableio import (
     load_couplings,
@@ -177,6 +179,23 @@ class TestStages:
         path.write_text(edit(text))
         with pytest.raises(ValidationError, match=named):
             load_windows(path)
+
+    def test_windows_round_trip(self, toy_run):
+        # windows.dat gives back the scan's windows bit for bit, branch
+        # values included
+        config = toy_run["config"]
+        cfg = _scan_config(config)
+        problem, grid = _radial_setup(config)
+        spectrum = scan_branches(problem, cfg, grid=grid)
+        found = detect_resonances(spectrum, cfg, problem.thresholds)
+        loaded, _ = load_windows(toy_run["out"] / "windows.dat")
+        assert len(loaded) == len(found) >= 1
+        for got, want in zip(loaded, found):
+            fields = ("e_center", "gamma_est", "slope", "alpha_at")
+            assert [getattr(got, f) for f in fields] == [
+                getattr(want, f) for f in fields]
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.rows[:, 2], np.round(got.rows[:, 2]))
 
     @pytest.mark.parametrize("key, edit, named", [
         ("E1", lambda line: line.replace(" =", "", 1), "{path}, line {n}: no '='"),
@@ -778,6 +797,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(
             f"[config] error: cannot create output directory {taken}"), err
+
+    def test_stage_processes_write_the_pipeline_bytes(self, tmp_path):
+        # every stage of the table, in table order, as its own process into
+        # one directory, then the fit once more: a stage that only works
+        # because an earlier stage of the same process loaded its layer
+        # fails here, and a fresh header chain per stage process must write
+        # the bytes of one chain in one pipeline process
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(hypres.__file__).resolve().parents[1]))
+
+        def run(argv, out):
+            res = subprocess.run(
+                [sys.executable, "-m", "hypres.cli", *argv,
+                 "--config", str(CONFIGS / "toy.ini"), "--out", str(out)],
+                env=env, cwd=tmp_path, capture_output=True, text=True,
+                timeout=300)
+            assert res.returncode == 0, (argv, res.stderr)
+
+        params = {"resonance": ["--resonance", "0"], "model": ["--model", "both"]}
+        for stage in STAGE_TABLE:
+            run([stage.name, *(arg for p in stage.params for arg in params[p])],
+                tmp_path / "stages")
+        run(["fit", *params["resonance"], *params["model"]], tmp_path / "stages")
+        run(["pipeline"], tmp_path / "pipeline")
+
+        def snapshot(out):
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        assert snapshot(tmp_path / "stages") == snapshot(tmp_path / "pipeline")
 
     def test_out_overrides_output_directory(self, toy_run, tmp_path, capsys):
         # [output] is not digested: artifacts copied to another directory are

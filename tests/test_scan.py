@@ -235,16 +235,43 @@ class TestSampling:
     def test_single_energy_window(self, toy_problem, toy_grid):
         win = ResonanceWindow(
             e_center=2.5, slope=1e-4, alpha_at=12.0,
-            energies=np.array([2.5]), provenance=((12.0, 3),),
-            gamma_est=1e-3,
+            rows=np.array([[2.5, 12.0, 3]]), gamma_est=1e-3,
         )
         out = sample_k(toy_problem, win, grid=toy_grid)
         assert len(out) == 1 and out[0].energy == 2.5
+        assert (out[0].alpha, out[0].branch) == (12.0, 3)
+
+    def test_repeated_energy_sampled_once(self, toy_problem, toy_grid):
+        # the second row lies within 1e-14 relative of the first: one
+        # sample, with the first row's alpha and branch
+        e = 2.5
+        win = ResonanceWindow(
+            e_center=e, slope=1e-4, alpha_at=12.0,
+            rows=np.array([[e, 12.0, 3], [e * (1 + 5e-15), 12.25, 4]]),
+            gamma_est=1e-3,
+        )
+        out = sample_k(toy_problem, win, grid=toy_grid)
+        assert len(out) == 1
+        assert (out[0].energy, out[0].alpha, out[0].branch) == (e, 12.0, 3)
+        assert isinstance(out[0].branch, int)
+
+    def test_window_below_second_threshold_rejected(self, toy_problem,
+                                                    toy_grid):
+        # one channel open at every energy: nothing fits the 2x2 contract
+        lo, hi = sorted(toy_problem.thresholds)[:2]
+        energies = np.linspace(lo, hi, 5)[1:-1]
+        win = ResonanceWindow(
+            e_center=float(energies[1]), slope=1e-4, alpha_at=12.0,
+            rows=np.column_stack([energies, [12.0] * 3, [0, 1, 2]]),
+            gamma_est=1e-3,
+        )
+        with pytest.raises(ValidationError, match="2x2 contract"):
+            sample_k(toy_problem, win, grid=toy_grid)
 
     def test_empty_window_rejected(self, toy_problem, toy_grid):
         win = ResonanceWindow(
             e_center=2.5, slope=1e-4, alpha_at=12.0,
-            energies=np.array([]), provenance=(), gamma_est=1e-3,
+            rows=np.empty((0, 3)), gamma_est=1e-3,
         )
         with pytest.raises(ValidationError):
             sample_k(toy_problem, win, grid=toy_grid)
