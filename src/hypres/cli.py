@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands run pipeline stages (terms, couplings, scan, sample, fit,
-xsec) or the whole chain (pipeline); stage outputs are cached in the
-configured output directory and reused when the configuration digest
-matches.  Exit code 0 on success, 1 on a stage error (message is tagged
-with the stage), 2 on a configuration problem.
+Subcommands run the pipeline's stages, one per row of its stage table,
+or the whole chain (pipeline); stage outputs are cached in the configured
+output directory and reused when the configuration digest matches.  A run
+that includes the fit prints its report's summary.  Exit code 0 on
+success, 1 on a stage error (message is tagged with the stage), 2 on a
+configuration problem.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sub)
         if "resonance" in params:
             sub.add_argument("--resonance", type=int, default=0,
-                             help="window index from the scan stage "
+                             help="resonance window index "
                                   "(0 = most pronounced)")
         if "model" in params:
             sub.add_argument("--model", choices=WORDS["fit", "model"],
@@ -85,14 +86,16 @@ def main(argv=None) -> int:
     try:
         config = RunConfig.from_file(args.config, directory=args.out)
         if args.command == "pipeline":
+            ran = STAGES[: STAGES.index(args.stage) + 1 if args.stage else None]
             out = pipeline.run_pipeline(config, force=args.force,
                                         upto=args.stage, **params)
         else:
+            ran = (args.command,)
             out = pipeline.run_stage(args.command, config, force=args.force,
                                      **params)
-        if args.command == "fit" or (
-                args.command == "pipeline" and args.stage in (None, "fit", "xsec")):
-            _print_summary(config.out_dir() / f"fit_{args.resonance}.txt")
+        if "fit" in ran:
+            report = STAGE_TABLE[STAGES.index("fit")].outputs[-1]
+            _print_summary(config.out_dir() / report.format(**params))
         print(f"[{args.command}] wrote {out}")
         return 0
     except ConfigError as exc:

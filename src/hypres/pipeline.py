@@ -6,10 +6,11 @@ stage writes one or more text artifacts whose headers record the digest of
 the configuration sections (and of the input file) that produced them.
 One runner serves every stage: it refuses missing or stale inputs with a
 CacheError naming the stage that produces them (and, when stale, the header
-key that differs), keeps outputs whose headers match, and otherwise runs
-the stage.  It builds each expected header and hashes each input file once
-per header chain: one chain per run_pipeline call, a fresh one for a stage
-run on its own; in table order a file is hashed only after its stage ran.
+key that differs), keeps outputs whose headers match, and otherwise calls
+the stage's body with its row's paths (see `Stage`).  It builds each
+expected header and hashes each input file once per header chain: one
+chain per run_pipeline call, a fresh one for a stage run on its own; in
+table order a file is hashed only after its stage ran.
 
 Module level imports only what the configuration and the stage table use
 (errors).  The table functions (`hypres.tableio`) are imported where a
@@ -198,8 +199,12 @@ class Stage:
     inputs are the files that must be fresh before it runs; digested is the
     input whose file digest the header records; header names the parameters
     the header records; params are the parameters the stage takes besides
-    the configuration.  File names may use {resonance}.  The stage's body
-    is `hypres.stages._<name>`.
+    the configuration.  File names may use {resonance}; the table is the
+    one place that names an artifact.  The stage's body is
+    `hypres.stages._<name>(config, expect, *inputs, *outputs, **header)`:
+    the expected header, the path of each input and output in row order,
+    and the header's parameters by name, so it reads only the files its
+    row declares and depends only on what its header records.
     """
 
     __slots__ = ("name", "help", "sections", "outputs", "inputs", "digested",
@@ -256,9 +261,9 @@ def _run(name: str, config: RunConfig, force: bool, **params) -> Path:
     out_dir = config.out_dir()
     chain = _CHAIN.get({})
     try:
-        for pattern in stage.inputs:
+        inputs = [out_dir / p.format(**params) for p in stage.inputs]
+        for pattern, path in zip(stage.inputs, inputs):
             producer = _PRODUCER[pattern]
-            path = out_dir / pattern.format(**params)
             if not path.exists():
                 raise CacheError(
                     f"missing {path.name}; run the '{producer.name}' stage first")
@@ -269,7 +274,8 @@ def _run(name: str, config: RunConfig, force: bool, **params) -> Path:
         outputs = [out_dir / p.format(**params) for p in stage.outputs]
         if force or any(_check_cache(p, expect) for p in outputs):
             from . import stages
-            getattr(stages, f"_{name}")(config, expect, *outputs, **params)
+            getattr(stages, f"_{name}")(config, expect, *inputs, *outputs,
+                                        **{k: params[k] for k in stage.header})
         return outputs[-1]
     except HypresError as exc:
         exc.stage = name
@@ -299,8 +305,8 @@ STAGE_TABLE = (
           (),
           ("profiles_k_{resonance}.dat", "profiles_invk_{resonance}.dat",
            "profiles_xsec_{resonance}.dat"),
-          inputs=("fit_{resonance}.txt",), digested="fit_{resonance}.txt",
-          params=("resonance",)),
+          inputs=("fit_{resonance}.txt", "ksamples_{resonance}.dat"),
+          digested="fit_{resonance}.txt", params=("resonance",)),
 )
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
 _STAGE = {stage.name: stage for stage in STAGE_TABLE}

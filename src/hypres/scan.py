@@ -47,7 +47,7 @@ class ScanConfig:
     alpha_max: float
     alpha_step: float
     n_levels: int
-    energy_window_halfwidth: float  # multiples of gamma_est
+    halfwidth: float  # multiples of gamma_est
     sigma: float | None = None  # eigensolver target; None = lowest levels
 
     def __post_init__(self):
@@ -58,9 +58,8 @@ class ScanConfig:
         if self.n_levels < 2:
             raise ValidationError(
                 f"n_levels={self.n_levels!r}: need at least 2 levels per box")
-        if self.energy_window_halfwidth <= 0:
-            raise ValidationError(
-                f"halfwidth={self.energy_window_halfwidth!r} must be positive")
+        if self.halfwidth <= 0:
+            raise ValidationError(f"halfwidth={self.halfwidth!r} must be positive")
 
     def alphas(self) -> np.ndarray:
         # the relative slack keeps alpha_max when roundoff puts the step
@@ -195,7 +194,7 @@ def detect_resonances(
         best = centres[np.argmin(slope[centres])]
         e_center = float(levels.flat[best])
         gamma_est = 2.0 * float(slope[best]) / math.sqrt(e_center - float(thr[0]))
-        half = config.energy_window_halfwidth * max(gamma_est, 1e-14 * abs(e_center))
+        half = config.halfwidth * max(gamma_est, 1e-14 * abs(e_center))
         ia, ib = np.nonzero(np.abs(levels - e_center) <= half)
         rows = np.column_stack([levels[ia, ib], alphas[ia], ib])
         rows = rows[np.argsort(rows[:, 0])]
@@ -223,7 +222,7 @@ def sample_k(
     window: ResonanceWindow,
     grid: RadialGrid,
 ) -> list[KSample]:
-    """K(E) at the window's energies, one sample per row kept.
+    """K(E) at the window's energies, one sample per row kept, ascending.
 
     A row whose energy lies within 1e-14 (relative, absolute below 1) of
     the last kept row's is dropped, and so is a row that does not have
@@ -251,7 +250,7 @@ def sample_k(
         )
     rows = rows[two_open]
     mats, defects = radial.extract_k(problem, rows[:, 0], grid=grid)
-    out = [
+    return [
         KSample(
             energy=km.energy, k11=float(km.entries[0, 0]),
             k12=float(km.entries[0, 1]), k22=float(km.entries[1, 1]),
@@ -259,5 +258,3 @@ def sample_k(
         )
         for km, defect, (_, alpha, branch) in zip(mats, defects, rows)
     ]
-    out.sort(key=lambda s: s.energy)
-    return out

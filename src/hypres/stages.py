@@ -1,14 +1,16 @@
 """Stage bodies: what each pipeline stage computes and writes on a cache miss.
 
-`hypres.pipeline` holds the configuration, the stage table and the runner;
-its runner imports this module only when a stage must run (outputs missing,
-stale or forced), so importing the pipeline, `hypres --help` and a fully
-cached run never compile these bodies.  A process that runs any stage
-compiles them then: it does the same work as when they sat in the pipeline
-module.  Each body still imports its layer (FEM, radial solver, scan, fit)
-when it runs.  Table functions are called through the `tableio` module,
-never bound here, so a wrapper set on them while this module first loads
-(a profiler's, say) does not stay behind once removed.
+`hypres.pipeline` holds the configuration, the stage table and the runner.
+The runner hands each body the paths its table row names (the call is in
+`pipeline.Stage`), so a body names no artifact.  The runner imports this
+module only when a stage must run (outputs missing, stale or forced), so
+importing the pipeline, `hypres --help` and a fully cached run never
+compile these bodies.  A process that runs any stage compiles them then:
+it does the same work as when they sat in the pipeline module.  Each body
+still imports its layer (FEM, radial solver, scan, fit) when it runs.
+Table functions are called through the `tableio` module, never bound here,
+so a wrapper set on them while this module first loads (a profiler's,
+say) does not stay behind once removed.
 """
 
 from __future__ import annotations
@@ -55,30 +57,30 @@ def _terms(config: RunConfig, expect: dict, out: Path):
     tableio.save_terms(out, sol.rho_grid, sol.terms, dict(sol.meta, **expect))
 
 
-def _couplings(config: RunConfig, expect: dict, out: Path):
+def _couplings(config: RunConfig, expect: dict, terms: Path, out: Path):
     if config.kind == "toy":
         return tableio.save_couplings(out, *TwoChannelToy().tables(),
                                       {"kind": "toy", **expect})
     from .adiabatic import refine_rho_grid, solve_with_couplings
     from .channels import dtmu_masses
-    # terms.dat only places the refinement; every point of the refined grid
-    # is solved again, since the couplings need its basis
-    rho_grid, terms, _ = tableio.load_terms(out.with_name("terms.dat"))
+    # the terms table only places the refinement; every point of the refined
+    # grid is solved again, since the couplings need its basis
+    rho_grid, eps, _ = tableio.load_terms(terms)
     sol = solve_with_couplings(
         dtmu_masses(), _hyperangular_grid(config),
-        refine_rho_grid(rho_grid, terms, config.get("basis", "n_refine")),
+        refine_rho_grid(rho_grid, eps, config.get("basis", "n_refine")),
         config.get("basis", "n_terms"),
     )
     tableio.save_couplings(out, sol.rho_grid, sol.terms, sol.h_table,
                            sol.q_table, dict(sol.meta, **expect))
 
 
-def _radial_setup(config: RunConfig):
-    """The radial problem of couplings.dat and its one master grid, which
-    ends at rho_match: the scan's boxes and the sample's K match share it.
+def _radial_setup(config: RunConfig, couplings: Path):
+    """The radial problem of the couplings table and its one master grid,
+    which ends at rho_match: the scan's boxes and the sample's K match share it.
     The toy's channels carry no 15/(4 rho^2) term, as in its own problem."""
     from .radial import RadialProblem, build_grid
-    rho, eps, h, q, _ = tableio.load_couplings(config.out_dir() / "couplings.dat")
+    rho, eps, h, q, _ = tableio.load_couplings(couplings)
     # the toy's range is its tables' [rho_start, rho_match], from_tables' default
     ends = {} if config.kind == "toy" else {
         key: config.get("radial", key) for key in ("rho_start", "rho_match")}
@@ -87,22 +89,12 @@ def _radial_setup(config: RunConfig):
     return problem, build_grid(problem, h_max=config.get("radial", "h_max"))
 
 
-def _scan_config(config: RunConfig):
-    from .scan import ScanConfig
-    return ScanConfig(
-        alpha_min=config.get("scan", "alpha_min"),
-        alpha_max=config.get("scan", "alpha_max"),
-        alpha_step=config.get("scan", "alpha_step"),
-        n_levels=config.get("scan", "n_levels"),
-        sigma=config.get("scan", "sigma"),
-        energy_window_halfwidth=config.get("scan", "halfwidth"),
-    )
-
-
-def _scan(config: RunConfig, expect: dict, out_b: Path, out_w: Path):
-    from .scan import detect_resonances, scan_branches
-    cfg = _scan_config(config)  # bad settings fail before the grid is built
-    problem, grid = _radial_setup(config)
+def _scan(config: RunConfig, expect: dict, couplings: Path, out_b: Path,
+          out_w: Path):
+    from .scan import ScanConfig, detect_resonances, scan_branches
+    # bad settings fail before the grid is built
+    cfg = ScanConfig(**config.values["scan"])
+    problem, grid = _radial_setup(config, couplings)
     spectrum = scan_branches(problem, cfg, grid=grid)
     rows = np.hstack([spectrum.alpha_grid[:, None], spectrum.levels])
     header = dict(expect, n_branches=spectrum.n_branches)
@@ -148,10 +140,11 @@ def load_windows(path):
     return windows, meta
 
 
-def _sample(config: RunConfig, expect: dict, out: Path, resonance: int):
+def _sample(config: RunConfig, expect: dict, couplings: Path, windows: Path,
+            out: Path, resonance: int):
     from .samples import write_samples
     from .scan import sample_k
-    windows, _ = load_windows(out.with_name("windows.dat"))
+    windows, _ = load_windows(windows)
     if not windows:
         raise StageError("no resonance windows detected by the scan stage")
     if not 0 <= resonance < len(windows):
@@ -159,7 +152,7 @@ def _sample(config: RunConfig, expect: dict, out: Path, resonance: int):
             f"resonance index {resonance} out of range (found {len(windows)})"
         )
     window = windows[resonance]
-    problem, grid = _radial_setup(config)
+    problem, grid = _radial_setup(config, couplings)
     samples = sample_k(problem, window, grid=grid)
     write_samples(out, samples, dict(
         expect, e_center=f"{window.e_center:.17e}",
@@ -210,16 +203,15 @@ def _report_pairs(result, prefix=""):
     return pairs
 
 
-def _fit(config: RunConfig, expect: dict, out: Path, resonance: int, model: str):
+def _fit(config: RunConfig, expect: dict, samples: Path, out: Path, model: str):
     from .fitting import FitProblem, compare_models, fit
     from .samples import read_samples
-    path = out.with_name(f"ksamples_{resonance}.dat")
-    samples, meta = read_samples(path)
-    upper = tableio.header_number(path, meta, "upper_threshold", float)
-    weights = _fit_weights(samples, config.get("fit", "weighting"))
+    sampled, meta = read_samples(samples)
+    upper = tableio.header_number(samples, meta, "upper_threshold", float)
+    weights = _fit_weights(sampled, config.get("fit", "weighting"))
 
     if model == "both":
-        comparison = compare_models(samples, weights=weights)
+        comparison = compare_models(sampled, weights=weights)
         pairs = _report_pairs(comparison.general)
         if comparison.diagonal is None:
             pairs["diagonal_status"] = "no admissible start"
@@ -229,7 +221,7 @@ def _fit(config: RunConfig, expect: dict, out: Path, resonance: int, model: str)
             pairs["branching_shift"] = comparison.branching_shift
         best = comparison.general
     else:
-        best = fit(FitProblem(samples=tuple(samples), weights=weights, model=model))
+        best = fit(FitProblem(samples=tuple(sampled), weights=weights, model=model))
         pairs = _report_pairs(best)
     pairs["E0_below_upper_threshold"] = upper - best.report.E0
     pairs["minus_E0"] = -best.report.E0
@@ -244,16 +236,15 @@ XSEC_POINTS = 201
 XSEC_SPAN_WIDTHS = 8.0
 
 
-def _xsec(config: RunConfig, expect: dict, out_k: Path, out_i: Path,
-          out_x: Path, resonance: int):
+def _xsec(config: RunConfig, expect: dict, report: Path, samples: Path,
+          out_k: Path, out_i: Path, out_x: Path):
     from .algebra import cross_sections
     from .breit_wigner import BWPoleParams, bw_k
     from .samples import read_samples
-    report = out_k.with_name(f"fit_{resonance}.txt")
     pairs, _ = tableio.read_keyvalues(report)
     pole = ("E1", "a1", "a2", "a", "b1", "b2", "b")
     tableio.check_numbers(report, pairs, (*pole, "E0", "Gamma"))
-    samples, _ = read_samples(out_k.with_name(f"ksamples_{resonance}.dat"))
+    samples, _ = read_samples(samples)
     params = BWPoleParams(**{key: pairs[key] for key in pole})
     rows_k = [[s.energy, s.k11, s.k12, s.k22] for s in samples]
     tableio.write_table(out_k, rows_k, dict(expect), "E K11 K12 K22")

@@ -32,7 +32,7 @@ def toy_scan_config():
         alpha_max=24.0,
         alpha_step=0.25,
         n_levels=14,
-        energy_window_halfwidth=8.0,
+        halfwidth=8.0,
     )
 
 

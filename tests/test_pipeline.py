@@ -1,5 +1,6 @@
 """Stage orchestration: caching, digests, artifacts, CLI behavior."""
 
+import inspect
 import os
 import pkgutil
 import re
@@ -27,8 +28,8 @@ from hypres.pipeline import (
     stage_scan,
     stage_terms,
 )
-from hypres.scan import detect_resonances, scan_branches
-from hypres.stages import _fit, _radial_setup, _scan_config, _xsec, load_windows
+from hypres.scan import ScanConfig, detect_resonances, scan_branches
+from hypres.stages import _fit, _radial_setup, _xsec, load_windows
 from hypres.samples import read_samples
 from hypres.tableio import (
     load_couplings,
@@ -184,8 +185,8 @@ class TestStages:
         # windows.dat gives back the scan's windows bit for bit, branch
         # values included
         config = toy_run["config"]
-        cfg = _scan_config(config)
-        problem, grid = _radial_setup(config)
+        cfg = ScanConfig(**config.values["scan"])
+        problem, grid = _radial_setup(config, toy_run["out"] / "couplings.dat")
         spectrum = scan_branches(problem, cfg, grid=grid)
         found = detect_resonances(spectrum, cfg, problem.thresholds)
         loaded, _ = load_windows(toy_run["out"] / "windows.dat")
@@ -378,6 +379,37 @@ class TestStages:
                      if p.stat().st_mtime_ns != before[p.name]}
         assert rewritten == set(before) - {"terms.dat", "couplings.dat"}
 
+    @pytest.mark.parametrize("command", ["fit", "xsec"])
+    def test_changed_couplings_make_samples_stale(self, toy_run, tmp_path,
+                                                  capsys, command):
+        # both stages read ksamples_0.dat, so both vouch for it through the
+        # sample stage's header before keeping or rewriting their outputs
+        out = tmp_path / "out"
+        shutil.copytree(toy_run["out"], out)
+        with open(out / "couplings.dat", "a") as f:
+            f.write("\n")
+        capsys.readouterr()
+        argv = [command, "--config", str(toy_run["ini"]), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"[stage:{command}] error: stale cache ksamples_0.dat "
+            "(input-digest differs); rerun 'sample'\n")
+
+    def test_stage_bodies_take_their_rows_files_and_header(self):
+        # _<name>(config, expect, *inputs, *outputs, **header params): a body
+        # reads only the files its row declares and depends only on the
+        # parameters its header records
+        from hypres import stages
+        for stage in STAGE_TABLE:
+            params = list(inspect.signature(
+                getattr(stages, f"_{stage.name}")).parameters.values())
+            n_files = len(stage.inputs) + len(stage.outputs)
+            assert [p.name for p in params[:2]] == ["config", "expect"], stage.name
+            assert len(params) == 2 + n_files + len(stage.header), stage.name
+            assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+                       for p in params), stage.name
+            assert tuple(p.name for p in params[2 + n_files:]) == stage.header
+
     def test_bad_resonance_index(self, toy_run):
         with pytest.raises(StageError):
             stage_sample(toy_run["config"], resonance=99)
@@ -418,7 +450,8 @@ class TestStages:
         write_keyvalues(tmp_path / "fit_0.txt", dict(pairs, Gamma=0.0))
         outputs = [tmp_path / f"profiles_{p}_0.dat" for p in ("k", "invk", "xsec")]
         with pytest.raises(StageError) as err:
-            _xsec(toy_run["config"], {}, *outputs, 0)
+            _xsec(toy_run["config"], {}, tmp_path / "fit_0.txt",
+                  tmp_path / "ksamples_0.dat", *outputs)
         message = str(err.value)
         assert f"E0 = {pairs['E0']!r}" in message
         assert "Gamma = 0.0" in message and "upper threshold 0.5" in message
@@ -431,7 +464,7 @@ class TestStages:
         (tmp_path / "ksamples_0.dat").write_text(
             "# upper_threshold: 5.00000000000000000e-01\n" + text)
         report = tmp_path / "fit_0.txt"
-        _fit(toy_run["config"], {}, report, 0, "both")
+        _fit(toy_run["config"], {}, tmp_path / "ksamples_0.dat", report, "both")
         pairs, _ = read_keyvalues(report)
         assert pairs["diagonal_status"] == "no admissible start"
         assert [k for k in pairs if k.startswith("diagonal_")] == ["diagonal_status"]

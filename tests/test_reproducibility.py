@@ -2,8 +2,8 @@
 
 The toy INI and the coarse three-body INI run through the cross sections
 twice in this process (the second time forced, so every stage recomputes)
-and once more in a fresh interpreter; every artifact must come out with the
-same bytes.
+and once more in a fresh interpreter; every artifact (each stage's outputs
+as the stage table lists them) must come out with the same bytes.
 
 Run as a script, it writes both runs under the given directory and prints
 the sha256 prefix of each artifact, and as "label/name:rows" that of its
@@ -33,15 +33,13 @@ from pathlib import Path
 import pytest
 
 import hypres
-from hypres.pipeline import RunConfig, run_pipeline
+from hypres.pipeline import STAGE_TABLE, RunConfig, run_pipeline
 from test_three_body_pipeline import INI as THREE_BODY_INI
 
 TOY_INI = Path(__file__).resolve().parents[1] / "configs" / "toy.ini"
-ARTIFACTS = (
-    "terms.dat", "couplings.dat", "branches.dat", "windows.dat",
-    "ksamples_0.dat", "fit_0.txt",
-    "profiles_k_0.dat", "profiles_invk_0.dat", "profiles_xsec_0.dat",
-)
+# every stage's outputs for resonance 0, in table order
+ARTIFACTS = tuple(name.format(resonance=0)
+                  for stage in STAGE_TABLE for name in stage.outputs)
 
 
 def _configs(base: Path):

@@ -57,7 +57,7 @@ def detect_synthetic(alphas, levels, thresholds=BELOW_ALL):
     spectrum = StabilizationSpectrum(alpha_grid=alphas, levels=levels)
     cfg = ScanConfig(alpha_min=alphas[0], alpha_max=alphas[-1],
                      alpha_step=alphas[1] - alphas[0],
-                     n_levels=levels.shape[1], energy_window_halfwidth=1.0)
+                     n_levels=levels.shape[1], halfwidth=1.0)
     return detect_resonances(spectrum, cfg, thresholds)
 
 
@@ -65,7 +65,7 @@ class TestScanConfig:
     def test_alpha_max_kept_under_roundoff(self):
         # (20.7 - 20.0) / 0.1 = 6.99...: the step count must still be 7
         alphas = ScanConfig(alpha_min=20.0, alpha_max=20.7, alpha_step=0.1,
-                            n_levels=12, energy_window_halfwidth=1.0).alphas()
+                            n_levels=12, halfwidth=1.0).alphas()
         assert alphas.size == 8
         assert alphas[-1] == pytest.approx(20.7, rel=1e-12)
 
@@ -74,7 +74,7 @@ class TestScanConfig:
     ])
     def test_repository_grids_keep_their_counts(self, lo, hi, step, count):
         alphas = ScanConfig(alpha_min=lo, alpha_max=hi, alpha_step=step,
-                            n_levels=12, energy_window_halfwidth=1.0).alphas()
+                            n_levels=12, halfwidth=1.0).alphas()
         assert alphas.size == count
         assert alphas[-1] == hi
 
@@ -89,7 +89,7 @@ class TestScanBranches:
         box = BoxMode(offset=0.0, rho_start=1.0, rho_match=45.0)
         prob = box.problem()
         cfg = ScanConfig(alpha_min=10.0, alpha_max=40.0, alpha_step=0.5,
-                         n_levels=6, energy_window_halfwidth=1.0)
+                         n_levels=6, halfwidth=1.0)
         grid = build_grid(prob, rho_end=cfg.alpha_max, h_max=0.05)
         spectrum = scan_branches(prob, cfg, grid=grid)
         assert spectrum.monotone_defect() <= 1e-10
@@ -115,7 +115,7 @@ class TestDetection:
         )
         spectrum = StabilizationSpectrum(alpha_grid=alphas, levels=levels)
         cfg = ScanConfig(alpha_min=5.0, alpha_max=25.0, alpha_step=0.2,
-                         n_levels=4, energy_window_halfwidth=1.0)
+                         n_levels=4, halfwidth=1.0)
         assert detect_resonances(spectrum, cfg, BELOW_ALL) == []
 
     def test_floor_keeps_two_open_channels(self):
@@ -192,7 +192,7 @@ class TestDetection:
             levels=np.zeros((5, 1)),
         )
         cfg = ScanConfig(alpha_min=0.0, alpha_max=1.0, alpha_step=0.25,
-                         n_levels=12, energy_window_halfwidth=1.0)
+                         n_levels=12, halfwidth=1.0)
         with pytest.raises(ValidationError):
             detect_resonances(spectrum, cfg, BELOW_ALL)
 
