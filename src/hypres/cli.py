@@ -57,8 +57,7 @@ def _print_summary(path):
     try:
         pairs, _ = read_keyvalues(path)
         compared = "branching_shift" in pairs
-        check_numbers(path, pairs, ("E0", "Gamma", "E0_below_upper_threshold",
-                                    "Gamma2_over_Gamma")
+        check_numbers(path, pairs, ("E0", "Gamma", "Gamma2_over_Gamma")
                       + (("residual_ratio", "branching_shift") if compared else ()))
     except HypresError as exc:
         exc.stage = "fit"  # the fit stage's report, under any command
@@ -66,11 +65,8 @@ def _print_summary(path):
     e0 = pairs["E0"]
     gamma = pairs["Gamma"]
     print(f"# resonance report ({path})")
-    print("#    -E0          E0_below_upper    Gamma          Gamma2/Gamma")
-    print(
-        f"{-e0:.6e}  {pairs['E0_below_upper_threshold']:.6e}    "
-        f"{gamma:.6e}  {pairs['Gamma2_over_Gamma']:.4f}"
-    )
+    print("#    -E0          Gamma          Gamma2/Gamma")
+    print(f"{-e0:.6e}  {gamma:.6e}  {pairs['Gamma2_over_Gamma']:.4f}")
     if "diagonal_status" in pairs:
         print("# model comparison: diagonal model: no admissible fit")
     elif compared:

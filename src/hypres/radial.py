@@ -495,7 +495,7 @@ def _references(problem, grid, energies, theta, h, k_index):
     return a, b
 
 
-def propagate_ratio(problem: RadialProblem, grid: RadialGrid, energies) -> np.ndarray:
+def propagate_ratio(grid: RadialGrid, energies) -> np.ndarray:
     """Ratio P = u_M u_{M-1}^{-1} of the pencil rows, one matrix per E.
 
     u solves the interior rows 1..M-1 with the Dirichlet ends u_0 = 0 (the
@@ -579,7 +579,8 @@ def extract_k(
     open_idx = np.nonzero(open_masks[0])[0]
     closed_idx = np.nonzero(~open_masks[0])[0]
 
-    p = propagate_ratio(problem, grid, energies)
+    # by keyword: perfbench/tracer.py counts the energies by that name
+    p = propagate_ratio(grid, energies=energies)
     m = grid.n_points - 1
     theta, h, flux = _free_waves(problem, grid, energies)
     a_m, b_m = _references(problem, grid, energies, theta, h, m)

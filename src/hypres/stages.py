@@ -156,8 +156,7 @@ def _sample(config: RunConfig, expect: dict, couplings: Path, windows: Path,
     samples = sample_k(problem, window, grid=grid)
     write_samples(out, samples, dict(
         expect, e_center=f"{window.e_center:.17e}",
-        gamma_est=f"{window.gamma_est:.6e}",
-        upper_threshold=f"{np.max(problem.thresholds):.17e}"))
+        gamma_est=f"{window.gamma_est:.6e}"))
 
 
 def _fit_weights(samples, mode: str):
@@ -175,6 +174,7 @@ def _report_pairs(result, prefix=""):
     p = result.params
     pairs = {
         f"{prefix}model": result.model,
+        f"{prefix}start": result.start,
         f"{prefix}E1": p.E1,
         f"{prefix}a1": p.a1,
         f"{prefix}a2": p.a2,
@@ -206,8 +206,7 @@ def _report_pairs(result, prefix=""):
 def _fit(config: RunConfig, expect: dict, samples: Path, out: Path, model: str):
     from .fitting import FitProblem, compare_models, fit
     from .samples import read_samples
-    sampled, meta = read_samples(samples)
-    upper = tableio.header_number(samples, meta, "upper_threshold", float)
+    sampled, _ = read_samples(samples)
     weights = _fit_weights(sampled, config.get("fit", "weighting"))
 
     if model == "both":
@@ -223,7 +222,6 @@ def _fit(config: RunConfig, expect: dict, samples: Path, out: Path, model: str):
     else:
         best = fit(FitProblem(samples=tuple(sampled), weights=weights, model=model))
         pairs = _report_pairs(best)
-    pairs["E0_below_upper_threshold"] = upper - best.report.E0
     pairs["minus_E0"] = -best.report.E0
     pairs["Gamma2_over_Gamma"] = best.report.branching[1]
     tableio.write_keyvalues(out, pairs, header=expect)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import math
 import os
 from pathlib import Path
 
@@ -105,15 +104,13 @@ def read_table(path):
     return np.asarray(rows, dtype=float), meta
 
 
-def header_number(path, meta: dict, key: str, kind=int):
-    """The header value meta[key] of path as a count (kind int) or a finite
-    float (kind float), else ValidationError naming path and key."""
+def header_number(path, meta: dict, key: str) -> int:
+    """The header value meta[key] of path as a count, else ValidationError
+    naming path and key."""
     text = meta.get(key, "")
-    with contextlib.suppress(ValueError):
-        if text.isdecimal() if kind is int else math.isfinite(float(text)):
-            return kind(text)
-    what = "a count" if kind is int else "a finite number"
-    raise ValidationError(f"{path}: header {key} {meta.get(key)!r} is not {what}")
+    if text.isdecimal():
+        return int(text)
+    raise ValidationError(f"{path}: header {key} {meta.get(key)!r} is not a count")
 
 
 def write_keyvalues(path, pairs: dict, header: dict | None = None) -> None:

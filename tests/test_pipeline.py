@@ -32,6 +32,7 @@ from hypres.scan import ScanConfig, detect_resonances, scan_branches
 from hypres.stages import _fit, _radial_setup, _xsec, load_windows
 from hypres.samples import read_samples
 from hypres.tableio import (
+    digest_file,
     load_couplings,
     load_terms,
     read_header,
@@ -92,7 +93,7 @@ class TestStages:
         pairs, meta = read_keyvalues(toy_run["report"])
         for key in ("E0", "Gamma", "Gamma1", "Gamma2", "Gamma2_over_Gamma",
                     "E1", "a1", "a2", "a", "b1", "b2", "b", "residual",
-                    "minus_E0", "E0_below_upper_threshold"):
+                    "minus_E0", "start"):
             assert key in pairs, key
         assert pairs["Gamma"] > 0
         assert "config-digest" in meta
@@ -221,12 +222,12 @@ class TestStages:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, key", [
-        ("fit", "E0"), ("pipeline", "E0_below_upper_threshold"),
+        ("fit", "E0"), ("pipeline", "Gamma2_over_Gamma"),
     ])
     def test_summary_refuses_report_without_number(self, toy_run, tmp_path,
                                                    capsys, command, key):
         # the report's header is fresh, so fit keeps it (xsec, which reruns
-        # under pipeline, needs no E0_below_upper_threshold); the CLI's
+        # under pipeline, needs no Gamma2_over_Gamma); the CLI's
         # summary reads the body and names what it lacks
         out = tmp_path / "out"
         shutil.copytree(toy_run["out"], out)
@@ -240,30 +241,39 @@ class TestStages:
         assert err.startswith(f"[stage:fit] error: {path}: no number for {key}"), err
         assert "Traceback" not in err
 
-    def test_samples_record_upper_threshold(self, toy_run):
-        _, eps, _, _, _ = load_couplings(toy_run["out"] / "couplings.dat")
-        _, meta = read_samples(toy_run["out"] / "ksamples_0.dat")
-        assert float(meta["upper_threshold"]) == eps[-1].max()
-
-    @pytest.mark.parametrize("edit", [
-        lambda text: re.sub(r"(?m)^# upper_threshold: .*\n", "", text),
-        lambda text: re.sub(r"(?m)^(# upper_threshold:) .*$", r"\1 abc", text),
-        lambda text: re.sub(r"(?m)^(# upper_threshold:) .*$", r"\1 nan", text),
-    ], ids=["deleted", "not-a-number", "not-finite"])
-    def test_fit_needs_upper_threshold_of_samples(self, toy_run, tmp_path, edit):
-        # the sample stage does not check the key, so its cache holds; the
-        # edit changes the fit's input digest, so the fit reads the header
+    def test_fit_reads_rows_of_samples_alone(self, toy_run, tmp_path):
+        # a samples header of its cache keys and columns alone: the sample
+        # stage's cache holds, and the edit changes the fit's input digest,
+        # so the fit reruns from the rows to the same report body
         out = tmp_path / "out"
         shutil.copytree(toy_run["out"], out)
         path = out / "ksamples_0.dat"
-        path.write_text(edit(path.read_text()))
+        keep = ("config-digest", "input-digest", "resonance", "columns")
+        path.write_text("".join(
+            line for line in path.read_text().splitlines(keepends=True)
+            if not line.startswith("#") or line[2:].split(":")[0] in keep))
+        assert sorted(read_samples(path)[1]) == sorted(keep)
         before = path.stat().st_mtime_ns
-        config = RunConfig.from_file(toy_run["ini"], directory=out)
-        with pytest.raises(ValidationError) as err:
-            run_pipeline(config)
-        assert err.value.stage == "fit"
-        assert f"{path}: header upper_threshold" in str(err.value)
+        run_pipeline(RunConfig.from_file(toy_run["ini"], directory=out))
         assert path.stat().st_mtime_ns == before
+        pairs, meta = read_keyvalues(out / "fit_0.txt")
+        assert meta["input-digest"] == digest_file(path)
+        assert pairs == read_keyvalues(toy_run["report"])[0]
+
+    @pytest.mark.parametrize("line", [
+        "", "# upper_threshold: abc\n", "# upper_threshold: nan\n",
+    ], ids=["deleted", "not-a-number", "not-finite"])
+    def test_fit_needs_upper_threshold_of_samples(self, toy_run, tmp_path, line):
+        # samples written before the fit read rows alone carry an
+        # upper_threshold header line; absent, not a number or not finite,
+        # it no longer stops the fit or changes its report body
+        path = tmp_path / "ksamples_0.dat"
+        text = (toy_run["out"] / "ksamples_0.dat").read_text()
+        path.write_text(text.replace("# columns:", line + "# columns:", 1))
+        assert line in path.read_text()
+        report = tmp_path / "fit_0.txt"
+        _fit(toy_run["config"], {}, path, report, "general")
+        assert read_keyvalues(report)[0] == read_keyvalues(toy_run["report"])[0]
 
     def test_refit_parses_no_coupling_table(self, toy_run, tmp_path, monkeypatch):
         # a changed [fit] section reruns fit and xsec, which read the samples
@@ -459,12 +469,9 @@ class TestStages:
     def test_model_both_without_diagonal_fit(self, toy_run, tmp_path, capsys):
         # samples on which the diagonal model has no admissible start: the
         # report keeps the general fit and says so in place of the ratio
-        # under the toy's upper threshold, as its sample stage records it
-        text = (DATA / "threebody_coarse_ksamples_discrete.dat").read_text()
-        (tmp_path / "ksamples_0.dat").write_text(
-            "# upper_threshold: 5.00000000000000000e-01\n" + text)
         report = tmp_path / "fit_0.txt"
-        _fit(toy_run["config"], {}, tmp_path / "ksamples_0.dat", report, "both")
+        _fit(toy_run["config"], {}, DATA / "threebody_coarse_ksamples_discrete.dat",
+             report, "both")
         pairs, _ = read_keyvalues(report)
         assert pairs["diagonal_status"] == "no admissible start"
         assert [k for k in pairs if k.startswith("diagonal_")] == ["diagonal_status"]

@@ -565,7 +565,7 @@ class TestBandedKernel:
         assert rows > CHUNK_ROWS and rows % CHUNK_ROWS
         top = float(prob.thresholds.max())
         energies = np.array([top + 0.05, top + 0.6, top + 1.3])
-        p = propagate_ratio(prob, grid, energies)
+        p = propagate_ratio(grid, energies)
         ref = loop_propagate_ratio(grid, energies)
         for got, want in zip(p, ref):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -666,7 +666,7 @@ class TestGuardsAndErrors:
         grid = build_grid(prob, h_max=0.05)
         calls = []
         monkeypatch.setattr(radial, "propagate_ratio",
-                            lambda *args: calls.append(args))
+                            lambda *args, **kwargs: calls.append(args))
         with pytest.raises(ValidationError, match="empty energy batch"):
             extract_k(prob, [], grid)
         assert calls == []

@@ -13,7 +13,6 @@ import pytest
 
 from hypres.cli import main
 from hypres.pipeline import RunConfig, run_pipeline
-from hypres.samples import read_samples
 from hypres.stages import load_windows
 from hypres.tableio import load_couplings, read_keyvalues
 
@@ -73,11 +72,6 @@ class TestCoarseThreeBody:
         # the lowest two terms approach the ground-atom thresholds
         assert eps[-1, 0] == pytest.approx(-0.4819, abs=2e-3)
         assert eps[-1, 1] == pytest.approx(-0.4733, abs=2e-3)
-
-    def test_samples_record_upper_threshold(self, coarse_run):
-        _, eps, _, _, _ = load_couplings(coarse_run["out"] / "couplings.dat")
-        _, meta = read_samples(coarse_run["out"] / "ksamples_0.dat")
-        assert float(meta["upper_threshold"]) == eps[-1].max()
 
     def test_lowest_resonance_position(self, coarse_run):
         windows, _ = load_windows(coarse_run["out"] / "windows.dat")
