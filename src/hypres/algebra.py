@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
-    ClosedChannelError,
     EigensolverError,
     MatrixInversionError,
     UnsupportedShapeError,
@@ -135,19 +134,13 @@ def cross_sections(k: KMatrix, channels: ChannelSet) -> np.ndarray:
 
     Returns the 2x2 array sigma[i, j] for entrance channel i, exit channel j,
     in absolute area units of the model (the 4 pi / k_i^2 factor included).
-    Requires both channels open at k.energy.
+    Requires both channels open at k.energy: `ChannelSet.q` raises
+    ClosedChannelError otherwise.
     """
     if channels.n_open != 2 or k.n != 2:
         raise UnsupportedShapeError(
             f"cross-section formula is two-channel; got {channels.n_open} "
             f"channels and {k.n}x{k.n} K"
-        )
-    mask = channels.open_mask(k.energy)
-    if not mask.all():
-        closed = int(np.argmin(mask))
-        raise ClosedChannelError(
-            f"channel {closed} closed at E={k.energy!r} "
-            f"(threshold {channels.thresholds[closed]!r})"
         )
     kk = channels.k(k.energy)
     km = k.entries

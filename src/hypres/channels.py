@@ -44,16 +44,14 @@ class ChannelSet:
     def n_open(self) -> int:
         return len(self.thresholds)
 
-    def open_mask(self, energy: float) -> np.ndarray:
-        return np.asarray(self.thresholds) < energy
-
     def q(self, energy: float) -> np.ndarray:
         """Hyperradial channel momenta q_i = sqrt(E - threshold_i) (open only)."""
         thr = np.asarray(self.thresholds)
         if np.any(thr >= energy):
             bad = int(np.argmax(thr >= energy))
             raise ClosedChannelError(
-                f"channel {bad} closed at E={energy!r} (threshold {thr[bad]!r})"
+                f"channel {bad} closed at E={float(energy)!r} "
+                f"(threshold {float(thr[bad])!r})"
             )
         return np.sqrt(energy - thr)
 

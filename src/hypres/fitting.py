@@ -17,8 +17,10 @@ trust-region fallback) on the weighted Frobenius misfit
 
     sum_s w_s || K_model(E_s) - K_s ||_F^2,
 
-with analytic Jacobian; it is deterministic given samples, weights, model
-and starting point.
+with analytic Jacobian; it is deterministic given samples, weighting,
+model and starting point.  The weights w_s are 1 ("uniform"), or with
+"relative" weighting 1 / max(1e-6, ||K_s||_F^2), so that each sample's K
+counts at unit norm; `FitProblem.arrays` is their one home.
 """
 
 from __future__ import annotations
@@ -58,13 +60,15 @@ def _sample_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Samples, per-sample weights and the model variant to fit."""
+    """Samples, the weighting word and the model variant to fit."""
 
     samples: tuple[KSample, ...]
-    weights: tuple[float, ...] | None = None
+    weighting: str = "uniform"
     model: str = MODEL_GENERAL
 
     def __post_init__(self):
+        if self.weighting not in ("uniform", "relative"):
+            raise ValidationError(f"unknown weighting {self.weighting!r}")
         if self.model not in FREE:
             raise ValidationError(f"unknown model {self.model!r}")
         n_params = len(FREE[self.model])
@@ -75,20 +79,16 @@ class FitProblem:
             )
         if np.ptp(_sample_arrays(self.samples)[0]) == 0.0:
             raise ValidationError("sample energies are all equal")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.size != len(self.samples) or np.any(w < 0) or not w.any():
-                raise ValidationError("weights must be nonnegative, not all zero")
         object.__setattr__(self, "samples", tuple(self.samples))
 
     def arrays(self):
+        """Energies, K entries and the weighting's per-sample weights."""
         e, k = _sample_arrays(self.samples)
-        w = (
-            np.ones_like(e)
-            if self.weights is None
-            else np.asarray(self.weights, dtype=float)
-        )
-        return e, k, w
+        if self.weighting == "uniform":
+            return e, k, np.ones_like(e)
+        return e, k, np.array([
+            1.0 / max(1e-6, s.k11 ** 2 + 2.0 * s.k12 ** 2 + s.k22 ** 2)
+            for s in self.samples])
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class FitResult:
     report: ResonanceReport
     residual: float  # rms misfit per matrix entry, weighted
     model: str
-    weight_mode: str
+    weighting: str
     iterations: int
     start: str  # which start won: "varpro", "guess", "guess 2", ...
 
@@ -420,19 +420,18 @@ def fit(problem: FitProblem, guesses=None) -> FitResult:
         report = resonance_from_pole(params)
     except InconsistentParametersError as exc:
         raise InconsistentFitError(f"converged fit is unphysical: {exc}") from exc
-    weight_mode = "uniform" if problem.weights is None else "custom"
     return FitResult(
         params=params,
         report=report,
         residual=residual,
         model=problem.model,
-        weight_mode=weight_mode,
+        weighting=problem.weighting,
         iterations=n_iter,
         start=start,
     )
 
 
-def compare_models(samples, weights=None) -> ModelComparison:
+def compare_models(samples, weighting="uniform") -> ModelComparison:
     """Fit general and diagonal-background models to identical samples.
 
     The diagonal model is fitted from its varpro start and the data-driven
@@ -445,12 +444,11 @@ def compare_models(samples, weights=None) -> ModelComparison:
     """
     guess = initial_guess(samples)
     try:
-        diag = fit(FitProblem(samples=tuple(samples), weights=weights,
-                              model=MODEL_DIAGONAL), guesses=(guess,))
+        diag = fit(FitProblem(tuple(samples), weighting, MODEL_DIAGONAL),
+                   guesses=(guess,))
     except FitFailureError:
         diag = None
-    best = fit(FitProblem(samples=tuple(samples), weights=weights,
-                          model=MODEL_GENERAL),
+    best = fit(FitProblem(tuple(samples), weighting, MODEL_GENERAL),
                guesses=(guess,) if diag is None else (guess, diag.params))
     if diag is None:
         return ModelComparison(best, None, math.nan, math.nan)

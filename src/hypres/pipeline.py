@@ -28,10 +28,11 @@ they load neither the FEM layer nor the radial solver.
 The configuration is one INI-style file with a section per stage; the
 defaults reproduce the full (t, d, mu) run (131x61 basis grid, 6 retained
 channels, rho in [0.05, 500]) so a config that only names the kind is
-complete.  It is read once, each value cast to the type of its default, so
-a bad key or value is a ConfigError before any stage runs.  The config and
-the stage rows are plain slotted classes, neither dataclasses nor
-NamedTuples, so that no method is generated and compiled at import.
+complete.  It is read once, each value cast to the type of its default and
+a three-body rho range checked, so a bad key, value or range is a
+ConfigError before any stage runs; the digests hash the typed values.  The
+config and the stage rows are plain slotted classes, neither dataclasses
+nor NamedTuples, so that no method is generated and compiled at import.
 """
 
 from __future__ import annotations
@@ -79,13 +80,12 @@ WORDS = {
 
 
 class RunConfig:
-    """Typed values of every configuration key, and the text of each key
-    the file gave; the digests hash that text (a default as its str)."""
+    """Typed values of every configuration key; the digests hash their str."""
 
-    __slots__ = ("values", "text")
+    __slots__ = ("values",)
 
-    def __init__(self, values: dict, text: dict):
-        self.values, self.text = values, text
+    def __init__(self, values: dict):
+        self.values = values
 
     @classmethod
     def from_file(cls, path, directory=None) -> "RunConfig":
@@ -102,7 +102,7 @@ class RunConfig:
         replaces [output] directory.  Malformed INI (a key given twice, a
         line outside any section), an unknown section or key, a malformed
         value, a word outside its WORDS, a three-body key in a toy run and a
-        [radial] range past the [basis] range are each a ConfigError."""
+        three-body rho range out of order are each a ConfigError."""
         parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text, source)
@@ -111,7 +111,6 @@ class RunConfig:
         if parser.defaults():
             raise ConfigError(f"unknown section [{parser.default_section}]")
         values = {section: dict(keys) for section, keys in DEFAULTS.items()}
-        texts = {section: {} for section in DEFAULTS}
         for section in parser.sections():
             if section not in DEFAULTS:
                 raise ConfigError(f"unknown section [{section}]")
@@ -119,31 +118,32 @@ class RunConfig:
                 if key not in DEFAULTS[section]:
                     raise ConfigError(f"unknown key [{section}] {key}")
                 values[section][key] = _typed(section, key, raw)
-                texts[section][key] = raw
         b, r = values["basis"], values["radial"]  # couplings.dat spans b's range
         if values["system"]["kind"] == "toy":
             # the toy reads [radial] h_max alone (its tables and rho range are fixed)
-            unread = [f"[{section}] {key}" for section in ("basis", "radial")
-                      for key in texts[section] if key != "h_max"]
+            unread = [f"[{s}] {key}" for s in ("basis", "radial") if s in parser
+                      for key in parser[s] if key != "h_max"]
             if unread:
                 raise ConfigError(f"{', '.join(unread)}: not read by kind = toy")
-        elif not (b["rho_min"] <= r["rho_start"] and r["rho_match"] <= b["rho_max"]):
-            raise ConfigError(f"[radial] range [{r['rho_start']!r}, {r['rho_match']!r}]"
-                              f" leaves [basis] [{b['rho_min']!r}, {b['rho_max']!r}]")
+        elif not (0.0 < b["rho_min"] <= r["rho_start"] < r["rho_match"]
+                  <= b["rho_max"] and b["n_rho"] >= 2):
+            raise ConfigError(
+                f"[radial] range [{r['rho_start']!r}, {r['rho_match']!r}] on [basis] "
+                f"[{b['rho_min']!r}, {b['rho_max']!r}], n_rho = {b['n_rho']!r}: need 0 < "
+                "rho_min <= rho_start < rho_match <= rho_max and n_rho >= 2")
         if directory is not None:
-            values["output"]["directory"] = texts["output"]["directory"] = str(directory)
-        return cls(values=values, text=texts)
+            values["output"]["directory"] = str(directory)
+        return cls(values)
 
     def get(self, section: str, key: str):
         return self.values[section][key]
 
     def canonical(self, sections) -> str:
-        """Normalized text of the given sections (for digests)."""
+        """The given sections' values as text, for digests (None as '')."""
         buf = io.StringIO()
         for sec in sections:
             buf.write(f"[{sec}]\n")
-            for key in sorted(self.values[sec]):
-                value = self.text[sec].get(key, self.values[sec][key])
+            for key, value in sorted(self.values[sec].items()):
                 buf.write(f"{key} = {'' if value is None else value}\n")
         return buf.getvalue()
 

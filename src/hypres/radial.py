@@ -119,8 +119,7 @@ class RadialProblem:
         Tables are interpolated by cubic splines and every table channel is
         kept; the thresholds are the term values at the last table point.
         This is the one home of that convention: the scan and the sample
-        stage take the thresholds of the problem built here, and the fit
-        reads the upper one from the samples' header.  rho_start and
+        stage take the thresholds of the problem built here.  rho_start and
         rho_match default to the table's ends and must lie within them
         (a spline is never extrapolated: ValidationError).  An all-zero Q
         table (the toy's) gives no q_mat, so the problem has no gauge

@@ -43,13 +43,8 @@ def _terms(config: RunConfig, expect: dict, out: Path):
         return tableio.save_terms(out, rho, eps, {"kind": "toy", **expect})
     from .adiabatic import solve_terms
     from .channels import dtmu_masses
-    rho_min, rho_max, n_rho = (
-        config.get("basis", key) for key in ("rho_min", "rho_max", "n_rho"))
-    if not (0.0 < rho_min < rho_max and n_rho >= 2):
-        raise ValidationError(
-            f"[basis] rho_min={rho_min!r}, rho_max={rho_max!r}, n_rho={n_rho!r}: "
-            "need 0 < rho_min < rho_max and n_rho >= 2")
-    rho_grid = np.geomspace(rho_min, rho_max, n_rho)
+    rho_grid = np.geomspace(
+        *(config.get("basis", key) for key in ("rho_min", "rho_max", "n_rho")))
     sol = solve_terms(
         dtmu_masses(), _hyperangular_grid(config), rho_grid,
         config.get("basis", "n_terms"),
@@ -159,16 +154,6 @@ def _sample(config: RunConfig, expect: dict, couplings: Path, windows: Path,
         gamma_est=f"{window.gamma_est:.6e}"))
 
 
-def _fit_weights(samples, mode: str):
-    """Per-sample fit weights of a [fit] weighting word."""
-    if mode == "uniform":
-        return None
-    norms = [
-        max(1e-6, s.k11 ** 2 + 2.0 * s.k12 ** 2 + s.k22 ** 2) for s in samples
-    ]
-    return tuple(1.0 / n for n in norms)
-
-
 def _report_pairs(result, prefix=""):
     rep = result.report
     p = result.params
@@ -185,7 +170,7 @@ def _report_pairs(result, prefix=""):
         f"{prefix}rank_defect": p.rank_defect,
         f"{prefix}residual": result.residual,
         f"{prefix}iterations": result.iterations,
-        f"{prefix}weight_mode": result.weight_mode,
+        f"{prefix}weighting": result.weighting,
         f"{prefix}E0": rep.E0,
         f"{prefix}Gamma": rep.Gamma,
         f"{prefix}Gamma1": rep.partial_widths[0],
@@ -207,10 +192,9 @@ def _fit(config: RunConfig, expect: dict, samples: Path, out: Path, model: str):
     from .fitting import FitProblem, compare_models, fit
     from .samples import read_samples
     sampled, _ = read_samples(samples)
-    weights = _fit_weights(sampled, config.get("fit", "weighting"))
-
+    weighting = config.get("fit", "weighting")
     if model == "both":
-        comparison = compare_models(sampled, weights=weights)
+        comparison = compare_models(sampled, weighting)
         pairs = _report_pairs(comparison.general)
         if comparison.diagonal is None:
             pairs["diagonal_status"] = "no admissible start"
@@ -220,7 +204,7 @@ def _fit(config: RunConfig, expect: dict, samples: Path, out: Path, model: str):
             pairs["branching_shift"] = comparison.branching_shift
         best = comparison.general
     else:
-        best = fit(FitProblem(samples=tuple(sampled), weights=weights, model=model))
+        best = fit(FitProblem(tuple(sampled), weighting, model))
         pairs = _report_pairs(best)
     pairs["minus_E0"] = -best.report.E0
     pairs["Gamma2_over_Gamma"] = best.report.branching[1]

@@ -130,8 +130,10 @@ class TestCrossSections:
             assert np.abs(p @ scaled @ p - scaled2).max() < 1e-10 * scaled.max()
 
     def test_closed_channel_error(self):
-        km = KMatrix(energy=0.3, entries=np.zeros((2, 2)))
-        with pytest.raises(ClosedChannelError):
+        # raised by ChannelSet.q, in plain floats
+        km = KMatrix(energy=np.float64(0.3), entries=np.zeros((2, 2)))
+        with pytest.raises(ClosedChannelError,
+                           match=r"^channel 1 closed at E=0\.3 \(threshold 0\.5\)$"):
             cross_sections(km, self.channels)
 
     def test_shape_error(self):

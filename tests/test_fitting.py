@@ -11,7 +11,6 @@ from hypres.breit_wigner import BWPoleParams, bw_k, resonance_from_pole
 from hypres.errors import BracketError, CacheError, FitFailureError, ValidationError
 from hypres.fitting import FitProblem, compare_models, fit, initial_guess
 from hypres.samples import KSample, read_samples, write_samples
-from hypres.stages import _fit_weights
 
 DATA = Path(__file__).parent / "data"
 
@@ -148,11 +147,8 @@ class TestAdmissiblePole:
         # the variable-projection start collapses onto the top sample energy
         # on these samples; the fit must fall back to the physical pole
         samples, _ = read_samples(DATA / "threebody_coarse_ksamples.dat")
-        problem = FitProblem(
-            samples=tuple(samples),
-            weights=_fit_weights(samples, "relative"),
-            model="general",
-        )
+        problem = FitProblem(samples=tuple(samples), weighting="relative",
+                             model="general")
         res = fit(problem)
         e = np.array([s.energy for s in samples])
         assert (e < res.params.E1).sum() >= 2
@@ -250,22 +246,21 @@ class TestModelComparison:
         # on these samples only the general model has an admissible start:
         # the comparison keeps the general fit from the guess alone
         samples, _ = read_samples(DATA / "threebody_coarse_ksamples_discrete.dat")
-        weights = _fit_weights(samples, weighting)
         with pytest.raises(FitFailureError):
-            fit(FitProblem(samples=tuple(samples), weights=weights,
+            fit(FitProblem(samples=tuple(samples), weighting=weighting,
                            model="diagonal"))
-        cmp_ = compare_models(samples, weights=weights)
+        cmp_ = compare_models(samples, weighting=weighting)
         assert cmp_.diagonal is None
         assert math.isnan(cmp_.residual_ratio)
         assert math.isnan(cmp_.branching_shift)
-        alone = fit(FitProblem(samples=tuple(samples), weights=weights,
+        alone = fit(FitProblem(samples=tuple(samples), weighting=weighting,
                                model="general"),
                     guesses=(initial_guess(samples),))
         assert cmp_.general.params == alone.params
 
     def test_older_coarse_samples_fit_both_models(self):
         samples, _ = read_samples(DATA / "threebody_coarse_ksamples.dat")
-        cmp_ = compare_models(samples, weights=_fit_weights(samples, "relative"))
+        cmp_ = compare_models(samples, weighting="relative")
         assert cmp_.diagonal is not None
         assert cmp_.residual_ratio >= 1.0
 
@@ -282,11 +277,11 @@ class TestValidation:
             FitProblem(samples=(s,) * 8)
 
     def test_bad_weights(self):
+        # a weighting is one of the [fit] weighting words; there is no
+        # free-form weight vector
         samples = tuple(synthesize(TRUTH, sample_grid()))
-        with pytest.raises(ValidationError):
-            FitProblem(samples=samples, weights=(1.0,))
-        with pytest.raises(ValidationError):
-            FitProblem(samples=samples, weights=(0.0,) * len(samples))
+        with pytest.raises(ValidationError, match="^unknown weighting 'custom'$"):
+            FitProblem(samples=samples, weighting="custom")
 
     def test_unknown_model(self):
         samples = tuple(synthesize(TRUTH, sample_grid()))

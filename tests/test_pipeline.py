@@ -96,6 +96,8 @@ class TestStages:
                     "minus_E0", "start"):
             assert key in pairs, key
         assert pairs["Gamma"] > 0
+        # the weighting is reported by its [fit] word
+        assert pairs["weighting"] == "relative"
         assert "config-digest" in meta
 
     def test_rerun_is_noop_bytewise(self, toy_run):
@@ -482,6 +484,20 @@ class TestStages:
         assert "diagonal model: no admissible fit" in out
         assert "residual ratio" not in out
 
+    def test_model_both_summary_prints_comparison(self, toy_run, tmp_path,
+                                                  capsys):
+        # the toy's samples fit both models: the summary ends with the
+        # comparison line
+        report = tmp_path / "fit_0.txt"
+        _fit(toy_run["config"], {}, toy_run["out"] / "ksamples_0.dat", report,
+             "both")
+        pairs, _ = read_keyvalues(report)
+        _print_summary(report)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == (
+            f"# model comparison: residual ratio {pairs['residual_ratio']:.3e}, "
+            f"branching shift {pairs['branching_shift']:.4f}")
+
 
 def _fresh_couplings(tmp_path):
     """A toy INI run up to its couplings stage, and its couplings.dat."""
@@ -589,6 +605,14 @@ class TestConfigDigest:
         b = RunConfig.from_text("[scan]\nalpha_min = 1.5\n")
         assert a.digest(["scan"]) != b.digest(["scan"])
 
+    # digests hash typed values: equal values written two ways share a cache
+    @pytest.mark.parametrize("text", [
+        "[scan]\nalpha_step = 1\n", "[scan]\nsigma =\n",
+    ], ids=["int-for-float", "empty-optional"])
+    def test_default_value_digests_like_default(self, text):
+        assert (RunConfig.from_text(text).digest(["scan"])
+                == RunConfig.from_text("").digest(["scan"]))
+
 
 class TestConfigChecks:
     # a misspelled key would otherwise run on its default, unreported
@@ -637,8 +661,11 @@ class TestConfigChecks:
                                                    old, new):
         assert old in THREE_BODY_INI
         text = THREE_BODY_INI.replace(old, new).format(out=tmp_path / "out")
-        with pytest.raises(ConfigError, match=r"^\[radial\] range .* leaves "
-                           r"\[basis\] \[0\.5, 100\.0\]$"):
+        value = re.escape(new.split(" = ")[1])
+        with pytest.raises(ConfigError, match=(
+                rf"^\[radial\] range \[.*{value}.*\] on \[basis\] \[0\.5, 100\.0\], "
+                r"n_rho = 70: need 0 < rho_min <= rho_start < rho_match <= "
+                r"rho_max and n_rho >= 2$")):
             RunConfig.from_text(text)
         # from the command line: exit code 2, and no output directory made
         ini = tmp_path / "run.ini"
@@ -648,6 +675,25 @@ class TestConfigChecks:
         assert err.startswith("[config] error: [radial] range"), err
         assert not (tmp_path / "out").exists()
         RunConfig.from_text(THREE_BODY_INI.format(out=tmp_path / "out"))
+
+    # the basis grid and the radial range are checked when the INI is read,
+    # before terms and couplings run
+    @pytest.mark.parametrize("old, new", [
+        ("rho_start = 0.5", "rho_start = 100.0"),
+        ("rho_min = 0.5", "rho_min = 0"),
+        ("n_rho = 70", "n_rho = 0"),
+    ])
+    def test_unusable_three_body_range_refused(self, tmp_path, capsys, old,
+                                               new):
+        ini = tmp_path / "three-body.ini"
+        assert old in THREE_BODY_INI
+        ini.write_text(THREE_BODY_INI.replace(old, new)
+                       .format(out=tmp_path / "out"))
+        assert main(["terms", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[config] error: [radial] range"), err
+        assert "need 0 < rho_min <= rho_start < rho_match <= rho_max" in err
+        assert not (tmp_path / "out").exists()
 
     # refused as a configuration error, never a bare KeyError
     @pytest.mark.parametrize("run", [
@@ -702,7 +748,7 @@ class TestConfigChecks:
         assert config.get("scan", "n_levels") == 10
         assert type(config.get("scan", "n_levels")) is int
         assert config.get("scan", "sigma") == -0.157
-        # digests hash the text as written
+        # digests hash each typed value's str, '' for None
         assert "n_levels = 10\n" in config.canonical(["scan"])
         assert "sigma = \n" in RunConfig.from_text("").canonical(["scan"])
 
@@ -784,21 +830,6 @@ class TestCli:
         assert main(["terms", "--config", str(ini)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("[stage:terms] error: n_terms"), err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("old, new", [
-        ("rho_min = 0.5", "rho_min = 0"),
-        ("n_rho = 70", "n_rho = 0"),
-    ])
-    def test_unusable_basis_grid_is_stage_error(self, tmp_path, capsys,
-                                                old, new):
-        ini = tmp_path / "three-body.ini"
-        assert old in THREE_BODY_INI
-        ini.write_text(THREE_BODY_INI.replace(old, new)
-                       .format(out=tmp_path / "out"))
-        assert main(["terms", "--config", str(ini)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("[stage:terms] error: [basis]"), err
         assert "Traceback" not in err
 
     def test_first_box_with_too_few_rows_is_stage_error(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypres.errors import ValidationError
 from hypres.models import BoxMode
 from hypres.radial import build_grid
 from hypres.scan import (
+    MAX_SAMPLES,
     ResonanceWindow,
     ScanConfig,
     StabilizationSpectrum,
@@ -185,6 +186,21 @@ class TestDetection:
                                  thresholds=toy_problem.thresholds)
         assert len(wins) == 1
         assert abs(wins[0].e_center - TOY_E0) < 0.1 * TOY_GAMMA
+
+    def test_window_thinned_to_max_samples(self):
+        # a halfwidth that takes in every level of the 201 x 15 spectrum:
+        # the window keeps MAX_SAMPLES of them, evenly spread, both ends kept
+        alphas, levels = synthetic_crossing()
+        assert levels.size > MAX_SAMPLES
+        spectrum = StabilizationSpectrum(alpha_grid=alphas, levels=levels)
+        cfg = ScanConfig(alpha_min=alphas[0], alpha_max=alphas[-1],
+                         alpha_step=alphas[1] - alphas[0],
+                         n_levels=levels.shape[1], halfwidth=1e12)
+        (win,) = detect_resonances(spectrum, cfg, BELOW_ALL)
+        assert win.n_samples == MAX_SAMPLES
+        assert np.all(np.diff(win.rows[:, 0]) >= 0.0)
+        assert win.rows[0, 0] == levels.min()
+        assert win.rows[-1, 0] == levels.max()
 
     def test_needs_enough_data(self):
         spectrum = StabilizationSpectrum(
