@@ -442,13 +442,6 @@ def _couplings_at(prev_rho, point: _Point, nxt: _Point | None):
     return rho, point.vals, h, 0.5 * (q_raw - q_raw.T)
 
 
-def orthonormality_defect(tensor: TensorGrid, vecs: np.ndarray) -> float:
-    """Max |<phi_i|phi_j> - delta_ij| of one point's basis, by quadrature."""
-    kern, _, _, vals = _on_quadrature(tensor, vecs)
-    gram = np.einsum("xy,jxy,Jxy->jJ", kern, vals, vals)
-    return float(np.abs(gram - np.eye(vecs.shape[0])).max())
-
-
 def refine_rho_grid(rho_grid: np.ndarray, terms: np.ndarray, n_extra: int):
     """Add n_extra points where the terms vary fastest (gradient-adapted).
 

@@ -1,11 +1,7 @@
-"""Reaction-matrix / scattering-matrix algebra, cross sections, eigensolve.
+"""Reaction-matrix algebra, cross sections and the shared eigensolve.
 
-Pure matrix operations: the Cayley transform between the real
-symmetric reaction matrix K and the unitary symmetric scattering matrix S,
-
-    S = (1 + iK)(1 - iK)^-1,        K = i (1 + S)^-1 (1 - S),
-
-and the two-channel s-wave partial cross sections
+`KMatrix` is a real symmetric reaction matrix at one energy; from it follow
+the two-channel s-wave partial cross sections
 
     sigma_ij = (4 pi / k_i^2) (delta_ij D^2 + K_ij^2) / ((1 - D)^2 + F^2),
     D = det K,   F = tr K.
@@ -21,29 +17,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    EigensolverError,
-    MatrixInversionError,
-    UnsupportedShapeError,
-    ValidationError,
-)
+from .errors import EigensolverError, UnsupportedShapeError, ValidationError
 
 if TYPE_CHECKING:
     from .channels import ChannelSet
 
 SYMMETRY_TOL = 1e-10
-UNITARITY_TOL = 1e-10
 # ARPACK start vector: a fixed generic draw (not ones, which can be orthogonal
 # to antisymmetric states) so that every eigensolve is reproducible
 START_VECTOR_SEED = 0
 # OPinv applications of every shift_invert_eigsh call in this process
 EIGENSOLVE_WORK = {"operator_applications": 0}
-
-
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -54,7 +38,8 @@ class KMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _frozen_array(self.entries, float)
+        arr = np.array(self.entries, dtype=float)
+        arr.flags.writeable = False
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"K must be square, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -70,63 +55,6 @@ class KMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class SMatrix:
-    """A scattering matrix at one energy: complex, unitary, symmetric."""
-
-    energy: float
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = _frozen_array(self.entries, complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"S must be square, got shape {arr.shape}")
-        n = arr.shape[0]
-        if np.abs(arr @ arr.conj().T - np.eye(n)).max() > UNITARITY_TOL:
-            raise ValidationError(
-                f"S not unitary at E={self.energy!r}: "
-                f"defect {np.abs(arr @ arr.conj().T - np.eye(n)).max():.3e}"
-            )
-        if np.abs(arr - arr.T).max() > UNITARITY_TOL:
-            raise ValidationError(f"S not symmetric at E={self.energy!r}")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-def k_to_s(k: KMatrix) -> SMatrix:
-    """Cayley transform S = (1 + iK)(1 - iK)^-1 of a reaction matrix."""
-    n = k.n
-    a = np.eye(n) - 1j * k.entries
-    b = np.eye(n) + 1j * k.entries
-    try:
-        # S = b a^-1; solve on the right via the transposed system.
-        s = np.linalg.solve(a.T, b.T).T
-    except np.linalg.LinAlgError as exc:
-        raise MatrixInversionError(
-            f"(1 - iK) singular at E={k.energy!r}", energy=k.energy
-        ) from exc
-    return SMatrix(energy=k.energy, entries=s)
-
-
-def s_to_k(s: SMatrix) -> KMatrix:
-    """Inverse Cayley transform K = i (1 + S)^-1 (1 - S)."""
-    n = s.n
-    a = np.eye(n) + s.entries
-    b = np.eye(n) - s.entries
-    try:
-        k = 1j * np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise MatrixInversionError(
-            f"(1 + S) singular at E={s.energy!r}", energy=s.energy
-        ) from exc
-    k = k.real  # imaginary part is roundoff for unitary symmetric S
-    k = 0.5 * (k + k.T)
-    return KMatrix(energy=s.energy, entries=k)
 
 
 def cross_sections(k: KMatrix, channels: ChannelSet) -> np.ndarray:

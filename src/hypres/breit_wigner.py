@@ -15,8 +15,9 @@ form from the six parameters:
     Gamma2 = 2 (h a1 + b2 - d b1) / ((1 - d)^2 + f^2),
     Gamma  = Gamma1 + Gamma2 = 2 (f h + g (1 - d)) / ((1 - d)^2 + f^2).
 
-The equivalent scattering-matrix form diagonalizes the background with an
-orthogonal mixing rotation R(nu) and eigenphases Delta_j:
+The report's eigenphases Delta_j, mixing angle nu and real amplitudes bt_j
+are the parameters of the equivalent scattering-matrix form, which
+diagonalizes the background with an orthogonal mixing rotation R(nu):
 
     S(E) = R^-1 [ Sb - i Gamma B / (E - E0 + i Gamma/2) ] R,
     Sb_jk = delta_jk exp(2i Delta_j),
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import KMatrix, SMatrix
+from .algebra import KMatrix
 from .errors import (
     InconsistentParametersError,
     PoleEvaluationError,
@@ -120,11 +121,6 @@ class ResonanceReport:
     beta: tuple[complex, complex]
     degenerate_background: bool = False
     ill_conditioned_background: bool = False
-
-    @property
-    def rotation(self) -> np.ndarray:
-        c, s = math.cos(self.mixing_angle), math.sin(self.mixing_angle)
-        return np.array([[c, s], [-s, c]])
 
 
 def bw_k(params: BWPoleParams, energy: float) -> KMatrix:
@@ -228,45 +224,3 @@ def resonance_from_pole(params: BWPoleParams) -> ResonanceReport:
         ill_conditioned_background=max(abs(d1), abs(d2)) > ILL_CONDITIONED_PHASE,
     )
 
-
-def bw_s(
-    E0: float,
-    Gamma: float,
-    eigenphases: tuple[float, float],
-    beta_tilde: tuple[float, float],
-    rotation: np.ndarray,
-    energy: float,
-) -> SMatrix:
-    """Evaluate the resonance scattering matrix S(E) from report-level data.
-
-    S(E) = R^-1 [Sb - i Gamma B / (E - E0 + i Gamma/2)] R with the diagonal
-    background Sb and rank-1 residue B built from the eigenphases and the
-    normalized real amplitudes.  The result is unitary symmetric at every E.
-    """
-    if Gamma <= 0.0:
-        raise ValidationError(f"Gamma must be positive, got {Gamma!r}")
-    bt = np.asarray(beta_tilde, dtype=float)
-    if abs(float(bt @ bt) - 1.0) > 1e-8:
-        raise ValidationError(f"amplitudes not normalized: sum bt^2 = {bt @ bt!r}")
-    rot = np.asarray(rotation, dtype=float)
-    if np.abs(rot @ rot.T - np.eye(2)).max() > 1e-10:
-        raise ValidationError("rotation matrix not orthogonal")
-
-    delta = np.asarray(eigenphases, dtype=float)
-    phase = np.exp(1j * delta)
-    sb = np.diag(phase**2)
-    residue = np.outer(bt * phase, bt * phase)
-    core = sb - 1j * Gamma * residue / (energy - E0 + 0.5j * Gamma)
-    return SMatrix(energy=energy, entries=rot.T @ core @ rot)
-
-
-def bw_s_from_report(report: ResonanceReport, energy: float) -> SMatrix:
-    """Shorthand: evaluate bw_s with a report's decomposition."""
-    return bw_s(
-        report.E0,
-        report.Gamma,
-        report.eigenphases,
-        report.beta_tilde,
-        report.rotation,
-        energy,
-    )

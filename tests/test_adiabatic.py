@@ -15,11 +15,11 @@ from hypres.adiabatic import (
     assemble_adiabatic_operator,
     coalescence_points,
     coulomb_potential,
-    orthonormality_defect,
     solve_adiabatic_point,
     solve_terms,
     solve_with_couplings,
     build_grids,
+    _on_quadrature,
     _sigma_estimate,
 )
 from hypres.channels import ThreeBodyMasses, dtmu_masses
@@ -36,6 +36,13 @@ from hypres.tableio import load_couplings, load_terms, save_couplings, save_term
 DTMU = dtmu_masses()
 GRID_FINE = HyperangularGrid(n_chi=181, n_theta=91)
 GRID_COARSE = HyperangularGrid(n_chi=61, n_theta=31)
+
+
+def orthonormality_defect(tensor, vecs):
+    """Max |<phi_i|phi_j> - delta_ij| of one point's basis, by quadrature."""
+    kern, _, _, vals = _on_quadrature(tensor, vecs)
+    gram = np.einsum("xy,jxy,Jxy->jJ", kern, vals, vals)
+    return float(np.abs(gram - np.eye(vecs.shape[0])).max())
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""K/S matrix algebra, cross sections and the shift-invert eigensolve."""
+"""K-matrix algebra, cross sections and the shift-invert eigensolve."""
 
 import re
 from pathlib import Path
@@ -6,19 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from hypres.adiabatic import (ClusterSpec, HyperangularGrid, build_grids,
                               coulomb_potential, solve_adiabatic_point)
-from hypres.algebra import (EIGENSOLVE_WORK, KMatrix, SMatrix, cross_sections,
-                            k_to_s, s_to_k)
+from hypres.algebra import EIGENSOLVE_WORK, KMatrix, cross_sections
 from hypres.channels import ChannelSet, dtmu_masses
 from hypres.errors import (
     ClosedChannelError,
     EigensolverError,
-    MatrixInversionError,
     UnsupportedShapeError,
     ValidationError,
 )
@@ -33,57 +29,12 @@ def sym(rng, n, scale=5.0):
     return 0.5 * (m + m.T)
 
 
-class TestCayley:
-    def test_zero_k_gives_identity(self):
-        s = k_to_s(KMatrix(energy=1.0, entries=np.zeros((2, 2))))
-        assert np.abs(s.entries - np.eye(2)).max() < 1e-14
-
-    def test_uncoupled_phase_shifts(self):
-        d1, d2 = 0.3, -1.1
-        k = KMatrix(energy=1.0, entries=np.diag([np.tan(d1), np.tan(d2)]))
-        s = k_to_s(k)
-        expected = np.diag([np.exp(2j * d1), np.exp(2j * d2)])
-        assert np.abs(s.entries - expected).max() < 1e-12
-
-    def test_random_k_unitary_and_consistent(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            km = KMatrix(energy=0.5, entries=sym(rng, 2))
-            s = k_to_s(km)
-            assert np.abs(s.entries @ s.entries.conj().T - np.eye(2)).max() < 1e-12
-            # direct complex-arithmetic oracle: back-substitute the defining
-            # relation K = i (1 + S)^-1 (1 - S)
-            back = 1j * np.linalg.solve(np.eye(2) + s.entries,
-                                        np.eye(2) - s.entries)
-            assert np.abs(back.real - km.entries).max() < 1e-10
-            assert np.abs(back.imag).max() < 1e-10
-
-    @given(
-        st.integers(min_value=2, max_value=4),
-        st.integers(min_value=0, max_value=10**6),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip_identity(self, n, seed):
-        rng = np.random.default_rng(seed)
-        km = KMatrix(energy=0.0, entries=sym(rng, n))
-        back = s_to_k(k_to_s(km))
-        assert np.abs(back.entries - km.entries).max() < 1e-10 * max(
-            1.0, np.abs(km.entries).max()
-        )
-
-    def test_s_to_k_singular_at_half_pi_phase(self):
-        s = SMatrix(energy=0.0, entries=-np.eye(2, dtype=complex))
-        with pytest.raises(MatrixInversionError) as err:
-            s_to_k(s)
-        assert "0.0" in str(err.value)
-
+class TestKMatrix:
     def test_validation(self):
         with pytest.raises(ValidationError):
             KMatrix(energy=0.0, entries=np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(ValidationError):
             KMatrix(energy=0.0, entries=np.array([[np.inf, 0.0], [0.0, 0.0]]))
-        with pytest.raises(ValidationError):
-            SMatrix(energy=0.0, entries=2.0 * np.eye(2, dtype=complex))
 
 
 class TestCrossSections:

@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypres.algebra import k_to_s
 from hypres.breit_wigner import (
     BWPoleParams,
     bw_k,
-    bw_s,
-    bw_s_from_report,
     partial_width_lower_bound,
     resonance_from_pole,
 )
@@ -37,6 +34,28 @@ def random_params(rng):
         beta1=rng.uniform(0.05, 1.5),
         beta2=rng.uniform(-1.5, 1.5),
     )
+
+
+def mixing(rep):
+    """The rotation R(nu) of a report's background decomposition."""
+    c, s = math.cos(rep.mixing_angle), math.sin(rep.mixing_angle)
+    return np.array([[c, s], [-s, c]])
+
+
+def report_s(rep, energy):
+    """S(E) = R^T [Sb - i Gamma B / (E - E0 + i Gamma/2)] R, the scattering
+    form of the module docstring, from a report's fields alone."""
+    phase = np.exp(1j * np.asarray(rep.eigenphases))
+    amp = np.asarray(rep.beta_tilde) * phase
+    core = np.diag(phase**2) - 1j * rep.Gamma * np.outer(amp, amp) / (
+        energy - rep.E0 + 0.5j * rep.Gamma)
+    return mixing(rep).T @ core @ mixing(rep)
+
+
+def cayley(k):
+    """S = (1 + iK)(1 - iK)^-1 of a KMatrix (the two factors commute)."""
+    one = np.eye(k.n)
+    return np.linalg.solve(one - 1j * k.entries, one + 1j * k.entries)
 
 
 class TestPoleForm:
@@ -187,28 +206,33 @@ class TestLowerBound:
 
 
 class TestScatteringForm:
+    """The reported Delta_j, nu and beta_tilde against the fitted pole form."""
+
     def test_single_channel_reduction(self):
-        # nu = 0, equal phases zero, bt = (1, 0): S12 = 0 and S11 is the
-        # one-channel resonance formula
+        # no background and beta2 = 0: S12 = 0 and S11 is the one-channel
+        # resonance formula with Gamma = 2 beta1^2
         e0, gamma = 1.0, 0.1
+        rep = resonance_from_pole(BWPoleParams.from_amplitudes(
+            e0, 0.0, 0.0, 0.0, math.sqrt(0.5 * gamma), 0.0))
+        assert (rep.E0, rep.Gamma) == pytest.approx((e0, gamma), abs=1e-15)
         for e in [0.5, 0.9, 1.0, 1.3]:
-            s = bw_s(e0, gamma, (0.0, 0.0), (1.0, 0.0), np.eye(2), e)
-            assert abs(s.entries[0, 1]) < 1e-14
+            s = report_s(rep, e)
+            assert abs(s[0, 1]) < 1e-14
             expected = 1.0 - 1j * gamma / (e - e0 + 0.5j * gamma)
-            assert s.entries[0, 0] == pytest.approx(expected, abs=1e-12)
-            assert s.entries[1, 1] == pytest.approx(1.0, abs=1e-12)
+            assert s[0, 0] == pytest.approx(expected, abs=1e-12)
+            assert s[1, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_far_field_approaches_background(self):
         rng = np.random.default_rng(2)
         p = random_params(rng)
         rep = resonance_from_pole(p)
-        sb = bw_s_from_report(rep, rep.E0 + 1e6 * rep.Gamma).entries
-        far = bw_s_from_report(rep, rep.E0 + 1e9 * rep.Gamma).entries
+        sb = report_s(rep, rep.E0 + 1e6 * rep.Gamma)
+        far = report_s(rep, rep.E0 + 1e9 * rep.Gamma)
         assert np.abs(far - sb).max() < 2e-3 * np.abs(sb).max() + 1e-5
 
     def test_cross_representation_consistency(self):
-        # k_to_s(bw_k(p, E)) must equal bw_s built from the decomposition of
-        # the same parameters, entrywise on an energy grid
+        # the Cayley transform of bw_k(p, E) must equal the scattering form
+        # built from the report of the same parameters, entrywise on a grid
         rng = np.random.default_rng(4)
         for _ in range(20):
             p = random_params(rng)
@@ -217,8 +241,8 @@ class TestScatteringForm:
                 [np.linspace(0.05, 2.0, 25), -np.linspace(0.05, 2.0, 25)]
             )
             for e in grid:
-                s1 = k_to_s(bw_k(p, float(e))).entries
-                s2 = bw_s_from_report(rep, float(e)).entries
+                s1 = cayley(bw_k(p, float(e)))
+                s2 = report_s(rep, float(e))
                 assert np.abs(s1 - s2).max() < 1e-8
 
     def test_unitary_symmetric_everywhere(self):
@@ -226,7 +250,7 @@ class TestScatteringForm:
         p = random_params(rng)
         rep = resonance_from_pole(p)
         for e in rep.E0 + rep.Gamma * np.linspace(-20, 20, 41):
-            s = bw_s_from_report(rep, float(e)).entries
+            s = report_s(rep, float(e))
             assert np.abs(s @ s.conj().T - np.eye(2)).max() < 1e-10
             assert np.abs(s - s.T).max() < 1e-10
 
@@ -235,20 +259,12 @@ class TestScatteringForm:
         p = random_params(rng)
         rep = resonance_from_pole(p)
         e = rep.E0 + 3.7 * rep.Gamma
-        sb = rep.rotation.T @ np.diag(
+        sb = mixing(rep).T @ np.diag(
             np.exp(2j * np.asarray(rep.eigenphases))
-        ) @ rep.rotation
-        s = bw_s_from_report(rep, e).entries
+        ) @ mixing(rep)
+        s = report_s(rep, e)
         b = (s - sb) * (e - rep.E0 + 0.5j * rep.Gamma) / (-1j * rep.Gamma)
         assert abs(np.linalg.det(b)) < 1e-10
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            bw_s(0.0, -1.0, (0.0, 0.0), (1.0, 0.0), np.eye(2), 1.0)
-        with pytest.raises(ValidationError):
-            bw_s(0.0, 1.0, (0.0, 0.0), (0.5, 0.5), np.eye(2), 1.0)
-        with pytest.raises(ValidationError):
-            bw_s(0.0, 1.0, (0.0, 0.0), (1.0, 0.0), 2 * np.eye(2), 1.0)
 
 
 class TestResonanceProfiles:

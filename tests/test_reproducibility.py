@@ -57,6 +57,21 @@ def run_stages(base: Path) -> None:
         run_pipeline(config, resonance=0, upto="xsec", force=True)
 
 
+def start_stages(base: Path, env=None) -> subprocess.Popen:
+    """run_stages(base) in a fresh interpreter, with this src and tests on its
+    path, in env (default: this process's environment)."""
+    paths = [str(Path(hypres.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent)]
+    env = dict(os.environ if env is None else env,
+               PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys, pathlib; from test_reproducibility import run_stages; "
+         "run_stages(pathlib.Path(sys.argv[1]))", str(base)],
+        env=env,
+    )
+
+
 def artifact_bytes(base: Path) -> dict:
     return {
         f"{label}/{name}": (config.out_dir() / name).read_bytes()
@@ -74,15 +89,7 @@ def test_artifacts_byte_identical(tmp_path):
     second = artifact_bytes(here)
 
     there = tmp_path / "subprocess"
-    paths = [str(Path(hypres.__file__).resolve().parents[1]),
-             str(Path(__file__).resolve().parent)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    subprocess.run(
-        [sys.executable, "-c",
-         "import sys, pathlib; from test_reproducibility import run_stages; "
-         "run_stages(pathlib.Path(sys.argv[1]))", str(there)],
-        env=env, check=True,
-    )
+    assert start_stages(there).wait() == 0
     third = artifact_bytes(there)
 
     for name in first:
