@@ -70,8 +70,8 @@ class ClusterSpec:
     cusp, which is what exponential atomic states need.  Extents are in
     units of the atom's length scale 1/m_red; the angular widths scale like
     1/rho and are capped so the density degrades to uniform at small rho.
-    The parameters are constants (class attributes); an instance only marks
-    a grid as clustered in `build_grids`.
+    The parameters are constants (class attributes), which `build_grids`
+    reads for every Coulomb grid.
     """
 
     extent_n1 = 9.0
@@ -127,17 +127,16 @@ def coalescence_points(masses: ThreeBodyMasses):
 
 
 def build_grids(
-    masses: ThreeBodyMasses | None,
-    rho: float,
-    grid: HyperangularGrid,
-    cluster: ClusterSpec | None = None,
+    masses: ThreeBodyMasses | None, rho: float, grid: HyperangularGrid
 ) -> TensorGrid:
-    """Tensor grid for one rho; clustered for Coulomb systems, else uniform."""
-    if masses is None or cluster is None:
+    """Tensor grid for one rho: clustered (`ClusterSpec`) around the
+    coalescence points of masses, uniform when masses is None."""
+    if masses is None:
         return TensorGrid(
             Grid1D.uniform(0.0, math.pi, grid.n_chi),
             Grid1D.uniform(0.0, math.pi, grid.n_theta),
         )
+    cluster = ClusterSpec
     (chi1, _), (chi2, _) = coalescence_points(masses)
     m_red1 = masses.m1 / (masses.m1 + 1.0)
     m_red2 = masses.m2 / (masses.m2 + 1.0)
@@ -283,7 +282,7 @@ def _on_quadrature(tensor: TensorGrid, vecs: np.ndarray):
 
 
 def _solve_one(masses, rho, grid, n_terms):
-    tensor = build_grids(masses, rho, grid, ClusterSpec())
+    tensor = build_grids(masses, rho, grid)
     vals, vecs = solve_adiabatic_point(
         tensor, rho, n_terms, potential=coulomb_potential(masses, rho))
     return tensor, vals, vecs
@@ -321,10 +320,10 @@ def solve_terms(
     """Adiabatic terms of the Coulomb system at every rho point, in order.
 
     Each point is solved on the clustered grid of `build_grids` with the
-    default ClusterSpec and the three-pair Coulomb potential, and keeps
-    only its eigenvalues, so no grid or basis outlives its point: the sign
-    fixing the couplings need leaves the eigenvalues unchanged, and the
-    bases are left to `solve_with_couplings`.
+    three-pair Coulomb potential, and keeps only its eigenvalues, so no
+    grid or basis outlives its point: the sign fixing the couplings need
+    leaves the eigenvalues unchanged, and the bases are left to
+    `solve_with_couplings`.
     """
     rho_grid = _checked_rho_grid(rho_grid)
     terms = [_solve_one(masses, rho, grid, n_terms)[1] for rho in rho_grid]

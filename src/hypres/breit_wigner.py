@@ -118,7 +118,6 @@ class ResonanceReport:
     eigenphases: tuple[float, float]
     mixing_angle: float
     beta_tilde: tuple[float, float]
-    beta: tuple[complex, complex]
     degenerate_background: bool = False
     ill_conditioned_background: bool = False
 
@@ -166,7 +165,7 @@ def resonance_from_pole(params: BWPoleParams) -> ResonanceReport:
 
     Evaluates the closed-form expressions for E0, Gamma and the partial
     widths, then fills the background decomposition (eigenphases, mixing
-    angle, real and complex channel amplitudes).
+    angle and real channel amplitudes).
     """
     a1, a2, a = params.a1, params.a2, params.a
     b1, b2, b = params.b1, params.b2, params.b
@@ -208,9 +207,6 @@ def resonance_from_pole(params: BWPoleParams) -> ResonanceReport:
     bt1 = math.sqrt(max(bt1_sq, 0.0) / norm)
     bt2 = math.copysign(math.sqrt(max(bt2_sq, 0.0) / norm), ct[0, 1] if ct[0, 1] else 1.0)
 
-    beta1 = rot[0, 0] * bt1 + rot[1, 0] * bt2 * np.exp(1j * (d2 - d1))
-    beta2 = rot[0, 1] * bt1 * np.exp(1j * (d1 - d2)) + rot[1, 1] * bt2
-
     return ResonanceReport(
         E0=E0,
         Gamma=gamma,
@@ -219,7 +215,6 @@ def resonance_from_pole(params: BWPoleParams) -> ResonanceReport:
         eigenphases=(d1, d2),
         mixing_angle=nu,
         beta_tilde=(bt1, bt2),
-        beta=(complex(beta1), complex(beta2)),
         degenerate_background=degenerate,
         ill_conditioned_background=max(abs(d1), abs(d2)) > ILL_CONDITIONED_PHASE,
     )

@@ -82,10 +82,6 @@ class FitFailureError(HypresError):
         self.residual = residual
 
 
-class InconsistentFitError(HypresError):
-    """Converged fit implies an unphysical (negative-width) resonance."""
-
-
 class StageError(HypresError):
     """Pipeline stage cannot produce its output (its `stage` names which)."""
 

@@ -20,7 +20,9 @@ trust-region fallback) on the weighted Frobenius misfit
 with analytic Jacobian; it is deterministic given samples, weighting,
 model and starting point.  The weights w_s are 1 ("uniform"), or with
 "relative" weighting 1 / max(1e-6, ||K_s||_F^2), so that each sample's K
-counts at unit norm; `FitProblem.arrays` is their one home.
+counts at unit norm; `fit` is their one home.  The samples are the (n, 7)
+rows E K11 K12 K22 defect alpha branch of `hypres.samples`; the fit reads
+the first four columns.
 """
 
 from __future__ import annotations
@@ -31,14 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .breit_wigner import BWPoleParams, ResonanceReport, resonance_from_pole
-from .errors import (
-    BracketError,
-    FitFailureError,
-    InconsistentFitError,
-    InconsistentParametersError,
-    ValidationError,
-)
-from .samples import KSample
+from .errors import BracketError, FitFailureError, ValidationError
 
 XTOL = 1e-10
 FTOL = 1e-10
@@ -49,46 +44,6 @@ MODEL_GENERAL = "general"
 MODEL_DIAGONAL = "diagonal"
 # theta slots each model fits; the diagonal model keeps a (slot 3) at +0.0
 FREE = {MODEL_GENERAL: (0, 1, 2, 3, 4, 5), MODEL_DIAGONAL: (0, 1, 2, 4, 5)}
-
-
-def _sample_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    """The samples' energies (n,) and K entries (n, 3) as K11 K12 K22."""
-    e = np.array([s.energy for s in samples])
-    k = np.array([[s.k11, s.k12, s.k22] for s in samples])
-    return e, k
-
-
-@dataclass(frozen=True)
-class FitProblem:
-    """Samples, the weighting word and the model variant to fit."""
-
-    samples: tuple[KSample, ...]
-    weighting: str = "uniform"
-    model: str = MODEL_GENERAL
-
-    def __post_init__(self):
-        if self.weighting not in ("uniform", "relative"):
-            raise ValidationError(f"unknown weighting {self.weighting!r}")
-        if self.model not in FREE:
-            raise ValidationError(f"unknown model {self.model!r}")
-        n_params = len(FREE[self.model])
-        if len(self.samples) < n_params + 1:
-            raise ValidationError(
-                f"{self.model} model needs at least {n_params + 1} samples, "
-                f"got {len(self.samples)}"
-            )
-        if np.ptp(_sample_arrays(self.samples)[0]) == 0.0:
-            raise ValidationError("sample energies are all equal")
-        object.__setattr__(self, "samples", tuple(self.samples))
-
-    def arrays(self):
-        """Energies, K entries and the weighting's per-sample weights."""
-        e, k = _sample_arrays(self.samples)
-        if self.weighting == "uniform":
-            return e, k, np.ones_like(e)
-        return e, k, np.array([
-            1.0 / max(1e-6, s.k11 ** 2 + 2.0 * s.k12 ** 2 + s.k22 ** 2)
-            for s in self.samples])
 
 
 @dataclass(frozen=True)
@@ -121,7 +76,7 @@ def _edge_median(values: np.ndarray, order: np.ndarray) -> float:
 
 
 def initial_guess(samples) -> BWPoleParams:
-    """Starting parameters from the pole passage visible in the samples.
+    """Starting parameters from the pole passage visible in the (n, 7) samples.
 
     The inverse of a simple pole is linear in E, so E1 comes from the root
     of a straight-line fit to 1/(K11 - median K11); backgrounds come from
@@ -129,7 +84,7 @@ def initial_guess(samples) -> BWPoleParams:
     """
     if len(samples) < 3:
         raise BracketError(f"need at least 3 samples, got {len(samples)}")
-    e, k = _sample_arrays(samples)
+    e, k = samples[:, 0], samples[:, 1:4]
     order = np.argsort(e)
 
     e1 = None
@@ -360,8 +315,13 @@ def _varpro_refine(e, k, w, model):
     return np.array([e1, a1, a2, a12, beta[0], beta[1]])
 
 
-def fit(problem: FitProblem, guesses=None) -> FitResult:
-    """Fit the pole form to the samples; returns parameters and report.
+def fit(samples: np.ndarray, weighting="uniform", model=MODEL_GENERAL,
+        guesses=None) -> FitResult:
+    """Fit the pole form to the (n, 7) samples; returns parameters and report.
+
+    weighting is "uniform" or "relative" and model "general" or "diagonal";
+    another word, fewer samples than the model's free parameters + 1, or
+    energies that are all equal raise ValidationError.
 
     Each start is polished by the damped Gauss-Newton iteration: first the
     variable-projection optimum of the pole position over the sample window
@@ -377,21 +337,37 @@ def fit(problem: FitProblem, guesses=None) -> FitResult:
     lowest-cost admissible result is returned, the earliest start on a tie.
 
     Raises FitFailureError (carrying the best-so-far parameters) only when
-    no start is admissible, and InconsistentFitError when the returned
-    parameters imply a negative width.
+    no start is admissible; resonance_from_pole's
+    InconsistentParametersError propagates when the returned parameters
+    imply a negative width.
     """
-    e, k, w = problem.arrays()
+    if weighting not in ("uniform", "relative"):
+        raise ValidationError(f"unknown weighting {weighting!r}")
+    if model not in FREE:
+        raise ValidationError(f"unknown model {model!r}")
+    n_params = len(FREE[model])
+    if len(samples) < n_params + 1:
+        raise ValidationError(
+            f"{model} model needs at least {n_params + 1} samples, "
+            f"got {len(samples)}"
+        )
+    e, k = samples[:, 0], samples[:, 1:4]
+    if np.ptp(e) == 0.0:
+        raise ValidationError("sample energies are all equal")
+    if weighting == "uniform":
+        w = np.ones(len(e))
+    else:
+        w = np.array([1.0 / max(1e-6, k11 ** 2 + 2.0 * k12 ** 2 + k22 ** 2)
+                      for k11, k12, k22 in k.tolist()])
     if guesses is None:
-        guesses = (initial_guess(problem.samples),)
-    starts = [("varpro", _varpro_refine(e, k, w, problem.model))]
+        guesses = (initial_guess(samples),)
+    starts = [("varpro", _varpro_refine(e, k, w, model))]
     for i, guess in enumerate(guesses):
         starts.append(("guess" if i == 0 else f"guess {i + 1}",
-                       _theta_from_params(guess, problem.model)))
+                       _theta_from_params(guess, model)))
     runs = []  # (cost, start, theta, iterations, why it is inadmissible)
     for name, theta0 in starts:
-        theta, cost, n_iter, converged = _lm_minimize(
-            theta0, e, k, w, problem.model
-        )
+        theta, cost, n_iter, converged = _lm_minimize(theta0, e, k, w, model)
         below = int(np.count_nonzero(e < theta[0]))
         above = int(np.count_nonzero(e > theta[0]))
         width = theta[-2] ** 2 + theta[-1] ** 2  # b1 + b2
@@ -416,16 +392,12 @@ def fit(problem: FitProblem, guesses=None) -> FitResult:
             best_params=params,
             residual=residual,
         )
-    try:
-        report = resonance_from_pole(params)
-    except InconsistentParametersError as exc:
-        raise InconsistentFitError(f"converged fit is unphysical: {exc}") from exc
     return FitResult(
         params=params,
-        report=report,
+        report=resonance_from_pole(params),
         residual=residual,
-        model=problem.model,
-        weighting=problem.weighting,
+        model=model,
+        weighting=weighting,
         iterations=n_iter,
         start=start,
     )
@@ -444,11 +416,10 @@ def compare_models(samples, weighting="uniform") -> ModelComparison:
     """
     guess = initial_guess(samples)
     try:
-        diag = fit(FitProblem(tuple(samples), weighting, MODEL_DIAGONAL),
-                   guesses=(guess,))
+        diag = fit(samples, weighting, MODEL_DIAGONAL, guesses=(guess,))
     except FitFailureError:
         diag = None
-    best = fit(FitProblem(tuple(samples), weighting, MODEL_GENERAL),
+    best = fit(samples, weighting, MODEL_GENERAL,
                guesses=(guess,) if diag is None else (guess, diag.params))
     if diag is None:
         return ModelComparison(best, None, math.nan, math.nan)

@@ -24,7 +24,6 @@ import numpy as np
 from . import radial
 from .errors import ValidationError
 from .radial import RadialGrid, RadialProblem
-from .samples import KSample
 
 # extra solved levels guarding the top of the reported window
 N_BUFFER = 4
@@ -221,8 +220,9 @@ def sample_k(
     problem: RadialProblem,
     window: ResonanceWindow,
     grid: RadialGrid,
-) -> list[KSample]:
-    """K(E) at the window's energies, one sample per row kept, ascending.
+) -> np.ndarray:
+    """K(E) at the window's energies: the (n, 7) rows E K11 K12 K22 defect
+    alpha branch of `ksamples_v.dat`, one per window row kept, ascending.
 
     A row whose energy lies within 1e-14 (relative, absolute below 1) of
     the last kept row's is dropped, and so is a row that does not have
@@ -250,11 +250,6 @@ def sample_k(
         )
     rows = rows[two_open]
     mats, defects = radial.extract_k(problem, rows[:, 0], grid=grid)
-    return [
-        KSample(
-            energy=km.energy, k11=float(km.entries[0, 0]),
-            k12=float(km.entries[0, 1]), k22=float(km.entries[1, 1]),
-            defect=float(defect), alpha=float(alpha), branch=int(branch),
-        )
-        for km, defect, (_, alpha, branch) in zip(mats, defects, rows)
-    ]
+    k = np.array([km.entries for km in mats])
+    return np.column_stack(
+        [rows[:, 0], k[:, 0, 0], k[:, 0, 1], k[:, 1, 1], defects, rows[:, 1:]])

@@ -189,7 +189,7 @@ def _report_pairs(result, prefix=""):
 
 
 def _fit(config: RunConfig, expect: dict, samples: Path, out: Path, model: str):
-    from .fitting import FitProblem, compare_models, fit
+    from .fitting import compare_models, fit
     from .samples import read_samples
     sampled, _ = read_samples(samples)
     weighting = config.get("fit", "weighting")
@@ -204,7 +204,7 @@ def _fit(config: RunConfig, expect: dict, samples: Path, out: Path, model: str):
             pairs["branching_shift"] = comparison.branching_shift
         best = comparison.general
     else:
-        best = fit(FitProblem(tuple(sampled), weighting, model))
+        best = fit(sampled, weighting, model)
         pairs = _report_pairs(best)
     pairs["minus_E0"] = -best.report.E0
     pairs["Gamma2_over_Gamma"] = best.report.branching[1]
@@ -228,18 +228,12 @@ def _xsec(config: RunConfig, expect: dict, report: Path, samples: Path,
     tableio.check_numbers(report, pairs, (*pole, "E0", "Gamma"))
     samples, _ = read_samples(samples)
     params = BWPoleParams(**{key: pairs[key] for key in pole})
-    rows_k = [[s.energy, s.k11, s.k12, s.k22] for s in samples]
-    tableio.write_table(out_k, rows_k, dict(expect), "E K11 K12 K22")
-    rows_i = []
-    for s in samples:
-        d11 = s.k11 - pairs["a1"]
-        d12 = s.k12 - pairs["a"]
-        d22 = s.k22 - pairs["a2"]
-        if min(abs(d11), abs(d12), abs(d22)) == 0.0:
-            continue
-        rows_i.append([s.energy, 1.0 / d11, 1.0 / d12, 1.0 / d22])
+    tableio.write_table(out_k, samples[:, :4], dict(expect), "E K11 K12 K22")
+    # K entries less their fitted backgrounds; a row with a zero one is left out
+    diff = samples[:, 1:4] - [pairs["a1"], pairs["a"], pairs["a2"]]
+    kept = np.all(diff != 0.0, axis=1)
     tableio.write_table(
-        out_i, rows_i, dict(expect),
+        out_i, np.column_stack([samples[kept, 0], 1.0 / diff[kept]]), dict(expect),
         "E 1/(K11-a1) 1/(K12-a) 1/(K22-a2)",
     )
 

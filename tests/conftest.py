@@ -2,7 +2,7 @@
 
 import pytest
 
-from hypres.fitting import FitProblem, fit
+from hypres.fitting import fit
 from hypres.models import TwoChannelToy
 from hypres.radial import build_grid
 from hypres.scan import ScanConfig, detect_resonances, sample_k, scan_branches
@@ -63,4 +63,4 @@ def toy_samples(toy_problem, toy_window, toy_grid):
 
 @pytest.fixture(scope="session")
 def toy_fit(toy_samples):
-    return fit(FitProblem(samples=tuple(toy_samples)))
+    return fit(toy_samples)

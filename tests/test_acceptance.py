@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from hypres.adiabatic import (
-    ClusterSpec,
     HyperangularGrid,
     build_grids,
     coulomb_potential,
@@ -25,10 +24,9 @@ from hypres.breit_wigner import (
     resonance_from_pole,
 )
 from hypres.channels import dtmu_masses
-from hypres.fitting import FitProblem, compare_models, fit
+from hypres.fitting import compare_models, fit
 from hypres.models import BoxMode
 from hypres.radial import build_grid, stabilization_eigenvalues
-from hypres.samples import KSample
 
 from conftest import TOY_E0
 from oracles import complex_pole, pole_scan
@@ -45,15 +43,16 @@ def verdict(number, name):
 
 
 def synthesize(params, energies, noise=0.0, rng=None):
-    out = []
+    """(n, 7) sample rows E K11 K12 K22 defect alpha branch of the pole
+    form, with defect 0, alpha NaN and branch -1."""
+    rows = []
     for e in energies:
         m = bw_k(params, float(e)).entries.copy()
         if noise:
             m = m + rng.normal(scale=noise, size=(2, 2))
             m = 0.5 * (m + m.T)
-        out.append(KSample(energy=float(e), k11=m[0, 0], k12=m[0, 1],
-                           k22=m[1, 1]))
-    return out
+        rows.append([e, m[0, 0], m[0, 1], m[1, 1], 0.0, np.nan, -1.0])
+    return np.array(rows)
 
 
 def forty_sample_grid(e1):
@@ -108,7 +107,7 @@ class TestCriterion2:
             truth_rep = resonance_from_pole(truth)
             energies = forty_sample_grid(truth.E1)
             assert energies.size == 40
-            res = fit(FitProblem(samples=tuple(synthesize(truth, energies))))
+            res = fit(synthesize(truth, energies))
             for got, want in [
                 (res.report.E0, truth_rep.E0),
                 (res.report.Gamma, truth_rep.Gamma),
@@ -124,7 +123,7 @@ class TestCriterion2:
             worst = []
             for _ in range(100):
                 noisy = synthesize(truth, energies, noise=1e-5 * kmax, rng=rng)
-                r = fit(FitProblem(samples=tuple(noisy)))
+                r = fit(noisy)
                 worst.append(
                     max(
                         abs(r.report.E0 - truth_rep.E0) / abs(truth_rep.E0),
@@ -169,7 +168,7 @@ class TestCriterion4:
         with verdict(4, "hyperangular solver checks"):
             # bare-operator spectrum at N_chi = N_theta = 61
             grid = HyperangularGrid(n_chi=61, n_theta=61)
-            tensor = build_grids(None, 1.0, grid, None)
+            tensor = build_grids(None, 1.0, grid)
             vals, _ = solve_adiabatic_point(tensor, 1.0, 6, sigma=-1.0)
             exact = np.array([0.0, 12.0, 12.0, 32.0, 32.0, 32.0])
             rel = np.abs(vals[1:] - exact[1:]) / exact[1:]
@@ -183,7 +182,7 @@ class TestCriterion4:
 
             rho = 500.0
             fine = HyperangularGrid(n_chi=181, n_theta=91)
-            tensor = build_grids(masses, rho, fine, ClusterSpec())
+            tensor = build_grids(masses, rho, fine)
             vals, _ = solve_adiabatic_point(
                 tensor, rho, 2,
                 potential=coulomb_potential(masses, rho),

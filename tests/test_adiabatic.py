@@ -10,7 +10,6 @@ import scipy.sparse.linalg as spla
 
 from hypres import adiabatic
 from hypres.adiabatic import (
-    ClusterSpec,
     HyperangularGrid,
     assemble_adiabatic_operator,
     coalescence_points,
@@ -63,7 +62,7 @@ class TestThresholds:
     def test_ground_term_at_large_rho(self):
         # eps_1(500) within 1e-4 of the two-body oracle -m_red/2
         rho = 500.0
-        tensor = build_grids(DTMU, rho, GRID_FINE, ClusterSpec())
+        tensor = build_grids(DTMU, rho, GRID_FINE)
         vals, _ = solve_adiabatic_point(
             tensor, rho, 4, potential=coulomb_potential(DTMU, rho),
         )
@@ -75,7 +74,7 @@ class TestThresholds:
         oracle = DTMU.atom_energy(1, 1)
         errs = []
         for rho in (100.0, 300.0, 500.0):
-            tensor = build_grids(DTMU, rho, GRID_FINE, ClusterSpec())
+            tensor = build_grids(DTMU, rho, GRID_FINE)
             vals, _ = solve_adiabatic_point(
                 tensor, rho, 2,
                 potential=coulomb_potential(DTMU, rho),
@@ -91,7 +90,7 @@ class TestThresholds:
 class TestBasisInvariants:
     def test_orthonormality(self, small_solution):
         for rho in small_solution.rho_grid:
-            tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
+            tensor = build_grids(DTMU, rho, GRID_COARSE)
             _, vecs = solve_adiabatic_point(
                 tensor, rho, 4, potential=coulomb_potential(DTMU, rho),
             )
@@ -116,7 +115,7 @@ class TestBasisInvariants:
         rho = 30.0
         vals = {}
         for grid in (GRID_COARSE, HyperangularGrid(n_chi=121, n_theta=61)):
-            tensor = build_grids(DTMU, rho, grid, ClusterSpec())
+            tensor = build_grids(DTMU, rho, grid)
             vals[grid.n_chi], _ = solve_adiabatic_point(
                 tensor, rho, 4,
                 potential=coulomb_potential(DTMU, rho),
@@ -131,7 +130,7 @@ class TestSymmetricSystem:
         masses = ThreeBodyMasses(m1=10.0, m2=10.0)
         rho = 20.0
         grid = HyperangularGrid(n_chi=61, n_theta=41)
-        tensor = build_grids(masses, rho, grid, ClusterSpec())
+        tensor = build_grids(masses, rho, grid)
         vals, vecs = solve_adiabatic_point(
             tensor, rho, 4,
             potential=coulomb_potential(masses, rho),
@@ -249,10 +248,10 @@ class TestOperatorPair:
     def test_band_equals_dense_assembly(self, coulomb):
         rho = 20.0
         if coulomb:
-            tensor = build_grids(DTMU, rho, self.GRID, ClusterSpec())
+            tensor = build_grids(DTMU, rho, self.GRID)
             potential = coulomb_potential(DTMU, rho)
         else:
-            tensor = build_grids(None, rho, self.GRID, None)
+            tensor = build_grids(None, rho, self.GRID)
             potential = None
         band, _ = assemble_adiabatic_operator(tensor, rho, potential)
         ref = dense_assembly(tensor, rho, potential)
@@ -261,7 +260,7 @@ class TestOperatorPair:
     def test_mass_operator_is_the_kronecker_product(self, monkeypatch):
         # the M that ARPACK applies is kron(M2chi, Mtheta), never formed
         rho = 20.0
-        tensor = build_grids(DTMU, rho, self.GRID, ClusterSpec())
+        tensor = build_grids(DTMU, rho, self.GRID)
         potential = coulomb_potential(DTMU, rho)
         _, (m2_chi, m_th) = assemble_adiabatic_operator(tensor, rho, potential)
         seen = {}
@@ -287,7 +286,7 @@ class TestOperatorPair:
 
         monkeypatch.setattr(Grid1D, "quadrature", counted)
         rho = 20.0
-        tensor = build_grids(DTMU, rho, self.GRID, ClusterSpec())
+        tensor = build_grids(DTMU, rho, self.GRID)
         solve_adiabatic_point(tensor, rho, 3, potential=coulomb_potential(DTMU, rho))
         assert len(calls) == 2
         assert {id(g) for g in calls} == {id(tensor.gx), id(tensor.gy)}
@@ -316,14 +315,14 @@ class TestOperatorPair:
     @pytest.mark.parametrize("n_terms", [0, -1, 441, 600])
     def test_impossible_term_count_refused(self, n_terms):
         rho = 20.0
-        tensor = build_grids(DTMU, rho, self.GRID, ClusterSpec())
+        tensor = build_grids(DTMU, rho, self.GRID)
         with pytest.raises(ValidationError, match="n_terms"):
             solve_adiabatic_point(tensor, rho, n_terms,
                                   potential=coulomb_potential(DTMU, rho))
 
     def test_adiabatic_pair_matches_point_solve(self):
         rho = 40.0
-        tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
+        tensor = build_grids(DTMU, rho, GRID_COARSE)
         band, b_pair = assemble_adiabatic_operator(
             tensor, rho, coulomb_potential(DTMU, rho)
         )
@@ -339,7 +338,7 @@ class TestOperatorPair:
         # a dense generalized eigh of the same pair is the independent solve;
         # the estimated shift lies below its lowest term, also at the ends
         # of the full INI's sweep (rho 0.05 and 500)
-        tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
+        tensor = build_grids(DTMU, rho, GRID_COARSE)
         potential = coulomb_potential(DTMU, rho)
         band, b_pair = assemble_adiabatic_operator(tensor, rho, potential)
         sigma = _sigma_estimate(band, b_pair, tensor, rho)
@@ -352,7 +351,7 @@ class TestOperatorPair:
     def test_sigma_close_below_lowest_term(self, rho):
         # shift-invert converges with (eps_k - sigma) / (eps_k+1 - sigma): the
         # constant trial's shift stays within 0.75 of the lowest term
-        tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
+        tensor = build_grids(DTMU, rho, GRID_COARSE)
         band, b_pair = assemble_adiabatic_operator(
             tensor, rho, coulomb_potential(DTMU, rho))
         sigma = _sigma_estimate(band, b_pair, tensor, rho)
@@ -363,7 +362,7 @@ class TestOperatorPair:
         # A - sigma B is then indefinite and has no Cholesky factor; the
         # terms nearest such a sigma need not be the lowest ones
         rho = 30.0
-        tensor = build_grids(DTMU, rho, GRID_COARSE, ClusterSpec())
+        tensor = build_grids(DTMU, rho, GRID_COARSE)
         potential = coulomb_potential(DTMU, rho)
         vals, _ = solve_adiabatic_point(tensor, rho, 3, potential=potential)
         with pytest.raises(EigensolverError) as err:
@@ -387,7 +386,7 @@ class TestDifferencing:
         assert len(sol.h_table) == len(sol.q_table) == 3
         points = []
         for r in rho:
-            tensor = build_grids(DTMU, r, self.GRID, ClusterSpec())
+            tensor = build_grids(DTMU, r, self.GRID)
             vals, vecs = solve_adiabatic_point(
                 tensor, r, 3, potential=coulomb_potential(DTMU, r))
             px, wx, py, wy = tensor.quad_points()

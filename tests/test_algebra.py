@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from hypres.adiabatic import (ClusterSpec, HyperangularGrid, build_grids,
+from hypres.adiabatic import (HyperangularGrid, build_grids,
                               coulomb_potential, solve_adiabatic_point)
 from hypres.algebra import EIGENSOLVE_WORK, KMatrix, cross_sections
 from hypres.channels import ChannelSet, dtmu_masses
@@ -121,7 +121,7 @@ def eigensolve_layer(layer):
     adiabatic point (21 x 21, 3 terms) or one toy box."""
     if layer == "adiabatic":
         rho, masses = 20.0, dtmu_masses()
-        tensor = build_grids(masses, rho, HyperangularGrid(21, 21), ClusterSpec())
+        tensor = build_grids(masses, rho, HyperangularGrid(21, 21))
         potential = coulomb_potential(masses, rho)
         return (lambda: solve_adiabatic_point(tensor, rho, 3, potential=potential),
                 "dpbtrs", f"adiabatic eigensolver stalled at rho={rho!r}", rho, 400)

@@ -47,8 +47,7 @@ def results(base: Path) -> dict:
         windows, _ = load_windows(out / "windows.dat")
         samples, _ = read_samples(out / "ksamples_0.dat")
         report, _ = read_keyvalues(out / "fit_0.txt")
-        k = np.array([(s.k11, s.k12, s.k22) for s in samples])
-        found[label] = (len(windows), k, report)
+        found[label] = (len(windows), samples[:, 1:4], report)
     return found
 
 

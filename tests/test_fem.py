@@ -72,7 +72,7 @@ class TestMatrices:
 class TestBareOperator:
     def test_constant_mode_at_zero(self):
         grid = HyperangularGrid(n_chi=31, n_theta=31)
-        tensor = build_grids(None, 1.0, grid, None)
+        tensor = build_grids(None, 1.0, grid)
         vals, vecs = solve_adiabatic_point(tensor, 1.0, 3, sigma=-1.0)
         assert abs(vals[0]) < 1e-10
         v = vecs[0]
@@ -82,7 +82,7 @@ class TestBareOperator:
     def test_grand_angular_spectrum(self, rho):
         # eigenvalues 4 L (L + 2) / rho^2 with degeneracies 1, 2, 3
         grid = HyperangularGrid(n_chi=61, n_theta=61)
-        tensor = build_grids(None, rho, grid, None)
+        tensor = build_grids(None, rho, grid)
         vals, _ = solve_adiabatic_point(tensor, rho, 6, sigma=-1.0)
         exact = np.array([0.0, 12.0, 12.0, 32.0, 32.0, 32.0]) / rho**2
         rel = np.abs(vals[1:] - exact[1:]) / exact[1:]
@@ -90,7 +90,7 @@ class TestBareOperator:
 
     def test_operator_pair_properties(self):
         grid = HyperangularGrid(n_chi=21, n_theta=21)
-        tensor = build_grids(None, 2.0, grid, None)
+        tensor = build_grids(None, 2.0, grid)
         band, (m2_chi, m_th) = assemble_adiabatic_operator(tensor, 2.0, None)
         assert band.shape == (tensor.kd + 1, tensor.n_dof)
         for m in (m2_chi, m_th):
@@ -102,7 +102,7 @@ class TestBareOperator:
 
     def test_domain_error(self):
         grid = HyperangularGrid(n_chi=21, n_theta=21)
-        tensor = build_grids(None, 1.0, grid, None)
+        tensor = build_grids(None, 1.0, grid)
         with pytest.raises(AssemblyError):
             assemble_adiabatic_operator(tensor, -1.0, None)
 

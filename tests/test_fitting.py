@@ -9,8 +9,8 @@ import pytest
 from hypres import fitting
 from hypres.breit_wigner import BWPoleParams, bw_k, resonance_from_pole
 from hypres.errors import BracketError, CacheError, FitFailureError, ValidationError
-from hypres.fitting import FitProblem, compare_models, fit, initial_guess
-from hypres.samples import KSample, read_samples, write_samples
+from hypres.fitting import compare_models, fit, initial_guess
+from hypres.samples import read_samples, write_samples
 
 DATA = Path(__file__).parent / "data"
 
@@ -31,17 +31,22 @@ def sample_grid(center=1.0, halfwidth=0.8, n_outer=28, n_inner=12):
     return grid[grid != center]
 
 
+def sample_rows(energies, k11, k12, k22):
+    """(n, 7) sample rows E K11 K12 K22 defect alpha branch of constant K,
+    with defect 0, alpha NaN and branch -1."""
+    return np.column_stack(
+        np.broadcast_arrays(energies, k11, k12, k22, 0.0, np.nan, -1.0))
+
+
 def synthesize(params, energies, noise=0.0, rng=None):
-    out = []
+    rows = []
     for e in energies:
         m = bw_k(params, float(e)).entries.copy()
         if noise:
             m = m + rng.normal(scale=noise, size=(2, 2))
             m = 0.5 * (m + m.T)
-        out.append(
-            KSample(energy=float(e), k11=m[0, 0], k12=m[0, 1], k22=m[1, 1])
-        )
-    return out
+        rows.append([e, m[0, 0], m[0, 1], m[1, 1], 0.0, np.nan, -1.0])
+    return np.array(rows)
 
 
 class TestInitialGuess:
@@ -51,18 +56,13 @@ class TestInitialGuess:
         assert guess.E1 == pytest.approx(TRUTH.E1, rel=0.01)
 
     def test_constant_samples_bracket_error(self):
-        samples = [
-            KSample(energy=e, k11=0.3, k12=0.1, k22=-0.2)
-            for e in np.linspace(0, 1, 12)
-        ]
+        samples = sample_rows(np.linspace(0, 1, 12), 0.3, 0.1, -0.2)
         with pytest.raises(BracketError):
             initial_guess(samples)
 
     def test_too_few_samples(self):
         with pytest.raises(BracketError):
-            initial_guess(
-                [KSample(energy=0.0, k11=1.0, k12=0.0, k22=0.0)] * 2
-            )
+            initial_guess(sample_rows([0.0, 0.0], 1.0, 0.0, 0.0))
 
     def test_narrow_scale_guess_inside_window(self):
         # samples at the deep-three-body scale: widths ~ 1e-9 energy units
@@ -82,7 +82,7 @@ class TestInitialGuess:
 class TestRoundTrip:
     def test_noiseless_recovery(self):
         samples = synthesize(TRUTH, sample_grid())
-        res = fit(FitProblem(samples=tuple(samples)))
+        res = fit(samples)
         truth_rep = resonance_from_pole(TRUTH)
         for got, want in [
             (res.params.E1, TRUTH.E1),
@@ -108,7 +108,7 @@ class TestRoundTrip:
         errs = []
         for _ in range(25):
             samples = synthesize(TRUTH, energies, noise=1e-5 * kmax, rng=rng)
-            res = fit(FitProblem(samples=tuple(samples)))
+            res = fit(samples)
             errs.append(
                 max(
                     abs(res.params.E1 - TRUTH.E1) / abs(TRUTH.E1),
@@ -119,23 +119,23 @@ class TestRoundTrip:
         assert np.percentile(errs, 95) < 1e-3
 
     def test_deterministic(self):
-        samples = tuple(synthesize(TRUTH, sample_grid()))
-        r1 = fit(FitProblem(samples=samples))
-        r2 = fit(FitProblem(samples=samples))
+        samples = synthesize(TRUTH, sample_grid())
+        r1 = fit(samples)
+        r2 = fit(samples)
         assert r1.params == r2.params
         assert r1.residual == r2.residual
 
     def test_order_invariance(self):
         samples = synthesize(TRUTH, sample_grid())
-        r1 = fit(FitProblem(samples=tuple(samples)))
-        r2 = fit(FitProblem(samples=tuple(reversed(samples))))
+        r1 = fit(samples)
+        r2 = fit(samples[::-1])
         assert r1.params.E1 == pytest.approx(r2.params.E1, rel=1e-12)
         assert r1.residual == pytest.approx(r2.residual, rel=1e-9)
 
     def test_shared_pole_across_entries(self):
         # the fitted model has one real pole common to all three entries
         samples = synthesize(TRUTH, sample_grid())
-        res = fit(FitProblem(samples=tuple(samples)))
+        res = fit(samples)
         km = res.params
         for e in [km.E1 + 1e-9, km.E1 - 1e-9]:
             vals = bw_k(km, e).entries
@@ -147,10 +147,8 @@ class TestAdmissiblePole:
         # the variable-projection start collapses onto the top sample energy
         # on these samples; the fit must fall back to the physical pole
         samples, _ = read_samples(DATA / "threebody_coarse_ksamples.dat")
-        problem = FitProblem(samples=tuple(samples), weighting="relative",
-                             model="general")
-        res = fit(problem)
-        e = np.array([s.energy for s in samples])
+        res = fit(samples, weighting="relative", model="general")
+        e = samples[:, 0]
         assert (e < res.params.E1).sum() >= 2
         assert (e > res.params.E1).sum() >= 2
         assert res.start == "guess"
@@ -161,7 +159,7 @@ class TestAdmissiblePole:
         energies = np.linspace(TRUTH.E1 + 0.05, TRUTH.E1 + 0.8, 20)
         samples = synthesize(TRUTH, energies)
         with pytest.raises(FitFailureError) as err:
-            fit(FitProblem(samples=tuple(samples)))
+            fit(samples)
         assert err.value.best_params is not None
 
     def test_zero_width_pole_rejected(self, monkeypatch):
@@ -177,7 +175,7 @@ class TestAdmissiblePole:
 
         monkeypatch.setattr(fitting, "_lm_minimize", collapsed)
         with pytest.raises(FitFailureError, match="float spacing at E1"):
-            fit(FitProblem(samples=tuple(samples)))
+            fit(samples)
 
 
 class TestModelComparison:
@@ -234,8 +232,7 @@ class TestModelComparison:
         # a guess with a != 0 must not leak into the diagonal fit, and the
         # pinned a must be +0.0 (a -0.0 would print as such in fit_0.txt)
         samples = synthesize(TRUTH, sample_grid())
-        diag = fit(FitProblem(samples=tuple(samples), model="diagonal"),
-                   guesses=(TRUTH,))
+        diag = fit(samples, model="diagonal", guesses=(TRUTH,))
         cmp_ = compare_models(samples)
         for params in (diag.params, cmp_.diagonal.params):
             assert params.a == 0.0
@@ -247,14 +244,12 @@ class TestModelComparison:
         # the comparison keeps the general fit from the guess alone
         samples, _ = read_samples(DATA / "threebody_coarse_ksamples_discrete.dat")
         with pytest.raises(FitFailureError):
-            fit(FitProblem(samples=tuple(samples), weighting=weighting,
-                           model="diagonal"))
+            fit(samples, weighting=weighting, model="diagonal")
         cmp_ = compare_models(samples, weighting=weighting)
         assert cmp_.diagonal is None
         assert math.isnan(cmp_.residual_ratio)
         assert math.isnan(cmp_.branching_shift)
-        alone = fit(FitProblem(samples=tuple(samples), weighting=weighting,
-                               model="general"),
+        alone = fit(samples, weighting=weighting, model="general",
                     guesses=(initial_guess(samples),))
         assert cmp_.general.params == alone.params
 
@@ -268,25 +263,25 @@ class TestModelComparison:
 class TestValidation:
     def test_too_few_samples(self):
         samples = synthesize(TRUTH, sample_grid()[:5])
-        with pytest.raises(ValidationError):
-            FitProblem(samples=tuple(samples))
+        with pytest.raises(ValidationError, match="at least 7 samples, got 5"):
+            fit(samples)
 
     def test_equal_energies(self):
-        s = KSample(energy=1.5, k11=0.1, k12=0.0, k22=0.0)
-        with pytest.raises(ValidationError):
-            FitProblem(samples=(s,) * 8)
+        samples = sample_rows(np.full(8, 1.5), 0.1, 0.0, 0.0)
+        with pytest.raises(ValidationError, match="all equal"):
+            fit(samples)
 
     def test_bad_weights(self):
         # a weighting is one of the [fit] weighting words; there is no
         # free-form weight vector
-        samples = tuple(synthesize(TRUTH, sample_grid()))
+        samples = synthesize(TRUTH, sample_grid())
         with pytest.raises(ValidationError, match="^unknown weighting 'custom'$"):
-            FitProblem(samples=samples, weighting="custom")
+            fit(samples, weighting="custom")
 
     def test_unknown_model(self):
-        samples = tuple(synthesize(TRUTH, sample_grid()))
-        with pytest.raises(ValidationError):
-            FitProblem(samples=samples, model="quadratic")
+        samples = synthesize(TRUTH, sample_grid())
+        with pytest.raises(ValidationError, match="^unknown model 'quadratic'$"):
+            fit(samples, model="quadratic")
 
 
 class TestSampleIO:
@@ -296,10 +291,8 @@ class TestSampleIO:
         write_samples(path, samples, {"origin": "test"})
         back, meta = read_samples(path)
         assert meta["origin"] == "test"
-        assert len(back) == len(samples)
-        for a, b in zip(samples, back):
-            assert a.energy == b.energy
-            assert a.k11 == b.k11 and a.k12 == b.k12 and a.k22 == b.k22
+        assert back.shape == samples.shape
+        np.testing.assert_array_equal(back, samples)
 
     @pytest.mark.parametrize("row", [
         "1.0 0.1 0.2 0.3 0.0 nan",  # six fields

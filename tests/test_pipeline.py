@@ -948,6 +948,14 @@ def _loaded_after(code: str, names) -> list:
 
 
 class TestImportSurface:
+    def test_readme_library_block_runs(self):
+        # every name the README documents as a library entry point exists
+        readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library entry points\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+
     def test_package_import_loads_no_module(self):
         names = tuple(f"hypres.{m.name}" for m in pkgutil.iter_modules(hypres.__path__))
         assert "hypres.pipeline" in names

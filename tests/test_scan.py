@@ -215,12 +215,12 @@ class TestDetection:
 
 class TestSampling:
     def test_samples_sorted_and_unique(self, toy_samples):
-        e = np.array([s.energy for s in toy_samples])
-        assert np.all(np.diff(e) > 0)
+        assert toy_samples.shape[1] == 7
+        assert np.all(np.diff(toy_samples[:, 0]) > 0)
 
     def test_density_concentrates_near_center(self, toy_window, toy_samples):
         # stabilization property: sample spacing shrinks near the plateau
-        e = np.array([s.energy for s in toy_samples])
+        e = toy_samples[:, 0]
         d = np.diff(e)
         center = toy_window.e_center
         mid = np.abs(0.5 * (e[1:] + e[:-1]) - center) < 0.5 * TOY_GAMMA
@@ -232,21 +232,21 @@ class TestSampling:
         # every sample lies strictly between the adjacent branch values at
         # its own alpha
         alphas = toy_spectrum.alpha_grid
-        for s in toy_samples:
-            ia = int(np.argmin(np.abs(alphas - s.alpha)))
+        for e, alpha in toy_samples[:, [0, 5]]:
+            ia = int(np.argmin(np.abs(alphas - alpha)))
             row = np.sort(toy_spectrum.levels[ia])
-            j = int(np.searchsorted(row, s.energy))
+            j = int(np.searchsorted(row, e))
             below = row[j - 2] if j >= 2 else -np.inf
             above = row[j + 1] if j + 1 < row.size else np.inf
-            assert below < s.energy < above
+            assert below < e < above
 
     def test_all_samples_symmetric(self, toy_samples):
         # 1e-6 on well-conditioned energies; samples riding the pole (huge
         # entries) only have to meet the production matching guard
-        for s in toy_samples:
-            scale = max(1.0, np.sqrt(s.k11**2 + 2 * s.k12**2 + s.k22**2))
+        for k11, k12, k22, defect in toy_samples[:, 1:5]:
+            scale = max(1.0, np.sqrt(k11**2 + 2 * k12**2 + k22**2))
             limit = 1e-6 if scale < 10.0 else 1e-4
-            assert s.defect < limit * scale
+            assert defect < limit * scale
 
     def test_single_energy_window(self, toy_problem, toy_grid):
         win = ResonanceWindow(
@@ -254,8 +254,8 @@ class TestSampling:
             rows=np.array([[2.5, 12.0, 3]]), gamma_est=1e-3,
         )
         out = sample_k(toy_problem, win, grid=toy_grid)
-        assert len(out) == 1 and out[0].energy == 2.5
-        assert (out[0].alpha, out[0].branch) == (12.0, 3)
+        assert out.shape == (1, 7)
+        assert (out[0, 0], out[0, 5], out[0, 6]) == (2.5, 12.0, 3)
 
     def test_repeated_energy_sampled_once(self, toy_problem, toy_grid):
         # the second row lies within 1e-14 relative of the first: one
@@ -267,9 +267,8 @@ class TestSampling:
             gamma_est=1e-3,
         )
         out = sample_k(toy_problem, win, grid=toy_grid)
-        assert len(out) == 1
-        assert (out[0].energy, out[0].alpha, out[0].branch) == (e, 12.0, 3)
-        assert isinstance(out[0].branch, int)
+        assert out.shape == (1, 7)
+        assert (out[0, 0], out[0, 5], out[0, 6]) == (e, 12.0, 3)
 
     def test_window_below_second_threshold_rejected(self, toy_problem,
                                                     toy_grid):
