@@ -18,11 +18,14 @@ trust-region fallback) on the weighted Frobenius misfit
     sum_s w_s || K_model(E_s) - K_s ||_F^2,
 
 with analytic Jacobian; it is deterministic given samples, weighting,
-model and starting point.  The weights w_s are 1 ("uniform"), or with
-"relative" weighting 1 / max(1e-6, ||K_s||_F^2), so that each sample's K
-counts at unit norm; `fit` is their one home.  The samples are the (n, 7)
-rows E K11 K12 K22 defect alpha branch of `hypres.samples`; the fit reads
-the first four columns.
+model and starting point.  Its first start is the E1 that minimizes the
+misfit with the linear parameters eliminated (variable projection), found
+by repeated grid search; of the starts within a relative START_RTOL =
+1e-12 of the lowest cost, the earliest is reported.  The weights w_s are 1
+("uniform"), or with "relative" weighting 1 / max(1e-6, ||K_s||_F^2), so
+that each sample's K counts at unit norm; `fit` is their one home.  The
+samples are the (n, 7) rows E K11 K12 K22 defect alpha branch of
+`hypres.samples`; the fit reads the first four columns.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ XTOL = 1e-10
 FTOL = 1e-10
 MAX_ITER = 400
 POLE_SIDE_SAMPLES = 2  # admissible pole: samples needed on each side
+POLE_GRID = 241  # pole positions per variable-projection grid
+START_RTOL = 1e-12  # starts within this relative cost of the lowest tie
 
 MODEL_GENERAL = "general"
 MODEL_DIAGONAL = "diagonal"
@@ -229,8 +234,11 @@ def _linear_solve_at_pole(e1, e, k, w, model):
 
     Each matrix entry is linear in its background and residue: K_entry =
     a_entry + b_entry * x with x = -1/(E - E1); returns the three (a, b)
-    pairs, the total weighted cost, and the entry weights actually used.
+    pairs and the total weighted cost.  e1 is one pole position or an array
+    of them; the sums run along the trailing sample axis, so each pole's
+    results are those of a call with that pole alone, bit for bit.
     """
+    e1 = np.asarray(e1, dtype=float)[..., None]
     x = -1.0 / (e - e1)
     cost = 0.0
     coefs = []
@@ -242,22 +250,19 @@ def _linear_solve_at_pole(e1, e, k, w, model):
         y = k[:, col]
         ww = w * wmul
         if force_zero_a:
-            b = float((ww * x * y).sum() / (ww * x * x).sum())
-            a = 0.0
+            b = (ww * x * y).sum(axis=-1) / (ww * x * x).sum(axis=-1)
+            a = np.zeros_like(b)
         else:
             sw = ww.sum()
-            sx = (ww * x).sum()
-            sxx = (ww * x * x).sum()
+            sx = (ww * x).sum(axis=-1)
+            sxx = (ww * x * x).sum(axis=-1)
             sy = (ww * y).sum()
-            sxy = (ww * x * y).sum()
-            det = sw * sxx - sx * sx
-            if det == 0.0:
-                a, b = sy / sw, 0.0
-            else:
-                a = (sxx * sy - sx * sxy) / det
-                b = (sw * sxy - sx * sy) / det
-        resid = y - a - b * x
-        cost += float((ww * resid * resid).sum())
+            sxy = (ww * x * y).sum(axis=-1)
+            det = sw * sxx - sx * sx  # > 0: poles lie inside the window
+            a = (sxx * sy - sx * sxy) / det
+            b = (sw * sxy - sx * sy) / det
+        resid = y - a[..., None] - b[..., None] * x
+        cost = cost + (ww * resid * resid).sum(axis=-1)
         coefs.append((a, b))
     return coefs, cost
 
@@ -266,41 +271,29 @@ def _varpro_refine(e, k, w, model):
     """Pole-position refinement by variable projection.
 
     The cost as a function of E1 alone (all linear parameters eliminated
-    exactly) is scanned over the sample window and polished by golden
-    section inside the best inter-sample interval; deterministic.
+    exactly) is evaluated at POLE_GRID positions across the sample window,
+    then across the two grid intervals around the lowest, clipped to the
+    inter-sample interval that holds it, until that bracket is below 1e-14
+    max(1, |E1|); deterministic.
     """
     es = np.sort(e)
-    lo, hi = es[0], es[-1]
-    span = hi - lo
-    grid = np.linspace(lo + 1e-3 * span, hi - 1e-3 * span, 241)
-    # avoid sample energies (cost is defined but stiff exactly there)
-    cost = np.array([_linear_solve_at_pole(g, e, k, w, model)[1] for g in grid])
-    i0 = int(np.argmin(cost))
-    a = grid[max(i0 - 1, 0)]
-    b = grid[min(i0 + 1, grid.size - 1)]
-    inside = es[(es > a) & (es < b)]
-    if inside.size:  # shrink to one smooth inter-sample interval
-        mid = grid[i0]
-        left = inside[inside < mid]
-        right = inside[inside > mid]
-        a = float(left.max()) + 1e-12 * span if left.size else a
-        b = float(right.min()) - 1e-12 * span if right.size else b
-    phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1 = _linear_solve_at_pole(x1, e, k, w, model)[1]
-    f2 = _linear_solve_at_pole(x2, e, k, w, model)[1]
-    for _ in range(200):
+    span = es[-1] - es[0]
+    a, b = es[0] + 1e-3 * span, es[-1] - 1e-3 * span
+    while True:
+        grid = np.linspace(a, b, POLE_GRID)
+        # the cost is NaN at a sample energy, where a clipped end may round
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cost = _linear_solve_at_pole(grid, e, k, w, model)[1]
+        i0 = int(np.nanargmin(cost))
+        a, b = grid[max(i0 - 1, 0)], grid[min(i0 + 1, POLE_GRID - 1)]
+        inside = es[(es > a) & (es < b)]
+        if inside.size:  # shrink to one smooth inter-sample interval
+            left = inside[inside < grid[i0]]
+            right = inside[inside > grid[i0]]
+            a = float(left.max()) + 1e-12 * span if left.size else a
+            b = float(right.min()) - 1e-12 * span if right.size else b
         if b - a < 1e-14 * max(1.0, abs(b)):
             break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = _linear_solve_at_pole(x1, e, k, w, model)[1]
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = _linear_solve_at_pole(x2, e, k, w, model)[1]
     e1 = 0.5 * (a + b)
     coefs, _ = _linear_solve_at_pole(e1, e, k, w, model)
     (a1, b1), (a12, b12), (a2, b2) = coefs
@@ -333,13 +326,15 @@ def fit(samples: np.ndarray, weighting="uniform", model=MODEL_GENERAL,
     the window edge with a collapsing residue is the "no resonance"
     minimum that noisy samples can offer, and it is rejected even when
     its cost is lower.  So is a pole whose width b1 + b2 is not above the
-    float spacing math.ulp(E1): no energy grid can resolve it.  The
-    lowest-cost admissible result is returned, the earliest start on a tie.
+    float spacing math.ulp(E1): no energy grid can resolve it.  Of the
+    admissible results whose cost is at most the lowest times
+    1 + START_RTOL (1e-12), the earliest in start order is returned; the
+    last bits of a tied cost do not decide.
 
-    Raises FitFailureError (carrying the best-so-far parameters) only when
-    no start is admissible; resonance_from_pole's
-    InconsistentParametersError propagates when the returned parameters
-    imply a negative width.
+    Raises FitFailureError only when no start is admissible, carrying the
+    parameters that the same rule picks among all starts;
+    resonance_from_pole's InconsistentParametersError propagates when the
+    returned parameters imply a negative width.
     """
     if weighting not in ("uniform", "relative"):
         raise ValidationError(f"unknown weighting {weighting!r}")
@@ -382,7 +377,10 @@ def fit(samples: np.ndarray, weighting="uniform", model=MODEL_GENERAL,
                    f"not above the float spacing at E1")
         runs.append((cost, name, theta, n_iter, why))
     admissible = [run for run in runs if run[4] is None]
-    cost, start, theta, n_iter, _ = min(admissible or runs, key=lambda r: r[0])
+    pool = admissible or runs
+    lowest = min(run[0] for run in pool)
+    cost, start, theta, n_iter, _ = next(
+        run for run in pool if run[0] <= lowest * (1.0 + START_RTOL))
     params = _params_from_theta(theta)
     residual = math.sqrt(cost / (4.0 * float(np.sum(w))))
     if not admissible:

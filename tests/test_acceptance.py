@@ -231,6 +231,10 @@ class TestCriterion6:
             minus_e0 = pairs["minus_E0"]
             gamma = pairs["Gamma"]
             ratio = pairs["Gamma2_over_Gamma"]
+            # shown with pytest -rP, the verdict's numbers in one line
+            print(f"criterion 6: minus_E0 {minus_e0!r} Gamma {gamma!r} "
+                  f"Gamma2_over_Gamma {ratio!r} start {pairs['start']} "
+                  f"iterations {pairs['iterations']}")
             assert abs(minus_e0 - 0.15917) <= 1e-3 * 0.15917
             assert 0.5 * 0.47e-9 <= gamma <= 2.0 * 0.47e-9
             assert abs(ratio - 0.22) <= 0.10

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from hypres import fitting
 from hypres.breit_wigner import BWPoleParams, bw_k, resonance_from_pole
@@ -176,6 +177,78 @@ class TestAdmissiblePole:
         monkeypatch.setattr(fitting, "_lm_minimize", collapsed)
         with pytest.raises(FitFailureError, match="float spacing at E1"):
             fit(samples)
+
+
+def sample_weights(samples, weighting):
+    """fit's weights of the (n, 7) samples under a weighting word."""
+    k = samples[:, 1:4]
+    if weighting == "uniform":
+        return np.ones(len(k))
+    return 1.0 / np.maximum(1e-6, k[:, 0] ** 2 + 2.0 * k[:, 1] ** 2 + k[:, 2] ** 2)
+
+
+@pytest.fixture(params=["toy", "coarse"])
+def pole_samples(request):
+    if request.param == "toy":
+        return request.getfixturevalue("toy_samples")
+    return read_samples(DATA / "threebody_coarse_ksamples.dat")[0]
+
+
+class TestVariableProjection:
+    @pytest.mark.parametrize("model", ["general", "diagonal"])
+    @pytest.mark.parametrize("weighting", ["uniform", "relative"])
+    def test_pole_grid_is_the_single_pole_solves(self, pole_samples, model,
+                                                 weighting):
+        # every pole of a grid gets the coefficients and cost of a call
+        # with that pole alone, bit for bit
+        e, k = pole_samples[:, 0], pole_samples[:, 1:4]
+        w = sample_weights(pole_samples, weighting)
+        grid = np.linspace(e.min(), e.max(), fitting.POLE_GRID + 2)[1:-1]
+        coefs, cost = fitting._linear_solve_at_pole(grid, e, k, w, model)
+        for i, pole in enumerate(grid):
+            one, one_cost = fitting._linear_solve_at_pole(pole, e, k, w, model)
+            assert one_cost == cost[i]
+            assert [(a, b) for a, b in one] == [(a[i], b[i]) for a, b in coefs]
+
+    @pytest.mark.parametrize("model", ["general", "diagonal"])
+    @pytest.mark.parametrize("weighting", ["uniform", "relative"])
+    def test_refined_pole_minimizes_the_eliminated_cost(self, toy_samples,
+                                                        model, weighting):
+        # scipy's bounded minimizer of the same cost, on the inter-sample
+        # interval that holds the refined pole, measured from its left end
+        e, k = toy_samples[:, 0], toy_samples[:, 1:4]
+        w = sample_weights(toy_samples, weighting)
+        e1 = fitting._varpro_refine(e, k, w, model)[0]
+        lo, hi = e[e < e1].max(), e[e > e1].min()
+        ref = minimize_scalar(
+            lambda d: fitting._linear_solve_at_pole(lo + d, e, k, w, model)[1],
+            bounds=(0.0, hi - lo), method="bounded",
+            options={"xatol": 1e-300, "maxiter": 1000})
+        assert ref.success
+        assert e1 == pytest.approx(lo + ref.x, rel=1e-12)
+
+    def test_bracket_end_on_a_sample_energy(self):
+        # at the deep-three-body scale 1e-12 of the window span is below the
+        # float spacing of E, so a clipped bracket ends on a sample energy,
+        # where the eliminated cost is NaN; the search must step past it
+        gamma = 0.5e-9
+        truth = BWPoleParams.from_amplitudes(
+            E1=-0.1592, a1=0.8, a2=-0.4, a=0.25,
+            beta1=np.sqrt(0.4 * gamma), beta2=-np.sqrt(0.1 * gamma),
+        )
+        energies = truth.E1 + gamma * np.linspace(-6.05, 5.95, 300)
+        res = fit(synthesize(truth, energies))
+        assert res.start == "varpro"
+        assert res.params.E1 == pytest.approx(truth.E1, rel=1e-12)
+
+    def test_tied_starts_report_the_earliest(self, toy_samples):
+        # a guess at the varpro fit's own optimum reaches the same minimum
+        varpro_fit = fit(toy_samples, weighting="relative")
+        assert varpro_fit.start == "varpro"
+        tied = fit(toy_samples, weighting="relative",
+                   guesses=(varpro_fit.params,))
+        assert tied.start == "varpro"
+        assert tied.params == varpro_fit.params
 
 
 class TestModelComparison:
