@@ -37,10 +37,10 @@ PEAK_DENSITY = 10.0
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Box-scan window, level count and sampling half-width (n_levels >= 2,
-    halfwidth > 0); the detection floor is set by the thresholds, and the
-    sample cap and the peak rule are the constants MAX_SAMPLES, PEAK_RUN
-    and PEAK_DENSITY."""
+    """Box-scan window, level count and sampling half-width (every float
+    finite, n_levels >= 2, halfwidth > 0); the detection floor is set by the
+    thresholds, and the sample cap and the peak rule are the constants
+    MAX_SAMPLES, PEAK_RUN and PEAK_DENSITY."""
 
     alpha_min: float
     alpha_max: float
@@ -50,6 +50,10 @@ class ScanConfig:
     sigma: float | None = None  # eigensolver target; None = lowest levels
 
     def __post_init__(self):
+        for name in ("alpha_min", "alpha_max", "alpha_step", "halfwidth", "sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name}={value!r} must be finite")
         if not self.alpha_min < self.alpha_max:
             raise ValidationError("need alpha_min < alpha_max")
         if self.alpha_step <= 0:

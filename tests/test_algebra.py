@@ -177,6 +177,13 @@ class TestSolverSource:
                           r"\.to(csr|csc|coo)\(|(coo|csr|csc)_matrix\(|"
                           r"sp\.(kron|triu)\(") == []
 
+    def test_no_complex_arithmetic(self):
+        # the gauge steps are a real closed form; no code line makes a
+        # complex number (a docstring may still say "complex")
+        assert self.lines(r"(?<![\w.])(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?[jJ]\b") == []
+        assert self.lines(r"\bnp\.(complex\w*|c(single|double|longdouble))\b|"
+                          r"dtype=['\"]?complex|\bcomplex\(") == []
+
     def test_one_arpack_call(self):
         assert len(self.lines(r"\beigsh\(")) == 1
         assert len(self.lines(r"^START_VECTOR_SEED = ")) == 1

@@ -155,7 +155,10 @@ class TestBoxSpectrum:
 def loop_w_samples(problem, points):
     """Per-point reference for build_grid's W samples and gauge: scalar
     w_bare calls and one 2-D midpoint-exponential gauge step per bond, in
-    the closed form exp(h A) = V exp(-i L) V^H of i h A = V L V^H."""
+    the real closed form exp(a) = cos(sqrt M) + sinc(sqrt M) a of a = h A,
+    M = a^T a, from one real SVD per bond: a = U diag(s) V^T gives
+    R = (V diag(cos s) + U diag(sin s)) V^T, and the step is the
+    Newton-Schulz polish R (3 I - R^T R) / 2."""
     n = problem.n_channels
     gauge = None
     if problem.has_gauge():
@@ -165,8 +168,9 @@ def loop_w_samples(problem, points):
         for k in range(points.size - 1):
             h = points[k + 1] - points[k]
             q = np.asarray(problem.q_mat(points[k] + 0.5 * h), dtype=float)
-            lam, v = np.linalg.eigh(1j * h * (0.5 * (q - q.T)))
-            s = (v * np.exp(-1j * lam) @ v.conj().T).real @ s
+            u, sv, vt = np.linalg.svd(h * (0.5 * (q - q.T)))
+            step = (vt.T * np.cos(sv) + u * np.sin(sv)) @ vt
+            s = step @ (1.5 * np.eye(n) - 0.5 * step.T @ step) @ s
             gauge[k + 1] = s
     w = np.empty((points.size, n, n))
     for k, rho in enumerate(points):
@@ -337,29 +341,80 @@ class TestGridBuild:
         assert np.unique(grid.bond_h.round(12)).size >= 4
         assert np.array_equal(grid.join_bond, loop_join_bond(grid.bond_h))
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 5, "vanishing", "degenerate"])
     def test_gauge_steps_match_expm(self, n):
         # each closed-form step is scipy's expm of h A to 1e-13, with O(1)
-        # rotation angles; the path stays orthogonal to 1e-12
+        # rotation angles; the path stays orthogonal to 1e-12.  "vanishing":
+        # 3 channels whose Q is zero below rho = 20, where every step must
+        # be I exactly.  "degenerate": 4 channels whose A has two equal
+        # rotation rates, so M = a^T a is a multiple of I and any basis is
+        # a set of singular vectors of a
+        case, n = n, {"vanishing": 3, "degenerate": 4}.get(n, n)
         rng = np.random.default_rng(n)
         coef = rng.standard_normal((3, n, n))
+        if case == "degenerate":
+            rot = np.linalg.qr(coef[0])[0]
+            coef[0] = rot @ np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]) @ rot.T
+            coef[1], coef[2] = 0.5 * coef[0], 0.0
 
         def q_mat(rho):
             rho = np.asarray(rho, dtype=float)[..., None, None]
-            return coef[0] + coef[1] * np.sin(rho) + coef[2] * np.cos(2.0 * rho)
+            q = coef[0] + coef[1] * np.sin(rho) + coef[2] * np.cos(2.0 * rho)
+            return q * np.clip(rho - 20.0, 0.0, 1.0) if case == "vanishing" else q
 
         prob = RadialProblem(thresholds=np.zeros(n), eps=lambda r: 0.0,
                              q_mat=q_mat, rho_start=0.1, rho_match=40.0)
         points = np.cumsum(np.concatenate([[0.1], rng.uniform(0.05, 0.8, 200)]))
         path = radial._gauge_path(prob, points)
+        zero_bonds = 0
         for k in range(points.size - 1):
             h = points[k + 1] - points[k]
             q = q_mat(points[k] + 0.5 * h)
             want = expm(h * 0.5 * (q - q.T))
             step = radial._gauge_path(prob, points[k:k + 2])[1]
             assert np.abs(step - want).max() <= 1e-13
+            if not q.any():
+                zero_bonds += 1
+                assert np.array_equal(step, np.eye(n))
+        assert (zero_bonds > 0) == (case == "vanishing")
         gram = np.swapaxes(path, 1, 2) @ path
         assert np.abs(gram - np.eye(n)).max() <= 1e-12
+
+    def test_gauge_step_keeps_small_rates_beside_a_huge_one(self):
+        # criterion 6's table has steps of 2e6 radians beside rates of
+        # 1e-4 in other planes: an eigh of M = a^T a loses the small ones
+        # (3e-4 off here), an SVD without the Newton-Schulz step leaves the
+        # step 1e-10 off orthogonal; the reference is exact up to the
+        # roundoff of forming a (2e6 eps)
+        rates = (2.0e6, 7.66e-5, 7.43e-5)
+        rot = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))[0]
+        gen, want = np.zeros((6, 6)), np.zeros((6, 6))
+        for k, t in enumerate(rates):
+            gen[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[0.0, t], [-t, 0.0]]
+            want[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[math.cos(t), math.sin(t)],
+                                                      [-math.sin(t), math.cos(t)]]
+        a = rot @ gen @ rot.T
+        q = 0.5 * (a - a.T)
+        prob = RadialProblem(thresholds=np.zeros(6), eps=lambda r: 0.0,
+                             q_mat=lambda r: np.broadcast_to(q, np.shape(r) + q.shape),
+                             rho_start=1.0, rho_match=2.0)
+        step = radial._gauge_path(prob, np.array([1.0, 2.0]))[1]
+        assert np.abs(step - rot @ want @ rot.T).max() <= 1e-8
+        assert np.abs(step.T @ step - np.eye(6)).max() <= 1e-13
+
+    def test_gauge_path_peaks_near_its_bytes(self):
+        # real steps, no complex eigh: 2401 points of 4 channels peak at
+        # 6.5 times the returned bytes (9.3 times through the complex path)
+        prob = wells_table_problem(True)
+        points = build_grid(prob, h_max=0.01).points
+        assert points.size == 2401
+        tracemalloc.start()
+        try:
+            gauge = radial._gauge_path(prob, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.0 * gauge.nbytes
 
     def test_w_bare_shapes(self):
         prob = coupled_wells(4)

@@ -1,5 +1,7 @@
 """Stabilization scans: tracking, plateau detection, sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,20 @@ class TestScanConfig:
                             n_levels=12, halfwidth=1.0).alphas()
         assert alphas.size == count
         assert alphas[-1] == hi
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha_min", -math.inf), ("alpha_min", math.nan), ("alpha_max", math.inf),
+        ("alpha_max", math.nan), ("alpha_step", math.nan), ("alpha_step", math.inf),
+        ("halfwidth", math.nan), ("halfwidth", math.inf), ("sigma", math.nan),
+        ("sigma", -math.inf),
+    ])
+    def test_non_finite_refused(self, key, value):
+        # unchecked, a NaN step makes alphas() raise a bare ValueError, an
+        # infinite alpha_max an OverflowError, and a NaN halfwidth passes
+        kwargs = {"alpha_min": 8.0, "alpha_max": 24.0, "alpha_step": 0.25,
+                  "n_levels": 12, "halfwidth": 1.0, key: value}
+        with pytest.raises(ValidationError, match=f"^{key}=.* must be finite$"):
+            ScanConfig(**kwargs)
 
 
 class TestScanBranches:
