@@ -153,20 +153,26 @@ class RadialProblem:
 
     def w_bare(self, rho) -> np.ndarray:
         """diag(eps) + H + Q^2 (+ barrier term), before the gauge rotation;
-        (N, N) at a scalar rho, (M, N, N) at a 1-d array of M points."""
+        (N, N) at a scalar rho, (M, N, N) at a 1-d array of M points.
+
+        H, Q^2 and the barrier b I are added in this order, in place, into
+        one diag(eps) buffer, which is symmetrized into one output
+        0.5 (W + W^T), with the bytes of a new array per sum."""
         rho = np.asarray(rho, dtype=float)
         n = self.n_channels
         eps = np.asarray(self.eps(rho), dtype=float)
         w = np.zeros(eps.shape + (n,))
         w[..., np.arange(n), np.arange(n)] = eps
         if self.h_mat is not None:
-            w = w + np.asarray(self.h_mat(rho), dtype=float)
+            w += np.asarray(self.h_mat(rho), dtype=float)
         if self.q_mat is not None:
             q = np.asarray(self.q_mat(rho), dtype=float)
-            w = w + q @ q
+            w += q @ q
         if self.include_rho_term:
-            w = w + (15.0 / (4.0 * rho * rho))[..., None, None] * np.eye(n)
-        return 0.5 * (w + np.swapaxes(w, -1, -2))
+            w += (15.0 / (4.0 * rho * rho))[..., None, None] * np.eye(n)
+        s = w + np.swapaxes(w, -1, -2)
+        s *= 0.5
+        return s
 
     def has_gauge(self) -> bool:
         return self.q_mat is not None
@@ -216,15 +222,17 @@ class RadialGrid:
         so each row approximates hbar (-u'' + W u - E u) = 0.  A row is plain
         (join) when either of its bonds is; the end rows repeat their one bond.
 
-        Returns (a0, a1_diag, a1_off).  a0 is the upper triangle of the
-        symmetric A0 in LAPACK symmetric-band layout with bandwidth
-        kl = 2N - 1 (A0[i, j] at a0[kl + i - j, j] for i <= j),
-        Fortran-ordered so that every block of rows is a column slice, and
-        written one channel pair (r, c) at a time: no (M, N, N) block array
-        is formed.  A1 has only three nonzero diagonals: a1_diag on the main
-        one and a1_off at offsets +-N (d1 and g1 repeated per channel).  The
-        rows of the interior points 1..n_points-2 carry the box and K solves;
-        the last row only holds the bond to the far end, u_M's coupling in K.
+        Returns (a0, d1, g1).  a0 is the upper triangle of the symmetric A0
+        in LAPACK symmetric-band layout with bandwidth kl = 2N - 1 (A0[i, j]
+        at a0[kl + i - j, j] for i <= j), Fortran-ordered so that every
+        block of rows is a column slice, and written one channel pair (r, c)
+        at a time: no (M, N, N) block array is formed.  A1 is d1 I and g1 I
+        blocks, so it is kept once per point: d1[k] is row k + 1's diagonal
+        (n_points - 1 of them) and g1[k] the bond of rows k + 1 and k + 2
+        (n_points - 2); its users repeat them over the N channels of a row,
+        on the main diagonal and at offsets +-N.  The rows of the
+        interior points 1..n_points-2 carry the box and K solves; the last
+        row only holds the bond to the far end, u_M's coupling in K.
         """
         w, h, join = self.w_samples, self.bond_h, self.join_bond
         n = w.shape[1]
@@ -246,7 +254,7 @@ class RadialGrid:
                 cols[1:, c, kl + r - c - n] = np.where(
                     join[1:], g0, g0 + h[1:] * (wrc[1:-1] + wrc[2:]) / 24.0)
         g1 = np.where(join[1:], 0.0, h[1:] / 12.0)
-        return cols.reshape(-1, kl + 1).T, np.repeat(d1, n), np.repeat(g1, n)
+        return cols.reshape(-1, kl + 1).T, d1, g1
 
     @cached_property
     def w_floor(self) -> np.ndarray:
@@ -353,9 +361,13 @@ def build_grid(
     gauge = _gauge_path(problem, points) if problem.has_gauge() else None
     w = problem.w_bare(points)  # already symmetric
     if gauge is not None:
-        # the rotation can break exact symmetry
-        w = np.swapaxes(gauge, 1, 2) @ w @ gauge
-        w = 0.5 * (w + np.swapaxes(w, 1, 2))
+        # the rotation can break exact symmetry; S^T W S and its symmetric
+        # part take two W-sized buffers in turn
+        tmp = np.matmul(np.swapaxes(gauge, 1, 2), w)
+        np.matmul(tmp, gauge, out=w)
+        np.add(w, np.swapaxes(w, 1, 2), out=tmp)
+        tmp *= 0.5
+        w = tmp
     return RadialGrid(
         points=points, bond_h=bond_h, join_bond=join_bond,
         w_samples=w, gauge=gauge,
@@ -363,31 +375,42 @@ def build_grid(
 
 
 def assemble_pencil(
-    grid: RadialGrid, last_index: int, shift: float, first_index: int = 1
+    grid: RadialGrid, last_index: int, shift: float, first_index: int = 1,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """A0 - shift A1 over interior points first_index..last_index-1.
 
     Dirichlet ends at points[first_index - 1] and points[last_index]; the
     rows are a diagonal block of the grid's band, its lower triangle
-    mirrored from the stored upper one.  Returned as a fresh Fortran-ordered
+    mirrored from the stored upper one.  Returned as a Fortran-ordered
     (3 kl + 1, n) workspace in the layout of LAPACK's banded LU
     (dgbtrf/dgbsv, kl extra rows for the fill-in), with the band entries
-    that couple to rows outside the range set to zero.
+    that couple to rows outside the range set to zero.  The workspace is a
+    fresh array, or, given out (Fortran-ordered, 3 kl + 1 rows, at least n
+    columns), its leading n columns, zeroed and filled: the same bytes
+    whatever out held before.
     """
-    a0, a1_diag, a1_off = grid.band
+    a0, d1, g1 = grid.band
     n_ch = grid.w_samples.shape[1]
     kl = 2 * n_ch - 1
     lo, hi = (first_index - 1) * n_ch, (last_index - 1) * n_ch
     n = hi - lo
-    ab = np.zeros((3 * kl + 1, n), order="F")
+    if out is None:
+        ab = np.zeros((3 * kl + 1, n), order="F")
+    else:
+        ab = out[:, :n]
+        ab.fill(0.0)
     main = 2 * kl
     ab[kl:main + 1] = a0[:, lo:hi]
     for d in range(1, kl + 1):
         ab[main - d, :d] = 0.0
         ab[main + d, :max(n - d, 0)] = a0[kl - d, lo + d:hi]
-    ab[main] -= shift * a1_diag[lo:hi]
-    ab[main - n_ch, n_ch:] -= shift * a1_off[lo:hi - n_ch]
-    ab[main + n_ch, :-n_ch] -= shift * a1_off[lo:hi - n_ch]
+    # A1 per point, repeated over the n_ch channels of each row: numpy
+    # buffers a broadcast over an inner axis of n_ch, which is slower
+    ab[main] -= np.repeat(shift * d1[first_index - 1:last_index - 1], n_ch)
+    off = np.repeat(shift * g1[first_index - 1:last_index - 2], n_ch)
+    ab[main - n_ch, n_ch:] -= off
+    ab[main + n_ch, :-n_ch] -= off
     return ab
 
 
@@ -424,8 +447,11 @@ def stabilization_eigenvalues(
         raise EigensolverError(f"box pencil singular at sigma={float(sigma)!r}, "
                                f"alpha={float(alpha)!r}", rho=alpha)
     n = lu.shape[1]
-    _, a1_diag, a1_off = grid.band
-    diag, off = a1_diag[:n], a1_off[: n - n_ch]
+    _, d1, g1 = grid.band
+    # A1 per channel, repeated once per box: a broadcast product in the
+    # matvec takes numpy's buffered path on every ARPACK step
+    rows = n // n_ch
+    diag, off = np.repeat(d1[:rows], n_ch), np.repeat(g1[:rows - 1], n_ch)
 
     def a1_matvec(x):
         x = x.ravel()
@@ -512,26 +538,30 @@ def propagate_ratio(grid: RadialGrid, energies) -> np.ndarray:
     step of the ratio recursion, so the workspace stays small on any grid.
     That carried matrix is symmetric for the regular solution (its discrete
     Wronskian vanishes), so it is handed on symmetrized, which drops the
-    antisymmetric roundoff of its chunk instead of passing it on.
+    antisymmetric roundoff of its chunk instead of passing it on.  Every
+    chunk of every energy is assembled into one workspace of the longest
+    chunk's columns, allocated once per call.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    a0, _, a1_off = grid.band
+    a0, _, g1 = grid.band
     n_ch = grid.w_samples.shape[1]
     kl = 2 * n_ch - 1
+    eye = np.eye(n_ch)
     r, c = np.indices((n_ch, n_ch))
     first_block = (2 * kl + r - c, c)
     last = grid.n_points - 1
     edges = list(range(1, last, CHUNK_ROWS)) + [last]
+    work = np.empty((3 * kl + 1, min(CHUNK_ROWS, last - 1) * n_ch), order="F")
     out = np.empty((energies.size, n_ch, n_ch))
     for i, e in enumerate(energies):
         ratio_in = None
         for a, b in zip(edges[:-1], edges[1:]):
-            ab = assemble_pencil(grid, b, e, first_index=a)
+            ab = assemble_pencil(grid, b, e, first_index=a, out=work)
             if ratio_in is not None:
                 ab[first_block] += ratio_in
             # bond of rows b-1 and b: the block right of row b-1's diagonal
             col = (b - 1) * n_ch
-            bond = a0[kl - n_ch + r - c, col + c] - e * np.diag(a1_off[col - n_ch:col])
+            bond = a0[kl - n_ch + r - c, col + c] - e * (g1[b - 2] * eye)
             rhs = np.zeros(((b - a) * n_ch, n_ch), order="F")
             rhs[-n_ch:] = -bond
             _, _, x, info = lapack.dgbsv(

@@ -181,6 +181,33 @@ def loop_w_samples(problem, points):
     return w, gauge
 
 
+def written_out_w(problem, points, gauge=None):
+    """W's arithmetic written out point by point, independent of w_bare:
+    diag(eps) + H + Q @ Q + 15/(4 rho^2) I, then 1/2 (W + W^T), and with a
+    gauge S^T W S, then 1/2 (W + W^T) again.  The model's terms are taken at
+    all points at once, so only the arithmetic is per point (an analytic
+    model's array and scalar exp may differ far below any physical scale)."""
+    eps = np.asarray(problem.eps(points), dtype=float)
+    h = None if problem.h_mat is None else np.asarray(problem.h_mat(points), dtype=float)
+    q = None if problem.q_mat is None else np.asarray(problem.q_mat(points), dtype=float)
+    n = problem.n_channels
+    bare, rotated = np.empty((points.size, n, n)), np.empty((points.size, n, n))
+    for k, rho in enumerate(points):
+        w = np.diag(eps[k])
+        if h is not None:
+            w = w + h[k]
+        if q is not None:
+            w = w + q[k] @ q[k]
+        if problem.include_rho_term:
+            w = w + 15.0 / (4.0 * rho * rho) * np.eye(n)
+        w = bare[k] = 0.5 * (w + w.T)
+        if gauge is not None:
+            w = gauge[k].T @ w @ gauge[k]
+            w = 0.5 * (w + w.T)
+        rotated[k] = w
+    return bare, rotated
+
+
 def loop_join_bond(bond_h):
     """Per-bond reference for build_grid's join marks (math.isclose)."""
     join = np.zeros(bond_h.size, dtype=bool)
@@ -296,6 +323,26 @@ class TestGridBuild:
             assert np.array_equal(grid.gauge, gauge)
         else:
             assert grid.gauge is None
+
+    @pytest.mark.parametrize("model", ["wells2_barrier", "wells_tables_gauge",
+                                       "wells_tables_gauge_barrier"])
+    def test_w_matches_written_out_sum_bytewise(self, model):
+        # bytes, not np.array_equal, which takes -0.0 for +0.0; the last
+        # case has every term, so a sum in another order shows there
+        prob = {
+            "wells2_barrier": GRID_PROBLEMS["wells2_barrier"],
+            "wells_tables_gauge": lambda: wells_table_problem(True),
+            "wells_tables_gauge_barrier": lambda: replace(
+                wells_table_problem(True), include_rho_term=True),
+        }[model]()
+        grid = build_grid(prob, h_max=0.05)
+        gauge = loop_w_samples(prob, grid.points)[1]
+        assert (gauge is None) == (model == "wells2_barrier")
+        bare, rotated = written_out_w(prob, grid.points, gauge)
+        assert prob.w_bare(grid.points).tobytes() == bare.tobytes()
+        assert grid.w_samples.tobytes() == rotated.tobytes()
+        if gauge is not None:
+            assert grid.gauge.tobytes() == gauge.tobytes()
 
     @pytest.mark.parametrize("model", ["toy", "coupled_wells4"])
     def test_gauge_free_samples_are_w_bare(self, model):
@@ -486,9 +533,13 @@ class TestPencil:
         # rows of the points 1..n_points-1: the interior and the far end,
         # bit for bit the per-point blocks, signed zeros included (a join
         # bond's off-diagonal -I/h entries are -0.0)
-        a0, a1_diag, a1_off = joined_grid.band
+        a0, d1, g1 = joined_grid.band
         ref0, ref1 = dense_pencil(joined_grid, joined_grid.n_points)
         n = joined_grid.w_samples.shape[1]
+        # A1 is kept once per point: d1 per row, g1 per bond of two rows
+        assert d1.shape == (joined_grid.n_points - 1,)
+        assert g1.shape == (joined_grid.n_points - 2,)
+        a1_diag, a1_off = np.repeat(d1, n), np.repeat(g1, n)
         assert np.array_equal(ref0, ref0.T)
         # the upper triangle and the diagonal: the first kl + 1 band rows
         want = dense_to_band(ref0, 2 * n - 1, 0)[: 2 * n]
@@ -515,10 +566,48 @@ class TestPencil:
         want = dense_to_band((ref0 - shift * ref1)[inner, inner], kl, kl)
         assert np.array_equal(ab, want)
 
+    @pytest.mark.parametrize("which", ["joined", "toy"])
+    def test_pencil_workspace_matches_fresh(self, which, joined_grid, toy_problem):
+        # a workspace that held a longer chunk at another shift, with its
+        # fill-in rows written as a pivoting LU leaves them, gives the bytes
+        # of a fresh assembly in its leading columns: no stale entry in the
+        # fill-in rows or past the chunk's end of the mirrored lower triangle
+        grid = joined_grid if which == "joined" else build_grid(toy_problem, h_max=0.05)
+        n_ch = grid.w_samples.shape[1]
+        kl = 2 * n_ch - 1
+        last = grid.n_points - 1
+        work = np.full((3 * kl + 1, (last - 1) * n_ch), np.nan, order="F")
+        long = assemble_pencil(grid, last, -1.3, out=work)
+        assert long.shape == work.shape and np.shares_memory(long, work)
+        assert not np.isnan(work).any()
+        work[:kl] = np.nan
+        for first, stop in [(1, last // 2), (last // 3, last - 2), (4, 5)]:
+            ab = assemble_pencil(grid, stop, 0.7, first_index=first, out=work)
+            fresh = assemble_pencil(grid, stop, 0.7, first_index=first)
+            assert np.shares_memory(ab, work) and ab.flags.f_contiguous
+            assert ab.shape == fresh.shape
+            assert ab.tobytes() == fresh.tobytes(), (first, stop)
+
+    def test_k_sweep_assembles_into_one_workspace(self, monkeypatch, toy_problem):
+        # every chunk of every energy of one propagate_ratio call is written
+        # into the same array, never a fresh one
+        grid = build_grid(toy_problem, h_max=0.05)
+        assert grid.n_points - 2 > CHUNK_ROWS
+        seen = []
+
+        def record(*args, out=None, **kwargs):
+            seen.append(out)
+            return assemble_pencil(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(radial, "assemble_pencil", record)
+        propagate_ratio(grid, [2.2, 2.9, 3.4])
+        assert len(seen) > 3 and seen[0] is not None
+        assert all(out is seen[0] for out in seen)
+
     def test_first_band_peaks_near_its_bytes(self):
         # the band is written one channel pair at a time, with no
         # (points, N, N) block array: 2401 points of 4 channels peak at
-        # 1.13 times the returned bytes (1.9 times through block arrays)
+        # 1.15 times the returned bytes (1.9 times through block arrays)
         grid = build_grid(coupled_wells(4), h_max=0.01)
         tracemalloc.start()
         try:
