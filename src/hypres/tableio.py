@@ -6,7 +6,8 @@ then whitespace-delimited numeric rows.  Formatting is deterministic, so
 identical inputs reproduce identical bytes, and every file is replaced
 whole, so a header that reads back belongs to a complete file.  One
 parser, read_lines, reads every artifact: its header, and each body line
-through a line function of the caller (tables, reports and K samples).
+through a line function of the caller (tables, reports and K samples); a
+numeric table's line function fills one float64 array in place.
 """
 
 from __future__ import annotations
@@ -91,17 +92,29 @@ def read_header(path) -> dict:
     return read_lines(path, "file")[0]
 
 
-def _floats(line: str) -> list:
-    return list(map(float, line.split()))
-
-
 def read_table(path):
-    """Returns (rows array, meta dict); raises CacheError when missing and
-    ValidationError naming the line of a field that is not a number."""
-    meta, rows = read_lines(path, "table", _floats)
-    if rows and len({len(r) for r in rows}) != 1:
-        raise ValidationError(f"ragged rows in {path}")
-    return np.asarray(rows, dtype=float), meta
+    """(rows array, meta dict) of path: numpy casts each body line's fields
+    into one float64 array, doubled as it fills and cut to the rows read.
+    CacheError when missing; ValidationError naming the line of a field
+    that is not a number or of a row whose field count is not the first's."""
+    rows, n = np.empty((0, 0)), 0
+
+    def fill(line):
+        nonlocal n
+        fields = line.split()
+        if not n:
+            rows.resize((64, len(fields)), refcheck=False)
+        elif len(fields) != rows.shape[1]:
+            raise ValueError(f"{len(fields)} fields, expected {rows.shape[1]}")
+        elif n == len(rows):
+            rows.resize((2 * n, rows.shape[1]), refcheck=False)
+        rows[n] = fields
+        n += 1
+
+    meta, _ = read_lines(path, "table", fill)
+    # no view of rows outlives a fill, so it may be resized in place
+    rows.resize((n, rows.shape[1]), refcheck=False)
+    return rows, meta
 
 
 def header_number(path, meta: dict, key: str) -> int:

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from hypres.tableio import (
     read_header,
     read_keyvalues,
     read_table,
+    save_couplings,
     write_keyvalues,
 )
 from test_three_body_pipeline import INI as THREE_BODY_INI
@@ -168,6 +170,41 @@ class TestStages:
         path.write_text(f"# n_terms: 2\n# columns: rho eps_1..eps_N\n{body}")
         with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: {named}"):
             load_terms(path)
+
+    def test_table_reads_into_one_float_array(self, tmp_path):
+        # a couplings.dat of criterion 6's size (503 rows of 6 terms, 79
+        # columns), extremes included, reads back as float() of each field;
+        # no Python float per value is held, so the read peaks near the
+        # returned bytes (a list of floats per row peaked at 5.3 times them)
+        rng = np.random.default_rng(7)
+        n_rho, n = 503, 6
+        eps = rng.standard_normal((n_rho, n)) * 10.0 ** rng.integers(-300, 300, (n_rho, n))
+        eps[0] = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 2.2250738585072014e-308, 1e-7]
+        path = tmp_path / "couplings.dat"
+        save_couplings(path, np.linspace(0.05, 320.0, n_rho), eps,
+                       rng.standard_normal((n_rho, n, n)),
+                       rng.standard_normal((n_rho, n, n)), {"config-digest": "x"})
+        want = np.array([[float(x) for x in line.split()]
+                         for line in path.read_text().splitlines()
+                         if not line.startswith("#")])
+        tracemalloc.start()
+        try:
+            rows, _ = read_table(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == want.shape == (n_rho, 1 + n + 2 * n * n)
+        assert rows.tobytes() == want.tobytes()
+        assert peak <= 2.5 * rows.nbytes, (peak, rows.nbytes)
+
+    @pytest.mark.parametrize("row", ["5.0", "5.0 6.0 7.0"], ids=["short", "long"])
+    def test_row_with_another_field_count_names_its_line(self, tmp_path, row):
+        path = tmp_path / "table.dat"
+        path.write_text(f"# columns: x y\n1.0 2.0\n\n3.0 4.0\n{row}\n7.0 8.0\n")
+        fields = len(row.split())
+        named = re.escape(f"{path}, line 5: {fields} fields, expected 2")
+        with pytest.raises(ValidationError, match=named):
+            read_table(path)
 
     @pytest.mark.parametrize("edit, named", [
         (lambda text: text.replace("# n_windows: 1\n", "# n_windows: 2\n"),
