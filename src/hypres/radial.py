@@ -14,14 +14,17 @@ first-derivative coupling into the propagation matrix
 Both solvers share one discretization: a symmetric Numerov-quality
 three-point pencil A0 u = E A1 u on a piecewise-uniform grid (steps halve
 toward small rho, with the low-order join rows confined to the classically
-forbidden region).  The pencil is block-tridiagonal, so each grid keeps it
-once in LAPACK band storage (bandwidth 2N - 1), and both solvers run on
-that one band with LAPACK's banded LU; no sparse (SuperLU) factor is built
-here or in the adiabatic layer, which factors its pair as a band Cholesky.
+forbidden region).  The pencil is block-tridiagonal (bandwidth 2N - 1) and
+is never kept: the grid holds W, and each solve writes the rows it needs
+from W straight into its own LAPACK band workspace, which LAPACK's banded
+LU factors in place; no sparse (SuperLU) factor is built here or in the
+adiabatic layer, which factors its pair as a band Cholesky.
 The scattering solve takes the matrix ratio P = u_M u_{M-1}^{-1} at the
 match point from a Dirichlet solve of the interior rows with u_0 = 0 and
 u_M = I, so P = u_{M-1}^{-1}; the rows are eliminated in fixed chunks that
-hand the ratio on, which keeps the workspace flat on long grids.  K is
+hand the ratio on (the ratio recursion of Johnson's renormalized Numerov
+method, J. Chem. Phys. 69, 4678 (1978)), which keeps the workspace flat on
+long grids.  K is
 matched to the pencil's own free waves on the uniform tail.  There a
 channel of threshold E_j carries the discrete wavenumber theta_j / h,
 cos(theta_j) = -d_j / (2 g_j) with g_j, d_j the bond and diagonal entries
@@ -35,7 +38,7 @@ channels.  Matching to exact solutions of the same recursion makes K
 symmetric to roundoff once the couplings have died out, instead of only to
 the O(h^2) mismatch between continuum and discrete waves.  The auxiliary box
 problem takes only the pencil's eigenvalues, with Dirichlet ends: every box
-is a leading block of the band, factored once per box for
+is a leading block of the pencil, written and factored once per box for
 `algebra.shift_invert_eigsh`; a Krylov subspace larger than its default only
 adds O(n ncv^2) reorthogonalization per restart and two larger work arrays.
 Sharing the stencil keeps the box spectrum and the K(E) pole structure
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -156,8 +158,8 @@ class RadialProblem:
         (N, N) at a scalar rho, (M, N, N) at a 1-d array of M points.
 
         H, Q^2 and the barrier b I are added in this order, in place, into
-        one diag(eps) buffer, which is symmetrized into one output
-        0.5 (W + W^T), with the bytes of a new array per sum."""
+        one diag(eps) buffer, which is symmetrized in place (_symmetrize),
+        with the bytes of a new array per sum."""
         rho = np.asarray(rho, dtype=float)
         n = self.n_channels
         eps = np.asarray(self.eps(rho), dtype=float)
@@ -170,30 +172,42 @@ class RadialProblem:
             w += q @ q
         if self.include_rho_term:
             w += (15.0 / (4.0 * rho * rho))[..., None, None] * np.eye(n)
-        s = w + np.swapaxes(w, -1, -2)
-        s *= 0.5
-        return s
+        return _symmetrize(w)
 
     def has_gauge(self) -> bool:
         return self.q_mat is not None
 
 
+def _symmetrize(w: np.ndarray) -> np.ndarray:
+    """w <- (w + w^T) / 2 in place over its last two axes, one channel pair
+    (r, c), r <= c, at a time: t = (w_rc + w_cr) 0.5 is written into both
+    triangles, so no second W-sized array (nor numpy's iterator buffer for
+    a transposed operand) is made; returns w."""
+    n = w.shape[-1]
+    for r in range(n):
+        for c in range(r, n):
+            t = w[..., r, c] + w[..., c, r]
+            t *= 0.5
+            w[..., r, c] = w[..., c, r] = t
+    return w
+
+
 @dataclass
 class RadialGrid:
-    """Piecewise-uniform master grid with pencil samples.
+    """Piecewise-uniform master grid with W samples.
 
-    points includes both ends; bond k connects points k and k+1.  Numerov
-    bonds/diagonals carry the 4th-order M-weights; the few rows adjacent to
-    step changes fall back to the plain second-order form.  The pencil's
-    band (written straight from w_samples, bond_h and join_bond) and the W
-    floor are computed on first use and kept with the grid.
+    points includes both ends; bond k connects points k and k+1.  The grid
+    keeps only its points, steps, join marks, W and the gauge S at its last
+    two points (the match, see _references); the pencil's rows are written
+    from them by each solve (_write_a0), never kept.  W is symmetric bit for
+    bit (build_grid symmetrizes it), which the row writer relies on.
     """
 
     points: np.ndarray
     bond_h: np.ndarray  # (n_pts - 1,)
     join_bond: np.ndarray  # bool (n_pts - 1,)
     w_samples: np.ndarray  # (n_pts, N, N) gauge-rotated W(rho)
-    gauge: np.ndarray | None  # (n_pts, N, N) or None
+    gauge: np.ndarray | None  # (2, N, N): S at the last two points, or None
 
     @property
     def n_points(self) -> int:
@@ -208,59 +222,6 @@ class RadialGrid:
             raise ValidationError(
                 f"alpha={float(alpha)!r} past the grid's end at {self.points[-1]:.17g}"
             )
-
-    @cached_property
-    def band(self):
-        """The pencil A0 u = E A1 u over the points 1..n_points-1, banded.
-
-        Bond k (between rows k and k+1):
-            numerov: g0 = -I/h + h (W_k + W_{k+1}) / 24,   g1 = h/12
-            join:    g0 = -I/h,                            g1 = 0
-        Diagonal row k (h-weighted):
-            numerov: d0 = (1/hl + 1/hr) I + hbar (10/12) W_k,  d1 = hbar 10/12
-            join:    d0 = (1/hl + 1/hr) I + hbar W_k,          d1 = hbar
-        so each row approximates hbar (-u'' + W u - E u) = 0.  A row is plain
-        (join) when either of its bonds is; the end rows repeat their one bond.
-
-        Returns (a0, d1, g1).  a0 is the upper triangle of the symmetric A0
-        in LAPACK symmetric-band layout with bandwidth kl = 2N - 1 (A0[i, j]
-        at a0[kl + i - j, j] for i <= j), Fortran-ordered so that every
-        block of rows is a column slice, and written one channel pair (r, c)
-        at a time: no (M, N, N) block array is formed.  A1 is d1 I and g1 I
-        blocks, so it is kept once per point: d1[k] is row k + 1's diagonal
-        (n_points - 1 of them) and g1[k] the bond of rows k + 1 and k + 2
-        (n_points - 2); its users repeat them over the N channels of a row,
-        on the main diagonal and at offsets +-N.  The rows of the
-        interior points 1..n_points-2 carry the box and K solves; the last
-        row only holds the bond to the far end, u_M's coupling in K.
-        """
-        w, h, join = self.w_samples, self.bond_h, self.join_bond
-        n = w.shape[1]
-        kl = 2 * n - 1
-        # rows of the points 1..n_points-1: left steps h, right steps hr
-        hr = np.append(h[1:], h[-1])
-        plain = join | np.append(join[1:], False)
-        d1 = 0.5 * (h + hr) * np.where(plain, 1.0, 10.0 / 12.0)
-        inv_h = 1.0 / h + 1.0 / hr
-        # cols[b, c, row] is band row `row` of column b N + c; bond b, of
-        # points b and b+1, lies above column block b's diagonal block
-        cols = np.zeros((self.n_points - 1, n, kl + 1))
-        for r in range(n):
-            for c in range(n):
-                delta, wrc = float(r == c), w[:, r, c]
-                if r <= c:
-                    cols[:, c, kl + r - c] = inv_h * delta + d1 * wrc[1:]
-                g0 = -delta / h[1:]  # -0.0 off the diagonal, as -I / h gives
-                cols[1:, c, kl + r - c - n] = np.where(
-                    join[1:], g0, g0 + h[1:] * (wrc[1:-1] + wrc[2:]) / 24.0)
-        g1 = np.where(join[1:], 0.0, h[1:] / 12.0)
-        return cols.reshape(-1, kl + 1).T, d1, g1
-
-    @cached_property
-    def w_floor(self) -> np.ndarray:
-        """w_floor[k]: lowest eigenvalue of W over the points 1..k."""
-        lowest = np.linalg.eigvalsh(self.w_samples[1:]).min(axis=1)
-        return np.minimum.accumulate(np.concatenate([[np.inf], lowest]))
 
 
 def _gauge_path(problem: RadialProblem, points: np.ndarray) -> np.ndarray:
@@ -358,20 +319,117 @@ def build_grid(
     join_bond[:-1] |= step
     join_bond[1:] |= step
 
-    gauge = _gauge_path(problem, points) if problem.has_gauge() else None
     w = problem.w_bare(points)  # already symmetric
-    if gauge is not None:
-        # the rotation can break exact symmetry; S^T W S and its symmetric
-        # part take two W-sized buffers in turn
-        tmp = np.matmul(np.swapaxes(gauge, 1, 2), w)
-        np.matmul(tmp, gauge, out=w)
-        np.add(w, np.swapaxes(w, 1, 2), out=tmp)
-        tmp *= 0.5
-        w = tmp
+    ends = None
+    if problem.has_gauge():
+        # the rotation can break exact symmetry: S^T W S goes back into w
+        # and is symmetrized there; only the match's two ends of the path
+        # are kept (a copy, so the path itself is freed)
+        gauge = _gauge_path(problem, points)
+        np.matmul(np.matmul(np.swapaxes(gauge, 1, 2), w), gauge, out=w)
+        _symmetrize(w)
+        ends = gauge[-2:].copy()
     return RadialGrid(
         points=points, bond_h=bond_h, join_bond=join_bond,
-        w_samples=w, gauge=gauge,
+        w_samples=w, gauge=ends,
     )
+
+
+def _a1_weights(grid: RadialGrid, first: int, last: int):
+    """(inv_h, d1) of the rows of the points first..last-1 and g1 of the
+    bonds first..last-1, each a vector over them (last < n_points).
+
+    Bond k (between points k and k+1, step h):
+        numerov: g0 = -I/h + h (W_k + W_{k+1}) / 24,   g1 = h/12
+        join:    g0 = -I/h,                            g1 = 0
+    Diagonal row k (left step hl, right step hr, hbar = (hl + hr) / 2):
+        numerov: d0 = inv_h I + hbar (10/12) W_k,  d1 = hbar 10/12
+        join:    d0 = inv_h I + hbar W_k,          d1 = hbar
+    with inv_h = 1/hl + 1/hr, so each row approximates
+    hbar (-u'' + W u - E u) = 0.  A row is plain (join) when either of its
+    bonds is.  A1 is d1 I and g1 I blocks, so its users repeat d1 and g1
+    over the N channels of a row (a broadcast over an inner axis of N takes
+    numpy's buffered path, which is slower).
+    """
+    h, join = grid.bond_h, grid.join_bond
+    hl, hr = h[first - 1:last - 1], h[first:last]
+    plain = join[first - 1:last - 1] | join[first:last]
+    d1 = 0.5 * (hl + hr) * np.where(plain, 1.0, 10.0 / 12.0)
+    inv_h = 1.0 / hl + 1.0 / hr
+    g1 = np.where(join[first:last], 0.0, hr / 12.0)
+    return inv_h, d1, g1
+
+
+def _blocks(ab: np.ndarray, n_ch: int, q: int, start: int, stop: int) -> np.ndarray:
+    """Writable (stop - start, N, N) view of the Fortran band workspace ab
+    whose [p, r, c] is A[(p + q) N + r, p N + c] over the column points
+    start..stop-1 (stop > start): the diagonal blocks for q = 0, the blocks
+    above them for q = -1 and below them for q = 1.  A[i, j] lies at
+    ab[2 kl + i - j, j], so p, r and c step by fixed strides; numpy checks
+    that they stay inside ab.  Only copy into it: numpy cannot prove that
+    such a view does not overlap itself, so arithmetic in place on it goes
+    through a hidden copy of its size."""
+    s0, s1 = ab.strides
+    kl = 2 * n_ch - 1
+    return np.ndarray((stop - start, n_ch, n_ch), ab.dtype, ab.T,
+                      (2 * kl + q * n_ch) * s0 + start * n_ch * s1,
+                      (n_ch * s1, s0, s1 - s0))
+
+
+def _bond_blocks(grid: RadialGrid, bonds) -> np.ndarray:
+    """A0's blocks g0 of the bonds k of `bonds` (a slice or an index
+    array), rows of point k over columns of point k + 1, (bonds, N, N).
+    -I/h + x is x - 1/h on the diagonal and x off it, bit for bit."""
+    w = grid.w_samples
+    h = grid.bond_h[bonds]
+    g0 = w[bonds] + w[1:][bonds]
+    g0 *= h[:, None, None]
+    g0 /= 24.0
+    inv = 1.0 / h
+    for i in range(w.shape[1]):
+        g0[:, i, i] -= inv
+    join = grid.join_bond[bonds]
+    if join.any():
+        g0[join] = -np.eye(w.shape[1]) / h[join, None, None]
+    return g0
+
+
+def _write_a0(grid: RadialGrid, ab: np.ndarray, first: int, last: int,
+              inv_h: np.ndarray, d1: np.ndarray) -> None:
+    """A0's rows of the points first..last-1 into the zeroed Fortran band
+    workspace ab (3 kl + 1 rows, (last - first) N columns, the layout of
+    LAPACK's banded LU), their couplings to rows outside the range left
+    zero; inv_h and d1 are _a1_weights' of those rows.  The blocks of up
+    to CHUNK_ROWS points at a time are computed from W and copied into
+    strided views of ab, so no row array spans a long box; the blocks
+    below the diagonal are the transposed ones above it."""
+    w = grid.w_samples
+    n_ch = w.shape[1]
+    m = last - first
+    for a in range(0, m, CHUNK_ROWS):
+        b = min(a + CHUNK_ROWS, m)
+        d0 = d1[a:b, None, None] * w[first + a:first + b]
+        # inv_h 0 + d1 W off the diagonal: a -0.0 product reads 0.0
+        d0 += 0.0
+        for i in range(n_ch):
+            d0[:, i, i] += inv_h[a:b]
+        np.copyto(_blocks(ab, n_ch, 0, a, b), d0)
+        # the bonds of these points to the next one, inside the range
+        top = min(b, m - 1)
+        if top > a:
+            g0 = _bond_blocks(grid, slice(first + a, first + top))
+            np.copyto(_blocks(ab, n_ch, -1, a + 1, top + 1), g0)
+            np.copyto(_blocks(ab, n_ch, 1, a, top), g0.transpose(0, 2, 1))
+
+
+def _subtract_a1(ab: np.ndarray, n_ch: int, d1_shift: np.ndarray,
+                 g1_shift: np.ndarray) -> None:
+    """ab -= shift A1 of its rows, given d1 and the interior bonds' g1
+    times shift, each repeated over the N channels of a row."""
+    main = 2 * (2 * n_ch - 1)
+    ab[main] -= d1_shift
+    ab[main - n_ch, n_ch:] -= g1_shift
+    ab[main + n_ch, :-n_ch] -= g1_shift
 
 
 def assemble_pencil(
@@ -381,36 +439,26 @@ def assemble_pencil(
     """A0 - shift A1 over interior points first_index..last_index-1.
 
     Dirichlet ends at points[first_index - 1] and points[last_index]; the
-    rows are a diagonal block of the grid's band, its lower triangle
-    mirrored from the stored upper one.  Returned as a Fortran-ordered
-    (3 kl + 1, n) workspace in the layout of LAPACK's banded LU
-    (dgbtrf/dgbsv, kl extra rows for the fill-in), with the band entries
-    that couple to rows outside the range set to zero.  The workspace is a
-    fresh array, or, given out (Fortran-ordered, 3 kl + 1 rows, at least n
-    columns), its leading n columns, zeroed and filled: the same bytes
-    whatever out held before.
+    rows are written from W (_write_a0, with the formulas of _a1_weights)
+    into a Fortran-ordered (3 kl + 1, n) workspace in the layout of
+    LAPACK's banded LU (dgbtrf/dgbsv, kl = 2N - 1 extra rows for the
+    fill-in), with the band entries that couple to rows outside the range
+    set to zero.  The workspace is a fresh array, or, given out
+    (Fortran-ordered, 3 kl + 1 rows, at least n columns), its leading n
+    columns, zeroed and filled: the same bytes whatever out held before.
     """
-    a0, d1, g1 = grid.band
     n_ch = grid.w_samples.shape[1]
     kl = 2 * n_ch - 1
-    lo, hi = (first_index - 1) * n_ch, (last_index - 1) * n_ch
-    n = hi - lo
+    n = (last_index - first_index) * n_ch
     if out is None:
         ab = np.zeros((3 * kl + 1, n), order="F")
     else:
         ab = out[:, :n]
         ab.fill(0.0)
-    main = 2 * kl
-    ab[kl:main + 1] = a0[:, lo:hi]
-    for d in range(1, kl + 1):
-        ab[main - d, :d] = 0.0
-        ab[main + d, :max(n - d, 0)] = a0[kl - d, lo + d:hi]
-    # A1 per point, repeated over the n_ch channels of each row: numpy
-    # buffers a broadcast over an inner axis of n_ch, which is slower
-    ab[main] -= np.repeat(shift * d1[first_index - 1:last_index - 1], n_ch)
-    off = np.repeat(shift * g1[first_index - 1:last_index - 2], n_ch)
-    ab[main - n_ch, n_ch:] -= off
-    ab[main + n_ch, :-n_ch] -= off
+    inv_h, d1, g1 = _a1_weights(grid, first_index, last_index)
+    _write_a0(grid, ab, first_index, last_index, inv_h, d1)
+    _subtract_a1(ab, n_ch, np.repeat(shift * d1, n_ch),
+                 np.repeat(shift * g1[:-1], n_ch))
     return ab
 
 
@@ -436,7 +484,8 @@ def stabilization_eigenvalues(
     if last < 3:
         raise ValidationError(f"alpha={float(alpha)!r} leaves too few grid points")
     if sigma is None:
-        lam = float(grid.w_floor[last - 1])
+        # the lowest eigenvalue of W over the box's points
+        lam = float(np.linalg.eigvalsh(grid.w_samples[1:last]).min())
         sigma = lam - 0.5 * (abs(lam) + 1.0)
     n_ch = grid.w_samples.shape[1]
     kl = 2 * n_ch - 1
@@ -447,11 +496,10 @@ def stabilization_eigenvalues(
         raise EigensolverError(f"box pencil singular at sigma={float(sigma)!r}, "
                                f"alpha={float(alpha)!r}", rho=alpha)
     n = lu.shape[1]
-    _, d1, g1 = grid.band
+    _, d1, g1 = _a1_weights(grid, 1, last)
     # A1 per channel, repeated once per box: a broadcast product in the
     # matvec takes numpy's buffered path on every ARPACK step
-    rows = n // n_ch
-    diag, off = np.repeat(d1[:rows], n_ch), np.repeat(g1[:rows - 1], n_ch)
+    diag, off = np.repeat(d1, n_ch), np.repeat(g1[:-1], n_ch)
 
     def a1_matvec(x):
         x = x.ravel()
@@ -500,15 +548,16 @@ def _free_waves(problem, grid, energies):
     return theta, h, flux
 
 
-def _references(problem, grid, energies, theta, h, k_index):
-    """Diagonal free-wave reference values at grid point k_index.
+def _references(problem, grid, energies, theta, h, end):
+    """Diagonal free-wave reference values at the grid point `end` (-1, the
+    match point, or -2, the one before it).
 
     Open channels: sin/cos(theta rho/h); closed channels: the
     decaying exp(-theta (rho - rho_m)/h), normalized at the match point,
     in the A slot and zero in the B slot.  Values are rotated into the
     gauge frame.
     """
-    rho = grid.points[k_index]
+    rho = grid.points[end]
     rho_m = grid.points[-1]
     n = problem.n_channels
     a = np.zeros((energies.size, n, n))
@@ -521,7 +570,7 @@ def _references(problem, grid, energies, theta, h, k_index):
     )
     b[:, diag, diag] = np.where(open_, np.cos(phase), 0.0)
     if grid.gauge is not None:
-        gt = grid.gauge[k_index].T
+        gt = grid.gauge[end].T
         a = gt[None] @ a
         b = gt[None] @ b
     return a, b
@@ -538,31 +587,47 @@ def propagate_ratio(grid: RadialGrid, energies) -> np.ndarray:
     step of the ratio recursion, so the workspace stays small on any grid.
     That carried matrix is symmetric for the regular solution (its discrete
     Wronskian vanishes), so it is handed on symmetrized, which drops the
-    antisymmetric roundoff of its chunk instead of passing it on.  Every
-    chunk of every energy is assembled into one workspace of the longest
-    chunk's columns, allocated once per call.
+    antisymmetric roundoff of its chunk instead of passing it on.
+
+    The sweep runs chunk by chunk, each chunk over every energy.  A chunk's
+    A0 rows are written once (_write_a0) into a template; each energy
+    copies the template into one workspace, takes E A1 off it, adds its
+    carried ratio and solves.  Both arrays are sized for the longest chunk
+    and allocated once per call, and across chunks each energy keeps only
+    its N x N ratio and a copy of its u_{b-1}.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    a0, _, g1 = grid.band
     n_ch = grid.w_samples.shape[1]
     kl = 2 * n_ch - 1
+    main = 2 * kl
     eye = np.eye(n_ch)
     r, c = np.indices((n_ch, n_ch))
-    first_block = (2 * kl + r - c, c)
+    first_block = (main + r - c, c)
     last = grid.n_points - 1
+    inv_h, d1, g1 = _a1_weights(grid, 1, last)
     edges = list(range(1, last, CHUNK_ROWS)) + [last]
-    work = np.empty((3 * kl + 1, min(CHUNK_ROWS, last - 1) * n_ch), order="F")
-    out = np.empty((energies.size, n_ch, n_ch))
-    for i, e in enumerate(energies):
-        ratio_in = None
-        for a, b in zip(edges[:-1], edges[1:]):
-            ab = assemble_pencil(grid, b, e, first_index=a, out=work)
-            if ratio_in is not None:
-                ab[first_block] += ratio_in
-            # bond of rows b-1 and b: the block right of row b-1's diagonal
-            col = (b - 1) * n_ch
-            bond = a0[kl - n_ch + r - c, col + c] - e * (g1[b - 2] * eye)
-            rhs = np.zeros(((b - a) * n_ch, n_ch), order="F")
+    # each chunk's bond to the row past it, its block in the right-hand side
+    ends = _bond_blocks(grid, np.array(edges[1:]) - 1)
+    shape = (3 * kl + 1, min(CHUNK_ROWS, last - 1) * n_ch)
+    template, work = np.empty(shape, order="F"), np.empty(shape, order="F")
+    ratios, us = [None] * energies.size, [None] * energies.size
+    for a, b, g0 in zip(edges[:-1], edges[1:], ends):
+        rows = slice(a - 1, b - 1)
+        cols = (b - a) * n_ch
+        base = template[:, :cols]
+        base.fill(0.0)
+        _write_a0(grid, base, a, b, inv_h[rows], d1[rows])
+        diag = d1[rows].repeat(n_ch)
+        off = g1[a - 1:b - 2].repeat(n_ch)
+        rhs = np.empty((cols, n_ch), order="F")
+        for i, e in enumerate(energies):
+            ab = work[:, :cols]
+            ab[...] = base
+            _subtract_a1(ab, n_ch, e * diag, e * off)
+            if a > 1:
+                ab[first_block] += ratios[i]
+            bond = g0 - e * (g1[b - 2] * eye)
+            rhs.fill(0.0)
             rhs[-n_ch:] = -bond
             _, _, x, info = lapack.dgbsv(
                 kl, kl, ab, rhs, overwrite_ab=1, overwrite_b=1
@@ -571,9 +636,13 @@ def propagate_ratio(grid: RadialGrid, energies) -> np.ndarray:
                 raise MatrixInversionError(
                     f"pencil rows {a}..{b - 1} singular at E={e!r}", energy=float(e)
                 )
-            u = x[-n_ch:]
-            ratio_in = bond @ u
-            ratio_in = 0.5 * (ratio_in + ratio_in.T)
+            # a copy (in x's Fortran order): x is rhs, which the next
+            # energy overwrites
+            u = us[i] = x[-n_ch:].copy(order="F")
+            ratio = bond @ u
+            ratios[i] = 0.5 * (ratio + ratio.T)
+    out = np.empty((energies.size, n_ch, n_ch))
+    for i, u in enumerate(us):
         out[i] = np.linalg.inv(u)
     return out
 
@@ -617,10 +686,9 @@ def extract_k(
 
     # by keyword: perfbench/tracer.py counts the energies by that name
     p = propagate_ratio(grid, energies=energies)
-    m = grid.n_points - 1
     theta, h, flux = _free_waves(problem, grid, energies)
-    a_m, b_m = _references(problem, grid, energies, theta, h, m)
-    a_p, b_p = _references(problem, grid, energies, theta, h, m - 1)
+    a_m, b_m = _references(problem, grid, energies, theta, h, -1)
+    a_p, b_p = _references(problem, grid, energies, theta, h, -2)
 
     lhs = a_m - np.matmul(p, a_p)   # multiplies Ca
     rhs = np.matmul(p, b_p) - b_m   # multiplies Cb

@@ -59,18 +59,21 @@ def write_table(path, rows: np.ndarray, meta: dict, columns: str) -> None:
 def read_lines(path, what: str, parse_line=None):
     """(header key/values, [parse_line(line) for each non-blank body line])
     of the artifact path, each line stripped and parsed as it is read (no
-    body is read without parse_line).  A missing path is a CacheError; a
+    body is read without parse_line); a None result is not kept, so a line
+    function that fills its own array leaves an empty list.  Lines are read
+    as bytes and decoded one at a time, which holds no decoded 8 KiB chunk
+    beside the file's buffer.  A missing path is a CacheError; a
     ValueError of parse_line is a ValidationError "path, line n: error",
-    and text that is not UTF-8 a ValidationError naming path."""
+    and a line that is not UTF-8 a ValidationError naming path."""
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise CacheError(f"missing {what} {path}") from None
     meta, parsed, header = {}, [], True
     with fh:
         try:
             for n, raw in enumerate(fh, 1):
-                line = raw.strip()
+                line = raw.decode("utf-8").strip()
                 if header and line.startswith("#"):
                     key, colon, value = line[1:].partition(":")
                     if colon:
@@ -79,7 +82,8 @@ def read_lines(path, what: str, parse_line=None):
                     if parse_line is None:
                         break
                     header = False
-                    parsed.append(parse_line(line))
+                    if (value := parse_line(line)) is not None:
+                        parsed.append(value)
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except ValueError as exc:
@@ -94,16 +98,22 @@ def read_header(path) -> dict:
 
 def read_table(path):
     """(rows array, meta dict) of path: numpy casts each body line's fields
-    into one float64 array, doubled as it fills and cut to the rows read.
-    CacheError when missing; ValidationError naming the line of a field
-    that is not a number or of a row whose field count is not the first's."""
+    into one float64 array, sized once from the file's bytes over the
+    first body line's, less one byte per field (write_table's rows differ
+    only by a field's sign), doubled should it still fill, and cut to the
+    rows read.  CacheError when missing; ValidationError naming the line
+    of a field that is not a number or of a row whose field count is not
+    the first's."""
     rows, n = np.empty((0, 0)), 0
 
     def fill(line):
         nonlocal n
         fields = line.split()
         if not n:
-            rows.resize((64, len(fields)), refcheck=False)
+            # the file is open, so it exists; +1 for the line's newline
+            shortest = max(len(line) + 1 - len(fields), 1)
+            rows.resize((os.path.getsize(path) // shortest + 1, len(fields)),
+                        refcheck=False)
         elif len(fields) != rows.shape[1]:
             raise ValueError(f"{len(fields)} fields, expected {rows.shape[1]}")
         elif n == len(rows):

@@ -138,8 +138,8 @@ class TestStages:
         assert f"{path}, line {n + 1}:" in err
 
     def test_non_utf8_byte_in_fresh_table_refused(self, tmp_path, capsys):
-        # the header read decodes the first 8 kB, where a bad byte reads as
-        # a stale cache; past them the scan stage's read refuses it
+        # the header read stops at the first body line; the scan stage's
+        # read of the body refuses the bad byte
         ini, path = _fresh_couplings(tmp_path)
         data = bytearray(path.read_bytes())
         assert len(data) > 8192 + 100
@@ -196,6 +196,23 @@ class TestStages:
         assert rows.shape == want.shape == (n_rho, 1 + n + 2 * n * n)
         assert rows.tobytes() == want.tobytes()
         assert peak <= 2.5 * rows.nbytes, (peak, rows.nbytes)
+
+    def test_table_read_sizes_its_array_once(self, tmp_path):
+        # the toy's 1,200 x 11 couplings.dat: the array is sized from the
+        # file's bytes, so the read peaks at 1.11 times the returned bytes
+        # (doubling from 64 rows peaked at 2.0 times them, on 2,048 rows)
+        rho, eps, h, q = TwoChannelToy().tables()
+        path = tmp_path / "couplings.dat"
+        save_couplings(path, rho, eps, h, q, {"kind": "toy"})
+        tracemalloc.start()
+        try:
+            rows, _ = read_table(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (1200, 11)
+        assert rows.tobytes() == np.loadtxt(path).tobytes()
+        assert peak <= 1.3 * rows.nbytes, (peak, rows.nbytes)
 
     @pytest.mark.parametrize("row", ["5.0", "5.0 6.0 7.0"], ids=["short", "long"])
     def test_row_with_another_field_count_names_its_line(self, tmp_path, row):

@@ -235,7 +235,7 @@ def wells_table_problem(with_q, n=4):
 
 def loop_build_grid(problem, h_max):
     """Reference for build_grid: its probe loop with one scalar w_bare and
-    eigvalsh per probe, and the same samples, joins and gauge."""
+    eigvalsh per probe, and the same samples, joins and gauge ends."""
     rho_end = problem.rho_match
     e_ref = float(np.max(problem.thresholds)) + 1.0
 
@@ -277,7 +277,8 @@ def loop_build_grid(problem, h_max):
     if gauge is not None:
         w = np.swapaxes(gauge, 1, 2) @ w @ gauge
     return {"points": points, "bond_h": bond_h, "join_bond": join_bond,
-            "w_samples": 0.5 * (w + np.swapaxes(w, 1, 2)), "gauge": gauge}
+            "w_samples": 0.5 * (w + np.swapaxes(w, 1, 2)),
+            "gauge": None if gauge is None else gauge[-2:]}
 
 
 GRID_PROBLEMS = {
@@ -320,7 +321,9 @@ class TestGridBuild:
         w, gauge = loop_w_samples(prob, grid.points)
         assert np.array_equal(grid.w_samples, w)
         if with_q:
-            assert np.array_equal(grid.gauge, gauge)
+            # the grid keeps the path's last two points, where K is matched
+            assert np.array_equal(radial._gauge_path(prob, grid.points), gauge)
+            assert np.array_equal(grid.gauge, gauge[-2:])
         else:
             assert grid.gauge is None
 
@@ -342,7 +345,8 @@ class TestGridBuild:
         assert prob.w_bare(grid.points).tobytes() == bare.tobytes()
         assert grid.w_samples.tobytes() == rotated.tobytes()
         if gauge is not None:
-            assert grid.gauge.tobytes() == gauge.tobytes()
+            assert radial._gauge_path(prob, grid.points).tobytes() == gauge.tobytes()
+            assert grid.gauge.tobytes() == gauge[-2:].tobytes()
 
     @pytest.mark.parametrize("model", ["toy", "coupled_wells4"])
     def test_gauge_free_samples_are_w_bare(self, model):
@@ -365,8 +369,9 @@ class TestGridBuild:
         prob = replace(coupled_wells(2), q_mat=q_mat)
         assert prob.has_gauge()
         grid = build_grid(prob, h_max=0.05)
-        assert np.array_equal(grid.gauge, radial._gauge_path(prob, grid.points))
-        assert np.abs(grid.gauge[-1] - np.eye(2)).max() > 1e-2
+        path = radial._gauge_path(prob, grid.points)
+        assert np.array_equal(grid.gauge, path[-2:])
+        assert np.abs(path[-1] - np.eye(2)).max() > 1e-2
         # an all-zero Q table is no first-derivative coupling
         tab = RadialProblem.from_tables(*TwoChannelToy().tables(),
                                         include_rho_term=False)
@@ -470,9 +475,9 @@ class TestGridBuild:
 
 
 def loop_pencil_parts(grid):
-    """Per-point reference for the blocks of RadialGrid.band, in the same
-    arithmetic: the bond blocks g0, g1 and the diagonal blocks d0, d1 of
-    its docstring, (g0, g1, d0, d1) with g0, d0 of shape (M, N, N)."""
+    """Per-point reference for the pencil's blocks, in the arithmetic of
+    radial._a1_weights' docstring: the bond blocks g0, g1 and the diagonal
+    blocks d0, d1, (g0, g1, d0, d1) with g0, d0 of shape (M, N, N)."""
     w = grid.w_samples
     eye = np.eye(w.shape[1])
     nb = grid.bond_h.size
@@ -523,31 +528,38 @@ def dense_pencil(grid, last):
 class TestPencil:
     @pytest.fixture(scope="class")
     def joined_grid(self):
-        # the hyperradial barrier forces step halvings, so join bonds appear
+        # the hyperradial barrier forces step halvings, so join bonds appear;
+        # more rows than CHUNK_ROWS, so the rows are written in two pieces
         prob = replace(coupled_wells(2), include_rho_term=True, rho_start=0.05)
-        grid = build_grid(prob, rho_end=6.0, h_max=0.05)
-        assert grid.join_bond.any()
+        grid = build_grid(prob, rho_end=6.0, h_max=0.02)
+        assert grid.join_bond.any() and grid.n_points - 2 > CHUNK_ROWS
         return grid
 
-    def test_band_is_the_dense_pencil(self, joined_grid):
-        # rows of the points 1..n_points-1: the interior and the far end,
-        # bit for bit the per-point blocks, signed zeros included (a join
-        # bond's off-diagonal -I/h entries are -0.0)
-        a0, d1, g1 = joined_grid.band
-        ref0, ref1 = dense_pencil(joined_grid, joined_grid.n_points)
+    @pytest.mark.parametrize("shift", [0.0, 0.7])
+    def test_rows_are_the_dense_pencil(self, joined_grid, shift):
+        # the rows of every interior point, written from W, are bit for bit
+        # the per-point blocks, signed zeros included (a join bond's
+        # off-diagonal -I/h entries are -0.0, which a shift >= 0 keeps)
+        last = joined_grid.n_points - 1
+        ref0, ref1 = dense_pencil(joined_grid, last)
         n = joined_grid.w_samples.shape[1]
-        # A1 is kept once per point: d1 per row, g1 per bond of two rows
-        assert d1.shape == (joined_grid.n_points - 1,)
-        assert g1.shape == (joined_grid.n_points - 2,)
-        a1_diag, a1_off = np.repeat(d1, n), np.repeat(g1, n)
+        kl = 2 * n - 1
         assert np.array_equal(ref0, ref0.T)
-        # the upper triangle and the diagonal: the first kl + 1 band rows
-        want = dense_to_band(ref0, 2 * n - 1, 0)[: 2 * n]
-        assert np.array_equal(a0, want)
-        assert np.array_equal(np.signbit(a0), np.signbit(want))
-        assert (np.signbit(a0) & (a0 == 0.0)).any()
+        ab = assemble_pencil(joined_grid, last, shift)
+        want = dense_to_band(ref0 - shift * ref1, kl, kl)
+        assert ab.tobytes() == want.tobytes()
+        assert (np.signbit(ab) & (ab == 0.0)).any()
+        # A1 per point: d1 per row, g1 per bond, here up to the far end
+        _, d1, g1 = radial._a1_weights(joined_grid, 1, last)
+        assert d1.shape == g1.shape == (last - 1,)
+        a1_diag, a1_off = np.repeat(d1, n), np.repeat(g1[:-1], n)
         a1 = np.diag(a1_diag) + np.diag(a1_off, n) + np.diag(a1_off, -n)
         assert np.array_equal(a1, ref1)
+        # every bond block, the K sweep's bond to the far end included
+        g0_ref, g1_ref = loop_pencil_parts(joined_grid)[:2]
+        g0 = radial._bond_blocks(joined_grid, slice(1, last))
+        assert g0.tobytes() == g0_ref[1:].tobytes()
+        assert g1.tobytes() == g1_ref[1:].tobytes()
 
     def test_box_pencils_are_leading_blocks(self, joined_grid):
         n = joined_grid.w_samples.shape[1]
@@ -589,33 +601,76 @@ class TestPencil:
             assert ab.tobytes() == fresh.tobytes(), (first, stop)
 
     def test_k_sweep_assembles_into_one_workspace(self, monkeypatch, toy_problem):
-        # every chunk of every energy of one propagate_ratio call is written
-        # into the same array, never a fresh one
+        # each chunk's A0 rows are written once, into one template, however
+        # many energies there are, and every solve of every chunk and energy
+        # factors one other array, never a fresh one
         grid = build_grid(toy_problem, h_max=0.05)
         assert grid.n_points - 2 > CHUNK_ROWS
-        seen = []
+        chunks = math.ceil((grid.n_points - 2) / CHUNK_ROWS)
+        written, solved = [], []
+        write, solve = radial._write_a0, radial.lapack.dgbsv
 
-        def record(*args, out=None, **kwargs):
-            seen.append(out)
-            return assemble_pencil(*args, out=out, **kwargs)
+        def record_write(grid, ab, *args):
+            written.append(ab)
+            return write(grid, ab, *args)
 
-        monkeypatch.setattr(radial, "assemble_pencil", record)
+        def record_solve(kl, ku, ab, b, **kwargs):
+            solved.append(ab)
+            return solve(kl, ku, ab, b, **kwargs)
+
+        monkeypatch.setattr(radial, "_write_a0", record_write)
+        monkeypatch.setattr(radial.lapack, "dgbsv", record_solve)
         propagate_ratio(grid, [2.2, 2.9, 3.4])
-        assert len(seen) > 3 and seen[0] is not None
-        assert all(out is seen[0] for out in seen)
+        assert len(written) == chunks and len(solved) == 3 * chunks
+        assert all(np.shares_memory(ab, written[0]) for ab in written)
+        assert all(np.shares_memory(ab, solved[0]) for ab in solved)
+        assert not np.shares_memory(written[0], solved[0])
 
-    def test_first_band_peaks_near_its_bytes(self):
-        # the band is written one channel pair at a time, with no
-        # (points, N, N) block array: 2401 points of 4 channels peak at
-        # 1.15 times the returned bytes (1.9 times through block arrays)
+    def test_pencil_peaks_near_its_bytes(self):
+        # the rows are written from W, CHUNK_ROWS points of blocks at a
+        # time, with no (points, N, N) block array: the largest box of 2401
+        # points of 4 channels peaks at 1.14 times the workspace's bytes
         grid = build_grid(coupled_wells(4), h_max=0.01)
         tracemalloc.start()
         try:
-            band = grid.band
+            ab = assemble_pencil(grid, grid.n_points - 1, 0.7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.3 * sum(a.nbytes for a in band)
+        assert peak < 1.3 * ab.nbytes
+
+    def test_k_sweep_peak_stays_flat_in_energies(self):
+        # 128 energies of coupled_wells(4) (2401 points, 10 chunks) peak at
+        # 0.68 MB: the template and the workspace (180 KB each), the grid's
+        # A1 weights and per energy an N x N ratio and u.  A sweep that kept
+        # each energy's last chunk solution (32 KB) would peak at 4.8 MB,
+        # one that kept the pencil's band with the grid at 0.93 MB
+        grid = build_grid(coupled_wells(4), h_max=0.01)
+        energies = np.linspace(0.401, 2.499, 128)
+        tracemalloc.start()
+        try:
+            propagate_ratio(grid, energies)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8e6
+
+    def test_grid_keeps_only_w_and_its_steps(self):
+        # after a box solve and a K call the grid holds its points, steps,
+        # join marks, W and the gauge at the match's two points: no array
+        # derived from W (pencil rows, A1 weights, a W floor) stays with it
+        prob = wells_table_problem(True)
+        grid = build_grid(prob, h_max=0.02)
+        stabilization_eigenvalues(prob, 5.0, 4, grid=grid)
+        extract_k(prob, [float(np.sort(prob.thresholds)[1]) + 0.1], grid=grid)
+        n = prob.n_channels
+        held = [a for v in vars(grid).values()
+                for a in (v if isinstance(v, tuple) else (v,))
+                if isinstance(a, np.ndarray)]
+        assert grid.gauge.shape == (2, n, n)
+        assert sum(a.nbytes for a in held) == (
+            grid.points.nbytes + grid.bond_h.nbytes + grid.join_bond.nbytes
+            + grid.w_samples.nbytes + grid.gauge.nbytes)
 
     def test_reused_grid_matches_fresh_grids(self, toy_problem):
         # the grid keeps its pencil between calls; box levels must not
