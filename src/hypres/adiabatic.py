@@ -28,6 +28,10 @@ point being differenced:
 
     H_jj'(rho) = < d_rho phi_j | d_rho phi_j' >,
     Q_jj'(rho) = - < phi_j | d_rho phi_j' >.
+
+A swept point keeps its grid, terms and basis only: the sign fix and the
+differencing each evaluate the bases they read on their point's quadrature
+and drop those fields when they return.
 """
 
 from __future__ import annotations
@@ -270,15 +274,15 @@ class AdiabaticSolution:
     meta: dict = field(default_factory=dict)
 
 
-def _on_quadrature(tensor: TensorGrid, vecs: np.ndarray):
-    """Measure kernel, quadrature points and the basis values of one point.
+def _on_quadrature(tensor: TensorGrid):
+    """Measure kernel and quadrature points of one point's grid.
 
-    Returns (kern, px, py, values): kern is sin^2(chi) sin(theta) times the
-    tensor weights, values has shape (N, nqx, nqy).
+    Returns (kern, px, py): kern is sin^2(chi) sin(theta) times the tensor
+    weights, on which a basis evaluates as tensor.evaluate(vecs, px, py)
+    with shape (N, nqx, nqy).
     """
     px, wx, py, wy = tensor.quad_points()
-    kern = np.outer(wx * np.sin(px) ** 2, wy * np.sin(py))
-    return kern, px, py, tensor.evaluate(vecs, px, py)
+    return np.outer(wx * np.sin(px) ** 2, wy * np.sin(py)), px, py
 
 
 def _solve_one(masses, rho, grid, n_terms):
@@ -289,14 +293,12 @@ def _solve_one(masses, rho, grid, n_terms):
 
 
 class _Point:
-    """One solved rho point of the couplings sweep, with what its sign fix
-    and its differencing share: the measure kernel, its own basis on its
-    quadrature (here) and the previous accepted basis on it (prev_here)."""
+    """One solved rho point of the couplings sweep: its grid, terms and
+    basis.  Fields on a quadrature are evaluated where they are used
+    (`_fix_signs`, `_couplings_at`) and dropped there."""
 
     def __init__(self, rho: float, tensor: TensorGrid, vals, vecs):
         self.rho, self.tensor, self.vals, self.vecs = rho, tensor, vals, vecs
-        self.kern, self.px, self.py, self.here = _on_quadrature(tensor, vecs)
-        self.prev_here: np.ndarray | None = None
 
 
 def _checked_rho_grid(rho_grid) -> np.ndarray:
@@ -349,12 +351,12 @@ def solve_with_couplings(
     limit counts the rejections since the last accepted point, each of
     which inserts a midpoint; an accepted midpoint resets it, so it does
     not bound the depth below one interval of rho_grid.  The sweep keeps
-    its last accepted point and the rho of the one before it; once the
-    next point is accepted, the last one's table row is differenced
-    (`_couplings_at`), so besides the rejected points waiting on the stack
-    only two bases are held at a time: the last accepted point's and the
-    one under test.  H is the Gram matrix of the differenced derivatives
-    (symmetric PSD by construction); Q is antisymmetrized.
+    its last two accepted points; once the next point is accepted, the
+    last one's table row is differenced (`_couplings_at`), so besides the
+    rejected points waiting on the stack three bases are held at a time,
+    and no field on a quadrature outlives the call that evaluates it.  H
+    is the Gram matrix of the differenced derivatives (symmetric PSD by
+    construction); Q is antisymmetrized.
     """
     rho_grid = _checked_rho_grid(rho_grid)
     if rho_grid.size < 3:
@@ -363,7 +365,7 @@ def solve_with_couplings(
     # stack, smallest rho on top; a point under bisection goes back solved
     pending: list[tuple] = [(rho, None) for rho in rho_grid[::-1]]
     rows: list[tuple] = []  # (rho, terms, H, Q) of each accepted point
-    prev_rho = last = None  # the last accepted point and the rho before it
+    prev = last = None  # the last two accepted points, last the later
     max_bisect = 7  # rejections in a row before TrackingError
     depth = 0
     while pending:
@@ -384,10 +386,9 @@ def solve_with_couplings(
             continue
         depth = 0
         if last is not None:
-            rows.append(_couplings_at(prev_rho, last, point))
-            prev_rho = last.rho
-        last = point
-    rows.append(_couplings_at(prev_rho, last, None))
+            rows.append(_couplings_at(prev, last, point))
+        prev, last = last, point
+    rows.append(_couplings_at(prev, last, None))
 
     return AdiabaticSolution(*(np.asarray(col) for col in zip(*rows)),
                              meta=_solution_meta(masses, grid, n_terms))
@@ -395,49 +396,51 @@ def solve_with_couplings(
 
 def _fix_signs(point: _Point, prev: _Point | None) -> float:
     """Flip the point's basis toward positive overlap with the prev basis
-    (toward a positive mean value when prev is None), keeping prev's values
-    on the point's quadrature for the differencing; returns the smallest
-    |overlap| (inf without prev)."""
+    (toward a positive mean value when prev is None), both evaluated on the
+    point's quadrature; returns the smallest |overlap| (inf without prev)."""
+    kern, px, py = _on_quadrature(point.tensor)
+    here = point.tensor.evaluate(point.vecs, px, py)
     if prev is None:
-        signs = np.einsum("xy,jxy->j", point.kern, point.here)
+        signs = np.einsum("xy,jxy->j", kern, here)
     else:
-        point.prev_here = prev.tensor.evaluate(prev.vecs, point.px, point.py)
-        signs = np.einsum("xy,jxy,jxy->j", point.kern, point.prev_here,
-                          point.here)
+        signs = np.einsum("xy,jxy,jxy->j", kern,
+                          prev.tensor.evaluate(prev.vecs, px, py), here)
     for j, o in enumerate(signs):
         if o < 0.0:
             point.vecs[j] *= -1.0
-            point.here[j] *= -1.0
     return math.inf if prev is None else float(np.abs(signs).min())
 
 
-def _couplings_at(prev_rho, point: _Point, nxt: _Point | None):
+def _couplings_at(prev: _Point | None, point: _Point, nxt: _Point | None):
     """Table row (rho, terms, H, Q) of one accepted point.
 
     Its basis is differenced on its own quadrature over its stencil: the
-    previous accepted point (at prev_rho; its basis there is prev_here),
-    the point and the next accepted point nxt, centred, or one-sided at the
-    first point (prev_rho None) and at the last (nxt None).
+    previous accepted point prev, the point and the next accepted point
+    nxt, centred, or one-sided at the first point (prev None) and at the
+    last (nxt None).  Each basis of the stencil is evaluated there once its
+    signs are fixed; flipping a basis negates its values exactly, so they
+    are the values its sign fix flipped.
     """
     rho = point.rho
-    if nxt is not None:
-        there = nxt.tensor.evaluate(nxt.vecs, point.px, point.py)
-    if prev_rho is None:
+    if prev is None:
         step = nxt.rho - rho
-        stencil = [(-1.0 / step, point.here), (1.0 / step, there)]
+        stencil = [(-1.0 / step, point), (1.0 / step, nxt)]
     elif nxt is None:
-        step = rho - prev_rho
-        stencil = [(-1.0 / step, point.prev_here), (1.0 / step, point.here)]
+        step = rho - prev.rho
+        stencil = [(-1.0 / step, prev), (1.0 / step, point)]
     else:
-        hm, hp = rho - prev_rho, nxt.rho - rho
-        stencil = [(-hp / (hm * (hm + hp)), point.prev_here),
-                   ((hp - hm) / (hm * hp), point.here),
-                   (hm / (hp * (hm + hp)), there)]
-    dphi = np.zeros_like(point.here)
-    for w, vals in stencil:
-        dphi += w * vals
-    h = np.einsum("xy,jxy,Jxy->jJ", point.kern, dphi, dphi)
-    q_raw = -np.einsum("xy,jxy,Jxy->jJ", point.kern, point.here, dphi)
+        hm, hp = rho - prev.rho, nxt.rho - rho
+        stencil = [(-hp / (hm * (hm + hp)), prev),
+                   ((hp - hm) / (hm * hp), point),
+                   (hm / (hp * (hm + hp)), nxt)]
+    kern, px, py = _on_quadrature(point.tensor)
+    here = point.tensor.evaluate(point.vecs, px, py)
+    dphi = np.zeros_like(here)
+    for w, src in stencil:
+        dphi += w * (here if src is point
+                     else src.tensor.evaluate(src.vecs, px, py))
+    h = np.einsum("xy,jxy,Jxy->jJ", kern, dphi, dphi)
+    q_raw = -np.einsum("xy,jxy,Jxy->jJ", kern, here, dphi)
     return rho, point.vals, h, 0.5 * (q_raw - q_raw.T)
 
 

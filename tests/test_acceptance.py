@@ -7,6 +7,7 @@ HYPRES_RUN_FULL=1 is set -- everything else must pass without it.
 """
 
 import os
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -215,7 +216,7 @@ class TestCriterion5:
 class TestCriterion6:
     def test_full_three_body_reproduction(self, tmp_path):
         with verdict(6, "full three-body reproduction"):
-            from hypres.pipeline import RunConfig, run_pipeline
+            from hypres.pipeline import STAGE_TABLE, RunConfig, run_pipeline
             from hypres.tableio import read_keyvalues
 
             ini = tmp_path / "full.ini"
@@ -225,7 +226,14 @@ class TestCriterion6:
                 f"[output]\ndirectory = {tmp_path / 'out'}\n"
             )
             config = RunConfig.from_file(ini)
+            start = time.time()
             run_pipeline(config, resonance=0)
+            # each stage's wall time: from the previous stage's last artifact
+            # (the run's start for the first) to its own, by modification time
+            ends = [max((config.out_dir() / name.format(resonance=0)).stat().st_mtime
+                        for name in stage.outputs) for stage in STAGE_TABLE]
+            stage_s = " ".join(f"{stage.name} {end - begin:.1f}"
+                               for stage, begin, end in zip(STAGE_TABLE, [start, *ends], ends))
             # the pipeline's last artifact is the xsec profile; the fit
             # report is the fit stage's
             pairs, _ = read_keyvalues(config.out_dir() / "fit_0.txt")
@@ -235,7 +243,7 @@ class TestCriterion6:
             # shown with pytest -rP, the verdict's numbers in one line
             print(f"criterion 6: minus_E0 {minus_e0!r} Gamma {gamma!r} "
                   f"Gamma2_over_Gamma {ratio!r} start {pairs['start']} "
-                  f"iterations {pairs['iterations']}")
+                  f"iterations {pairs['iterations']} stage_s {stage_s}")
             assert abs(minus_e0 - 0.15917) <= 1e-3 * 0.15917
             assert 0.5 * 0.47e-9 <= gamma <= 2.0 * 0.47e-9
             assert abs(ratio - 0.22) <= 0.10

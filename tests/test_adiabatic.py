@@ -39,7 +39,8 @@ GRID_COARSE = HyperangularGrid(n_chi=61, n_theta=31)
 
 def orthonormality_defect(tensor, vecs):
     """Max |<phi_i|phi_j> - delta_ij| of one point's basis, by quadrature."""
-    kern, _, _, vals = _on_quadrature(tensor, vecs)
+    kern, px, py = _on_quadrature(tensor)
+    vals = tensor.evaluate(vecs, px, py)
     gram = np.einsum("xy,jxy,Jxy->jJ", kern, vals, vals)
     return float(np.abs(gram - np.eye(vecs.shape[0])).max())
 
@@ -418,6 +419,67 @@ class TestDifferencing:
             assert np.abs(sol.q_table[k] - q).max() <= 1e-12 * np.abs(q).max(), k
 
 
+def field_keeping_sweep(masses, grid, rho_grid, n_terms):
+    """(rho, terms, H, Q) of the couplings sweep, written as a loop whose
+    points keep their basis on their own quadrature, the previous accepted
+    basis on it, and the measure kernel."""
+    def solved(rho):
+        tensor = build_grids(masses, rho, grid)
+        vals, vecs = solve_adiabatic_point(
+            tensor, rho, n_terms, potential=coulomb_potential(masses, rho))
+        px, wx, py, wy = tensor.quad_points()
+        return dict(rho=rho, tensor=tensor, vals=vals, vecs=vecs, px=px, py=py,
+                    kern=np.outer(wx * np.sin(px) ** 2, wy * np.sin(py)),
+                    here=tensor.evaluate(vecs, px, py))
+
+    accepted, depth = [], 0
+    pending = [(rho, None) for rho in rho_grid[::-1]]
+    while pending:
+        rho, p = pending.pop()
+        p = p or solved(rho)
+        if accepted:
+            last = accepted[-1]
+            p["prev_here"] = last["tensor"].evaluate(last["vecs"], p["px"], p["py"])
+            signs = np.einsum("xy,jxy,jxy->j", p["kern"], p["prev_here"], p["here"])
+        else:
+            signs = np.einsum("xy,jxy->j", p["kern"], p["here"])
+        for j in np.flatnonzero(signs < 0.0):
+            p["vecs"][j] *= -1.0
+            p["here"][j] *= -1.0
+        if accepted and np.abs(signs).min() < adiabatic.OVERLAP_FLOOR:
+            assert depth < 7
+            pending += [(rho, p), (0.5 * (accepted[-1]["rho"] + rho), None)]
+            depth += 1
+            continue
+        depth = 0
+        accepted.append(p)
+
+    rows = []
+    for k, p in enumerate(accepted):
+        if k + 1 < len(accepted):
+            nxt = accepted[k + 1]
+            there = nxt["tensor"].evaluate(nxt["vecs"], p["px"], p["py"])
+        if k == 0:
+            step = accepted[1]["rho"] - p["rho"]
+            stencil = [(-1.0 / step, p["here"]), (1.0 / step, there)]
+        elif k + 1 == len(accepted):
+            step = p["rho"] - accepted[k - 1]["rho"]
+            stencil = [(-1.0 / step, p["prev_here"]), (1.0 / step, p["here"])]
+        else:
+            hm = p["rho"] - accepted[k - 1]["rho"]
+            hp = accepted[k + 1]["rho"] - p["rho"]
+            stencil = [(-hp / (hm * (hm + hp)), p["prev_here"]),
+                       ((hp - hm) / (hm * hp), p["here"]),
+                       (hm / (hp * (hm + hp)), there)]
+        dphi = np.zeros_like(p["here"])
+        for w, vals in stencil:
+            dphi += w * vals
+        h = np.einsum("xy,jxy,Jxy->jJ", p["kern"], dphi, dphi)
+        q = -np.einsum("xy,jxy,Jxy->jJ", p["kern"], p["here"], dphi)
+        rows.append((p["rho"], p["vals"], h, 0.5 * (q - q.T)))
+    return [np.asarray(col) for col in zip(*rows)]
+
+
 class TestBisection:
     # 4 points 5 apart lose basis continuity near the rho ~ 20 avoided
     # crossing: the sweep bisects and accepts 7 points
@@ -429,6 +491,19 @@ class TestBisection:
         again = solve_with_couplings(DTMU, self.GRID, sol.rho_grid, 3)
         for name in ("rho_grid", "terms", "h_table", "q_table"):
             assert np.array_equal(getattr(again, name), getattr(sol, name)), name
+
+    def test_bisected_sweep_matches_field_keeping_loop_bitwise(self):
+        # the sweep evaluates each basis on a quadrature where it is used;
+        # this loop keeps every point's fields instead, flipping them in
+        # place beside the basis, and evaluates the previous accepted basis
+        # at the sign fix and the next one at the differencing
+        rho_in = np.linspace(15.0, 30.0, 4)
+        sol = solve_with_couplings(DTMU, self.GRID, rho_in, 3)
+        ref = field_keeping_sweep(DTMU, self.GRID, rho_in, 3)
+        assert sol.rho_grid.size > rho_in.size
+        for got, want in zip((sol.rho_grid, sol.terms, sol.h_table, sol.q_table),
+                             ref):
+            assert np.array_equal(got, want)
 
     def test_unreachable_overlap_raises_after_bisections(self, monkeypatch):
         # no overlap reaches a floor above 1: the sweep bisects to its limit
@@ -471,6 +546,44 @@ class TestMemory:
 
         growth = peak(8) - peak(4)
         assert growth < 0.1e6, growth
+
+    def test_points_hold_bases_not_quadrature_fields(self, monkeypatch):
+        # between two point solves the sweep holds its accepted points'
+        # grids, terms and bases, and no field sampled on a quadrature
+        # (a field is 230 KB here, a basis 60 KB)
+        held, shapes, start = [], [], 0
+        solve, couplings_at = adiabatic.solve_adiabatic_point, adiabatic._couplings_at
+
+        def counted_solve(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+            return solve(*args, **kwargs)
+
+        def kept_shapes(*stencil):
+            # the field shape of each point and the shapes it keeps, not the
+            # point itself, which would outlive the sweep's hold on it
+            for p in stencil:
+                if isinstance(p, adiabatic._Point):
+                    px, _, py, _ = p.tensor.quad_points()
+                    shapes.append(((px.size, py.size),
+                                   [np.shape(v) for v in vars(p).values()]))
+            return couplings_at(*stencil)
+
+        monkeypatch.setattr(adiabatic, "solve_adiabatic_point", counted_solve)
+        monkeypatch.setattr(adiabatic, "_couplings_at", kept_shapes)
+        rho = np.linspace(10.0, 12.0, 5)
+        solve_with_couplings(DTMU, HyperangularGrid(n_chi=21, n_theta=21), rho, 4)
+        held.clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve_with_couplings(DTMU, GRID_COARSE, rho, 4)
+        finally:
+            tracemalloc.stop()
+        assert len(held) >= 5
+        assert max(held) <= 0.25e6, held
+        assert len(shapes) >= 13  # 5 rows of 2 or 3 stencil points
+        for field, kept in shapes:
+            assert not any(shape[-2:] == field for shape in kept), kept
 
 
 class TestValidationPaths:
