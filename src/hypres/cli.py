@@ -17,7 +17,8 @@ from . import pipeline
 from .errors import ConfigError, HypresError
 from .pipeline import STAGE_TABLE, STAGES, WORDS, RunConfig
 
-_PARAMS = ("resonance", "model")  # every stage parameter, as CLI options
+# every stage parameter, as CLI options, in table order
+_PARAMS = tuple(dict.fromkeys(key for stage in STAGE_TABLE for key in stage.params))
 
 
 def _add_common(sub):

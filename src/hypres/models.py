@@ -45,6 +45,7 @@ class TwoChannelToy:
     coupling_width = 0.8
     rho_start = 1e-3
     rho_match = 28.0
+    n_rho = 1200  # points of the tables
 
     @property
     def thresholds(self) -> np.ndarray:
@@ -83,9 +84,9 @@ class TwoChannelToy:
             include_rho_term=False,
         )
 
-    def tables(self, n_rho: int = 1200):
+    def tables(self):
         """Terms/couplings tables on a dense rho grid (file-contract form)."""
-        rho = np.linspace(self.rho_start, self.rho_match, n_rho)
+        rho = np.linspace(self.rho_start, self.rho_match, self.n_rho)
         eps = self.eps(rho)
         h = np.array([self.h_mat(r) for r in rho])
         q = np.zeros_like(h)

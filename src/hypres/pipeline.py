@@ -1,16 +1,17 @@
 """Batch pipeline: configuration, cached stages, and artifact files.
 
 Stages run in dependency order (terms -> couplings -> scan -> sample ->
-fit -> xsec), as listed in `STAGE_TABLE`, which the CLI reads too.  Each
-stage writes one or more text artifacts whose headers record the digest of
-the configuration sections (and of the input file) that produced them.
+fit -> xsec), as listed in `STAGE_TABLE`, which the CLI and this module's
+`stage_<name>` functions are made from.  Each stage writes one or more
+text artifacts whose headers record the digest of the configuration
+sections (and of the input file) that produced them.
 One runner serves every stage: it refuses missing or stale inputs with a
 CacheError naming the stage that produces them (and, when stale, the header
 key that differs), keeps outputs whose headers match, and otherwise calls
 the stage's body with its row's paths (see `Stage`).  It builds each
-expected header and hashes each input file once per header chain: one
-chain per run_pipeline call, a fresh one for a stage run on its own; in
-table order a file is hashed only after its stage ran.
+expected header and hashes each input file once per header chain, an
+argument: one chain per run_pipeline call, a fresh one for a stage run on
+its own; in table order a file is hashed only after its stage ran.
 
 Module level imports only what the configuration and the stage table use
 (errors).  The table functions (`hypres.tableio`) are imported where a
@@ -38,7 +39,6 @@ nor NamedTuples, so that no method is generated and compiled at import.
 from __future__ import annotations
 
 import configparser
-import contextvars
 import io
 import math
 from pathlib import Path
@@ -250,16 +250,23 @@ def _expect(stage: Stage, config: RunConfig, params: dict, chain: dict) -> dict:
     return chain[stage.name]
 
 
-def _run(name: str, config: RunConfig, force: bool, **params) -> Path:
+def _run(name: str, config: RunConfig, force: bool = False,
+         chain: dict | None = None, **params) -> Path:
     """Run one stage through its cache; returns its last output file.
 
-    Missing or stale inputs raise CacheError naming the stage that produces
-    them; outputs whose headers match are kept unless force is set.  A
-    HypresError leaves with its `stage` set to this stage's name.
+    Keeps the params the stage's row lists, a left-out or None resonance
+    being window 0 and model the config's [fit] model.  chain (stage name
+    -> header, digested path -> file digest) is run_pipeline's, else a
+    fresh one.  Missing or stale inputs raise CacheError naming the stage
+    that produces them; outputs whose headers match are kept unless force
+    is set.  A HypresError leaves with its `stage` set to this stage's name.
     """
     stage = _STAGE[name]
     out_dir = config.out_dir()
-    chain = _CHAIN.get({})
+    chain = {} if chain is None else chain
+    default = {"resonance": 0, "model": config.get("fit", "model")}
+    params = {key: default[key] if params.get(key) is None else params[key]
+              for key in stage.params}
     try:
         inputs = [out_dir / p.format(**params) for p in stage.inputs]
         for pattern, path in zip(stage.inputs, inputs):
@@ -284,7 +291,7 @@ def _run(name: str, config: RunConfig, force: bool, **params) -> Path:
 
 _PHYSICS = ("system", "basis", "radial", "scan")
 
-# The stage list, in dependency order; the CLI builds its subcommands from it.
+# The stage list, in dependency order; stage_<name> and the CLI are built from it.
 STAGE_TABLE = (
     Stage("terms", "adiabatic terms table", _PHYSICS[:2], ("terms.dat",)),
     Stage("couplings", "terms plus nonadiabatic coupling tables", _PHYSICS[:2],
@@ -311,70 +318,41 @@ STAGE_TABLE = (
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
 _STAGE = {stage.name: stage for stage in STAGE_TABLE}
 _PRODUCER = {name: stage for stage in STAGE_TABLE for name in stage.outputs}
-# the running run_pipeline's chain: stage name -> header, input path -> digest
-_CHAIN = contextvars.ContextVar("header_chain")
 
 
-# One public function per stage.  The pipeline and the CLI look them up by
-# name at call time, so a wrapper set on the module attribute (a profiler's,
-# say) sees every call.
+def _stage_function(stage: Stage):
+    def run(config: RunConfig, force: bool = False, **params) -> Path:
+        return _run(stage.name, config, force, **params)
+    run.__name__ = run.__qualname__ = f"stage_{stage.name}"
+    run.__doc__ = f"The {stage.name} stage ({stage.help}); params as in _run."
+    return run
 
 
-def stage_terms(config: RunConfig, force: bool = False) -> Path:
-    """Adiabatic terms table (Fig.-1-style data)."""
-    return _run("terms", config, force)
-
-
-def stage_couplings(config: RunConfig, force: bool = False) -> Path:
-    """Terms plus H/Q coupling tables (the radial-stage input contract)."""
-    return _run("couplings", config, force)
-
-
-def stage_scan(config: RunConfig, force: bool = False) -> Path:
-    """Box-size scan: branch table plus detected resonance windows."""
-    return _run("scan", config, force)
-
-
-def stage_sample(config: RunConfig, resonance: int = 0, force: bool = False) -> Path:
-    """K(E) samples at the stabilization energies of one detected window."""
-    return _run("sample", config, force, resonance=resonance)
-
-
-def stage_fit(config: RunConfig, resonance: int = 0, model: str | None = None,
-              force: bool = False) -> Path:
-    """Pole-form fit of the sampled K(E); writes the resonance report."""
-    return _run("fit", config, force, resonance=resonance,
-                model=model or config.get("fit", "model"))
-
-
-def stage_xsec(config: RunConfig, resonance: int = 0, force: bool = False) -> Path:
-    """Profile files: sampled K entries, inverse resonant parts, and the
-    model cross sections on a uniform grid across the window."""
-    return _run("xsec", config, force, resonance=resonance)
+# One public function per row, stage_<name>(config, force=False, **params).
+# run_stage and run_pipeline look them up by name at call time, so a wrapper
+# set on the module attribute (a profiler's, say) sees every call.
+globals().update({f"stage_{stage.name}": _stage_function(stage)
+                  for stage in STAGE_TABLE})
 
 
 def run_stage(name: str, config: RunConfig, force: bool = False, **params) -> Path:
-    """The stage called name, with the params it takes from the given ones."""
+    """The stage called name, through stage_<name> (params as in _run)."""
     if name not in _STAGE:
         raise ConfigError(f"unknown stage {name!r}")
-    stage = _STAGE[name]
-    kwargs = {key: params[key] for key in stage.params if key in params}
-    return globals()[f"stage_{name}"](config, force=force, **kwargs)
+    return globals()[f"stage_{name}"](config, force=force, **params)
 
 
 def run_pipeline(config: RunConfig, resonance: int = 0, model: str | None = None,
                  force: bool = False, upto: str | None = None):
-    """Stages in dependency order, optionally stopping after `upto`.
+    """Stages in dependency order, optionally stopping after `upto`, each
+    through stage_<name> and all with one header chain, made here.
 
     Returns the path of the last artifact written.
     """
     if upto is not None and upto not in STAGES:
         raise ConfigError(f"unknown stage {upto!r}")
-    token = _CHAIN.set({})
-    try:
-        for name in STAGES[: STAGES.index(upto) + 1 if upto else None]:
-            path = run_stage(name, config, force=force, resonance=resonance,
-                             model=model)
-    finally:
-        _CHAIN.reset(token)
+    chain = {}
+    for name in STAGES[: STAGES.index(upto) + 1 if upto else None]:
+        path = globals()[f"stage_{name}"](config, force, chain=chain,
+                                           resonance=resonance, model=model)
     return path

@@ -335,9 +335,9 @@ def build_grid(
     )
 
 
-def _a1_weights(grid: RadialGrid, first: int, last: int):
-    """(inv_h, d1) of the rows of the points first..last-1 and g1 of the
-    bonds first..last-1, each a vector over them (last < n_points).
+def _a1_weights(grid: RadialGrid, last: int):
+    """(inv_h, d1) of the rows of the points 1..last-1 and g1 of the bonds
+    1..last-1, each a vector over them (last < n_points).
 
     Bond k (between points k and k+1, step h):
         numerov: g0 = -I/h + h (W_k + W_{k+1}) / 24,   g1 = h/12
@@ -352,11 +352,11 @@ def _a1_weights(grid: RadialGrid, first: int, last: int):
     numpy's buffered path, which is slower).
     """
     h, join = grid.bond_h, grid.join_bond
-    hl, hr = h[first - 1:last - 1], h[first:last]
-    plain = join[first - 1:last - 1] | join[first:last]
+    hl, hr = h[:last - 1], h[1:last]
+    plain = join[:last - 1] | join[1:last]
     d1 = 0.5 * (hl + hr) * np.where(plain, 1.0, 10.0 / 12.0)
     inv_h = 1.0 / hl + 1.0 / hr
-    g1 = np.where(join[first:last], 0.0, hr / 12.0)
+    g1 = np.where(join[1:last], 0.0, hr / 12.0)
     return inv_h, d1, g1
 
 
@@ -432,31 +432,19 @@ def _subtract_a1(ab: np.ndarray, n_ch: int, d1_shift: np.ndarray,
     ab[main + n_ch, :-n_ch] -= g1_shift
 
 
-def assemble_pencil(
-    grid: RadialGrid, last_index: int, shift: float, first_index: int = 1,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """A0 - shift A1 over interior points first_index..last_index-1.
+def assemble_pencil(grid: RadialGrid, last_index: int, shift: float) -> np.ndarray:
+    """A0 - shift A1 over interior points 1..last_index-1.
 
-    Dirichlet ends at points[first_index - 1] and points[last_index]; the
-    rows are written from W (_write_a0, with the formulas of _a1_weights)
-    into a Fortran-ordered (3 kl + 1, n) workspace in the layout of
-    LAPACK's banded LU (dgbtrf/dgbsv, kl = 2N - 1 extra rows for the
-    fill-in), with the band entries that couple to rows outside the range
-    set to zero.  The workspace is a fresh array, or, given out
-    (Fortran-ordered, 3 kl + 1 rows, at least n columns), its leading n
-    columns, zeroed and filled: the same bytes whatever out held before.
+    Dirichlet ends at points[0] and points[last_index]; the rows are
+    written from W (_write_a0, with the formulas of _a1_weights) into a
+    fresh Fortran-ordered (3 kl + 1, n) workspace in the layout of LAPACK's
+    banded LU (dgbtrf/dgbsv, kl = 2N - 1 extra rows for the fill-in).
     """
     n_ch = grid.w_samples.shape[1]
     kl = 2 * n_ch - 1
-    n = (last_index - first_index) * n_ch
-    if out is None:
-        ab = np.zeros((3 * kl + 1, n), order="F")
-    else:
-        ab = out[:, :n]
-        ab.fill(0.0)
-    inv_h, d1, g1 = _a1_weights(grid, first_index, last_index)
-    _write_a0(grid, ab, first_index, last_index, inv_h, d1)
+    ab = np.zeros((3 * kl + 1, (last_index - 1) * n_ch), order="F")
+    inv_h, d1, g1 = _a1_weights(grid, last_index)
+    _write_a0(grid, ab, 1, last_index, inv_h, d1)
     _subtract_a1(ab, n_ch, np.repeat(shift * d1, n_ch),
                  np.repeat(shift * g1[:-1], n_ch))
     return ab
@@ -496,7 +484,7 @@ def stabilization_eigenvalues(
         raise EigensolverError(f"box pencil singular at sigma={float(sigma)!r}, "
                                f"alpha={float(alpha)!r}", rho=alpha)
     n = lu.shape[1]
-    _, d1, g1 = _a1_weights(grid, 1, last)
+    _, d1, g1 = _a1_weights(grid, last)
     # A1 per channel, repeated once per box: a broadcast product in the
     # matvec takes numpy's buffered path on every ARPACK step
     diag, off = np.repeat(d1, n_ch), np.repeat(g1[:-1], n_ch)
@@ -604,7 +592,7 @@ def propagate_ratio(grid: RadialGrid, energies) -> np.ndarray:
     r, c = np.indices((n_ch, n_ch))
     first_block = (main + r - c, c)
     last = grid.n_points - 1
-    inv_h, d1, g1 = _a1_weights(grid, 1, last)
+    inv_h, d1, g1 = _a1_weights(grid, last)
     edges = list(range(1, last, CHUNK_ROWS)) + [last]
     # each chunk's bond to the row past it, its block in the right-hand side
     ends = _bond_blocks(grid, np.array(edges[1:]) - 1)

@@ -115,7 +115,7 @@ class ResonanceWindow:
     slope: float
     alpha_at: float
     rows: np.ndarray
-    gamma_est: float = float("nan")
+    gamma_est: float
 
     @property
     def n_samples(self) -> int:

@@ -1,5 +1,6 @@
 """Stage orchestration: caching, digests, artifacts, CLI behavior."""
 
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -21,6 +22,7 @@ from hypres.errors import CacheError, ConfigError, StageError, ValidationError
 from hypres.models import TwoChannelToy
 from hypres.pipeline import (
     STAGE_TABLE,
+    STAGES,
     RunConfig,
     run_pipeline,
     run_stage,
@@ -475,6 +477,35 @@ class TestStages:
             assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
                        for p in params), stage.name
             assert tuple(p.name for p in params[2 + n_files:]) == stage.header
+
+    def test_one_stage_function_per_row(self, tmp_path, monkeypatch):
+        # stage_<name> is made from each row and hands that row's name to
+        # _run; run_stage finds it through the module attribute at call time
+        from hypres import pipeline
+        names = [key for key in vars(pipeline) if key.startswith("stage_")]
+        assert sorted(names) == sorted(f"stage_{name}" for name in STAGES)
+        calls = []
+        monkeypatch.setattr(pipeline, "_run",
+                            lambda name, *args, **kwargs: calls.append(name))
+        config = RunConfig.from_text("[system]\nkind = toy\n", directory=tmp_path)
+        for name in STAGES:
+            getattr(pipeline, f"stage_{name}")(config)
+        assert calls == list(STAGES)
+        monkeypatch.setattr(pipeline, "stage_fit",
+                            lambda config, **kwargs: calls.append(kwargs))
+        run_stage("fit", config, resonance=1, model="diagonal")
+        assert calls[-1] == {"force": False, "resonance": 1, "model": "diagonal"}
+
+    def test_tracer_wraps_every_stage_function(self):
+        # perfbench's tracer times each stage by wrapping stage_<name>: its
+        # targets in hypres.pipeline name exactly the table's stages
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        wrapped = [attr for module, attr, _ in tracer.TARGETS
+                   if module == "hypres.pipeline" and attr.startswith("stage_")]
+        assert wrapped == [f"stage_{name}" for name in STAGES]
 
     def test_bad_resonance_index(self, toy_run):
         with pytest.raises(StageError):

@@ -550,7 +550,7 @@ class TestPencil:
         assert ab.tobytes() == want.tobytes()
         assert (np.signbit(ab) & (ab == 0.0)).any()
         # A1 per point: d1 per row, g1 per bond, here up to the far end
-        _, d1, g1 = radial._a1_weights(joined_grid, 1, last)
+        _, d1, g1 = radial._a1_weights(joined_grid, last)
         assert d1.shape == g1.shape == (last - 1,)
         a1_diag, a1_off = np.repeat(d1, n), np.repeat(g1[:-1], n)
         a1 = np.diag(a1_diag) + np.diag(a1_off, n) + np.diag(a1_off, -n)
@@ -570,35 +570,19 @@ class TestPencil:
             ab = assemble_pencil(joined_grid, last, shift)
             assert ab.flags.f_contiguous
             assert np.array_equal(ab, dense_to_band(ref0 - shift * ref1, kl, kl)), last
-        # an inner block (the rows of one K chunk) drops both outer couplings
+        # an inner block (the rows of one K chunk, written as the K sweep
+        # writes them) drops both outer couplings
         first, last = 4, joined_grid.n_points // 2
         ref0, ref1 = dense_pencil(joined_grid, last)
         inner = slice((first - 1) * n, None)
-        ab = assemble_pencil(joined_grid, last, shift, first_index=first)
+        inv_h, d1, g1 = radial._a1_weights(joined_grid, last)
+        ab = np.zeros((3 * kl + 1, (last - first) * n), order="F")
+        radial._write_a0(joined_grid, ab, first, last, inv_h[first - 1:],
+                         d1[first - 1:])
+        radial._subtract_a1(ab, n, shift * d1[first - 1:].repeat(n),
+                            shift * g1[first - 1:-1].repeat(n))
         want = dense_to_band((ref0 - shift * ref1)[inner, inner], kl, kl)
         assert np.array_equal(ab, want)
-
-    @pytest.mark.parametrize("which", ["joined", "toy"])
-    def test_pencil_workspace_matches_fresh(self, which, joined_grid, toy_problem):
-        # a workspace that held a longer chunk at another shift, with its
-        # fill-in rows written as a pivoting LU leaves them, gives the bytes
-        # of a fresh assembly in its leading columns: no stale entry in the
-        # fill-in rows or past the chunk's end of the mirrored lower triangle
-        grid = joined_grid if which == "joined" else build_grid(toy_problem, h_max=0.05)
-        n_ch = grid.w_samples.shape[1]
-        kl = 2 * n_ch - 1
-        last = grid.n_points - 1
-        work = np.full((3 * kl + 1, (last - 1) * n_ch), np.nan, order="F")
-        long = assemble_pencil(grid, last, -1.3, out=work)
-        assert long.shape == work.shape and np.shares_memory(long, work)
-        assert not np.isnan(work).any()
-        work[:kl] = np.nan
-        for first, stop in [(1, last // 2), (last // 3, last - 2), (4, 5)]:
-            ab = assemble_pencil(grid, stop, 0.7, first_index=first, out=work)
-            fresh = assemble_pencil(grid, stop, 0.7, first_index=first)
-            assert np.shares_memory(ab, work) and ab.flags.f_contiguous
-            assert ab.shape == fresh.shape
-            assert ab.tobytes() == fresh.tobytes(), (first, stop)
 
     def test_k_sweep_assembles_into_one_workspace(self, monkeypatch, toy_problem):
         # each chunk's A0 rows are written once, into one template, however
@@ -901,7 +885,9 @@ class TestGuardsAndErrors:
 
 class TestTablesPath:
     def test_tables_match_callables(self, toy, toy_problem):
-        rho, eps, h, q = toy.tables(n_rho=2400)
+        dense = TwoChannelToy()
+        dense.n_rho = 2400  # twice the table points of toy.tables()
+        rho, eps, h, q = dense.tables()
         tab = RadialProblem.from_tables(
             rho, eps, h, q,
             rho_start=toy.rho_start, rho_match=toy.rho_match,
